@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__, integrators, model, poisson, symmetry, verify
 from .integrators import BlowUpError, IntegratorId, NewtonError
-from .model import InvariantId, SystemId
+from .model import SystemId
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -22,18 +23,8 @@ EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 _CSV_COLUMNS = {
-    SystemId.MB5: (
-        ("t", "x1", "y1", "x2", "y2", "z"),
-        (InvariantId.H, InvariantId.C, InvariantId.J),
-    ),
-    SystemId.HAM6: (
-        ("t", "q1", "q2", "q3", "p1", "p2", "p3"),
-        (InvariantId.HTILDE, InvariantId.CTILDE, InvariantId.JTILDE),
-    ),
-    SystemId.EL6: (
-        ("t", "q1", "q2", "q3", "qd1", "qd2", "qd3"),
-        (InvariantId.L,),
-    ),
+    system: (("t",) + model.system_vars(system).names, integrators.system_invariants(system))
+    for system in SystemId
 }
 
 
@@ -101,6 +92,8 @@ def _parse_init(parser: argparse.ArgumentParser, system: SystemId, text: str) ->
         values = [float(v) for v in text.split(",")]
     except ValueError:
         parser.error(f"--init must be a comma-separated list of numbers, got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        parser.error(f"--init components must be finite, got {text!r}")
     want = model.system_dim(system)
     if len(values) != want:
         parser.error(f"--init for {system.value} needs {want} components, got {len(values)}")
@@ -108,13 +101,18 @@ def _parse_init(parser: argparse.ArgumentParser, system: SystemId, text: str) ->
 
 
 def _run_trajectory(args, parser) -> integrators.Trajectory:
+    """Validate every run option, then integrate; usage errors exit 2
+    before any step is taken."""
     system = SystemId(args.system)
     method = IntegratorId(args.method)
     init = _parse_init(parser, system, args.init)
-    if args.h <= 0:
-        parser.error("--h must be positive")
-    if args.t_end <= 0:
-        parser.error("--t-end must be positive")
+    if not (math.isfinite(args.h) and args.h > 0):
+        parser.error("--h must be positive and finite")
+    if not (math.isfinite(args.t_end) and args.t_end > 0):
+        parser.error("--t-end must be positive and finite")
+    # --every exists on simulate only
+    if getattr(args, "every", 1) < 1:
+        parser.error("--every must be >= 1")
     return integrators.integrate(method, system, init, 0.0, args.t_end, args.h)
 
 
@@ -124,8 +122,6 @@ def cmd_simulate(args, parser) -> int:
     except (BlowUpError, NewtonError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    if args.every < 1:
-        parser.error("--every must be >= 1")
     state_cols, invariants = _CSV_COLUMNS[traj.system]
     inv_fns = [model.invariant_compiled(i) for i in invariants]
     header = ",".join(state_cols + tuple(i.value for i in invariants))

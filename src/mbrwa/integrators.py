@@ -146,8 +146,7 @@ def step(method: IntegratorId, system: SystemId, state, t: float, h: float):
     if h <= 0:
         raise ValueError("step size must be positive")
     out = _step_array(method, system, _as_array(system, state), t, h)
-    state_type = {SystemId.MB5: model.State5, SystemId.HAM6: model.State6, SystemId.EL6: model.TangentState6}
-    return state_type[system](*out)
+    return model._STATE_TYPES[system](*out)
 
 
 def integrate(

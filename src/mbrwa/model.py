@@ -15,11 +15,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .polyring import Fraction as Rational
 from .polyring import Poly, VarSet, matrix_rank
 
 VARS5 = VarSet("x1", "y1", "x2", "y2", "z")

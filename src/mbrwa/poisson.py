@@ -13,22 +13,22 @@ coordinate relations are test assertions, not definitions.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from . import model
-from .model import VARS5, InvariantId, SystemId
+from .model import VARS5, InvariantId
 from .polyring import (
     InconsistentSystem,
     LinearSystem,
     Poly,
     VarSet,
+    lie_derivative,
     solve_linear,
 )
-from .report import VerificationReport, report_from_residuals
+from .report import Outcome, VerificationReport, run_check
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -111,9 +111,6 @@ class Cocycle:
                 if self.matrix[i][j] != -self.matrix[j][i]:
                     raise ValueError(f"cocycle matrix not antisymmetric at ({i},{j})")
 
-    def __call__(self, i: int, j: int) -> Fraction:
-        return self.matrix[i][j]
-
 
 @dataclass(frozen=True)
 class PoissonTensor:
@@ -191,22 +188,12 @@ def flip_entry_sign(pi: PoissonTensor, i: int, j: int, antisymmetric: bool = Fal
 
 
 def poisson_bracket(f: Poly, g: Poly, pi: PoissonTensor | None = None) -> Poly:
-    """{f, g} = (grad f)^T pi (grad g), exactly."""
+    """{f, g} = (grad f)^T pi (grad g): f differentiated along the
+    Hamiltonian field of g, exactly."""
     pi = pi or mb_poisson_tensor()
     if f.vars != VARS5 or g.vars != VARS5:
         raise ValueError("poisson_bracket arguments must live over the 5D phase space")
-    df = [f.diff(n) for n in VARS5.names]
-    dg = [g.diff(n) for n in VARS5.names]
-    total = Poly.zero(VARS5)
-    for i in range(DIM):
-        if df[i].is_zero:
-            continue
-        for j in range(DIM):
-            entry = pi.entries[i][j]
-            if entry.is_zero or dg[j].is_zero:
-                continue
-            total = total + df[i] * entry * dg[j]
-    return total
+    return lie_derivative(dict(zip(VARS5.names, ham_vector_field(pi, g))), f)
 
 
 def jacobi_residual(i: int, j: int, k: int, pi: PoissonTensor | None = None) -> Poly:
@@ -234,12 +221,9 @@ def all_jacobi_residuals(pi: PoissonTensor | None = None) -> dict[tuple[int, int
 
 
 def ham_vector_field(pi: PoissonTensor, h: Poly) -> tuple[Poly, ...]:
-    """The vector field pi * grad(h), componentwise."""
-    dh = [h.diff(n) for n in VARS5.names]
-    return tuple(
-        sum((pi.entries[i][j] * dh[j] for j in range(DIM)), Poly.zero(VARS5))
-        for i in range(DIM)
-    )
+    """The vector field pi * grad(h), componentwise: row i of pi, read as a
+    field, differentiates h."""
+    return tuple(lie_derivative(dict(zip(VARS5.names, row)), h) for row in pi.entries)
 
 
 def casimir_residual(pi: PoissonTensor | None = None) -> tuple[Poly, ...]:
@@ -311,36 +295,35 @@ def vector_product(a: Sequence[Poly], b: Sequence[Poly]) -> tuple[Poly, ...]:
 def iso_check_Phi() -> VerificationReport:
     """Certify that the coordinate map into the matrix algebra is a Lie
     algebra isomorphism: Phi(a x b) = [Phi(a), Phi(b)] for symbolic a, b."""
-    started = time.perf_counter()
-    vars = VarSet(*[f"a{i}" for i in range(1, 6)], *[f"b{i}" for i in range(1, 6)])
-    a = [Poly.var(vars, f"a{i}") for i in range(1, 6)]
-    b = [Poly.var(vars, f"b{i}") for i in range(1, 6)]
-    ma, mb = _phi_matrix(a, vars), _phi_matrix(b, vars)
-    lhs = _phi_matrix(vector_product(a, b), vars)
-    prod1 = [
-        [
-            sum((ma[i][k] * mb[k][j] for k in range(4)), Poly.zero(vars))
-            for j in range(4)
+
+    def body():
+        vars = VarSet(*[f"a{i}" for i in range(1, 6)], *[f"b{i}" for i in range(1, 6)])
+        a = [Poly.var(vars, f"a{i}") for i in range(1, 6)]
+        b = [Poly.var(vars, f"b{i}") for i in range(1, 6)]
+        ma, mb = _phi_matrix(a, vars), _phi_matrix(b, vars)
+        lhs = _phi_matrix(vector_product(a, b), vars)
+        prod1 = [
+            [
+                sum((ma[i][k] * mb[k][j] for k in range(4)), Poly.zero(vars))
+                for j in range(4)
+            ]
+            for i in range(4)
         ]
-        for i in range(4)
-    ]
-    prod2 = [
-        [
-            sum((mb[i][k] * ma[k][j] for k in range(4)), Poly.zero(vars))
-            for j in range(4)
+        prod2 = [
+            [
+                sum((mb[i][k] * ma[k][j] for k in range(4)), Poly.zero(vars))
+                for j in range(4)
+            ]
+            for i in range(4)
         ]
-        for i in range(4)
-    ]
-    residuals = [
-        lhs[i][j] - (prod1[i][j] - prod2[i][j]) for i in range(4) for j in range(4)
-    ]
-    return report_from_residuals("iso-Phi", residuals, started=started)
+        return [lhs[i][j] - (prod1[i][j] - prod2[i][j]) for i in range(4) for j in range(4)]
+
+    return run_check("iso-Phi", body)
 
 
 def cocycle_check(theta: Cocycle | None = None) -> VerificationReport:
     """Certify the 2-cocycle identity on all basis triples plus the
     non-coboundary witness [E1,E2] = 0 with theta(E1,E2) = 1."""
-    started = time.perf_counter()
     theta = theta or mb_cocycle()
     sc = mb_structure_constants()
 
@@ -350,26 +333,25 @@ def cocycle_check(theta: Cocycle | None = None) -> VerificationReport:
             (sc.alpha[i][j][m] * theta.matrix[m][k] for m in range(DIM)), Fraction(0)
         )
 
-    failures: list[str] = []
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            for k in range(j + 1, DIM):
-                s = theta_bracket(i, j, k) + theta_bracket(j, k, i) + theta_bracket(k, i, j)
-                if s:
-                    failures.append(f"cocycle identity ({i+1},{j+1},{k+1}): {s}")
-    witness_comm = commutator(E_BASIS[0], E_BASIS[1])
-    if not is_zero_matrix(witness_comm):
-        failures.append(f"[E1,E2] != 0: {witness_comm}")
-    if theta.matrix[0][1] != 1:
-        failures.append(f"theta(E1,E2) = {theta.matrix[0][1]} != 1")
-    elapsed = (time.perf_counter() - started) * 1e3
-    return VerificationReport(
-        check="cocycle",
-        status="pass" if not failures else "fail",
-        residuals=failures,
-        witnesses={
-            "commutator_E1_E2": "0" if is_zero_matrix(witness_comm) else "nonzero",
-            "theta_E1_E2": str(theta.matrix[0][1]),
-        },
-        elapsed_ms=elapsed,
-    )
+    def body():
+        failures: list[str] = []
+        for i in range(DIM):
+            for j in range(i + 1, DIM):
+                for k in range(j + 1, DIM):
+                    s = theta_bracket(i, j, k) + theta_bracket(j, k, i) + theta_bracket(k, i, j)
+                    if s:
+                        failures.append(f"cocycle identity ({i+1},{j+1},{k+1}): {s}")
+        witness_comm = commutator(E_BASIS[0], E_BASIS[1])
+        if not is_zero_matrix(witness_comm):
+            failures.append(f"[E1,E2] != 0: {witness_comm}")
+        if theta.matrix[0][1] != 1:
+            failures.append(f"theta(E1,E2) = {theta.matrix[0][1]} != 1")
+        return Outcome(
+            failures,
+            {
+                "commutator_E1_E2": "0" if is_zero_matrix(witness_comm) else "nonzero",
+                "theta_E1_E2": str(theta.matrix[0][1]),
+            },
+        )
+
+    return run_check("cocycle", body)

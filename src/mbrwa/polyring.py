@@ -9,12 +9,17 @@ Polynomials live over a fixed, ordered :class:`VarSet`; exponent vectors are
 dense tuples of the same length as the variable list.  The sizes in this
 project are tiny (at most 14 variables, a few hundred terms), so no sparse
 cleverness is attempted.
+
+Arithmetic only combines polynomials over one VarSet.  Two primitives build
+everything else: :meth:`Poly.substitute`, the one composition, which may move
+a polynomial onto another VarSet (unbound variables carry over by name), and
+:func:`lie_derivative`, the derivative along a vector field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -209,30 +214,52 @@ class Poly:
     def substitute(self, bindings: Mapping[str, Union["Poly", Coeff]]) -> "Poly":
         """Simultaneous substitution of polynomials for variables.
 
-        Replacement polynomials must live over the same VarSet; unbound
-        variables are left alone.
+        This is the one composition in the package.  The bound polynomials
+        must share one VarSet and the result lives over it; a variable that
+        is not bound carries over to that VarSet by name, so it must exist
+        there.  Constants may be bound as well; with no polynomial bound the
+        result stays over this polynomial's VarSet.
         """
         if not bindings:
             return self
-        repl: dict[int, Poly] = {}
-        for name, p in bindings.items():
-            i = self.vars.index(name)
-            repl[i] = self._coerce(p)
-        result = Poly.zero(self.vars)
+        target = None
+        for p in bindings.values():
+            if isinstance(p, Poly):
+                if target is not None and p.vars != target:
+                    raise VarSetMismatch(f"bound polynomials mix {target} and {p.vars}")
+                target = p.vars
+        if target is None:
+            target = self.vars
+        repl: dict[int, Poly] = {
+            self.vars.index(name): p if isinstance(p, Poly) else Poly.const(target, p)
+            for name, p in bindings.items()
+        }
+        # where each unbound variable that occurs lands in the target
+        carry = {
+            i: target.index(name)
+            for i, name in enumerate(self.vars.names)
+            if i not in repl and any(e[i] for e in self.terms)
+        }
+        powers: dict[tuple[int, int], Poly] = {}
+        total: dict[tuple[int, ...], Fraction] = {}
         for e, c in self.terms.items():
-            term = Poly.const(self.vars, c)
+            mono = [0] * len(target)
+            factors = []
             for i, k in enumerate(e):
                 if k == 0:
                     continue
-                base = repl.get(i)
-                if base is None:
-                    mono = [0] * len(self.vars)
-                    mono[i] = k
-                    term = term * Poly(self.vars, {tuple(mono): Fraction(1)})
+                if i in repl:
+                    if (i, k) not in powers:
+                        powers[(i, k)] = repl[i] ** k
+                    factors.append(powers[(i, k)])
                 else:
-                    term = term * base**k
-            result = result + term
-        return result
+                    mono[carry[i]] += k
+            term = Poly(target, {tuple(mono): c})
+            for f in factors:
+                term = term * f
+            for m, v in term.terms.items():
+                total[m] = total.get(m, Fraction(0)) + v
+        return Poly(target, total)
 
     def eval(self, point: Mapping[str, Union[Coeff, float]]):
         """Evaluate at a point binding every variable.
@@ -305,6 +332,24 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def lie_derivative(field: Mapping[str, Poly], f: Poly) -> Poly:
+    """The derivative of ``f`` along the vector field sum_v field[v] d/dv.
+
+    Components and ``f`` must share one VarSet; variables the field does not
+    name have a zero component.
+    """
+    total: dict[tuple[int, ...], Fraction] = {}
+    for name, comp in field.items():
+        if comp.is_zero:
+            continue
+        df = f.diff(name)
+        if df.is_zero:
+            continue
+        for e, c in (comp * df).terms.items():
+            total[e] = total.get(e, Fraction(0)) + c
+    return Poly(f.vars, total)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +455,3 @@ def solve_linear(sys: LinearSystem) -> list[Fraction]:
     for r, p in enumerate(pivots):
         x[p] = rows[r][-1]
     return x
-
-
-def poly_span_rank(polys: Iterable[Poly]) -> int:
-    """Rank of a family of polynomials as vectors of coefficients."""
-    polys = list(polys)
-    monomials = sorted({e for p in polys for e in p.terms})
-    matrix = [[p.coefficient(e) for e in monomials] for p in polys]
-    return matrix_rank(matrix)

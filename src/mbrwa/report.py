@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .polyring import Poly
 
@@ -38,23 +38,32 @@ class VerificationReport:
         }
 
 
-def report_from_residuals(
-    check: str,
-    residuals: Sequence[Poly],
-    witnesses: Mapping | None = None,
-    started: float | None = None,
-) -> VerificationReport:
-    """Build a report that passes iff every residual polynomial is zero.
+class Outcome(NamedTuple):
+    """A check body's result when it has witnesses to record as well."""
 
-    Only nonzero residuals are recorded, so a passing report has an empty
-    residual list.
+    residuals: Iterable[Poly | str]
+    witnesses: Mapping
+
+
+def run_check(
+    check: str, body: Callable[[], Iterable[Poly | str] | Outcome]
+) -> VerificationReport:
+    """Run the body of one named check, timing it, and build its report.
+
+    ``body`` returns its residuals, or an :class:`Outcome` that adds
+    witnesses.  A residual polynomial fails the check unless it is zero; a
+    residual string describes a failure.  Only failures are recorded, as
+    strings, so a passing report has an empty residual list.
     """
-    nonzero = [str(r) for r in residuals if not r.is_zero]
-    elapsed = (time.perf_counter() - started) * 1e3 if started is not None else 0.0
+    started = time.perf_counter()
+    result = body()
+    # a residual tuple (as from casimir_residual) is not an Outcome
+    outcome = result if isinstance(result, Outcome) else Outcome(result, {})
+    failures = [str(r) for r in outcome.residuals if isinstance(r, str) or not r.is_zero]
     return VerificationReport(
         check=check,
-        status="pass" if not nonzero else "fail",
-        residuals=nonzero,
-        witnesses=dict(witnesses or {}),
-        elapsed_ms=elapsed,
+        status="pass" if not failures else "fail",
+        residuals=failures,
+        witnesses=dict(outcome.witnesses),
+        elapsed_ms=(time.perf_counter() - started) * 1e3,
     )

@@ -16,11 +16,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Literal, Mapping, Sequence
 
 from . import model
 from .model import HALF, InvariantId, SystemId
-from .polyring import LinearSystem, Poly, VarSet, matrix_rank, solve_nullspace
+from .polyring import LinearSystem, Poly, VarSet, lie_derivative, matrix_rank, solve_nullspace
 
 BASE_NAMES = ("t", "q1", "q2", "q3")
 JET_EXTRA = ("qd1", "qd2", "qd3", "qdd1", "qdd2", "qdd3")
@@ -81,6 +83,13 @@ class ProlongedField:
     vel_coeffs: tuple[Poly, Poly, Poly]
     acc_coeffs: tuple[Poly, ...]  # empty for order 1
 
+    def field(self) -> dict[str, Poly]:
+        """The prolonged field on the jet space, as coefficient by variable."""
+        jv = jet_vars(self.base.vars)
+        coeffs = [c.rename(jv, {}) for c in self.base.components()]
+        coeffs += [*self.vel_coeffs, *self.acc_coeffs]
+        return dict(zip(BASE_NAMES + JET_EXTRA, coeffs))
+
 
 @dataclass(frozen=True)
 class VectorField:
@@ -104,11 +113,7 @@ class VectorField:
 
     def apply(self, f: Poly) -> Poly:
         """Directional derivative of f along this field."""
-        total = Poly.zero(self.vars)
-        for name, comp in zip(self.vars.names, self.components):
-            if not comp.is_zero:
-                total = total + comp * f.diff(name)
-        return total
+        return lie_derivative(dict(zip(self.vars.names, self.components)), f)
 
     @property
     def is_zero(self) -> bool:
@@ -136,8 +141,14 @@ def jet_vars(base: VarSet) -> VarSet:
     return VarSet(*BASE_NAMES, *JET_EXTRA, *params)
 
 
-def _lift(p: Poly, target: VarSet) -> Poly:
-    return p.rename(target, {})
+@lru_cache(maxsize=None)
+def _jet_shift(jv: VarSet) -> Mapping[str, Poly]:
+    """The field qd_i d/dq_i + qdd_i d/dqd_i of the total derivative."""
+    field = {}
+    for i in (1, 2, 3):
+        field[f"q{i}"] = Poly.var(jv, f"qd{i}")
+        field[f"qd{i}"] = Poly.var(jv, f"qdd{i}")
+    return MappingProxyType(field)
 
 
 def total_derivative(f: Poly) -> Poly:
@@ -146,12 +157,9 @@ def total_derivative(f: Poly) -> Poly:
     D_t f = df/dt + qd_i df/dq_i + qdd_i df/dqd_i; parameter variables are
     constants.
     """
-    vars = f.vars
-    total = f.diff("t")
-    for i in (1, 2, 3):
-        total = total + Poly.var(vars, f"qd{i}") * f.diff(f"q{i}")
-        total = total + Poly.var(vars, f"qdd{i}") * f.diff(f"qd{i}")
-    return total
+    # d/dt is added directly: its coefficient is 1, and multiplying by it
+    # would only cost time
+    return f.diff("t") + lie_derivative(_jet_shift(f.vars), f)
 
 
 def prolong(u: JetVectorField, order: Literal[1, 2]) -> ProlongedField:
@@ -164,8 +172,8 @@ def prolong(u: JetVectorField, order: Literal[1, 2]) -> ProlongedField:
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     jv = jet_vars(u.vars)
-    xi = _lift(u.xi, jv)
-    eta = [_lift(e, jv) for e in u.eta]
+    xi = u.xi.rename(jv, {})
+    eta = [e.rename(jv, {}) for e in u.eta]
     dxi = total_derivative(xi)
     vel = tuple(
         total_derivative(eta[i]) - dxi * Poly.var(jv, f"qd{i+1}") for i in range(3)
@@ -206,19 +214,9 @@ def determining_residuals(u: JetVectorField) -> tuple[Poly, Poly, Poly]:
     accelerations; the field is a symmetry iff all three residuals vanish
     identically in (t, q, qd)."""
     jv = jet_vars(u.vars)
-    pr = prolong(u, 2)
-    xi = _lift(u.xi, jv)
-    eta = [_lift(e, jv) for e in u.eta]
+    field = prolong(u, 2).field()
     bindings = _acceleration_bindings(jv)
-    residuals = []
-    for eq in _el_equations(jv):
-        acted = xi * eq.diff("t")
-        for i in range(3):
-            acted = acted + eta[i] * eq.diff(f"q{i+1}")
-            acted = acted + pr.vel_coeffs[i] * eq.diff(f"qd{i+1}")
-            acted = acted + pr.acc_coeffs[i] * eq.diff(f"qdd{i+1}")
-        residuals.append(acted.substitute(bindings))
-    return tuple(residuals)
+    return tuple(lie_derivative(field, eq).substitute(bindings) for eq in _el_equations(jv))
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +382,12 @@ def spans_match(
 # ---------------------------------------------------------------------------
 
 
-def _lagrangian_on(jv: VarSet) -> Poly:
-    lag = model.invariant_symbolic(InvariantId.L)
-    return lag.rename(jv, {})
-
-
 def variational_residual(u: JetVectorField) -> Poly:
     """pr1(u) L + L D_t(xi); zero iff u is a variational symmetry."""
     jv = jet_vars(u.vars)
-    pr = prolong(u, 1)
-    lag = _lagrangian_on(jv)
-    xi = _lift(u.xi, jv)
-    eta = [_lift(e, jv) for e in u.eta]
-    acted = xi * lag.diff("t")
-    for i in range(3):
-        acted = acted + eta[i] * lag.diff(f"q{i+1}")
-        acted = acted + pr.vel_coeffs[i] * lag.diff(f"qd{i+1}")
-    return acted + lag * total_derivative(xi)
+    field = prolong(u, 1).field()
+    lag = model.invariant_symbolic(InvariantId.L).rename(jv, {})
+    return lie_derivative(field, lag) + lag * total_derivative(field["t"])
 
 
 @dataclass(frozen=True)
@@ -420,11 +407,11 @@ def _charge_from_coeffs(beta: Poly | Fraction, gamma, delta, vars: VarSet) -> No
     j = model.invariant_symbolic(InvariantId.JTILDE).rename(vars, {})
     c = model.invariant_symbolic(InvariantId.CTILDE).rename(vars, {})
     charge = -beta * h - gamma * j + delta * c
-    field = [f.rename(vars, {}) for f in model.rhs_symbolic(SystemId.HAM6)]
-    residual = Poly.zero(vars)
-    for name, comp in zip(model.VARS6.names, field):
-        residual = residual + charge.diff(name) * comp
-    return NoetherCharge(poly=charge, conservation_residual=residual)
+    field = {
+        name: f.rename(vars, {})
+        for name, f in zip(model.VARS6.names, model.rhs_symbolic(SystemId.HAM6))
+    }
+    return NoetherCharge(poly=charge, conservation_residual=lie_derivative(field, charge))
 
 
 def noether_charge(p: SymParams) -> NoetherCharge:
@@ -496,50 +483,46 @@ def pushforward(u: JetVectorField, target: Literal["FL", "PHI"]) -> VectorField:
 
 def _pushforward_fl(u: JetVectorField) -> VectorField:
     params = u.vars.names[4:]
-    big = VarSet(*BASE_NAMES, *JET_EXTRA, "p1", "p2", "p3", *params)
     target = VarSet("t", "q1", "q2", "q3", "p1", "p2", "p3", *params)
-    pr = prolong(u, 1)
-    q1, q2 = Poly.var(big, "q1"), Poly.var(big, "q2")
-    eta = [_lift(e, big) for e in u.eta]
-    vel = [v.rename(big, {}) for v in pr.vel_coeffs]
+    jv = jet_vars(u.vars)
+    pr = prolong(u, 1).field()
+    q1, q2 = Poly.var(jv, "q1"), Poly.var(jv, "q2")
+    coeffs = {n: pr[n] for n in BASE_NAMES}
     # momentum coefficients: transport p_i(q, qdot) along the prolonged field
-    p_coeffs = [vel[0], vel[1], vel[2] + q1 * eta[0] + q2 * eta[1]]
+    coeffs.update(p1=pr["qd1"], p2=pr["qd2"], p3=pr["qd3"] + q1 * pr["q1"] + q2 * pr["q2"])
+    tq1, tq2 = Poly.var(target, "q1"), Poly.var(target, "q2")
     qd_bindings = {
-        "qd1": Poly.var(big, "p1"),
-        "qd2": Poly.var(big, "p2"),
-        "qd3": Poly.var(big, "p3") - HALF * (q1**2 + q2**2),
+        "qd1": Poly.var(target, "p1"),
+        "qd2": Poly.var(target, "p2"),
+        "qd3": Poly.var(target, "p3") - HALF * (tq1**2 + tq2**2),
     }
-    comps: dict[str, Poly] = {"t": _lift(u.xi, big)}
-    for i in range(3):
-        comps[f"q{i+1}"] = eta[i]
-        comps[f"p{i+1}"] = p_coeffs[i].substitute(qd_bindings)
     zero = Poly.zero(target)
     return VectorField(
         vars=target,
         components=tuple(
-            comps[n].rename(target, {}) if n in comps else zero for n in target.names
+            coeffs[n].substitute(qd_bindings) if n in coeffs else zero for n in target.names
         ),
     )
 
 
 def _pushforward_phi(v: VectorField) -> VectorField:
     params = v.vars.names[7:]
-    big = VarSet(*v.vars.names, "x1", "y1", "x2", "y2", "z")
     target = VarSet(*X5_NAMES, *params)
-    x1, x2 = Poly.var(big, "x1"), Poly.var(big, "x2")
+    x1, x2 = Poly.var(target, "x1"), Poly.var(target, "x2")
     bindings = {
         "q1": x1,
-        "p1": Poly.var(big, "y1"),
+        "p1": Poly.var(target, "y1"),
         "q2": x2,
-        "p2": Poly.var(big, "y2"),
-        "p3": Poly.var(big, "z") + HALF * (x1**2 + x2**2),
+        "p2": Poly.var(target, "y2"),
+        "p3": Poly.var(target, "z") + HALF * (x1**2 + x2**2),
     }
+    q3 = v.vars.index("q3")
 
     def transport(p: Poly) -> Poly:
-        out = p.rename(big, {}).substitute(bindings)
-        if any(e[big.index("q3")] for e in out.terms):
+        # no binding produces q3, so it survives transport iff p contains it
+        if any(e[q3] for e in p.terms):
             raise NotInSymmetryFamily("field does not project: q3 survives transport")
-        return out.rename(target, {})
+        return p.substitute(bindings)
 
     q1c, q2c = v.component("q1"), v.component("q2")
     zq = v.component("p3") - Poly.var(v.vars, "q1") * q1c - Poly.var(v.vars, "q2") * q2c
@@ -556,11 +539,6 @@ def _pushforward_phi(v: VectorField) -> VectorField:
         vars=target,
         components=tuple(comps.get(n, zero) for n in target.names),
     )
-
-
-def family_pushforward_symbolic() -> VectorField:
-    """The pushed-forward 5D field with symbolic (alpha, beta, gamma)."""
-    return pushforward(symbolic_family_field(), "PHI")
 
 
 # ---------------------------------------------------------------------------
@@ -583,25 +561,15 @@ def first_order_symmetry_residual(x: VectorField) -> tuple[Poly, ...]:
 
     For each state coordinate: D_t(eta_k) - F_k D_t(xi) - X(F_k), with
     every velocity replaced by F; all five vanish iff x is a symmetry.
+    The total derivative along solutions is the extended field
+    d/dt + F_j d/dx_j.
     """
-    vars = x.vars
-    dyn = _dynamics_field(vars)
-    xi = x.component("t")
-
-    def dt(f: Poly) -> Poly:
-        # total derivative along solutions: d/dt + F_j d/dx_j
-        return dyn.apply(f)
-
-    residuals = []
-    for name in model.VARS5.names:
-        fk = dyn.component(name)
-        eta_k = x.component(name)
-        acted = Poly.zero(vars)
-        acted = acted + xi * fk.diff("t")
-        for xn in model.VARS5.names:
-            acted = acted + x.component(xn) * fk.diff(xn)
-        residuals.append(dt(eta_k) - fk * dt(xi) - acted)
-    return tuple(residuals)
+    dyn = _dynamics_field(x.vars)
+    dxi = dyn.apply(x.component("t"))
+    return tuple(
+        dyn.apply(x.component(name)) - dyn.component(name) * dxi - x.apply(dyn.component(name))
+        for name in model.VARS5.names
+    )
 
 
 @dataclass(frozen=True)
@@ -610,9 +578,8 @@ class DynamicsCommutatorRecord:
 
     commutator: VectorField
     proportional: bool
-    factor: Poly | None  # the constant c with [X, V] = c V, when proportional
+    factor: Poly | None  # the constant c with [X, V] = c V (conformal), when proportional
     is_symmetry: bool  # [X, V] = 0
-    is_conformal: bool  # [X, V] = c V, c constant
     is_master: bool  # [X, V] != 0 and [[X, V], V] = 0
     double_commutator_zero: bool
 
@@ -638,7 +605,6 @@ def dynamics_commutator(x: VectorField) -> DynamicsCommutatorRecord:
         proportional=proportional,
         factor=factor if proportional else None,
         is_symmetry=is_symmetry,
-        is_conformal=proportional,
         is_master=(not is_symmetry) and double.is_zero,
         double_commutator_zero=double.is_zero,
     )

@@ -8,42 +8,19 @@ itself be tested: a vacuously-green certificate is worthless.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
 from . import model, poisson, symmetry
-from .model import HALF, VARS5, VARS6, VARST6, InvariantId, SystemId
+from .model import VARS5, VARS6, VARST6, InvariantId, SystemId
 from .polyring import (
     InconsistentSystem,
     LinearSystem,
     Poly,
-    VarSet,
+    lie_derivative,
     solve_linear,
 )
-from .report import VerificationReport, report_from_residuals
+from .report import Outcome, VerificationReport, run_check
 from .symmetry import JetVectorField, jet_vars
-
-SUITE_NAMES = (
-    "poisson",
-    "cocycle",
-    "algebra",
-    "symmetry",
-    "variational",
-    "noether",
-    "pushforward",
-)
-
-
-def compose(f: Poly, bindings: dict[str, Poly], target: VarSet) -> Poly:
-    """f with every variable replaced by a polynomial over ``target``."""
-    result = Poly.zero(target)
-    for e, c in f.terms.items():
-        term = Poly.const(target, c)
-        for name, k in zip(f.vars.names, e):
-            if k:
-                term = term * bindings[name] ** k
-        result = result + term
-    return result
 
 
 def reference_poisson_entries() -> tuple[tuple[Poly, ...], ...]:
@@ -68,107 +45,88 @@ def reference_poisson_entries() -> tuple[tuple[Poly, ...], ...]:
 
 def suite_poisson(pi: poisson.PoissonTensor | None = None) -> list[VerificationReport]:
     pi = pi or poisson.mb_poisson_tensor()
-    reports = []
 
-    started = time.perf_counter()
-    reports.append(
-        report_from_residuals(
-            "pi-antisymmetry", poisson.antisymmetry_residuals(pi), started=started
+    def assembly():
+        ref = reference_poisson_entries()
+        return [pi.entries[i][j] - ref[i][j] for i in range(5) for j in range(5)]
+
+    def jacobi():
+        jac = poisson.all_jacobi_residuals(pi)
+        return Outcome(jac.values(), {"triples": len(jac)})
+
+    def hamiltonian_field():
+        field = poisson.ham_vector_field(pi, model.invariant_symbolic(InvariantId.H))
+        return [f - g for f, g in zip(field, model.rhs_symbolic(SystemId.MB5))]
+
+    def involution():
+        h, c, j = (
+            model.invariant_symbolic(i) for i in (InvariantId.H, InvariantId.C, InvariantId.J)
         )
-    )
+        return [
+            poisson.poisson_bracket(h, c, pi),
+            poisson.poisson_bracket(h, j, pi),
+            poisson.poisson_bracket(c, j, pi),
+        ]
 
-    started = time.perf_counter()
-    ref = reference_poisson_entries()
-    assembly = [
-        pi.entries[i][j] - ref[i][j] for i in range(5) for j in range(5)
+    return [
+        run_check("pi-antisymmetry", lambda: poisson.antisymmetry_residuals(pi)),
+        run_check("pi-assembly", assembly),
+        run_check("jacobi-identity", jacobi),
+        run_check("casimir", lambda: poisson.casimir_residual(pi)),
+        run_check("hamiltonian-field", hamiltonian_field),
+        run_check("involution", involution),
+        *realization_reports(),
     ]
-    reports.append(report_from_residuals("pi-assembly", assembly, started=started))
-
-    started = time.perf_counter()
-    jac = poisson.all_jacobi_residuals(pi)
-    reports.append(
-        report_from_residuals(
-            "jacobi-identity",
-            list(jac.values()),
-            witnesses={"triples": len(jac)},
-            started=started,
-        )
-    )
-
-    started = time.perf_counter()
-    reports.append(
-        report_from_residuals("casimir", poisson.casimir_residual(pi), started=started)
-    )
-
-    started = time.perf_counter()
-    field = poisson.ham_vector_field(pi, model.invariant_symbolic(InvariantId.H))
-    residuals = [f - g for f, g in zip(field, model.rhs_symbolic(SystemId.MB5))]
-    reports.append(report_from_residuals("hamiltonian-field", residuals, started=started))
-
-    started = time.perf_counter()
-    h = model.invariant_symbolic(InvariantId.H)
-    c = model.invariant_symbolic(InvariantId.C)
-    j = model.invariant_symbolic(InvariantId.J)
-    involution = [
-        poisson.poisson_bracket(h, c, pi),
-        poisson.poisson_bracket(h, j, pi),
-        poisson.poisson_bracket(c, j, pi),
-    ]
-    reports.append(report_from_residuals("involution", involution, started=started))
-
-    reports.extend(realization_reports())
-    return reports
 
 
 def realization_reports() -> list[VerificationReport]:
     """Certificates connecting the three formulations."""
-    reports = []
     phi = dict(zip(VARS5.names, model.phi_symbolic()))
-
-    started = time.perf_counter()
-    residuals = [
-        compose(model.invariant_symbolic(InvariantId.H), phi, VARS6)
-        - model.invariant_symbolic(InvariantId.HTILDE),
-        compose(model.invariant_symbolic(InvariantId.C), phi, VARS6)
-        - model.invariant_symbolic(InvariantId.CTILDE),
-        compose(model.invariant_symbolic(InvariantId.J), phi, VARS6)
-        - model.invariant_symbolic(InvariantId.JTILDE),
-    ]
-    reports.append(report_from_residuals("realization-invariants", residuals, started=started))
-
-    started = time.perf_counter()
-    rhs6 = model.rhs_symbolic(SystemId.HAM6)
-    rhs5 = model.rhs_symbolic(SystemId.MB5)
-    residuals = []
-    for comp5, phi_a in zip(rhs5, model.phi_symbolic()):
-        pushed = Poly.zero(VARS6)
-        for name, f in zip(VARS6.names, rhs6):
-            pushed = pushed + phi_a.diff(name) * f
-        residuals.append(pushed - compose(comp5, phi, VARS6))
-    reports.append(report_from_residuals("realization-dynamics", residuals, started=started))
-
-    started = time.perf_counter()
     leg = dict(zip(VARS6.names, model.legendre_symbolic()))
-    qd = [Poly.var(VARST6, f"qd{i}") for i in (1, 2, 3)]
-    p_of_qd = model.legendre_symbolic()[3:]
-    energy = sum((pi * qdi for pi, qdi in zip(p_of_qd, qd)), Poly.zero(VARST6))
-    residual = compose(model.invariant_symbolic(InvariantId.HTILDE), leg, VARST6) - (
-        energy - model.invariant_symbolic(InvariantId.L)
-    )
-    reports.append(report_from_residuals("legendre-energy", [residual], started=started))
 
-    started = time.perf_counter()
-    inv = dict(zip(VARST6.names, model.legendre_inverse_symbolic()))
-    roundtrip = [
-        compose(comp, leg, VARST6) - Poly.var(VARST6, name)
-        for comp, name in zip(model.legendre_inverse_symbolic(), VARST6.names)
+    def invariants():
+        return [
+            model.invariant_symbolic(inv5).substitute(phi) - model.invariant_symbolic(inv6)
+            for inv5, inv6 in (
+                (InvariantId.H, InvariantId.HTILDE),
+                (InvariantId.C, InvariantId.CTILDE),
+                (InvariantId.J, InvariantId.JTILDE),
+            )
+        ]
+
+    def dynamics():
+        rhs6 = dict(zip(VARS6.names, model.rhs_symbolic(SystemId.HAM6)))
+        return [
+            lie_derivative(rhs6, phi_a) - comp5.substitute(phi)
+            for comp5, phi_a in zip(model.rhs_symbolic(SystemId.MB5), model.phi_symbolic())
+        ]
+
+    def energy():
+        qd = [Poly.var(VARST6, f"qd{i}") for i in (1, 2, 3)]
+        p_of_qd = model.legendre_symbolic()[3:]
+        p_qd = sum((pi * qdi for pi, qdi in zip(p_of_qd, qd)), Poly.zero(VARST6))
+        return [
+            model.invariant_symbolic(InvariantId.HTILDE).substitute(leg)
+            - (p_qd - model.invariant_symbolic(InvariantId.L))
+        ]
+
+    def inverse():
+        inv = dict(zip(VARST6.names, model.legendre_inverse_symbolic()))
+        roundtrip = [
+            comp.substitute(leg) - Poly.var(VARST6, name)
+            for comp, name in zip(model.legendre_inverse_symbolic(), VARST6.names)
+        ]
+        return roundtrip + [
+            comp.substitute(inv) - Poly.var(VARS6, name)
+            for comp, name in zip(model.legendre_symbolic(), VARS6.names)
+        ]
+
+    return [
+        run_check("realization-invariants", invariants),
+        run_check("realization-dynamics", dynamics),
+        run_check("legendre-energy", energy),
+        run_check("legendre-inverse", inverse),
     ]
-    roundtrip += [
-        compose(comp, inv, VARS6) - Poly.var(VARS6, name)
-        for comp, name in zip(model.legendre_symbolic(), VARS6.names)
-    ]
-    reports.append(report_from_residuals("legendre-inverse", roundtrip, started=started))
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -189,31 +147,22 @@ def _table_report(
     basis,
     expected: dict[tuple[int, int], tuple[int, int]],
 ) -> VerificationReport:
-    started = time.perf_counter()
-    failures = []
-    try:
-        table = poisson.matrix_commutator_table(basis)
-    except poisson.CommutatorOutsideSpan as exc:
-        return VerificationReport(
-            check=check,
-            status="fail",
-            residuals=[str(exc)],
-            elapsed_ms=(time.perf_counter() - started) * 1e3,
-        )
-    for (i, j), coeffs in table.items():
-        want = [Fraction(0)] * len(basis)
-        if (i, j) in expected:
-            k, c = expected[(i, j)]
-            want[k - 1] = Fraction(c)
-        if list(coeffs) != want:
-            failures.append(f"[B{i},B{j}] expands to {coeffs}, expected {tuple(want)}")
-    return VerificationReport(
-        check=check,
-        status="pass" if not failures else "fail",
-        residuals=failures,
-        witnesses={"pairs": len(table)},
-        elapsed_ms=(time.perf_counter() - started) * 1e3,
-    )
+    def body():
+        try:
+            table = poisson.matrix_commutator_table(basis)
+        except poisson.CommutatorOutsideSpan as exc:
+            return [str(exc)]
+        failures = []
+        for (i, j), coeffs in table.items():
+            want = [Fraction(0)] * len(basis)
+            if (i, j) in expected:
+                k, c = expected[(i, j)]
+                want[k - 1] = Fraction(c)
+            if list(coeffs) != want:
+                failures.append(f"[B{i},B{j}] expands to {coeffs}, expected {tuple(want)}")
+        return Outcome(failures, {"pairs": len(table)})
+
+    return run_check(check, body)
 
 
 def point_field_commutator_table(
@@ -236,30 +185,23 @@ def point_field_commutator_table(
 
 
 def suite_algebra() -> list[VerificationReport]:
-    reports = [
+    def isomorphism():
+        point_table = point_field_commutator_table(list(symmetry.symmetry_basis()))
+        matrix_table = poisson.matrix_commutator_table(poisson.A_BASIS)
+        failures = [
+            f"structure constants differ at {key}: fields {point_table[key]}, "
+            f"matrices {matrix_table[key]}"
+            for key in matrix_table
+            if point_table[key] != matrix_table[key]
+        ]
+        return Outcome(failures, {"pairs": len(matrix_table)})
+
+    return [
         _table_report("E-commutator-table", poisson.E_BASIS, _E_TABLE),
         poisson.iso_check_Phi(),
         _table_report("A-commutator-table", poisson.A_BASIS, _A_TABLE),
+        run_check("symmetry-algebra-isomorphism", isomorphism),
     ]
-    started = time.perf_counter()
-    point_table = point_field_commutator_table(list(symmetry.symmetry_basis()))
-    matrix_table = poisson.matrix_commutator_table(poisson.A_BASIS)
-    failures = [
-        f"structure constants differ at {key}: fields {point_table[key]}, "
-        f"matrices {matrix_table[key]}"
-        for key in matrix_table
-        if point_table[key] != matrix_table[key]
-    ]
-    reports.append(
-        VerificationReport(
-            check="symmetry-algebra-isomorphism",
-            status="pass" if not failures else "fail",
-            residuals=failures,
-            witnesses={"pairs": len(matrix_table)},
-            elapsed_ms=(time.perf_counter() - started) * 1e3,
-        )
-    )
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -269,203 +211,163 @@ def suite_algebra() -> list[VerificationReport]:
 
 def suite_symmetry(family: JetVectorField | None = None) -> list[VerificationReport]:
     family = family or symmetry.symbolic_family_field()
-    reports = []
 
-    started = time.perf_counter()
-    reports.append(
-        report_from_residuals(
-            "determining-family",
-            symmetry.determining_residuals(family),
-            started=started,
-        )
-    )
+    def solver():
+        basis = symmetry.solve_determining(2)
+        failures = []
+        if len(basis) != 4:
+            failures.append(f"solver returned dimension {len(basis)}, expected 4")
+        elif not symmetry.spans_match(basis, symmetry.symmetry_basis(), 2):
+            failures.append("solver basis does not span the four reference symmetries")
+        return Outcome(failures, {"dimension": len(basis)})
 
-    started = time.perf_counter()
-    basis = symmetry.solve_determining(2)
-    dim_ok = len(basis) == 4
-    span_ok = dim_ok and symmetry.spans_match(basis, symmetry.symmetry_basis(), 2)
-    failures = []
-    if not dim_ok:
-        failures.append(f"solver returned dimension {len(basis)}, expected 4")
-    elif not span_ok:
-        failures.append("solver basis does not span the four reference symmetries")
-    reports.append(
-        VerificationReport(
-            check="determining-solver",
-            status="pass" if not failures else "fail",
-            residuals=failures,
-            witnesses={"dimension": len(basis)},
-            elapsed_ms=(time.perf_counter() - started) * 1e3,
-        )
-    )
-    return reports
+    return [
+        run_check("determining-family", lambda: symmetry.determining_residuals(family)),
+        run_check("determining-solver", solver),
+    ]
 
 
 def suite_variational(family: JetVectorField | None = None) -> list[VerificationReport]:
     family = family or symmetry.symbolic_family_field()
-    reports = []
-
-    started = time.perf_counter()
-    residual = symmetry.variational_residual(family)
     jv = jet_vars(family.vars)
-    if "alpha" in jv:
-        lag = model.invariant_symbolic(InvariantId.L).rename(jv, {})
-        target = 3 * Poly.var(jv, "alpha") * lag
-    else:
-        target = Poly.zero(jv)
-    reports.append(
-        report_from_residuals("variational-identity", [residual - target], started=started)
-    )
 
-    started = time.perf_counter()
-    alpha_zero = residual.substitute({"alpha": 0}) if "alpha" in jv else residual
-    reports.append(
-        report_from_residuals("variational-alpha-zero", [alpha_zero], started=started)
-    )
+    def identity():
+        residual = symmetry.variational_residual(family)
+        if "alpha" in jv:
+            lag = model.invariant_symbolic(InvariantId.L).rename(jv, {})
+            return [residual - 3 * Poly.var(jv, "alpha") * lag]
+        return [residual]
 
-    started = time.perf_counter()
-    u4 = symmetry.symmetry_basis()[3]
-    reports.append(
-        report_from_residuals(
-            "variational-rotation", [symmetry.variational_residual(u4)], started=started
-        )
-    )
-    return reports
+    def alpha_zero():
+        residual = symmetry.variational_residual(family)
+        return [residual.substitute({"alpha": 0}) if "alpha" in jv else residual]
+
+    def rotation():
+        return [symmetry.variational_residual(symmetry.symmetry_basis()[3])]
+
+    return [
+        run_check("variational-identity", identity),
+        run_check("variational-alpha-zero", alpha_zero),
+        run_check("variational-rotation", rotation),
+    ]
 
 
 def suite_noether() -> list[VerificationReport]:
-    reports = []
+    def basis_charges():
+        residuals = []
+        one = Fraction(1)
+        for params, expected in (
+            (symmetry.SymParams(beta=one), -model.invariant_symbolic(InvariantId.HTILDE)),
+            (symmetry.SymParams(gamma=one), -model.invariant_symbolic(InvariantId.JTILDE)),
+            (symmetry.SymParams(delta=one), model.invariant_symbolic(InvariantId.CTILDE)),
+        ):
+            nc = symmetry.noether_charge(params)
+            residuals.append(nc.poly - expected)
+            residuals.append(nc.conservation_residual)
+        return residuals
 
-    started = time.perf_counter()
-    charge = symmetry.noether_charge_symbolic()
-    reports.append(
-        report_from_residuals(
-            "noether-conservation", [charge.conservation_residual], started=started
-        )
-    )
+    def constants_of_motion():
+        residuals = []
+        for system, invariants in (
+            (SystemId.MB5, (InvariantId.H, InvariantId.C, InvariantId.J)),
+            (SystemId.HAM6, (InvariantId.HTILDE, InvariantId.CTILDE, InvariantId.JTILDE)),
+        ):
+            field = dict(zip(model.system_vars(system).names, model.rhs_symbolic(system)))
+            residuals += [lie_derivative(field, model.invariant_symbolic(i)) for i in invariants]
+        return residuals
 
-    started = time.perf_counter()
-    residuals = []
-    one = Fraction(1)
-    for params, expected in (
-        (symmetry.SymParams(beta=one), -model.invariant_symbolic(InvariantId.HTILDE)),
-        (symmetry.SymParams(gamma=one), -model.invariant_symbolic(InvariantId.JTILDE)),
-        (symmetry.SymParams(delta=one), model.invariant_symbolic(InvariantId.CTILDE)),
-    ):
-        nc = symmetry.noether_charge(params)
-        residuals.append(nc.poly - expected)
-        residuals.append(nc.conservation_residual)
-    reports.append(report_from_residuals("noether-basis-charges", residuals, started=started))
-
-    started = time.perf_counter()
-    residuals = []
-    for system, invariants in (
-        (SystemId.MB5, (InvariantId.H, InvariantId.C, InvariantId.J)),
-        (SystemId.HAM6, (InvariantId.HTILDE, InvariantId.CTILDE, InvariantId.JTILDE)),
-    ):
-        field = model.rhs_symbolic(system)
-        names = model.system_vars(system).names
-        for inv in invariants:
-            f = model.invariant_symbolic(inv)
-            ddt = Poly.zero(f.vars)
-            for name, comp in zip(names, field):
-                ddt = ddt + f.diff(name) * comp
-            residuals.append(ddt)
-    reports.append(
-        report_from_residuals("constants-of-motion", residuals, started=started)
-    )
-    return reports
+    return [
+        run_check(
+            "noether-conservation",
+            lambda: [symmetry.noether_charge_symbolic().conservation_residual],
+        ),
+        run_check("noether-basis-charges", basis_charges),
+        run_check("constants-of-motion", constants_of_motion),
+    ]
 
 
 def suite_pushforward(family: JetVectorField | None = None) -> list[VerificationReport]:
     family = family or symmetry.symbolic_family_field()
-    reports = []
-
-    started = time.perf_counter()
     try:
         cotangent = symmetry.pushforward(family, "FL")
         x5 = symmetry.pushforward(family, "PHI")
     except symmetry.NotInSymmetryFamily as exc:
+        return [run_check("pushforward", lambda: [str(exc)])]
+
+    def param(vars, name: str) -> Poly:
+        return Poly.var(vars, name) if name in vars else Poly.zero(vars)
+
+    def cotangent_residuals():
+        # expected momentum coefficients (2a p1 + g p2, 2a p2 - g p1, 2a p3)
+        cv = cotangent.vars
+        al, ga = param(cv, "alpha"), param(cv, "gamma")
+        p1, p2, p3 = (Poly.var(cv, n) for n in ("p1", "p2", "p3"))
         return [
-            VerificationReport(
-                check="pushforward",
-                status="fail",
-                residuals=[str(exc)],
-                elapsed_ms=(time.perf_counter() - started) * 1e3,
-            )
+            cotangent.component("p1") - (2 * al * p1 + ga * p2),
+            cotangent.component("p2") - (2 * al * p2 - ga * p1),
+            cotangent.component("p3") - 2 * al * p3,
         ]
 
-    # expected momentum coefficients (2a p1 + g p2, 2a p2 - g p1, 2a p3)
-    cv = cotangent.vars
-    al = Poly.var(cv, "alpha") if "alpha" in cv else Poly.zero(cv)
-    ga = Poly.var(cv, "gamma") if "gamma" in cv else Poly.zero(cv)
-    p1, p2, p3 = (Poly.var(cv, n) for n in ("p1", "p2", "p3"))
-    residuals = [
-        cotangent.component("p1") - (2 * al * p1 + ga * p2),
-        cotangent.component("p2") - (2 * al * p2 - ga * p1),
-        cotangent.component("p3") - 2 * al * p3,
-    ]
-    reports.append(
-        report_from_residuals("pushforward-cotangent", residuals, started=started)
-    )
+    def x5_residuals():
+        xv = x5.vars
+        al, be, ga = (param(xv, n) for n in ("alpha", "beta", "gamma"))
+        t, x1, y1, x2, y2, z = (Poly.var(xv, n) for n in symmetry.X5_NAMES)
+        expected = {
+            "t": -al * t + be,
+            "x1": al * x1 + ga * x2,
+            "y1": 2 * al * y1 + ga * y2,
+            "x2": -ga * x1 + al * x2,
+            "y2": 2 * al * y2 - ga * y1,
+            "z": 2 * al * z,
+        }
+        return [x5.component(n) - expected[n] for n in symmetry.X5_NAMES]
 
-    started = time.perf_counter()
-    xv = x5.vars
-    al = Poly.var(xv, "alpha") if "alpha" in xv else Poly.zero(xv)
-    be = Poly.var(xv, "beta") if "beta" in xv else Poly.zero(xv)
-    ga = Poly.var(xv, "gamma") if "gamma" in xv else Poly.zero(xv)
-    t, x1, y1, x2, y2, z = (Poly.var(xv, n) for n in symmetry.X5_NAMES)
-    expected = {
-        "t": -al * t + be,
-        "x1": al * x1 + ga * x2,
-        "y1": 2 * al * y1 + ga * y2,
-        "x2": -ga * x1 + al * x2,
-        "y2": 2 * al * y2 - ga * y1,
-        "z": 2 * al * z,
-    }
-    residuals = [x5.component(n) - expected[n] for n in symmetry.X5_NAMES]
-    reports.append(report_from_residuals("pushforward-5d", residuals, started=started))
-
-    started = time.perf_counter()
-    reports.append(
-        report_from_residuals(
-            "first-order-symmetry",
-            symmetry.first_order_symmetry_residual(x5),
-            started=started,
-        )
-    )
-
-    started = time.perf_counter()
-    record = symmetry.dynamics_commutator(x5)
-    failures = []
-    if not record.proportional or record.factor is None:
-        failures.append("[X,V] is not a constant multiple of V")
-    elif "alpha" in xv and record.factor != Poly.var(xv, "alpha"):
-        failures.append(f"[X,V] = c V with c = {record.factor}, expected alpha")
-    if not record.double_commutator_zero:
-        failures.append("[[X,V],V] != 0")
-    if "alpha" in xv:
-        frozen = [c.substitute({"alpha": 0}) for c in record.commutator.components]
-        if any(not c.is_zero for c in frozen):
-            failures.append("alpha = 0 does not make [X,V] vanish")
-    reports.append(
-        VerificationReport(
-            check="conformal-master",
-            status="pass" if not failures else "fail",
-            residuals=failures,
-            witnesses={
+    def conformal_master():
+        xv = x5.vars
+        record = symmetry.dynamics_commutator(x5)
+        failures = []
+        if not record.proportional or record.factor is None:
+            failures.append("[X,V] is not a constant multiple of V")
+        elif "alpha" in xv and record.factor != Poly.var(xv, "alpha"):
+            failures.append(f"[X,V] = c V with c = {record.factor}, expected alpha")
+        if not record.double_commutator_zero:
+            failures.append("[[X,V],V] != 0")
+        if "alpha" in xv:
+            frozen = [c.substitute({"alpha": 0}) for c in record.commutator.components]
+            if any(not c.is_zero for c in frozen):
+                failures.append("alpha = 0 does not make [X,V] vanish")
+        return Outcome(
+            failures,
+            {
                 "factor": str(record.factor) if record.factor is not None else None,
                 "is_master": record.is_master,
             },
-            elapsed_ms=(time.perf_counter() - started) * 1e3,
         )
-    )
-    return reports
+
+    return [
+        run_check("pushforward-cotangent", cotangent_residuals),
+        run_check("pushforward-5d", x5_residuals),
+        run_check("first-order-symmetry", lambda: symmetry.first_order_symmetry_residual(x5)),
+        run_check("conformal-master", conformal_master),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
+
+# Each suite takes the optional mutated inputs it can use.  The lambdas look
+# the suite up at call time, so a wrapped ``suite_<name>`` is the one run.
+_SUITES = {
+    "poisson": lambda pi, family: suite_poisson(pi),
+    "cocycle": lambda pi, family: suite_cocycle(),
+    "algebra": lambda pi, family: suite_algebra(),
+    "symmetry": lambda pi, family: suite_symmetry(family),
+    "variational": lambda pi, family: suite_variational(family),
+    "noether": lambda pi, family: suite_noether(),
+    "pushforward": lambda pi, family: suite_pushforward(family),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(
@@ -475,22 +377,7 @@ def run_suite(
 ) -> list[VerificationReport]:
     """Run one named suite, or all of them in a fixed order."""
     if name == "all":
-        reports = []
-        for suite in SUITE_NAMES:
-            reports.extend(run_suite(suite, pi=pi, family=family))
-        return reports
-    if name == "poisson":
-        return suite_poisson(pi)
-    if name == "cocycle":
-        return suite_cocycle()
-    if name == "algebra":
-        return suite_algebra()
-    if name == "symmetry":
-        return suite_symmetry(family)
-    if name == "variational":
-        return suite_variational(family)
-    if name == "noether":
-        return suite_noether()
-    if name == "pushforward":
-        return suite_pushforward(family)
-    raise ValueError(f"unknown suite {name!r}")
+        return [r for suite in SUITE_NAMES for r in run_suite(suite, pi=pi, family=family)]
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return _SUITES[name](pi, family)

@@ -1,9 +1,11 @@
 """Command-line interface: output formats and the exit-code contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from mbrwa import integrators
 from mbrwa.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -126,6 +128,33 @@ class TestUsageErrors:
             )
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("simulate", "--h", "nan"),
+            ("simulate", "--h", "inf"),
+            ("invariants", "--h", "inf"),
+            ("simulate", "--t-end", "nan"),
+            ("simulate", "--t-end", "inf"),
+            ("invariants", "--t-end", "inf"),
+            ("simulate", "--init", "1,2,3,4,nan"),
+            ("invariants", "--init", "1,2,inf,4,5"),
+            ("simulate", "--every", "0"),
+        ],
+    )
+    def test_rejected_before_integrating(self, capsys, monkeypatch, command, flag, value):
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated despite a usage error")
+
+        monkeypatch.setattr(integrators, "integrate", integrate)
+        options = {"--system": "mb5", "--method": "rk4", "--init": "1,0.5,-0.3,0.2,0.1",
+                   "--t-end": "1", "--h": "0.1", flag: value}
+        argv = [command] + [text for item in options.items() for text in item]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -183,6 +212,44 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--mutate-pi", "2"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestGoldenOutput:
+    """Report JSON and solver output are pinned: check names, order,
+    statuses, residual strings and witnesses.  Only ``elapsed_ms`` may
+    differ; update the files only for an intended change of output."""
+
+    DATA = Path(__file__).parent / "data"
+
+    @pytest.mark.parametrize(
+        "name, argv, want_code",
+        [
+            ("verify_all", ("verify", "--suite", "all"), EXIT_OK),
+            (
+                "verify_mutate_pi_2_5_both",
+                ("verify", "--suite", "all", "--mutate-pi", "2,5,both"),
+                EXIT_VERIFY,
+            ),
+            (
+                "verify_mutate_family_eta1_q2",
+                ("verify", "--suite", "all", "--mutate-family", "eta1:q2"),
+                EXIT_VERIFY,
+            ),
+        ],
+    )
+    def test_verify_reports(self, capsys, name, argv, want_code):
+        code, out, _ = run(capsys, *argv)
+        assert code == want_code
+        got = json.loads(out)
+        want = json.loads((self.DATA / f"{name}.json").read_text())
+        for report in got + want:
+            assert report.pop("elapsed_ms") >= 0
+        assert got == want
+
+    def test_solve_symmetries_bytes(self, capsys):
+        code, out, _ = run(capsys, "solve-symmetries", "--max-degree", "2")
+        assert code == EXIT_OK
+        assert out == (self.DATA / "solve_symmetries_max_degree_2.json").read_text()
 
 
 class TestBracketTable:

@@ -12,6 +12,7 @@ from mbrwa.polyring import (
     Poly,
     VarSet,
     VarSetMismatch,
+    lie_derivative,
     matrix_rank,
     solve_linear,
     solve_nullspace,
@@ -82,6 +83,31 @@ class TestSubstitute:
     def test_unknown_var(self):
         with pytest.raises(KeyError):
             X.substitute({"w": Y})
+
+    def test_cross_varset(self):
+        # x -> a + b moves the result onto (y, a, b); y carries over by name
+        yab = VarSet("y", "a", "b")
+        y, a, b = Poly.variables(yab)
+        assert (X**2 * Y + X).substitute({"x": a + b}) == (a + b) ** 2 * y + a + b
+
+    def test_unbound_var_missing_from_target(self):
+        with pytest.raises(KeyError):
+            (X * Y).substitute({"x": Poly.var(VarSet("a"), "a")})
+
+    def test_bound_polys_over_different_varsets(self):
+        with pytest.raises(VarSetMismatch):
+            X.substitute({"x": Poly.var(VarSet("a"), "a"), "y": Poly.var(VarSet("b"), "b")})
+
+
+class TestLieDerivative:
+    def test_matches_hand_expanded_sum(self):
+        f = X**2 * Y + Y**3
+        # y * (2xy) + (-x) * (x^2 + 3y^2)
+        assert lie_derivative({"x": Y, "y": -X}, f) == -(X**3) - X * Y**2
+
+    def test_unnamed_variables_have_zero_component(self):
+        assert lie_derivative({"y": X}, X**2 * Y) == X**3
+        assert lie_derivative({}, X).is_zero
 
 
 class TestEval:
