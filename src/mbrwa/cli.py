@@ -23,13 +23,18 @@ EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 _CSV_COLUMNS = {
-    system: (("t",) + model.system_vars(system).names, integrators.system_invariants(system))
+    system: (("t",) + model.system_vars(system).names, model.system_invariants(system))
     for system in SystemId
 }
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _print_json(payload) -> None:
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,6 +115,8 @@ def _run_trajectory(args, parser) -> integrators.Trajectory:
         parser.error("--h must be positive and finite")
     if not (math.isfinite(args.t_end) and args.t_end > 0):
         parser.error("--t-end must be positive and finite")
+    if not math.isfinite(args.t_end / args.h):
+        parser.error("--t-end / --h must be a finite step count")
     # --every exists on simulate only
     if getattr(args, "every", 1) < 1:
         parser.error("--every must be >= 1")
@@ -147,7 +154,7 @@ def cmd_invariants(args, parser) -> int:
     except (BlowUpError, NewtonError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    report = integrators.drift_report(traj, integrators.system_invariants(traj.system))
+    report = integrators.drift_report(traj, model.system_invariants(traj.system))
     payload = {
         "system": traj.system.value,
         "steps": len(traj) - 1,
@@ -161,8 +168,7 @@ def cmd_invariants(args, parser) -> int:
             for inv, d in report.drifts.items()
         },
     }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json(payload)
     return EXIT_OK
 
 
@@ -191,8 +197,7 @@ def cmd_verify(args, parser) -> int:
         except (ValueError, KeyError):
             parser.error("--mutate-family expects SLOT:VAR, e.g. eta1:q2")
     reports = verify.run_suite(args.suite, pi=pi, family=family)
-    json.dump([r.to_dict() for r in reports], sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json([r.to_dict() for r in reports])
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
@@ -207,8 +212,7 @@ def cmd_bracket_table(args, parser) -> int:
             verify.point_field_commutator_table(list(symmetry.symmetry_basis()))
         ),
     }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json(payload)
     return EXIT_OK
 
 
@@ -234,8 +238,7 @@ def cmd_solve_symmetries(args, parser) -> int:
         ],
         "matches_reference_family": matches,
     }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json(payload)
     return EXIT_OK if matches else EXIT_VERIFY
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import model
-from .model import InvariantId, SystemId
+from .model import InvariantId, SystemId, system_invariants  # noqa: F401  (re-exported)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -123,13 +123,7 @@ def midpoint_step_field(
 
 
 def _as_array(system: SystemId, state) -> np.ndarray:
-    values = state.as_tuple() if hasattr(state, "as_tuple") else tuple(state)
-    if len(values) != model.system_dim(system):
-        raise ValueError(
-            f"{system.value} state needs {model.system_dim(system)} components, "
-            f"got {len(values)}"
-        )
-    return np.array(values, dtype=float)
+    return np.array(model.state_values(system, state), dtype=float)
 
 
 def _step_array(
@@ -162,8 +156,11 @@ def integrate(
         raise ValueError("t_end must be >= t0")
     if h <= 0:
         raise ValueError("step size must be positive")
+    n_steps = (t_end - t0) / h
+    if not math.isfinite(n_steps):
+        raise ValueError("(t_end - t0) / h is not a finite step count")
     s = _as_array(system, initial)
-    n_full = int(math.floor((t_end - t0) / h + 1e-12))
+    n_full = int(math.floor(n_steps + 1e-12))
     times = [t0]
     states = [s]
     t = t0
@@ -201,15 +198,6 @@ def drift_report(traj: Trajectory, invariants: Sequence[InvariantId]) -> DriftRe
             final_deviation=float(dev[-1]),
         )
     return DriftReport(system=traj.system, drifts=drifts)
-
-
-def system_invariants(system: SystemId) -> tuple[InvariantId, ...]:
-    """The invariants naturally attached to each system."""
-    return {
-        SystemId.MB5: (InvariantId.H, InvariantId.C, InvariantId.J),
-        SystemId.HAM6: (InvariantId.HTILDE, InvariantId.CTILDE, InvariantId.JTILDE),
-        SystemId.EL6: (InvariantId.L,),
-    }[system]
 
 
 def midpoint_roundtrip_error(system: SystemId, state, h: float) -> float:

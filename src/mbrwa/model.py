@@ -7,12 +7,15 @@
 Each system exists in two renditions: exact polynomial right-hand sides for
 symbolic certification, and compiled float functions (generated from the
 same polynomials) for numerical integration, so the two cannot diverge.
+
+A state is a named tuple whose fields are the names of its system's VarSet;
+any sequence of the right length is accepted wherever a state is.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -44,43 +47,9 @@ class InvariantId(enum.Enum):
     L = "L"
 
 
-@dataclass(frozen=True)
-class State5:
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    z: float
-
-    def as_tuple(self):
-        return (self.x1, self.y1, self.x2, self.y2, self.z)
-
-
-@dataclass(frozen=True)
-class State6:
-    q1: float
-    q2: float
-    q3: float
-    p1: float
-    p2: float
-    p3: float
-
-    def as_tuple(self):
-        return (self.q1, self.q2, self.q3, self.p1, self.p2, self.p3)
-
-
-@dataclass(frozen=True)
-class TangentState6:
-    q1: float
-    q2: float
-    q3: float
-    qd1: float
-    qd2: float
-    qd3: float
-
-    def as_tuple(self):
-        return (self.q1, self.q2, self.q3, self.qd1, self.qd2, self.qd3)
-
+State5 = namedtuple("State5", VARS5.names)
+State6 = namedtuple("State6", VARS6.names)
+TangentState6 = namedtuple("TangentState6", VARST6.names)
 
 _STATE_TYPES = {SystemId.MB5: State5, SystemId.HAM6: State6, SystemId.EL6: TangentState6}
 _VARSETS = {SystemId.MB5: VARS5, SystemId.HAM6: VARS6, SystemId.EL6: VARST6}
@@ -94,10 +63,14 @@ def system_dim(system: SystemId) -> int:
     return len(_VARSETS[system])
 
 
-def _as_values(state) -> tuple:
-    if hasattr(state, "as_tuple"):
-        return state.as_tuple()
-    return tuple(state)
+def state_values(system: SystemId, state: Sequence) -> tuple:
+    """The components of a state of ``system``, checked for arity."""
+    values = tuple(state)
+    if len(values) != system_dim(system):
+        raise ValueError(
+            f"{system.value} state needs {system_dim(system)} components, got {len(values)}"
+        )
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +129,11 @@ def invariant_system(inv: InvariantId) -> SystemId:
     return _INVARIANT_SYSTEM[inv]
 
 
+def system_invariants(system: SystemId) -> tuple[InvariantId, ...]:
+    """The invariants naturally attached to a system, in table order."""
+    return tuple(inv for inv, s in _INVARIANT_SYSTEM.items() if s is system)
+
+
 @lru_cache(maxsize=None)
 def phi_symbolic() -> tuple[Poly, ...]:
     """The submersion from (q, p) onto (x1, y1, x2, y2, z), componentwise."""
@@ -182,41 +160,32 @@ def legendre_inverse_symbolic() -> tuple[Poly, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _eval_vector(polys: Sequence[Poly], vars: VarSet, values: Sequence) -> tuple:
-    if len(values) != len(vars):
-        raise ValueError(f"expected {len(vars)} components, got {len(values)}")
-    point = dict(zip(vars.names, values))
+def _eval_vector(polys: Sequence[Poly], system: SystemId, state: Sequence) -> tuple:
+    point = dict(zip(system_vars(system).names, state_values(system, state)))
     return tuple(p.eval(point) for p in polys)
 
 
 def rhs(system: SystemId, state) -> tuple:
     """State velocity of the chosen system; exact on rational inputs."""
-    return _eval_vector(rhs_symbolic(system), system_vars(system), _as_values(state))
+    return _eval_vector(rhs_symbolic(system), system, state)
 
 
 def invariant(inv: InvariantId, state):
-    """Value of an invariant on a state of the matching type."""
-    system = _INVARIANT_SYSTEM[inv]
-    values = _as_values(state)
-    if len(values) != system_dim(system):
-        raise ValueError(
-            f"{inv.value} is defined on {system.value} states "
-            f"({system_dim(system)} components), got {len(values)}"
-        )
-    return invariant_symbolic(inv).eval(dict(zip(system_vars(system).names, values)))
+    """Value of an invariant on a state of the matching system."""
+    return _eval_vector((invariant_symbolic(inv),), _INVARIANT_SYSTEM[inv], state)[0]
 
 
 def phi(s: State6) -> State5:
     """Project a canonical 6D state onto the 5D phase space."""
-    return State5(*_eval_vector(phi_symbolic(), VARS6, _as_values(s)))
+    return State5(*_eval_vector(phi_symbolic(), SystemId.HAM6, s))
 
 
 def legendre(ts: TangentState6) -> State6:
-    return State6(*_eval_vector(legendre_symbolic(), VARST6, _as_values(ts)))
+    return State6(*_eval_vector(legendre_symbolic(), SystemId.EL6, ts))
 
 
 def legendre_inv(s: State6) -> TangentState6:
-    return TangentState6(*_eval_vector(legendre_inverse_symbolic(), VARS6, _as_values(s)))
+    return TangentState6(*_eval_vector(legendre_inverse_symbolic(), SystemId.HAM6, s))
 
 
 def jacobian_rank_phi(sample: State6) -> int:
@@ -225,7 +194,7 @@ def jacobian_rank_phi(sample: State6) -> int:
     Float samples are converted exactly to rationals, so the rank is
     computed by exact row reduction, with no tolerance involved.
     """
-    values = [Fraction(v) for v in _as_values(sample)]
+    values = [Fraction(v) for v in state_values(SystemId.HAM6, sample)]
     point = dict(zip(VARS6.names, values))
     jac = [
         [comp.diff(name).eval(point) for name in VARS6.names] for comp in phi_symbolic()
@@ -281,15 +250,16 @@ def rhs_compiled(system: SystemId) -> Callable[[np.ndarray], np.ndarray]:
 
 @lru_cache(maxsize=None)
 def rhs_jacobian_compiled(system: SystemId) -> Callable[[np.ndarray], np.ndarray]:
-    """Compiled exact Jacobian of the right-hand side, as a matrix function."""
+    """Compiled exact Jacobian of the right-hand side, as a matrix function.
+
+    All n*n entries are compiled into one function, row by row, and its flat
+    result is reshaped.
+    """
     vars = system_vars(system)
-    rows = [[comp.diff(n) for n in vars.names] for comp in rhs_symbolic(system)]
-    row_fns = [compile_poly_vector(row, vars) for row in rows]
-
-    def jac(state: np.ndarray) -> np.ndarray:
-        return np.array([fn(state) for fn in row_fns])
-
-    return jac
+    n = len(vars)
+    entries = [comp.diff(name) for comp in rhs_symbolic(system) for name in vars.names]
+    flat = compile_poly_vector(entries, vars)
+    return lambda state: flat(state).reshape(n, n)
 
 
 @lru_cache(maxsize=None)

@@ -13,21 +13,15 @@ coordinate relations are test assertions, not definitions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import model
 from .model import VARS5, InvariantId
-from .polyring import (
-    InconsistentSystem,
-    LinearSystem,
-    Poly,
-    VarSet,
-    lie_derivative,
-    solve_linear,
-)
+from .polyring import InconsistentSystem, Poly, VarSet, lie_derivative, solve_linear
 from .report import Outcome, VerificationReport, run_check
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -40,6 +34,7 @@ def _mat(rows: Sequence[Sequence[int]]) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Matrix product; entries may be Fractions or Polys over one VarSet."""
     n, m, k = len(a), len(b[0]), len(b)
     return tuple(
         tuple(sum((a[i][r] * b[r][j] for r in range(k)), Fraction(0)) for j in range(m))
@@ -247,31 +242,42 @@ def antisymmetry_residuals(pi: PoissonTensor) -> list[Poly]:
 class CommutatorOutsideSpan(ValueError):
     """A basis commutator does not lie in the span of the basis."""
 
-    def __init__(self, i: int, j: int, witness: Matrix):
+    def __init__(self, i: int, j: int, witness):
         self.indices = (i, j)
         self.witness = witness
         super().__init__(f"[B{i},B{j}] is outside the span of the basis: {witness}")
 
 
-def matrix_commutator_table(basis: Sequence[Matrix]) -> dict[tuple[int, int], tuple[Fraction, ...]]:
-    """Expand every [B_i, B_j], i < j (1-based), in the given basis.
+def structure_constants(
+    basis: Sequence,
+    bracket: Callable,
+    flatten: Callable[..., Sequence[Fraction]],
+) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+    """Expand every bracket [B_i, B_j], i < j (1-based), in the basis.
 
-    The expansion is an exact linear solve over the 16 matrix entries;
-    failure to expand raises with the offending commutator as witness.
+    ``flatten`` gives an element's coordinates; the expansion is an exact
+    linear solve on them, and failure to expand raises
+    :class:`CommutatorOutsideSpan` with the bracket as witness.
     """
-    flat_basis = [[m[r][c] for r in range(4) for c in range(4)] for m in basis]
-    columns = list(zip(*flat_basis))  # 16 rows, len(basis) cols
+    columns = list(zip(*(flatten(b) for b in basis)))
     table = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            comm = commutator(basis[i], basis[j])
-            rhs = [comm[r][c] for r in range(4) for c in range(4)]
-            try:
-                coeffs = solve_linear(LinearSystem(columns, rhs))
-            except InconsistentSystem:
-                raise CommutatorOutsideSpan(i + 1, j + 1, comm) from None
-            table[(i + 1, j + 1)] = tuple(coeffs)
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        w = bracket(basis[i], basis[j])
+        try:
+            coeffs = solve_linear(columns, flatten(w))
+        except InconsistentSystem:
+            raise CommutatorOutsideSpan(i + 1, j + 1, w) from None
+        table[(i + 1, j + 1)] = tuple(coeffs)
     return table
+
+
+def _flatten_matrix(m: Matrix) -> list[Fraction]:
+    return [c for row in m for c in row]
+
+
+def matrix_commutator_table(basis: Sequence[Matrix]) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+    """Expand every [B_i, B_j], i < j (1-based), over the matrix entries."""
+    return structure_constants(basis, commutator, _flatten_matrix)
 
 
 def _phi_matrix(v: Sequence[Poly], vars: VarSet) -> tuple[tuple[Poly, ...], ...]:
@@ -302,21 +308,7 @@ def iso_check_Phi() -> VerificationReport:
         b = [Poly.var(vars, f"b{i}") for i in range(1, 6)]
         ma, mb = _phi_matrix(a, vars), _phi_matrix(b, vars)
         lhs = _phi_matrix(vector_product(a, b), vars)
-        prod1 = [
-            [
-                sum((ma[i][k] * mb[k][j] for k in range(4)), Poly.zero(vars))
-                for j in range(4)
-            ]
-            for i in range(4)
-        ]
-        prod2 = [
-            [
-                sum((mb[i][k] * ma[k][j] for k in range(4)), Poly.zero(vars))
-                for j in range(4)
-            ]
-            for i in range(4)
-        ]
-        return [lhs[i][j] - (prod1[i][j] - prod2[i][j]) for i in range(4) for j in range(4)]
+        return _flatten_matrix(mat_sub(lhs, commutator(ma, mb)))
 
     return run_check("iso-Phi", body)
 

@@ -14,6 +14,9 @@ Arithmetic only combines polynomials over one VarSet.  Two primitives build
 everything else: :meth:`Poly.substitute`, the one composition, which may move
 a polynomial onto another VarSet (unbound variables carry over by name), and
 :func:`lie_derivative`, the derivative along a vector field.
+
+The exact linear algebra (:func:`matrix_rank`, :func:`solve_nullspace`,
+:func:`solve_linear`) works on plain row lists of ints or Fractions.
 """
 
 from __future__ import annotations
@@ -281,20 +284,17 @@ class Poly:
             total = total + term
         return total
 
-    def rename(self, target: VarSet, mapping: Mapping[str, str]) -> "Poly":
-        """Transport this polynomial to another VarSet via a name map.
+    def rename(self, target: VarSet) -> "Poly":
+        """Transport this polynomial to another VarSet by variable name.
 
-        Variables not in ``mapping`` keep their names; every (mapped) name
-        must exist in ``target``.
+        Every variable that occurs must exist in ``target``.
         """
         terms: dict[tuple[int, ...], Fraction] = {}
         for e, c in self.terms.items():
             e2 = [0] * len(target)
             for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                name = self.vars.names[i]
-                e2[target.index(mapping.get(name, name))] += k
+                if k:
+                    e2[target.index(self.vars.names[i])] += k
             key = tuple(e2)
             terms[key] = terms.get(key, Fraction(0)) + c
         return Poly(target, terms)
@@ -361,24 +361,17 @@ class InconsistentSystem(ValueError):
     """Raised when an inhomogeneous linear system has no solution."""
 
 
-class LinearSystem:
-    """A rectangular exact linear system ``A x = b``."""
+def _fraction_rows(matrix: Sequence[Sequence[Coeff]]) -> tuple[list[list[Fraction]], int]:
+    """The rows of a matrix as Fraction lists, and its column count.
 
-    def __init__(self, matrix: Sequence[Sequence[Coeff]], rhs: Sequence[Coeff] | None = None):
-        self.matrix = [[_as_fraction(c) for c in row] for row in matrix]
-        ncols = {len(row) for row in self.matrix}
-        if len(ncols) > 1:
-            raise ValueError("ragged matrix")
-        self.ncols = ncols.pop() if ncols else 0
-        if rhs is None:
-            rhs = [0] * len(self.matrix)
-        if len(rhs) != len(self.matrix):
-            raise ValueError("rhs length does not match row count")
-        self.rhs = [_as_fraction(c) for c in rhs]
-
-    @property
-    def nrows(self) -> int:
-        return len(self.matrix)
+    Every solver reads its matrix through here, so ragged rows are rejected
+    in one place.
+    """
+    rows = [[_as_fraction(c) for c in row] for row in matrix]
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise ValueError(f"ragged matrix: row lengths {sorted(widths)}")
+    return rows, widths.pop() if widths else 0
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -410,32 +403,23 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def matrix_rank(matrix: Sequence[Sequence[Coeff]]) -> int:
-    rows = [[_as_fraction(c) for c in row] for row in matrix]
-    if not rows:
-        return 0
+    rows, _ = _fraction_rows(matrix)
     _, pivots = _rref(rows)
     return len(pivots)
 
 
-def solve_nullspace(sys: LinearSystem) -> list[list[Fraction]]:
+def solve_nullspace(matrix: Sequence[Sequence[Coeff]]) -> list[list[Fraction]]:
     """Exact rational basis of the solution space of ``A x = 0``.
 
-    Returns an empty list for a trivial nullspace.  The system must be
-    homogeneous.
+    Returns an empty list for a trivial nullspace.
     """
-    if any(sys.rhs):
-        raise ValueError("nullspace is defined for homogeneous systems; rhs must be 0")
-    if sys.nrows == 0 or sys.ncols == 0:
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(sys.ncols)]
-            for i in range(sys.ncols)
-        ]
-    rows, pivots = _rref(sys.matrix)
+    rows, ncols = _fraction_rows(matrix)
+    rows, pivots = _rref(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(sys.ncols) if c not in pivot_set]
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        vec = [Fraction(0)] * sys.ncols
+        vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for r, p in enumerate(pivots):
             vec[p] = -rows[r][f]
@@ -443,15 +427,15 @@ def solve_nullspace(sys: LinearSystem) -> list[list[Fraction]]:
     return basis
 
 
-def solve_linear(sys: LinearSystem) -> list[Fraction]:
+def solve_linear(matrix: Sequence[Sequence[Coeff]], rhs: Sequence[Coeff]) -> list[Fraction]:
     """One exact solution of ``A x = b``; raises if the system is inconsistent."""
-    aug = [row + [b] for row, b in zip(sys.matrix, sys.rhs)]
-    if not aug:
-        return [Fraction(0)] * sys.ncols
-    rows, pivots = _rref(aug)
-    if sys.ncols in pivots:
+    rows, ncols = _fraction_rows(matrix)
+    if len(rhs) != len(rows):
+        raise ValueError("rhs length does not match row count")
+    rows, pivots = _rref([row + [_as_fraction(b)] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
         raise InconsistentSystem("no exact solution exists")
-    x = [Fraction(0)] * sys.ncols
+    x = [Fraction(0)] * ncols
     for r, p in enumerate(pivots):
         x[p] = rows[r][-1]
     return x

@@ -22,7 +22,7 @@ from typing import Literal, Mapping, Sequence
 
 from . import model
 from .model import HALF, InvariantId, SystemId
-from .polyring import LinearSystem, Poly, VarSet, lie_derivative, matrix_rank, solve_nullspace
+from .polyring import Poly, VarSet, lie_derivative, matrix_rank, solve_nullspace
 
 BASE_NAMES = ("t", "q1", "q2", "q3")
 JET_EXTRA = ("qd1", "qd2", "qd3", "qdd1", "qdd2", "qdd3")
@@ -86,7 +86,7 @@ class ProlongedField:
     def field(self) -> dict[str, Poly]:
         """The prolonged field on the jet space, as coefficient by variable."""
         jv = jet_vars(self.base.vars)
-        coeffs = [c.rename(jv, {}) for c in self.base.components()]
+        coeffs = [c.rename(jv) for c in self.base.components()]
         coeffs += [*self.vel_coeffs, *self.acc_coeffs]
         return dict(zip(BASE_NAMES + JET_EXTRA, coeffs))
 
@@ -172,8 +172,8 @@ def prolong(u: JetVectorField, order: Literal[1, 2]) -> ProlongedField:
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     jv = jet_vars(u.vars)
-    xi = u.xi.rename(jv, {})
-    eta = [e.rename(jv, {}) for e in u.eta]
+    xi = u.xi.rename(jv)
+    eta = [e.rename(jv) for e in u.eta]
     dxi = total_derivative(xi)
     vel = tuple(
         total_derivative(eta[i]) - dxi * Poly.var(jv, f"qd{i+1}") for i in range(3)
@@ -224,21 +224,12 @@ def determining_residuals(u: JetVectorField) -> tuple[Poly, Poly, Poly]:
 # ---------------------------------------------------------------------------
 
 
-def family_field(p: SymParams) -> JetVectorField:
-    """The four-parameter symmetry field with rational parameter values."""
-    t, q1, q2, q3 = Poly.variables(BASE_VARS)[:4]
-    return JetVectorField(
-        xi=-p.alpha * t + Poly.const(BASE_VARS, p.beta),
-        eta=(
-            p.alpha * q1 + p.gamma * q2,
-            -p.gamma * q1 + p.alpha * q2,
-            p.alpha * q3 + Poly.const(BASE_VARS, p.delta),
-        ),
-    )
-
-
 def symbolic_family_field() -> JetVectorField:
-    """The family with the four parameters as extra symbolic variables."""
+    """The family with the four parameters as extra symbolic variables.
+
+    This is the one statement of the family's formula; the members are
+    obtained by binding the parameters (:func:`_bind_family`).
+    """
     vs = BASE_VARS_P
     t, q1, q2, q3 = (Poly.var(vs, n) for n in BASE_NAMES)
     al, be, ga, de = (Poly.var(vs, n) for n in PARAM_NAMES)
@@ -246,6 +237,19 @@ def symbolic_family_field() -> JetVectorField:
         xi=-al * t + be,
         eta=(al * q1 + ga * q2, -ga * q1 + al * q2, al * q3 + de),
     )
+
+
+def _bind_family(params: Sequence[Poly]) -> JetVectorField:
+    """The family member with (alpha, beta, gamma, delta) bound to the given
+    polynomials, over their VarSet, which must start with (t, q1, q2, q3)."""
+    bindings = dict(zip(PARAM_NAMES, params))
+    xi, *eta = (c.substitute(bindings) for c in symbolic_family_field().components())
+    return JetVectorField(xi=xi, eta=tuple(eta))
+
+
+def family_field(p: SymParams) -> JetVectorField:
+    """The four-parameter symmetry field with rational parameter values."""
+    return _bind_family([Poly.const(BASE_VARS, getattr(p, name)) for name in PARAM_NAMES])
 
 
 def symmetry_basis() -> tuple[JetVectorField, ...]:
@@ -350,7 +354,7 @@ def solve_determining(max_degree: int = 2) -> list[JetVectorField]:
         [col[eq_idx].coefficient(e) for col in residual_columns]
         for eq_idx, e in row_keys
     ]
-    basis_vectors = solve_nullspace(LinearSystem(matrix))
+    basis_vectors = solve_nullspace(matrix)
     fields = []
     for vec in basis_vectors:
         comps = []
@@ -386,7 +390,7 @@ def variational_residual(u: JetVectorField) -> Poly:
     """pr1(u) L + L D_t(xi); zero iff u is a variational symmetry."""
     jv = jet_vars(u.vars)
     field = prolong(u, 1).field()
-    lag = model.invariant_symbolic(InvariantId.L).rename(jv, {})
+    lag = model.invariant_symbolic(InvariantId.L).rename(jv)
     return lie_derivative(field, lag) + lag * total_derivative(field["t"])
 
 
@@ -403,12 +407,12 @@ class NoetherCharge:
 
 
 def _charge_from_coeffs(beta: Poly | Fraction, gamma, delta, vars: VarSet) -> NoetherCharge:
-    h = model.invariant_symbolic(InvariantId.HTILDE).rename(vars, {})
-    j = model.invariant_symbolic(InvariantId.JTILDE).rename(vars, {})
-    c = model.invariant_symbolic(InvariantId.CTILDE).rename(vars, {})
+    h = model.invariant_symbolic(InvariantId.HTILDE).rename(vars)
+    j = model.invariant_symbolic(InvariantId.JTILDE).rename(vars)
+    c = model.invariant_symbolic(InvariantId.CTILDE).rename(vars)
     charge = -beta * h - gamma * j + delta * c
     field = {
-        name: f.rename(vars, {})
+        name: f.rename(vars)
         for name, f in zip(model.VARS6.names, model.rhs_symbolic(SystemId.HAM6))
     }
     return NoetherCharge(poly=charge, conservation_residual=lie_derivative(field, charge))
@@ -447,20 +451,13 @@ def extract_family_params(u: JetVectorField) -> tuple[Poly, Poly, Poly, Poly]:
             all(e[vars.index(n)] == 0 for n in BASE_NAMES) for e in p.terms
         )
 
-    t, q1, q2, q3 = (Poly.var(vars, n) for n in BASE_NAMES)
     alpha = -u.xi.diff("t")
-    beta = u.xi + alpha * t
+    beta = u.xi + alpha * Poly.var(vars, "t")
     gamma = u.eta[0].diff("q2")
-    delta = u.eta[2] - alpha * q3
+    delta = u.eta[2] - alpha * Poly.var(vars, "q3")
     if not all(base_free(p) for p in (alpha, beta, gamma, delta)):
         raise NotInSymmetryFamily("coefficients are not constant/parameter valued")
-    expected = (
-        -alpha * t + beta,
-        alpha * q1 + gamma * q2,
-        -gamma * q1 + alpha * q2,
-        alpha * q3 + delta,
-    )
-    if tuple(u.components()) != expected:
+    if u.components() != _bind_family((alpha, beta, gamma, delta)).components():
         raise NotInSymmetryFamily("field does not match the four-parameter form")
     return alpha, beta, gamma, delta
 
@@ -548,7 +545,7 @@ def _pushforward_phi(v: VectorField) -> VectorField:
 
 def _dynamics_field(vars: VarSet) -> VectorField:
     """The extended autonomous field d/dt + sum F_i d/dx_i on (t, x)."""
-    rhs = [f.rename(vars, {}) for f in model.rhs_symbolic(SystemId.MB5)]
+    rhs = [f.rename(vars) for f in model.rhs_symbolic(SystemId.MB5)]
     comps = {"t": Poly.const(vars, 1)}
     for name, f in zip(model.VARS5.names, rhs):
         comps[name] = f

@@ -85,7 +85,7 @@ def test_criterion_4_symmetry(report):
 def test_criterion_5_variational_noether(report):
     u = symmetry.symbolic_family_field()
     jv = symmetry.jet_vars(u.vars)
-    lag = model.invariant_symbolic(InvariantId.L).rename(jv, {})
+    lag = model.invariant_symbolic(InvariantId.L).rename(jv)
     variational_ok = symmetry.variational_residual(u) == 3 * Poly.var(jv, "alpha") * lag
     noether_ok = symmetry.noether_charge_symbolic().conserved
     j = model.invariant_symbolic(InvariantId.J)

@@ -140,6 +140,9 @@ class TestUsageErrors:
             ("simulate", "--init", "1,2,3,4,nan"),
             ("invariants", "--init", "1,2,inf,4,5"),
             ("simulate", "--every", "0"),
+            # (t_end - t0) / h overflows to inf: no finite step count
+            ("invariants", "--t-end", "1e308"),
+            ("simulate", "--h", "1e-310"),
         ],
     )
     def test_rejected_before_integrating(self, capsys, monkeypatch, command, flag, value):

@@ -41,16 +41,16 @@ def naive_rk4(f, s, h):
 class TestStep:
     def test_rk4_matches_independent_transcription(self):
         f = model.rhs_compiled(SystemId.MB5)
-        s = np.array(INIT5.as_tuple())
+        s = np.array(INIT5)
         expected = naive_rk4(lambda v: f(np.array(v)), list(s), 0.01)
         got = step(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 0.01)
-        assert np.allclose(got.as_tuple(), expected, rtol=0, atol=1e-15)
+        assert np.allclose(got, expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("method", list(IntegratorId))
     def test_equilibrium_is_fixed(self, method):
         eq = State5(0.0, 0.0, 0.0, 0.0, 2.5)
         out = step(method, SystemId.MB5, eq, 0.0, 0.1)
-        assert out.as_tuple() == eq.as_tuple()
+        assert out == eq
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ValueError):
@@ -67,8 +67,8 @@ class TestStep:
     def test_midpoint_conserves_quadratic_invariant_per_step(self):
         # implicit midpoint preserves quadratic first integrals exactly
         out = step(IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6, INIT6, 0.0, 0.05)
-        j0 = model.invariant_compiled(InvariantId.JTILDE)(np.array(INIT6.as_tuple()))
-        j1 = model.invariant_compiled(InvariantId.JTILDE)(np.array(out.as_tuple()))
+        j0 = model.invariant_compiled(InvariantId.JTILDE)(np.array(INIT6))
+        j1 = model.invariant_compiled(InvariantId.JTILDE)(np.array(out))
         assert abs(j1 - j0) <= 5e-16
 
 
@@ -115,6 +115,11 @@ class TestIntegrate:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
             integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 1.0, 0.0, 0.1)
+
+    def test_infinite_step_count_rejected(self):
+        # 1e308 / 1e-10 overflows to inf
+        with pytest.raises(ValueError, match="finite step count"):
+            integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 1e308, 1e-10)
 
     def test_deterministic_repeat(self):
         a = integrate(IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6, INIT6, 0.0, 2.0, 0.01)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mbrwa.polyring import (
     InconsistentSystem,
-    LinearSystem,
     Poly,
     VarSet,
     VarSetMismatch,
@@ -199,7 +198,7 @@ def matrices(draw):
 
 @given(matrices())
 def test_nullspace_vectors_are_in_kernel(m):
-    basis = solve_nullspace(LinearSystem(m))
+    basis = solve_nullspace(m)
     for vec in basis:
         for row in m:
             assert sum(a * x for a, x in zip(row, vec)) == 0
@@ -208,25 +207,33 @@ def test_nullspace_vectors_are_in_kernel(m):
 
 class TestLinearSolver:
     def test_nullspace_simple(self):
-        basis = solve_nullspace(LinearSystem([[1, -1]]))
+        basis = solve_nullspace([[1, -1]])
         assert basis == [[Fraction(1), Fraction(1)]]
 
     def test_nullspace_identity(self):
         eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert solve_nullspace(LinearSystem(eye)) == []
-
-    def test_nonhomogeneous_rejected(self):
-        with pytest.raises(ValueError):
-            solve_nullspace(LinearSystem([[1, 0]], rhs=[1]))
+        assert solve_nullspace(eye) == []
 
     def test_solve_exact(self):
-        x = solve_linear(LinearSystem([[2, 0], [0, 3]], rhs=[1, 1]))
+        x = solve_linear([[2, 0], [0, 3]], [1, 1])
         assert x == [Fraction(1, 2), Fraction(1, 3)]
 
     def test_solve_inconsistent(self):
         with pytest.raises(InconsistentSystem):
-            solve_linear(LinearSystem([[1, 0], [1, 0]], rhs=[1, 2]))
+            solve_linear([[1, 0], [1, 0]], [1, 2])
 
-    def test_ragged_rejected(self):
+    def test_rhs_length_mismatch(self):
         with pytest.raises(ValueError):
-            LinearSystem([[1, 2], [1]])
+            solve_linear([[1, 0], [0, 1]], [1])
+
+    @pytest.mark.parametrize(
+        "matrix", [[[1, 2], [1]], [[1], [1, 2]]], ids=["second-row-short", "first-row-short"]
+    )
+    @pytest.mark.parametrize(
+        "solver",
+        [matrix_rank, solve_nullspace, lambda m: solve_linear(m, [0] * len(m))],
+        ids=["matrix_rank", "solve_nullspace", "solve_linear"],
+    )
+    def test_ragged_rejected(self, solver, matrix):
+        with pytest.raises(ValueError, match="ragged"):
+            solver(matrix)

@@ -69,9 +69,9 @@ class TestProlong:
         # acc_i = Dt^2(eta_i) - Dt^2(xi) qd_i - 2 Dt(xi) qdd_i
         u = JetVectorField(xi=T * Q1, eta=(Q1 * Q2, T**2, Q3))
         pr = prolong(u, 2)
-        xi = u.xi.rename(JV, {})
+        xi = u.xi.rename(JV)
         for i in range(3):
-            eta = u.eta[i].rename(JV, {})
+            eta = u.eta[i].rename(JV)
             expected = (
                 total_derivative(total_derivative(eta))
                 - total_derivative(total_derivative(xi)) * jet(f"qd{i+1}")
@@ -103,7 +103,7 @@ class TestDeterminingResiduals:
         # second-order symmetry conditions
         u = JetVectorField(xi=T + Q3, eta=(Q1 * Q2, T * Q1, Q2**2))
         pr = prolong(u, 2)
-        eta = [e.rename(JV, {}) for e in u.eta]
+        eta = [e.rename(JV) for e in u.eta]
         vel, acc = pr.vel_coeffs, pr.acc_coeffs
         q1, q2 = jet("q1"), jet("q2")
         qd1, qd2, qd3 = jet("qd1"), jet("qd2"), jet("qd3")
@@ -166,12 +166,48 @@ class TestAlgebra:
         matrices = poisson.matrix_commutator_table(poisson.A_BASIS)
         assert point == matrices
 
+    def test_outside_span_raises_with_bracket_witness(self):
+        from mbrwa import poisson
+        from mbrwa.verify import point_field_commutator_table
+
+        d_q1 = JetVectorField(xi=ZERO, eta=(Poly.const(BASE_VARS, 1), ZERO, ZERO))
+        q1_d_q2 = JetVectorField(xi=ZERO, eta=(ZERO, Q1, ZERO))
+        with pytest.raises(poisson.CommutatorOutsideSpan) as exc:
+            point_field_commutator_table([d_q1, q1_d_q2])
+        # [d/dq1, q1 d/dq2] = d/dq2
+        assert exc.value.indices == (1, 2)
+        assert exc.value.witness == JetVectorField(
+            xi=ZERO, eta=(ZERO, Poly.const(BASE_VARS, 1), ZERO)
+        )
+
+
+FAMILY_PARAMS = [
+    SymParams(),
+    SymParams(alpha=Fraction(1)),
+    SymParams(Fraction(2, 3), Fraction(-1), Fraction(5, 7), Fraction(3)),
+    SymParams(Fraction(-1, 2), Fraction(0), Fraction(-4), Fraction(1, 9)),
+]
+
+
+class TestFamily:
+    @pytest.mark.parametrize("p", FAMILY_PARAMS)
+    def test_family_field_matches_written_out(self, p):
+        a, b, c, d = p.alpha, p.beta, p.gamma, p.delta
+        u = family_field(p)
+        assert u.vars == BASE_VARS
+        assert u.components() == (-a * T + b, a * Q1 + c * Q2, -c * Q1 + a * Q2, a * Q3 + d)
+
+    @pytest.mark.parametrize("p", FAMILY_PARAMS)
+    def test_extract_recovers_params(self, p):
+        got = symmetry.extract_family_params(family_field(p))
+        assert got == (p.alpha, p.beta, p.gamma, p.delta)
+
 
 class TestVariational:
     def test_family_residual_is_three_alpha_l(self):
         u = symbolic_family_field()
         jv = jet_vars(u.vars)
-        lag = model.invariant_symbolic(InvariantId.L).rename(jv, {})
+        lag = model.invariant_symbolic(InvariantId.L).rename(jv)
         assert variational_residual(u) == 3 * Poly.var(jv, "alpha") * lag
 
     def test_alpha_zero_members_are_variational(self):
@@ -184,7 +220,7 @@ class TestVariational:
     def test_scaling_is_not_variational(self):
         res = variational_residual(symmetry_basis()[0])
         jv = jet_vars(BASE_VARS)
-        assert res == 3 * model.invariant_symbolic(InvariantId.L).rename(jv, {})
+        assert res == 3 * model.invariant_symbolic(InvariantId.L).rename(jv)
 
 
 class TestNoether:
