@@ -115,8 +115,10 @@ def _run_trajectory(args, parser) -> integrators.Trajectory:
         parser.error("--h must be positive and finite")
     if not (math.isfinite(args.t_end) and args.t_end > 0):
         parser.error("--t-end must be positive and finite")
-    if not math.isfinite(args.t_end / args.h):
-        parser.error("--t-end / --h must be a finite step count")
+    try:
+        integrators.step_count(0.0, args.t_end, args.h)
+    except ValueError as exc:
+        parser.error(f"--t-end / --h: {exc}")
     # --every exists on simulate only
     if getattr(args, "every", 1) < 1:
         parser.error("--every must be >= 1")
@@ -124,11 +126,7 @@ def _run_trajectory(args, parser) -> integrators.Trajectory:
 
 
 def cmd_simulate(args, parser) -> int:
-    try:
-        traj = _run_trajectory(args, parser)
-    except (BlowUpError, NewtonError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    traj = _run_trajectory(args, parser)
     state_cols, invariants = _CSV_COLUMNS[traj.system]
     inv_fns = [model.invariant_compiled(i) for i in invariants]
     header = ",".join(state_cols + tuple(i.value for i in invariants))
@@ -149,11 +147,7 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_invariants(args, parser) -> int:
-    try:
-        traj = _run_trajectory(args, parser)
-    except (BlowUpError, NewtonError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    traj = _run_trajectory(args, parser)
     report = integrators.drift_report(traj, model.system_invariants(traj.system))
     payload = {
         "system": traj.system.value,
@@ -255,7 +249,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "version":
         print(__version__)
         return EXIT_OK
-    return handlers[args.command](args, parser)
+    try:
+        return handlers[args.command](args, parser)
+    except (BlowUpError, NewtonError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -100,7 +101,9 @@ def midpoint_step_field(
 ) -> np.ndarray:
     """One implicit midpoint step s' = s + h f((s + s')/2) by Newton.
 
-    Terminates when the max-norm of the Newton update drops below ``tol``.
+    Terminates when the max-norm of the Newton update drops below ``tol``,
+    or when the update has stopped shrinking within ``tol * (1 + max|s'|)``:
+    at large |s'| rounding alone keeps the update above an absolute ``tol``.
     """
     eye = np.eye(len(s))
     new = s + h * f(s)  # explicit Euler predictor
@@ -111,8 +114,10 @@ def midpoint_step_field(
         j = eye - 0.5 * h * jac(mid)
         delta = np.linalg.solve(j, residual)
         new = new - delta
-        update_norm = float(np.max(np.abs(delta)))
+        previous, update_norm = update_norm, float(np.max(np.abs(delta)))
         if update_norm <= tol:
+            return new
+        if previous <= update_norm <= tol * (1.0 + float(np.max(np.abs(new)))):
             return new
     raise NewtonError(max_iter, update_norm)
 
@@ -143,6 +148,20 @@ def step(method: IntegratorId, system: SystemId, state, t: float, h: float):
     return model._STATE_TYPES[system](*out)
 
 
+def step_count(t0: float, t_end: float, h: float) -> int:
+    """The number of full steps of size ``h`` from t0 to t_end.
+
+    Raises ValueError unless (t_end - t0) / h is a finite step count of at
+    most ``sys.maxsize``, the most entries a trajectory list can hold.
+    """
+    n_steps = (t_end - t0) / h
+    if not n_steps <= sys.maxsize:  # also rejects inf and nan
+        raise ValueError(
+            f"(t_end - t0) / h = {n_steps:g} is not a finite step count <= sys.maxsize"
+        )
+    return int(math.floor(n_steps + 1e-12))
+
+
 def integrate(
     method: IntegratorId,
     system: SystemId,
@@ -156,11 +175,8 @@ def integrate(
         raise ValueError("t_end must be >= t0")
     if h <= 0:
         raise ValueError("step size must be positive")
-    n_steps = (t_end - t0) / h
-    if not math.isfinite(n_steps):
-        raise ValueError("(t_end - t0) / h is not a finite step count")
+    n_full = step_count(t0, t_end, h)
     s = _as_array(system, initial)
-    n_full = int(math.floor(n_steps + 1e-12))
     times = [t0]
     states = [s]
     t = t0

@@ -18,7 +18,8 @@ import enum
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -139,6 +140,21 @@ def phi_symbolic() -> tuple[Poly, ...]:
     """The submersion from (q, p) onto (x1, y1, x2, y2, z), componentwise."""
     q1, q2, q3, p1, p2, p3 = Poly.variables(VARS6)
     return (q1, p1, q2, p2, p3 - HALF * (q1**2 + q2**2))
+
+
+@lru_cache(maxsize=None)
+def phi_section_symbolic() -> Mapping[str, Poly]:
+    """A right inverse of :func:`phi_symbolic`: (q1, p1, q2, p2, p3) as
+    polynomials in (x1, y1, x2, y2, z), by name.
+
+    q3 is not bound: phi does not depend on it, so any value of q3 gives a
+    right inverse, and a quantity that can be carried to the 5D space must
+    be free of q3.
+    """
+    x1, y1, x2, y2, z = Poly.variables(VARS5)
+    return MappingProxyType(
+        {"q1": x1, "p1": y1, "q2": x2, "p2": y2, "p3": z + HALF * (x1**2 + x2**2)}
+    )
 
 
 @lru_cache(maxsize=None)

@@ -76,19 +76,17 @@ A_BASIS: tuple[Matrix, ...] = (
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Bracket data {u_i, u_j} = sum_k alpha[i][j][k] u_k + beta[i][j].
+    """The linear bracket data {u_i, u_j} = sum_k alpha[i][j][k] u_k; the
+    constant part of a bracket is a :class:`Cocycle`.
 
-    Indices are 0-based; both tensors are antisymmetric in (i, j).
+    Indices are 0-based; alpha is antisymmetric in (i, j).
     """
 
     alpha: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    beta: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
         for i in range(DIM):
             for j in range(DIM):
-                if self.beta[i][j] != -self.beta[j][i]:
-                    raise ValueError(f"beta not antisymmetric at ({i},{j})")
                 for k in range(DIM):
                     if self.alpha[i][j][k] != -self.alpha[j][i][k]:
                         raise ValueError(f"alpha not antisymmetric at ({i},{j},{k})")
@@ -119,26 +117,22 @@ class PoissonTensor:
 
 
 def mb_structure_constants() -> StructureConstants:
-    """The nonzero brackets {u1,u2}=1, {u2,u5}=u1, {u3,u4}=1, {u4,u5}=u3."""
+    """The linear brackets {u2,u5}=u1, {u4,u5}=u3."""
     alpha = [[[Fraction(0)] * DIM for _ in range(DIM)] for _ in range(DIM)]
-    beta = [[Fraction(0)] * DIM for _ in range(DIM)]
-    # linear parts: {u2,u5}=u1, {u4,u5}=u3  (0-based: (1,4)->0, (3,4)->2)
+    # 0-based: (1,4)->0, (3,4)->2
     for i, j, k in ((1, 4, 0), (3, 4, 2)):
         alpha[i][j][k] = Fraction(1)
         alpha[j][i][k] = Fraction(-1)
-    # constant parts: {u1,u2}=1, {u3,u4}=1
-    for i, j in ((0, 1), (2, 3)):
-        beta[i][j] = Fraction(1)
-        beta[j][i] = Fraction(-1)
-    return StructureConstants(
-        alpha=tuple(tuple(tuple(r) for r in m) for m in alpha),
-        beta=tuple(tuple(r) for r in beta),
-    )
+    return StructureConstants(alpha=tuple(tuple(tuple(r) for r in m) for m in alpha))
 
 
 def mb_cocycle() -> Cocycle:
-    """The constant part of the bracket as a 2-cocycle matrix."""
-    return Cocycle(matrix=mb_structure_constants().beta)
+    """The constant brackets {u1,u2}=1, {u3,u4}=1 as a 2-cocycle matrix."""
+    matrix = [[Fraction(0)] * DIM for _ in range(DIM)]
+    for i, j in ((0, 1), (2, 3)):
+        matrix[i][j] = Fraction(1)
+        matrix[j][i] = Fraction(-1)
+    return Cocycle(matrix=tuple(tuple(r) for r in matrix))
 
 
 def assemble_modified_lie_poisson(sc: StructureConstants, theta: Cocycle) -> PoissonTensor:

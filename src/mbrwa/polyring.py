@@ -132,6 +132,11 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
+    def occurring(self) -> set[str]:
+        """The names of the variables that occur in this polynomial, that
+        is, with a nonzero exponent in some term."""
+        return {self.vars.names[i] for e in self.terms for i, k in enumerate(e) if k}
+
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
@@ -238,10 +243,11 @@ class Poly:
             for name, p in bindings.items()
         }
         # where each unbound variable that occurs lands in the target
+        occurring = self.occurring()
         carry = {
             i: target.index(name)
             for i, name in enumerate(self.vars.names)
-            if i not in repl and any(e[i] for e in self.terms)
+            if i not in repl and name in occurring
         }
         powers: dict[tuple[int, int], Poly] = {}
         total: dict[tuple[int, ...], Fraction] = {}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .polyring import Poly
@@ -29,13 +29,7 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "residuals": self.residuals,
-            "witnesses": self.witnesses,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 class Outcome(NamedTuple):

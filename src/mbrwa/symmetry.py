@@ -6,7 +6,10 @@ substitute the accelerations from the equations themselves, and demand that
 the residuals vanish identically in the jet variables.  The determining
 equations are generated mechanically from the prolongation formulas, never
 transcribed; the hand-written relations live in the test suite as a
-regression check on the generator.
+regression check on the generator.  The equations themselves are
+``model.rhs_symbolic(EL6)``, and the push-forwards onto (t, q, p) and the 5D
+space are derived from ``model``'s Legendre map and realization map Phi with
+their inverses, so every certificate here is about the maps ``model`` defines.
 
 Velocity-dependent or non-polynomial symmetry coefficients are out of scope.
 """
@@ -17,11 +20,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from collections.abc import Mapping, Sequence
 from types import MappingProxyType
-from typing import Literal, Mapping, Sequence
+from typing import Literal
 
 from . import model
-from .model import HALF, InvariantId, SystemId
+from .model import InvariantId, SystemId
 from .polyring import Poly, VarSet, lie_derivative, matrix_rank, solve_nullspace
 
 BASE_NAMES = ("t", "q1", "q2", "q3")
@@ -31,7 +35,7 @@ PARAM_NAMES = ("alpha", "beta", "gamma", "delta")
 BASE_VARS = VarSet(*BASE_NAMES)
 BASE_VARS_P = VarSet(*BASE_NAMES, *PARAM_NAMES)
 
-X5_NAMES = ("t", "x1", "y1", "x2", "y2", "z")
+X5_NAMES = ("t", *model.VARS5.names)
 
 
 class NotInSymmetryFamily(ValueError):
@@ -74,28 +78,18 @@ class JetVectorField:
     def components(self) -> tuple[Poly, ...]:
         return (self.xi,) + self.eta
 
-
-@dataclass(frozen=True)
-class ProlongedField:
-    """A jet field with its velocity and acceleration coefficients."""
-
-    base: JetVectorField
-    vel_coeffs: tuple[Poly, Poly, Poly]
-    acc_coeffs: tuple[Poly, ...]  # empty for order 1
-
-    def field(self) -> dict[str, Poly]:
-        """The prolonged field on the jet space, as coefficient by variable."""
-        jv = jet_vars(self.base.vars)
-        coeffs = [c.rename(jv) for c in self.base.components()]
-        coeffs += [*self.vel_coeffs, *self.acc_coeffs]
-        return dict(zip(BASE_NAMES + JET_EXTRA, coeffs))
+    def field(self) -> VectorField:
+        """This point field as a :class:`VectorField` over its VarSet."""
+        return VectorField.of(self.vars, dict(zip(BASE_NAMES, self.components())))
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(Mapping):
     """A vector field as one coefficient polynomial per variable.
 
-    Parameter variables carried in the VarSet simply get zero coefficients.
+    It reads as a mapping from variable name to coefficient, so
+    :func:`lie_derivative` takes it directly.  Parameter variables carried
+    in the VarSet simply get zero coefficients.
     """
 
     vars: VarSet
@@ -108,12 +102,21 @@ class VectorField:
             if c.vars != self.vars:
                 raise ValueError("components must live over the field's VarSet")
 
-    def component(self, name: str) -> Poly:
+    @classmethod
+    def of(cls, vars: VarSet, coeffs: Mapping[str, Poly]) -> VectorField:
+        """The field with the given coefficients by name; a variable that
+        ``coeffs`` does not name gets a zero coefficient."""
+        zero = Poly.zero(vars)
+        return cls(vars, tuple(coeffs.get(name, zero) for name in vars.names))
+
+    def __getitem__(self, name: str) -> Poly:
         return self.components[self.vars.index(name)]
 
-    def apply(self, f: Poly) -> Poly:
-        """Directional derivative of f along this field."""
-        return lie_derivative(dict(zip(self.vars.names, self.components)), f)
+    def __iter__(self):
+        return iter(self.vars.names)
+
+    def __len__(self) -> int:
+        return len(self.vars)
 
     @property
     def is_zero(self) -> bool:
@@ -126,7 +129,7 @@ def lie_bracket_fields(u: VectorField, v: VectorField) -> VectorField:
         raise ValueError("lie bracket requires a shared VarSet")
     return VectorField(
         vars=u.vars,
-        components=tuple(u.apply(vk) - v.apply(uk) for uk, vk in zip(u.components, v.components)),
+        components=tuple(lie_derivative(u, v[n]) - lie_derivative(v, u[n]) for n in u),
     )
 
 
@@ -162,61 +165,40 @@ def total_derivative(f: Poly) -> Poly:
     return f.diff("t") + lie_derivative(_jet_shift(f.vars), f)
 
 
-def prolong(u: JetVectorField, order: Literal[1, 2]) -> ProlongedField:
-    """First or second prolongation of a point field, as exact polynomials.
+def prolong(u: JetVectorField, order: Literal[1, 2]) -> VectorField:
+    """First or second prolongation of a point field, on the jet space.
 
     vel_i = D_t(eta_i) - D_t(xi) qd_i, and
     acc_i = D_t(vel_i) - D_t(xi) qdd_i
-          = D_t^2(eta_i) - D_t^2(xi) qd_i - 2 D_t(xi) qdd_i.
+          = D_t^2(eta_i) - D_t^2(xi) qd_i - 2 D_t(xi) qdd_i;
+    at order 1 the acceleration components are zero.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     jv = jet_vars(u.vars)
-    xi = u.xi.rename(jv)
-    eta = [e.rename(jv) for e in u.eta]
-    dxi = total_derivative(xi)
-    vel = tuple(
-        total_derivative(eta[i]) - dxi * Poly.var(jv, f"qd{i+1}") for i in range(3)
-    )
-    acc: tuple[Poly, ...] = ()
-    if order == 2:
-        acc = tuple(
-            total_derivative(vel[i]) - dxi * Poly.var(jv, f"qdd{i+1}") for i in range(3)
-        )
-    return ProlongedField(base=u, vel_coeffs=vel, acc_coeffs=acc)
-
-
-def _el_equations(jv: VarSet) -> tuple[Poly, Poly, Poly]:
-    """The three second-order equations as jet-space residuals."""
-    q1, q2 = Poly.var(jv, "q1"), Poly.var(jv, "q2")
-    qd1, qd2, qd3 = (Poly.var(jv, f"qd{i}") for i in (1, 2, 3))
-    qdd1, qdd2, qdd3 = (Poly.var(jv, f"qdd{i}") for i in (1, 2, 3))
-    return (
-        qdd1 - q1 * qd3,
-        qdd2 - q2 * qd3,
-        qdd3 + q1 * qd1 + q2 * qd2,
-    )
-
-
-def _acceleration_bindings(jv: VarSet) -> dict[str, Poly]:
-    """Accelerations solved from the equations of motion."""
-    q1, q2 = Poly.var(jv, "q1"), Poly.var(jv, "q2")
-    qd1, qd2, qd3 = (Poly.var(jv, f"qd{i}") for i in (1, 2, 3))
-    return {
-        "qdd1": q1 * qd3,
-        "qdd2": q2 * qd3,
-        "qdd3": -(q1 * qd1 + q2 * qd2),
-    }
+    coeffs = {name: c.rename(jv) for name, c in zip(BASE_NAMES, u.components())}
+    dxi = total_derivative(coeffs["t"])
+    for i in (1, 2, 3):
+        coeffs[f"qd{i}"] = total_derivative(coeffs[f"q{i}"]) - dxi * Poly.var(jv, f"qd{i}")
+        if order == 2:
+            coeffs[f"qdd{i}"] = total_derivative(coeffs[f"qd{i}"]) - dxi * Poly.var(jv, f"qdd{i}")
+    return VectorField.of(jv, coeffs)
 
 
 def determining_residuals(u: JetVectorField) -> tuple[Poly, Poly, Poly]:
-    """Act with the second prolongation on the equations and substitute the
-    accelerations; the field is a symmetry iff all three residuals vanish
-    identically in (t, q, qd)."""
+    """Act with the second prolongation on the Euler-Lagrange equations
+    qdd_i = A_i(q, qd) and substitute the accelerations; the field is a
+    symmetry iff all three residuals vanish identically in (t, q, qd).
+
+    The A_i are the acceleration components of ``model.rhs_symbolic(EL6)``.
+    """
     jv = jet_vars(u.vars)
-    field = prolong(u, 2).field()
-    bindings = _acceleration_bindings(jv)
-    return tuple(lie_derivative(field, eq).substitute(bindings) for eq in _el_equations(jv))
+    pr = prolong(u, 2)
+    el6 = model.rhs_symbolic(SystemId.EL6)[3:]
+    acc = {f"qdd{i}": a.rename(jv) for i, a in enumerate(el6, start=1)}
+    return tuple(
+        lie_derivative(pr, Poly.var(jv, name) - a).substitute(acc) for name, a in acc.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +265,8 @@ def flip_family_coefficient(u: JetVectorField, slot: str, var: str) -> JetVector
 
 def lie_bracket(u: JetVectorField, v: JetVectorField) -> JetVectorField:
     """Bracket of two point fields on (t, q) space."""
-    if u.vars != v.vars:
-        raise ValueError("lie bracket requires a shared VarSet")
-    uf = VectorField(vars=u.vars, components=_pad_components(u.components(), u.vars))
-    vf = VectorField(vars=v.vars, components=_pad_components(v.components(), v.vars))
-    w = lie_bracket_fields(uf, vf)
-    return JetVectorField(xi=w.components[0], eta=tuple(w.components[1:4]))
-
-
-def _pad_components(comps: Sequence[Poly], vars: VarSet) -> tuple[Poly, ...]:
-    zero = Poly.zero(vars)
-    return tuple(comps) + (zero,) * (len(vars) - len(comps))
+    w = lie_bracket_fields(u.field(), v.field())
+    return JetVectorField(xi=w["t"], eta=(w["q1"], w["q2"], w["q3"]))
 
 
 def field_coefficient_vector(u: JetVectorField, max_degree: int) -> list[Fraction]:
@@ -388,10 +361,9 @@ def spans_match(
 
 def variational_residual(u: JetVectorField) -> Poly:
     """pr1(u) L + L D_t(xi); zero iff u is a variational symmetry."""
-    jv = jet_vars(u.vars)
-    field = prolong(u, 1).field()
-    lag = model.invariant_symbolic(InvariantId.L).rename(jv)
-    return lie_derivative(field, lag) + lag * total_derivative(field["t"])
+    pr = prolong(u, 1)
+    lag = model.invariant_symbolic(InvariantId.L).rename(pr.vars)
+    return lie_derivative(pr, lag) + lag * total_derivative(pr["t"])
 
 
 @dataclass(frozen=True)
@@ -445,17 +417,11 @@ def extract_family_params(u: JetVectorField) -> tuple[Poly, Poly, Poly, Poly]:
     free of (t, q); raises NotInSymmetryFamily otherwise.
     """
     vars = u.vars
-
-    def base_free(p: Poly) -> bool:
-        return all(
-            all(e[vars.index(n)] == 0 for n in BASE_NAMES) for e in p.terms
-        )
-
     alpha = -u.xi.diff("t")
     beta = u.xi + alpha * Poly.var(vars, "t")
     gamma = u.eta[0].diff("q2")
     delta = u.eta[2] - alpha * Poly.var(vars, "q3")
-    if not all(base_free(p) for p in (alpha, beta, gamma, delta)):
+    if any(p.occurring().intersection(BASE_NAMES) for p in (alpha, beta, gamma, delta)):
         raise NotInSymmetryFamily("coefficients are not constant/parameter valued")
     if u.components() != _bind_family((alpha, beta, gamma, delta)).components():
         raise NotInSymmetryFamily("field does not match the four-parameter form")
@@ -463,79 +429,65 @@ def extract_family_params(u: JetVectorField) -> tuple[Poly, Poly, Poly, Poly]:
 
 
 def pushforward(u: JetVectorField, target: Literal["FL", "PHI"]) -> VectorField:
-    """Transport a family field to (t, q, p) via the fiber map (target="FL"),
-    or further onto the extended 5D space (target="PHI").
+    """Transport a family field to (t, q, p) along the Legendre map
+    (target="FL"), or further onto the extended 5D space along Phi
+    (target="PHI").
 
     Restricted to the four-parameter family: projectability onto the 5D
     space is not guaranteed outside it.
     """
     extract_family_params(u)  # membership check
-    cotangent = _pushforward_fl(u)
+    params = u.vars.names[4:]
+    cotangent = _push(
+        prolong(u, 1),
+        dict(zip(model.VARS6.names, model.legendre_symbolic())),
+        dict(zip(model.VARST6.names, model.legendre_inverse_symbolic())),
+        VarSet("t", *model.VARS6.names, *params),
+    )
     if target == "FL":
         return cotangent
     if target == "PHI":
-        return _pushforward_phi(cotangent)
+        return _push(
+            cotangent,
+            dict(zip(model.VARS5.names, model.phi_symbolic())),
+            model.phi_section_symbolic(),
+            VarSet(*X5_NAMES, *params),
+        )
     raise ValueError(f"unknown push-forward target {target!r}")
 
 
-def _pushforward_fl(u: JetVectorField) -> VectorField:
-    params = u.vars.names[4:]
-    target = VarSet("t", "q1", "q2", "q3", "p1", "p2", "p3", *params)
-    jv = jet_vars(u.vars)
-    pr = prolong(u, 1).field()
-    q1, q2 = Poly.var(jv, "q1"), Poly.var(jv, "q2")
-    coeffs = {n: pr[n] for n in BASE_NAMES}
-    # momentum coefficients: transport p_i(q, qdot) along the prolonged field
-    coeffs.update(p1=pr["qd1"], p2=pr["qd2"], p3=pr["qd3"] + q1 * pr["q1"] + q2 * pr["q2"])
-    tq1, tq2 = Poly.var(target, "q1"), Poly.var(target, "q2")
-    qd_bindings = {
-        "qd1": Poly.var(target, "p1"),
-        "qd2": Poly.var(target, "p2"),
-        "qd3": Poly.var(target, "p3") - HALF * (tq1**2 + tq2**2),
-    }
-    zero = Poly.zero(target)
-    return VectorField(
-        vars=target,
-        components=tuple(
-            coeffs[n].substitute(qd_bindings) if n in coeffs else zero for n in target.names
-        ),
-    )
+def _push(
+    field: VectorField,
+    image: Mapping[str, Poly],
+    inverse: Mapping[str, Poly],
+    target: VarSet,
+) -> VectorField:
+    """Push a field forward along a map given by its components.
 
-
-def _pushforward_phi(v: VectorField) -> VectorField:
-    params = v.vars.names[7:]
-    target = VarSet(*X5_NAMES, *params)
-    x1, x2 = Poly.var(target, "x1"), Poly.var(target, "x2")
-    bindings = {
-        "q1": x1,
-        "p1": Poly.var(target, "y1"),
-        "q2": x2,
-        "p2": Poly.var(target, "y2"),
-        "p3": Poly.var(target, "z") + HALF * (x1**2 + x2**2),
-    }
-    q3 = v.vars.index("q3")
-
-    def transport(p: Poly) -> Poly:
-        # no binding produces q3, so it survives transport iff p contains it
-        if any(e[q3] for e in p.terms):
-            raise NotInSymmetryFamily("field does not project: q3 survives transport")
-        return p.substitute(bindings)
-
-    q1c, q2c = v.component("q1"), v.component("q2")
-    zq = v.component("p3") - Poly.var(v.vars, "q1") * q1c - Poly.var(v.vars, "q2") * q2c
-    comps = {
-        "t": transport(v.component("t")),
-        "x1": transport(q1c),
-        "y1": transport(v.component("p1")),
-        "x2": transport(q2c),
-        "y2": transport(v.component("p2")),
-        "z": transport(zq),
-    }
-    zero = Poly.zero(target)
-    return VectorField(
-        vars=target,
-        components=tuple(comps.get(n, zero) for n in target.names),
-    )
+    ``image`` gives target coordinates as polynomials in source coordinates
+    and ``inverse`` gives source coordinates back as polynomials in target
+    coordinates, both by name over their own VarSets.  Component n of the
+    result is field(image[n]) rewritten in the target variables; variables
+    that ``image`` does not name (t and the parameters) are held fixed, so
+    their components carry over.  A component that still depends on a
+    source variable that ``inverse`` does not express raises
+    NotInSymmetryFamily: the field does not project onto the target.
+    """
+    inverse = {name: p.rename(target) for name, p in inverse.items()}
+    expressed = inverse.keys() | set(target.names)
+    pushed = []
+    for name in target.names:
+        if name in image:
+            comp = lie_derivative(field, image[name].rename(field.vars))
+        else:
+            comp = field[name]
+        stuck = comp.occurring() - expressed
+        if stuck:
+            raise NotInSymmetryFamily(
+                f"field does not project: {', '.join(sorted(stuck))} survives transport"
+            )
+        pushed.append(comp.substitute(inverse))
+    return VectorField(target, tuple(pushed))
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +498,7 @@ def _pushforward_phi(v: VectorField) -> VectorField:
 def _dynamics_field(vars: VarSet) -> VectorField:
     """The extended autonomous field d/dt + sum F_i d/dx_i on (t, x)."""
     rhs = [f.rename(vars) for f in model.rhs_symbolic(SystemId.MB5)]
-    comps = {"t": Poly.const(vars, 1)}
-    for name, f in zip(model.VARS5.names, rhs):
-        comps[name] = f
-    zero = Poly.zero(vars)
-    return VectorField(vars=vars, components=tuple(comps.get(n, zero) for n in vars.names))
+    return VectorField.of(vars, {"t": Poly.const(vars, 1), **dict(zip(model.VARS5.names, rhs))})
 
 
 def first_order_symmetry_residual(x: VectorField) -> tuple[Poly, ...]:
@@ -562,9 +510,9 @@ def first_order_symmetry_residual(x: VectorField) -> tuple[Poly, ...]:
     d/dt + F_j d/dx_j.
     """
     dyn = _dynamics_field(x.vars)
-    dxi = dyn.apply(x.component("t"))
+    dxi = lie_derivative(dyn, x["t"])
     return tuple(
-        dyn.apply(x.component(name)) - dyn.component(name) * dxi - x.apply(dyn.component(name))
+        lie_derivative(dyn, x[name]) - dyn[name] * dxi - lie_derivative(x, dyn[name])
         for name in model.VARS5.names
     )
 
@@ -583,17 +531,12 @@ class DynamicsCommutatorRecord:
 
 def dynamics_commutator(x: VectorField) -> DynamicsCommutatorRecord:
     """Compute [X, V] and classify: symmetry, conformal, master."""
-    vars = x.vars
-    dyn = _dynamics_field(vars)
+    dyn = _dynamics_field(x.vars)
     comm = lie_bracket_fields(x, dyn)
     # candidate factor from the d/dt component: [X,V]_t = c * 1
-    factor = comm.component("t")
-    state_names = ("t",) + model.VARS5.names
-    constant = all(
-        all(e[vars.index(n)] == 0 for n in state_names) for e in factor.terms
-    )
-    proportional = constant and all(
-        (comm.component(n) - factor * dyn.component(n)).is_zero for n in state_names
+    factor = comm["t"]
+    proportional = factor.occurring().isdisjoint(X5_NAMES) and all(
+        (comm[n] - factor * dyn[n]).is_zero for n in X5_NAMES
     )
     double = lie_bracket_fields(comm, dyn)
     is_symmetry = comm.is_zero

@@ -291,9 +291,9 @@ def suite_pushforward(family: JetVectorField | None = None) -> list[Verification
         al, ga = param(cv, "alpha"), param(cv, "gamma")
         p1, p2, p3 = (Poly.var(cv, n) for n in ("p1", "p2", "p3"))
         return [
-            cotangent.component("p1") - (2 * al * p1 + ga * p2),
-            cotangent.component("p2") - (2 * al * p2 - ga * p1),
-            cotangent.component("p3") - 2 * al * p3,
+            cotangent["p1"] - (2 * al * p1 + ga * p2),
+            cotangent["p2"] - (2 * al * p2 - ga * p1),
+            cotangent["p3"] - 2 * al * p3,
         ]
 
     def x5_residuals():
@@ -308,7 +308,7 @@ def suite_pushforward(family: JetVectorField | None = None) -> list[Verification
             "y2": 2 * al * y2 - ga * y1,
             "z": 2 * al * z,
         }
-        return [x5.component(n) - expected[n] for n in symmetry.X5_NAMES]
+        return [x5[n] - expected[n] for n in symmetry.X5_NAMES]
 
     def conformal_master():
         xv = x5.vars

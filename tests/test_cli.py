@@ -1,6 +1,7 @@
 """Command-line interface: output formats and the exit-code contract."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,8 @@ class TestUsageErrors:
             # (t_end - t0) / h overflows to inf: no finite step count
             ("invariants", "--t-end", "1e308"),
             ("simulate", "--h", "1e-310"),
+            # 1e300 steps is finite, but more than any list can hold
+            ("invariants", "--h", "1e-300"),
         ],
     )
     def test_rejected_before_integrating(self, capsys, monkeypatch, command, flag, value):
@@ -181,6 +184,26 @@ class TestInvariants:
         assert payload["steps"] == 1000
         assert payload["invariants"]["Ctilde"]["max_abs_deviation"] <= 1e-11
         assert payload["invariants"]["Jtilde"]["max_abs_deviation"] <= 1e-10
+
+    @pytest.mark.parametrize("p3", ["1e6", "1e8"])
+    def test_midpoint_large_state(self, capsys, p3):
+        # rounding keeps the Newton update near 1e-11 at this scale, above
+        # the absolute tolerance; the step is still converged
+        code, out, err = run(
+            capsys,
+            "invariants",
+            "--system", "ham6",
+            "--method", "midpoint",
+            f"--init=0.1,0.2,0.3,0.1,0.2,{p3}",
+            "--t-end", "0.01",
+            "--h", "1e-3",
+        )
+        assert code == EXIT_OK, err
+        payload = json.loads(out)
+        assert payload["steps"] == 10
+        for drift in payload["invariants"].values():
+            assert math.isfinite(drift["max_abs_deviation"])
+        assert payload["invariants"]["Ctilde"]["max_abs_deviation"] == 0.0
 
 
 class TestVerify:
@@ -253,6 +276,16 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, "solve-symmetries", "--max-degree", "2")
         assert code == EXIT_OK
         assert out == (self.DATA / "solve_symmetries_max_degree_2.json").read_text()
+
+    def test_solve_symmetries_degree_3_bytes(self, capsys):
+        code, out, _ = run(capsys, "solve-symmetries", "--max-degree", "3")
+        assert code == EXIT_OK
+        assert out == (self.DATA / "solve_symmetries_max_degree_3.json").read_text()
+
+    def test_bracket_table_bytes(self, capsys):
+        code, out, _ = run(capsys, "bracket-table")
+        assert code == EXIT_OK
+        assert out == (self.DATA / "bracket_table.json").read_text()
 
 
 class TestBracketTable:

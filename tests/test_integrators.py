@@ -96,6 +96,21 @@ class TestStepCores:
             midpoint_step_field(f, jac, np.array([1.0]), 0.0, 0.1, tol=0.0, max_iter=3)
         assert exc.value.iterations == 3
 
+    def test_midpoint_converges_at_large_state(self):
+        # at |p3| = 1e6 rounding keeps the update near 1e-11, above the
+        # absolute tolerance, yet the step has converged
+        f = model.rhs_compiled(SystemId.HAM6)
+        jac = model.rhs_jacobian_compiled(SystemId.HAM6)
+        s = np.array([1.0, 0.5, -0.3, 0.2, 0.1, 1e6])
+        for _ in range(3):
+            out = midpoint_step_field(f, jac, s, 0.0, 1e-3)
+            assert np.all(np.isfinite(out))
+            assert out[5] == s[5]
+            # the step solves its own implicit equation to rounding
+            residual = out - s - 1e-3 * f(0.5 * (s + out))
+            assert np.max(np.abs(residual)) <= 1e-14 * np.max(np.abs(out))
+            s = out
+
 
 class TestIntegrate:
     def test_times_grid(self):
@@ -120,6 +135,11 @@ class TestIntegrate:
         # 1e308 / 1e-10 overflows to inf
         with pytest.raises(ValueError, match="finite step count"):
             integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 1e308, 1e-10)
+
+    def test_unholdable_step_count_rejected(self):
+        # 1e300 steps is finite, but no list can hold that many states
+        with pytest.raises(ValueError, match="step count"):
+            integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 1.0, 1e-300)
 
     def test_deterministic_repeat(self):
         a = integrate(IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6, INIT6, 0.0, 2.0, 0.01)

@@ -124,6 +124,14 @@ class TestPhi:
             )
 
 
+    def test_section_is_right_inverse(self):
+        # phi(section(x)) = x as polynomials; q3 is left free
+        section = model.phi_section_symbolic()
+        assert "q3" not in section
+        composed = tuple(c.substitute(section) for c in model.phi_symbolic())
+        assert composed == Poly.variables(model.VARS5)
+
+
 class TestLegendre:
     def test_direct(self):
         assert model.legendre(TangentState6(1, 1, 0, 0, 0, 1)) == State6(1, 1, 0, 0, 0, 2)

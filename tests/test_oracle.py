@@ -1,4 +1,5 @@
-"""Differential oracle: the exact linear algebra against sympy.
+"""Differential oracle: the exact linear algebra and the Poly operations
+against sympy.
 
 Kept apart from test_polyring.py so that a missing sympy fails only this
 file.
@@ -8,11 +9,71 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_polyring import matrices
+from test_polyring import VARS3, matrices, polys
 
-from mbrwa.polyring import InconsistentSystem, matrix_rank, solve_linear
+from mbrwa.polyring import (
+    InconsistentSystem,
+    Poly,
+    VarSet,
+    lie_derivative,
+    matrix_rank,
+    solve_linear,
+)
+
+# the target of cross-VarSet substitutions: c carries over by name
+TARGET = VarSet("c", "u", "v")
+
+
+def to_sympy(p: Poly) -> sympy.Poly:
+    gens = sympy.symbols(p.vars.names)
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms, *gens, domain=sympy.QQ)
+
+
+def same(p: Poly, q: sympy.Poly) -> bool:
+    """Whether a Poly and a sympy Poly over the same generators are equal."""
+    return to_sympy(p).as_dict() == q.as_dict()
+
+
+@given(polys(), polys())
+def test_mul_matches_sympy(p, q):
+    assert same(p * q, to_sympy(p) * to_sympy(q))
+
+
+@given(polys(), st.sampled_from(VARS3.names))
+def test_diff_matches_sympy(p, v):
+    assert same(p.diff(v), to_sympy(p).diff(sympy.Symbol(v)))
+
+
+# sympy's expansion of a substituted polynomial alone can outlast
+# hypothesis' default deadline, so the substitution oracles have none
+@given(polys(), polys(), st.sampled_from(VARS3.names))
+@settings(max_examples=50, deadline=None)
+def test_substitute_matches_sympy(p, g, v):
+    expr = to_sympy(p).as_expr().subs(sympy.Symbol(v), to_sympy(g).as_expr())
+    assert same(p.substitute({v: g}), sympy.Poly(expr, *sympy.symbols(VARS3.names)))
+
+
+@given(polys(), polys(vars=TARGET), polys(vars=TARGET))
+@settings(max_examples=50, deadline=None)
+def test_substitute_across_varsets_matches_sympy(p, ga, gb):
+    a, b = sympy.symbols("a b")
+    bindings = {a: to_sympy(ga).as_expr(), b: to_sympy(gb).as_expr()}
+    expr = to_sympy(p).as_expr().subs(bindings, simultaneous=True)
+    got = p.substitute({"a": ga, "b": gb})
+    assert got.vars == TARGET
+    assert same(got, sympy.Poly(expr, *sympy.symbols(TARGET.names)))
+
+
+@given(polys(), st.dictionaries(st.sampled_from(VARS3.names), polys(max_terms=3)))
+def test_lie_derivative_matches_sympy(f, field):
+    expected = sum(
+        (to_sympy(c) * to_sympy(f).diff(sympy.Symbol(n)) for n, c in field.items()),
+        to_sympy(Poly.zero(VARS3)),
+    )
+    assert same(lie_derivative(field, f), expected)
 
 
 @st.composite

@@ -99,12 +99,11 @@ class TestAssembly:
                 assert p.total_degree() <= 1
 
     def test_structure_constant_antisymmetry_enforced(self):
-        sc = poisson.mb_structure_constants()
-        bad_beta = tuple(
-            tuple(Fraction(1) for _ in range(5)) for _ in range(5)
-        )
-        with pytest.raises(ValueError):
-            poisson.StructureConstants(alpha=sc.alpha, beta=bad_beta)
+        ones = tuple(tuple(Fraction(1) for _ in range(5)) for _ in range(5))
+        with pytest.raises(ValueError, match="alpha not antisymmetric"):
+            poisson.StructureConstants(alpha=tuple(ones for _ in range(5)))
+        with pytest.raises(ValueError, match="cocycle matrix not antisymmetric"):
+            poisson.Cocycle(matrix=ones)
 
 
 class TestMatrixAlgebra:

@@ -109,6 +109,19 @@ class TestLieDerivative:
         assert lie_derivative({}, X).is_zero
 
 
+class TestOccurring:
+    def test_names_with_a_nonzero_exponent(self):
+        assert (X**2 + 3).occurring() == {"x"}
+        assert (X * Y - X).occurring() == {"x", "y"}
+
+    def test_constants_have_none(self):
+        assert Poly.const(XY, 5).occurring() == set()
+        assert Poly.zero(XY).occurring() == set()
+
+    def test_cancelled_variable_does_not_occur(self):
+        assert ((X + Y) - Y).occurring() == {"x"}
+
+
 class TestEval:
     def test_basic(self):
         assert (X**2 + Y).eval({"x": 2, "y": 1}) == 5

@@ -7,7 +7,7 @@ import pytest
 
 from mbrwa import model, symmetry
 from mbrwa.model import InvariantId
-from mbrwa.polyring import Poly, VarSet
+from mbrwa.polyring import Poly, VarSet, lie_derivative
 from mbrwa.symmetry import (
     BASE_VARS,
     JetVectorField,
@@ -44,22 +44,24 @@ class TestProlong:
     def test_constant_field_has_no_prolongation(self):
         u = JetVectorField(xi=ZERO, eta=(ZERO, ZERO, Poly.const(BASE_VARS, 1)))
         pr = prolong(u, 2)
-        assert all(v.is_zero for v in pr.vel_coeffs)
-        assert all(a.is_zero for a in pr.acc_coeffs)
+        assert all(pr[f"qd{i}"].is_zero for i in (1, 2, 3))
+        assert all(pr[f"qdd{i}"].is_zero for i in (1, 2, 3))
 
     def test_scaling_field(self):
         # -t d/dt + q_i d/dq_i lifts to 2 qd_i on the velocities
         pr = prolong(family_field(SymParams(alpha=Fraction(1))), 1)
-        for i, v in enumerate(pr.vel_coeffs, start=1):
-            assert v == 2 * jet(f"qd{i}")
-        assert pr.acc_coeffs == ()
+        assert pr.vars == JV
+        for i in (1, 2, 3):
+            assert pr[f"qd{i}"] == 2 * jet(f"qd{i}")
+            # order 1 leaves the acceleration components zero
+            assert pr[f"qdd{i}"].is_zero
 
     def test_rotation_field(self):
         u = JetVectorField(xi=ZERO, eta=(Q2, -Q1, ZERO))
         pr = prolong(u, 1)
-        assert pr.vel_coeffs[0] == jet("qd2")
-        assert pr.vel_coeffs[1] == -jet("qd1")
-        assert pr.vel_coeffs[2].is_zero
+        assert pr["qd1"] == jet("qd2")
+        assert pr["qd2"] == -jet("qd1")
+        assert pr["qd3"].is_zero
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -77,7 +79,7 @@ class TestProlong:
                 - total_derivative(total_derivative(xi)) * jet(f"qd{i+1}")
                 - 2 * total_derivative(xi) * jet(f"qdd{i+1}")
             )
-            assert pr.acc_coeffs[i] == expected
+            assert pr[f"qdd{i+1}"] == expected
 
 
 class TestDeterminingResiduals:
@@ -104,7 +106,8 @@ class TestDeterminingResiduals:
         u = JetVectorField(xi=T + Q3, eta=(Q1 * Q2, T * Q1, Q2**2))
         pr = prolong(u, 2)
         eta = [e.rename(JV) for e in u.eta]
-        vel, acc = pr.vel_coeffs, pr.acc_coeffs
+        vel = [pr[f"qd{i}"] for i in (1, 2, 3)]
+        acc = [pr[f"qdd{i}"] for i in (1, 2, 3)]
         q1, q2 = jet("q1"), jet("q2")
         qd1, qd2, qd3 = jet("qd1"), jet("qd2"), jet("qd3")
         transcribed = [
@@ -120,6 +123,26 @@ class TestDeterminingResiduals:
         generated = determining_residuals(u)
         for g, tr in zip(generated, transcribed):
             assert g == tr.substitute(bindings)
+
+
+class TestVectorField:
+    def test_point_field_is_a_mapping_by_name(self):
+        u = symbolic_family_field()
+        f = u.field()
+        assert list(f) == list(u.vars.names)
+        assert len(f) == len(u.vars)
+        assert (f["t"], f["q1"], f["q2"], f["q3"]) == u.components()
+        assert f["alpha"].is_zero
+        assert "p1" not in f
+
+    def test_lie_derivative_takes_it_directly(self):
+        rotation = symmetry_basis()[3].field()  # q2 d/dq1 - q1 d/dq2
+        assert lie_derivative(rotation, Q1**2 + Q2**2).is_zero
+        assert lie_derivative(rotation, Q1) == Q2
+
+    def test_of_fills_unnamed_variables_with_zero(self):
+        v = VectorField.of(BASE_VARS, {"q2": T})
+        assert v.components == (ZERO, ZERO, T, ZERO)
 
 
 class TestSolver:
@@ -251,12 +274,12 @@ class TestNoether:
 class TestPushforward:
     def test_rotation_to_5d(self):
         x = pushforward(symmetry_basis()[3], "PHI")
-        assert x.component("x1") == Poly.var(x.vars, "x2")
-        assert x.component("y1") == Poly.var(x.vars, "y2")
-        assert x.component("x2") == -Poly.var(x.vars, "x1")
-        assert x.component("y2") == -Poly.var(x.vars, "y1")
-        assert x.component("z").is_zero
-        assert x.component("t").is_zero
+        assert x["x1"] == Poly.var(x.vars, "x2")
+        assert x["y1"] == Poly.var(x.vars, "y2")
+        assert x["x2"] == -Poly.var(x.vars, "x1")
+        assert x["y2"] == -Poly.var(x.vars, "y1")
+        assert x["z"].is_zero
+        assert x["t"].is_zero
 
     def test_q3_translation_projects_to_zero(self):
         x = pushforward(symmetry_basis()[2], "PHI")
@@ -264,22 +287,36 @@ class TestPushforward:
 
     def test_time_translation(self):
         x = pushforward(symmetry_basis()[1], "PHI")
-        assert x.component("t") == 1
-        assert all(x.component(n).is_zero for n in ("x1", "y1", "x2", "y2", "z"))
+        assert x["t"] == 1
+        assert all(x[n].is_zero for n in ("x1", "y1", "x2", "y2", "z"))
 
     def test_cotangent_momentum_coefficients(self):
         v = pushforward(symbolic_family_field(), "FL")
         al = Poly.var(v.vars, "alpha")
         ga = Poly.var(v.vars, "gamma")
         p1, p2, p3 = (Poly.var(v.vars, n) for n in ("p1", "p2", "p3"))
-        assert v.component("p1") == 2 * al * p1 + ga * p2
-        assert v.component("p2") == 2 * al * p2 - ga * p1
-        assert v.component("p3") == 2 * al * p3
+        assert v["p1"] == 2 * al * p1 + ga * p2
+        assert v["p2"] == 2 * al * p2 - ga * p1
+        assert v["p3"] == 2 * al * p3
 
     def test_outside_family_rejected(self):
         u = JetVectorField(xi=ZERO, eta=(Q1**2, ZERO, ZERO))
         with pytest.raises(NotInSymmetryFamily):
             pushforward(u, "FL")
+
+    def test_q3_dependent_component_does_not_project(self):
+        # Phi forgets q3, so q3 d/dq1 (x1 component q3) has no image on the
+        # 5D space; pushforward's membership check stops such fields
+        # earlier, so the guard is reached through _push directly
+        vars = VarSet("t", *model.VARS6.names)
+        v = VectorField.of(vars, {"q1": Poly.var(vars, "q3")})
+        with pytest.raises(NotInSymmetryFamily, match="q3 survives transport"):
+            symmetry._push(
+                v,
+                dict(zip(model.VARS5.names, model.phi_symbolic())),
+                model.phi_section_symbolic(),
+                VarSet(*symmetry.X5_NAMES),
+            )
 
 
 class TestFirstOrderSymmetry:
