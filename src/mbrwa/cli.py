@@ -139,8 +139,11 @@ def cmd_simulate(args, parser) -> int:
         lines.append(",".join(_fmt(v) for v in row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"--out cannot be written: {exc}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -179,9 +182,11 @@ def cmd_verify(args, parser) -> int:
             parser.error("--mutate-pi indices must be integers")
         if not (1 <= i <= 5 and 1 <= j <= 5):
             parser.error("--mutate-pi indices must be in 1..5")
-        pi = poisson.flip_entry_sign(
-            poisson.mb_poisson_tensor(), i, j, antisymmetric=len(parts) == 3
-        )
+        pi = poisson.mb_poisson_tensor()
+        if pi.entry(i, j).is_zero:
+            parser.error(f"--mutate-pi entry {i},{j} of the Poisson tensor is zero; "
+                         "negating it changes nothing")
+        pi = poisson.flip_entry_sign(pi, i, j, antisymmetric=len(parts) == 3)
     if args.mutate_family:
         try:
             slot, var = args.mutate_family.split(":")

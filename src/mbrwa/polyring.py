@@ -6,9 +6,9 @@ identically zero", so coefficients are exact rationals
 structural equality is mathematical equality.
 
 Polynomials live over a fixed, ordered :class:`VarSet`; exponent vectors are
-dense tuples of the same length as the variable list.  The sizes in this
-project are tiny (at most 14 variables, a few hundred terms), so no sparse
-cleverness is attempted.
+dense tuples of the same length as the variable list.  The polynomials in
+this project are tiny (at most 14 variables, a few hundred terms), so
+:class:`Poly` attempts no sparse cleverness.
 
 Arithmetic only combines polynomials over one VarSet.  Two primitives build
 everything else: :meth:`Poly.substitute`, the one composition, which may move
@@ -16,7 +16,8 @@ a polynomial onto another VarSet (unbound variables carry over by name), and
 :func:`lie_derivative`, the derivative along a vector field.
 
 The exact linear algebra (:func:`matrix_rank`, :func:`solve_nullspace`,
-:func:`solve_linear`) works on plain row lists of ints or Fractions.
+:func:`solve_linear`) takes plain row lists of ints or Fractions and
+eliminates on sparse rows: the determining equations are about 1% nonzero.
 """
 
 from __future__ import annotations
@@ -367,51 +368,44 @@ class InconsistentSystem(ValueError):
     """Raised when an inhomogeneous linear system has no solution."""
 
 
-def _fraction_rows(matrix: Sequence[Sequence[Coeff]]) -> tuple[list[list[Fraction]], int]:
-    """The rows of a matrix as Fraction lists, and its column count.
-
-    Every solver reads its matrix through here, so ragged rows are rejected
-    in one place.
-    """
-    rows = [[_as_fraction(c) for c in row] for row in matrix]
-    widths = {len(row) for row in rows}
+def _fraction_rows(matrix: Sequence[Sequence[Coeff]]) -> tuple[list[dict[int, Fraction]], int]:
+    """The rows of a matrix as sparse ``{column: Fraction}`` dicts without
+    zeros, and its column count.  Every solver reads its matrix through
+    here, so ragged rows are rejected in one place."""
+    widths = {len(row) for row in matrix}
     if len(widths) > 1:
         raise ValueError(f"ragged matrix: row lengths {sorted(widths)}")
+    rows = [{j: _as_fraction(c) for j, c in enumerate(row) if c} for row in matrix]
     return rows, widths.pop() if widths else 0
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
-
-    First-nonzero pivoting: exact arithmetic needs no scaling heuristics.
-    """
-    rows = [row[:] for row in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+def _rref(rows: list[dict[int, Fraction]], ncols: int) -> list[int]:
+    """Bring sparse rows to reduced row echelon form in place; returns the
+    pivot columns.  Columns go in order, each pivoting on the first remaining
+    row that is nonzero there, and entries that cancel are removed.  A matrix
+    has exactly one RREF, so sparse storage changes only the cost."""
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivot = rows[r] = {k: v * inv for k, v in rows[r].items()}
+        for row in rows:
+            f = row.get(c) if row is not pivot else None
+            if f:
+                for k, v in pivot.items():
+                    x = row.pop(k, 0) - f * v
+                    if x:
+                        row[k] = x
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    return pivots
 
 
 def matrix_rank(matrix: Sequence[Sequence[Coeff]]) -> int:
-    rows, _ = _fraction_rows(matrix)
-    _, pivots = _rref(rows)
-    return len(pivots)
+    return len(_rref(*_fraction_rows(matrix)))
 
 
 def solve_nullspace(matrix: Sequence[Sequence[Coeff]]) -> list[list[Fraction]]:
@@ -420,7 +414,7 @@ def solve_nullspace(matrix: Sequence[Sequence[Coeff]]) -> list[list[Fraction]]:
     Returns an empty list for a trivial nullspace.
     """
     rows, ncols = _fraction_rows(matrix)
-    rows, pivots = _rref(rows)
+    pivots = _rref(rows, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -428,7 +422,7 @@ def solve_nullspace(matrix: Sequence[Sequence[Coeff]]) -> list[list[Fraction]]:
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            vec[p] = -rows[r][f]
+            vec[p] = -rows[r].get(f, Fraction(0))
         basis.append(vec)
     return basis
 
@@ -438,10 +432,12 @@ def solve_linear(matrix: Sequence[Sequence[Coeff]], rhs: Sequence[Coeff]) -> lis
     rows, ncols = _fraction_rows(matrix)
     if len(rhs) != len(rows):
         raise ValueError("rhs length does not match row count")
-    rows, pivots = _rref([row + [_as_fraction(b)] for row, b in zip(rows, rhs)])
+    # b is column ncols of the augmented matrix [A | b]
+    rows = [{**row, ncols: _as_fraction(b)} if b else row for row, b in zip(rows, rhs)]
+    pivots = _rref(rows, ncols + 1)
     if ncols in pivots:
         raise InconsistentSystem("no exact solution exists")
     x = [Fraction(0)] * ncols
     for r, p in enumerate(pivots):
-        x[p] = rows[r][-1]
+        x[p] = rows[r].get(ncols, Fraction(0))
     return x

@@ -324,7 +324,7 @@ def solve_determining(max_degree: int = 2) -> list[JetVectorField]:
         }
     )
     matrix = [
-        [col[eq_idx].coefficient(e) for col in residual_columns]
+        [col[eq_idx].terms.get(e, 0) for col in residual_columns]
         for eq_idx, e in row_keys
     ]
     basis_vectors = solve_nullspace(matrix)

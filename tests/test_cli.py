@@ -161,6 +161,26 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_USAGE
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["1,1", "2,3", "1,3", "1,3,both"])
+    def test_mutate_pi_zero_entry(self, capsys, entry):
+        # negating a zero entry of pi leaves pi as it is, so the run
+        # could never exit 4
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "poisson", "--mutate-pi", entry])
+        assert exc.value.code == EXIT_USAGE
+        i_j = ",".join(entry.split(",")[:2])
+        assert f"--mutate-pi entry {i_j} of the Poisson tensor is zero" in capsys.readouterr().err
+
+    def test_out_unwritable(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*TestSimulate.ARGS, "--out", str(target)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--out" in err
+        assert "Traceback" not in err
+        assert not target.exists()
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -281,6 +301,14 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, "solve-symmetries", "--max-degree", "3")
         assert code == EXIT_OK
         assert out == (self.DATA / "solve_symmetries_max_degree_3.json").read_text()
+
+    def test_solve_symmetries_degree_4_bytes(self, capsys):
+        code, out, _ = run(capsys, "solve-symmetries", "--max-degree", "4")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["dimension"] == 4
+        assert payload["matches_reference_family"] is True
+        assert out == (self.DATA / "solve_symmetries_max_degree_4.json").read_text()
 
     def test_bracket_table_bytes(self, capsys):
         code, out, _ = run(capsys, "bracket-table")

@@ -20,6 +20,7 @@ from mbrwa.polyring import (
     lie_derivative,
     matrix_rank,
     solve_linear,
+    solve_nullspace,
 )
 
 # the target of cross-VarSet substitutions: c carries over by name
@@ -77,20 +78,57 @@ def test_lie_derivative_matches_sympy(f, field):
 
 
 @st.composite
+def sparse_matrices(draw):
+    """Up to 12x12, mostly zeros, rational entries with denominators, and
+    some rows and columns zeroed out entirely."""
+    nrows = draw(st.integers(1, 12))
+    ncols = draw(st.integers(1, 12))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    cell = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    cells = draw(st.dictionaries(cell, entry, max_size=max(1, nrows * ncols // 4)))
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    return [
+        [
+            0 if i in zero_rows or j in zero_cols else cells.get((i, j), 0)
+            for j in range(ncols)
+        ]
+        for i in range(nrows)
+    ]
+
+
+@st.composite
 def systems(draw):
     m = draw(matrices())
     b = [Fraction(draw(st.integers(-4, 4))) for _ in m]
     return m, b
 
 
-@given(matrices())
-def test_rank_matches_sympy(m):
+@st.composite
+def sparse_systems(draw):
+    """A sparse matrix with b = A x for a drawn x, and b perturbed in one
+    entry about half the time, so consistent and inconsistent systems both
+    occur."""
+    m = draw(sparse_matrices())
+    x = [draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)) for _ in m[0]]
+    b = [sum((a * xj for a, xj in zip(row, x)), Fraction(0)) for row in m]
+    if draw(st.booleans()):
+        b[draw(st.integers(0, len(b) - 1))] += 1
+    return m, b
+
+
+def assert_rank_matches(m):
     assert matrix_rank(m) == sympy.Matrix(m).rank()
 
 
-@given(systems())
-def test_solve_linear_matches_sympy(system):
-    m, b = system
+def assert_nullspace_matches(m):
+    # both return the basis read off the unique RREF, so they agree
+    # entry for entry, not only as spans
+    want = [[Fraction(int(x.p), int(x.q)) for x in v] for v in sympy.Matrix(m).nullspace()]
+    assert solve_nullspace(m) == want
+
+
+def assert_solve_linear_matches(m, b):
     a = sympy.Matrix(m)
     inconsistent = a.row_join(sympy.Matrix(b)).rank() > a.rank()
     if inconsistent:
@@ -99,3 +137,27 @@ def test_solve_linear_matches_sympy(system):
     else:
         x = solve_linear(m, b)
         assert [sum(aij * xj for aij, xj in zip(row, x)) for row in m] == b
+
+
+@given(matrices())
+def test_rank_matches_sympy(m):
+    assert_rank_matches(m)
+
+
+@given(matrices())
+def test_nullspace_matches_sympy(m):
+    assert_nullspace_matches(m)
+
+
+@given(systems())
+def test_solve_linear_matches_sympy(system):
+    assert_solve_linear_matches(*system)
+
+
+@given(sparse_systems())
+@settings(deadline=None)
+def test_sparse_matches_sympy(system):
+    m, b = system
+    assert_rank_matches(m)
+    assert_nullspace_matches(m)
+    assert_solve_linear_matches(m, b)
