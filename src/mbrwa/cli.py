@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are a contract: 0 success, 2 usage error, 3 numerical failure
-(blow-up or Newton non-convergence), 4 verification failure.  CSV output is
+(a state or an invariant that is not finite, or Newton non-convergence),
+4 verification failure.  CSV output is
 locale-independent ('.' decimal separator, LF line endings, 17 significant
 digits); verification output is a JSON array of report objects.
 """
@@ -9,6 +10,7 @@ digits); verification output is a JSON array of report objects.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -26,10 +28,6 @@ _CSV_COLUMNS = {
     system: (("t",) + model.system_vars(system).names, model.system_invariants(system))
     for system in SystemId
 }
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _print_json(payload) -> None:
@@ -122,22 +120,27 @@ def _run_trajectory(args, parser) -> integrators.Trajectory:
     # --every exists on simulate only
     if getattr(args, "every", 1) < 1:
         parser.error("--every must be >= 1")
-    return integrators.integrate(method, system, init, 0.0, args.t_end, args.h)
+    try:
+        return integrators.integrate(method, system, init, 0.0, args.t_end, args.h)
+    except MemoryError:  # the time and state arrays are allocated before the first step
+        parser.error("--t-end / --h: the trajectory does not fit in memory")
 
 
 def cmd_simulate(args, parser) -> int:
     traj = _run_trajectory(args, parser)
     state_cols, invariants = _CSV_COLUMNS[traj.system]
-    inv_fns = [model.invariant_compiled(i) for i in invariants]
-    header = ",".join(state_cols + tuple(i.value for i in invariants))
-    lines = [header]
+    header = state_cols + tuple(i.value for i in invariants)
+    # rows carry their newline: joining them is the one copy of the text
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
     n = len(traj)
-    for k in range(n):
-        if k % args.every and k != n - 1:
-            continue
-        row = [traj.times[k], *traj.states[k]] + [fn(traj.states[k]) for fn in inv_fns]
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    rows = range(0, n, args.every)
+    if rows[-1] != n - 1:
+        rows = [*rows, n - 1]
+    values = integrators.invariant_values(traj, invariants, rows)
+    lines = [",".join(header) + "\n"]
+    for k, inv in zip(rows, values):
+        lines.append(row_format % (traj.times[k], *traj.states[k].tolist(), *inv.tolist()))
+    text = "".join(lines)
     if args.out:
         try:
             with open(args.out, "w", newline="") as fh:
@@ -156,14 +159,7 @@ def cmd_invariants(args, parser) -> int:
         "system": traj.system.value,
         "steps": len(traj) - 1,
         "h": traj.h,
-        "invariants": {
-            inv.value: {
-                "initial": d.initial,
-                "max_abs_deviation": d.max_abs_deviation,
-                "final_deviation": d.final_deviation,
-            }
-            for inv, d in report.drifts.items()
-        },
+        "invariants": {inv.value: dataclasses.asdict(d) for inv, d in report.drifts.items()},
     }
     _print_json(payload)
     return EXIT_OK
@@ -195,6 +191,8 @@ def cmd_verify(args, parser) -> int:
             )
         except (ValueError, KeyError):
             parser.error("--mutate-family expects SLOT:VAR, e.g. eta1:q2")
+        if family == symmetry.symbolic_family_field():
+            parser.error(f"--mutate-family {slot}:{var} negates nothing: no {slot} term has {var}")
     reports = verify.run_suite(args.suite, pi=pi, family=family)
     _print_json([r.to_dict() for r in reports])
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY

@@ -8,12 +8,15 @@ is a Newton iteration with the analytic Jacobian, obtained by symbolic
 differentiation of the polynomial right-hand side and compiled to floats.
 
 Fixed step only: adaptive stepping would break the drift-scaling tests and
-nothing here needs it.
+nothing here needs it.  Both schemes run in one loop over float states; RK4
+and the invariants run through ``model``'s scalar kernels, never on numpy
+columns.  ``integrate`` counts a step that overflows as a blow-up (see ``model``).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -46,11 +49,12 @@ class NewtonError(RuntimeError):
 
 
 class BlowUpError(RuntimeError):
-    """The trajectory left the finite domain."""
+    """The trajectory, or an invariant along it, left the finite domain."""
 
-    def __init__(self, time: float):
-        self.time = time
-        super().__init__(f"non-finite state at t = {time!r}")
+    def __init__(self, time: float, invariant: InvariantId | None = None):
+        self.time, self.invariant = time, invariant
+        super().__init__(f"non-finite state at t = {time!r}" if invariant is None
+                         else f"invariant {invariant.value} is not finite at t = {time:.17g}")
 
 
 @dataclass(frozen=True)
@@ -127,24 +131,19 @@ def midpoint_step_field(
 # ---------------------------------------------------------------------------
 
 
-def _as_array(system: SystemId, state) -> np.ndarray:
-    return np.array(model.state_values(system, state), dtype=float)
-
-
-def _step_array(
-    method: IntegratorId, system: SystemId, s: np.ndarray, t: float, h: float
-) -> np.ndarray:
-    f = model.rhs_compiled(system)
+def _stepper(method: IntegratorId, system: SystemId) -> Callable[..., Sequence[float]]:
+    """The step of ``method`` on ``system`` as a function ``(*x, h)`` of floats."""
     if method is IntegratorId.RK4:
-        return rk4_step_field(f, s, t, h)
-    return midpoint_step_field(f, model.rhs_jacobian_compiled(system), s, t, h)
+        return model.rk4_step_compiled(system)
+    f, jac = model.rhs_compiled(system), model.rhs_jacobian_compiled(system)
+    return lambda *x_h: midpoint_step_field(f, jac, np.array(x_h[:-1]), 0.0, x_h[-1]).tolist()
 
 
 def step(method: IntegratorId, system: SystemId, state, t: float, h: float):
     """One step of the named scheme; returns a state object of the system."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    out = _step_array(method, system, _as_array(system, state), t, h)
+    out = _stepper(method, system)(*map(float, model.state_values(system, state)), h)
     return model._STATE_TYPES[system](*out)
 
 
@@ -170,57 +169,64 @@ def integrate(
     t_end: float,
     h: float,
 ) -> Trajectory:
-    """Fixed-step integration with a final partial step landing on t_end."""
+    """Fixed-step integration with a final partial step landing on t_end;
+    BlowUpError at the first state that is not finite."""
     if t_end < t0:
         raise ValueError("t_end must be >= t0")
     if h <= 0:
         raise ValueError("step size must be positive")
     n_full = step_count(t0, t_end, h)
-    s = _as_array(system, initial)
-    times = [t0]
-    states = [s]
-    t = t0
-    for k in range(n_full):
-        s = _step_array(method, system, s, t, h)
-        t = t0 + (k + 1) * h
-        if not np.all(np.isfinite(s)):
-            raise BlowUpError(t)
-        times.append(t)
-        states.append(s)
-    if t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        s = _step_array(method, system, s, t, t_end - t)
-        if not np.all(np.isfinite(s)):
-            raise BlowUpError(t_end)
-        times.append(t_end)
-        states.append(s)
-    return Trajectory(system=system, times=np.array(times), states=np.array(states), h=h)
+    t_last = t0 + n_full * h
+    partial = t_last < t_end - 1e-12 * max(1.0, abs(t_end))
+    times = np.append(t0 + np.arange(n_full + 1) * h, [t_end] * partial)
+    states = np.empty((len(times), model.system_dim(system)))
+    states[0] = model.state_values(system, initial)
+    s = states[0].tolist()
+    advance = _stepper(method, system)
+    sizes = itertools.chain(itertools.repeat(h, n_full), [t_end - t_last] * partial)
+    for k, dt in enumerate(sizes, 1):
+        try:
+            s = advance(*s, dt)
+        except OverflowError:  # a term of the new state would be +-inf
+            s = (math.inf,)
+        if not all(map(math.isfinite, s)):
+            raise BlowUpError(float(times[k]))
+        states[k] = s
+    return Trajectory(system=system, times=times, states=states, h=h)
+
+
+def invariant_values(
+    traj: Trajectory, invariants: Sequence[InvariantId], rows: Sequence[int]
+) -> np.ndarray:
+    """The ``invariants`` (columns) at the states ``rows`` of ``traj``;
+    BlowUpError at the first row, and in it the first column, not finite."""
+    for inv in invariants:
+        if (home := model.invariant_system(inv)) is not traj.system:
+            raise ValueError(f"invariant {inv.value} is defined on {home.value}, "
+                             f"trajectory is {traj.system.value}")
+    fn, order = model.invariants_compiled(traj.system), system_invariants(traj.system)
+    flat = itertools.chain.from_iterable(fn(*traj.states[k].tolist()) for k in rows)
+    table = np.fromiter(flat, float, len(rows) * len(order)).reshape(len(rows), len(order))
+    values = table[:, [order.index(inv) for inv in invariants]]
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        raise BlowUpError(float(traj.times[rows[bad[0, 0]]]), invariants[bad[0, 1]])
+    return values
 
 
 def drift_report(traj: Trajectory, invariants: Sequence[InvariantId]) -> DriftReport:
     """Deviation bookkeeping for each invariant along a trajectory."""
-    drifts = {}
-    for inv in invariants:
-        if model.invariant_system(inv) is not traj.system:
-            raise ValueError(
-                f"invariant {inv.value} is defined on {model.invariant_system(inv).value}, "
-                f"trajectory is {traj.system.value}"
-            )
-        fn = model.invariant_compiled(inv)
-        values = np.array([fn(s) for s in traj.states])
-        dev = np.abs(values - values[0])
-        drifts[inv] = InvariantDrift(
-            initial=float(values[0]),
-            max_abs_deviation=float(np.max(dev)),
-            final_deviation=float(dev[-1]),
-        )
+    values = invariant_values(traj, invariants, range(len(traj)))
+    dev = np.abs(values - values[0])
+    drifts = {inv: InvariantDrift(float(v0), float(d.max()), float(d[-1]))
+              for inv, v0, d in zip(invariants, values[0], dev.T)}
     return DriftReport(system=traj.system, drifts=drifts)
 
 
 def midpoint_roundtrip_error(system: SystemId, state, h: float) -> float:
     """Max-norm error of one implicit midpoint step forward then backward."""
-    f = model.rhs_compiled(system)
-    jac = model.rhs_jacobian_compiled(system)
-    s0 = _as_array(system, state)
+    f, jac = model.rhs_compiled(system), model.rhs_jacobian_compiled(system)
+    s0 = np.array(model.state_values(system, state), dtype=float)
     s1 = midpoint_step_field(f, jac, s0, 0.0, h)
     s2 = midpoint_step_field(f, jac, s1, h, -h)
     return float(np.max(np.abs(s2 - s0)))

@@ -8,6 +8,13 @@ Each system exists in two renditions: exact polynomial right-hand sides for
 symbolic certification, and compiled float functions (generated from the
 same polynomials) for numerical integration, so the two cannot diverge.
 
+The scalar kernels (one RK4 step, all invariants) take Python floats, one
+state at a time, never numpy columns: an array's ``x**2`` is ``x*x``, a
+scalar's is libm ``pow``, and they differ in the last bit on about 0.09% of
+doubles.  A float ``**`` raises OverflowError where numpy returns inf.  The
+RK4 kernel lets it propagate (the term would be +-inf and reach the new state
+additively: a blow-up); the invariant kernel returns nan.
+
 A state is a named tuple whose fields are the names of its system's VarSet;
 any sequence of the right length is accepted wherever a state is.
 """
@@ -231,26 +238,26 @@ def compile_poly_vector(
     The source is generated from the canonical polynomial terms, so the
     compiled function agrees with :meth:`Poly.eval` up to IEEE rounding.
     """
-    lines = [f"def _f({', '.join(vars.names)}):"]
-    exprs = [_poly_source(p, vars) for p in polys]
-    lines.append(f"    return ({', '.join(exprs)}{',' if len(exprs) == 1 else ''})")
+    inner = _compile_scalar("_f", vars.names, [], [_poly_source(p, vars.names) for p in polys])
+    return lambda state: np.array(inner(*state), dtype=float)
+
+
+def _compile_scalar(name: str, args: Sequence[str], body: list, returns: list) -> Callable:
+    """Compile ``def name(*args)``: the ``body`` lines, then the tuple ``returns``."""
     ns: dict = {}
-    exec("\n".join(lines), ns)
-    inner = ns["_f"]
-
-    def f(state: np.ndarray) -> np.ndarray:
-        return np.array(inner(*state), dtype=float)
-
-    return f
+    lines = [f"def {name}({', '.join(args)}):", *body, f"return ({', '.join(returns)},)"]
+    exec("\n    ".join(lines), ns)
+    return ns[name]
 
 
-def _poly_source(p: Poly, vars: VarSet) -> str:
+def _poly_source(p: Poly, names: Sequence[str]) -> str:
+    """Source of ``p`` with its variables written as ``names``."""
     if p.is_zero:
         return "0.0"
     parts = []
     for e, c in p.sorted_terms():
         factors = [repr(float(c))]
-        for name, k in zip(vars.names, e):
+        for name, k in zip(names, e):
             if k == 1:
                 factors.append(name)
             elif k > 1:
@@ -283,3 +290,32 @@ def invariant_compiled(inv: InvariantId) -> Callable[[np.ndarray], float]:
     system = _INVARIANT_SYSTEM[inv]
     fn = compile_poly_vector((invariant_symbolic(inv),), system_vars(system))
     return lambda state: float(fn(state)[0])
+
+
+@lru_cache(maxsize=None)
+def rk4_step_compiled(system: SystemId) -> Callable[..., tuple]:
+    """One RK4 step as a scalar function ``_rk4(*x, h) -> tuple``: the rhs
+    inlined four times in ``integrators.rk4_step_field``'s operation order,
+    ``x + a*k`` with ``a = 0.5 * h``, then ``x + b*(k1 + 2.0*k2 + 2.0*k3 + k4)``."""
+    x = system_vars(system).names
+    k = [[f"k{j}_{i}" for i in range(len(x))] for j in range(4)]
+    body, stage = ["a = 0.5 * h", "b = h / 6.0"], x
+    for j, scale in enumerate(("a", "a", "h", None)):
+        body += [f"{kj} = {_poly_source(p, stage)}" for kj, p in zip(k[j], rhs_symbolic(system))]
+        if scale:
+            stage = [f"s{j}_{i}" for i in range(len(x))]
+            body += [f"{s} = {xi} + {scale}*{kj}" for s, xi, kj in zip(stage, x, k[j])]
+    new = [f"{xi} + b*({k1} + 2.0*{k2} + 2.0*{k3} + {k4})" for xi, k1, k2, k3, k4 in zip(x, *k)]
+    return _compile_scalar("_rk4", (*x, "h"), body, new)
+
+
+@lru_cache(maxsize=None)
+def invariants_compiled(system: SystemId) -> Callable[..., tuple]:
+    """All of ``system_invariants(system)`` as one generated scalar function
+    of the state components; an invariant whose ``**`` overflows is nan."""
+    x, invs = system_vars(system).names, system_invariants(system)
+    body = []
+    for i, inv in enumerate(invs):
+        src = _poly_source(invariant_symbolic(inv), x)
+        body += ["try:", f"    v{i} = {src}", "except OverflowError:", f"    v{i} = float('nan')"]
+    return _compile_scalar("_invariants", x, body, [f"v{i}" for i in range(len(invs))])

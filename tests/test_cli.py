@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mbrwa import integrators
-from mbrwa.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from mbrwa.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
 def run(capsys, *argv):
@@ -171,6 +171,30 @@ class TestUsageErrors:
         i_j = ",".join(entry.split(",")[:2])
         assert f"--mutate-pi entry {i_j} of the Poisson tensor is zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite, mutation", [("symmetry", "xi:q1"), ("all", "eta1:q3")])
+    def test_mutate_family_absent_term(self, capsys, suite, mutation):
+        # no term of the slot contains the variable, so the mutation leaves
+        # the family as it is and the run could never exit 4
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", suite, "--mutate-family", mutation])
+        assert exc.value.code == EXIT_USAGE
+        slot, var = mutation.split(":")
+        assert f"--mutate-family {mutation} negates nothing: no {slot} term has {var}" in (
+            capsys.readouterr().err
+        )
+
+    def test_trajectory_beyond_memory(self, capsys, monkeypatch):
+        # integrate allocates every time and state before the first step;
+        # a refused allocation is a usage error, not a traceback
+        def integrate(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(integrators, "integrate", integrate)
+        with pytest.raises(SystemExit) as exc:
+            main(list(TestSimulate.ARGS))
+        assert exc.value.code == EXIT_USAGE
+        assert "--t-end / --h: the trajectory does not fit in memory" in capsys.readouterr().err
+
     def test_out_unwritable(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"
         with pytest.raises(SystemExit) as exc:
@@ -226,6 +250,32 @@ class TestInvariants:
         assert payload["invariants"]["Ctilde"]["max_abs_deviation"] == 0.0
 
 
+class TestNumericFailure:
+    @pytest.mark.parametrize("command", ["invariants", "simulate"])
+    def test_invariant_overflow_on_finite_state(self, capsys, command):
+        # H = z**2 / 2 overflows at z = 1e155; z itself is finite and RK4
+        # keeps the equilibrium
+        code, out, err = run(
+            capsys, command, "--system", "mb5", "--method", "rk4",
+            "--init=0,0,0,0,1e155", "--t-end", "0.002", "--h", "1e-3",
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err == "numerical failure: invariant H is not finite at t = 0\n"
+
+    @pytest.mark.parametrize("command", ["invariants", "simulate"])
+    def test_overflow_inside_an_rk4_step(self, capsys, command):
+        # q1**3 overflows in the first stage: a blow-up, not a traceback
+        code, out, err = run(
+            capsys, command, "--system", "ham6", "--method", "rk4",
+            "--init=1e110,0,0,0,0,0", "--t-end", "0.01", "--h", "1e-3",
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.endswith("numerical failure: non-finite state at t = 0.001\n")
+        assert "Traceback" not in err
+
+
 class TestVerify:
     def test_all_suites_pass(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -261,9 +311,10 @@ class TestVerify:
 
 
 class TestGoldenOutput:
-    """Report JSON and solver output are pinned: check names, order,
-    statuses, residual strings and witnesses.  Only ``elapsed_ms`` may
-    differ; update the files only for an intended change of output."""
+    """Report JSON, solver output and the numeric CLI output are pinned:
+    check names, order, statuses, residual strings and witnesses, and every
+    CSV and drift byte.  Only ``elapsed_ms`` may differ; update the files
+    only for an intended change of output."""
 
     DATA = Path(__file__).parent / "data"
 
@@ -309,6 +360,32 @@ class TestGoldenOutput:
         assert payload["dimension"] == 4
         assert payload["matches_reference_family"] is True
         assert out == (self.DATA / "solve_symmetries_max_degree_4.json").read_text()
+
+    MB5_RK4 = ("--system", "mb5", "--method", "rk4", "--init=0.3,-0.5,0.7,0.1,-0.9",
+               "--t-end", "20", "--h", "1e-3")
+    HAM6_MIDPOINT = ("--system", "ham6", "--method", "midpoint",
+                     "--init=0.3,-0.5,0.7,0.1,-0.9,0.4", "--t-end", "20", "--h", "1e-2")
+    # 10000 full steps and a partial one of 5e-4
+    EL6_RK4 = ("--system", "el6", "--method", "rk4", "--init=0.3,-0.5,0.7,0.1,-0.9,0.4",
+               "--t-end", "10.0005", "--h", "1e-3")
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("simulate_mb5_rk4.csv", ("simulate", *MB5_RK4, "--every", "100")),
+            ("invariants_mb5_rk4.json", ("invariants", *MB5_RK4)),
+            ("simulate_ham6_midpoint.csv", ("simulate", *HAM6_MIDPOINT, "--every", "10")),
+            ("invariants_ham6_midpoint.json", ("invariants", *HAM6_MIDPOINT)),
+            ("simulate_el6_rk4.csv", ("simulate", *EL6_RK4, "--every", "100")),
+            ("invariants_el6_rk4.json", ("invariants", *EL6_RK4)),
+        ],
+    )
+    def test_numeric_bytes(self, capsys, name, argv):
+        # every state and invariant digit is pinned, so a change of float
+        # operation order in a step or an invariant shows here
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == (self.DATA / name).read_text()
 
     def test_bracket_table_bytes(self, capsys):
         code, out, _ = run(capsys, "bracket-table")

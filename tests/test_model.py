@@ -1,11 +1,15 @@
 """The three formulations, their invariants, and the connecting maps."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mbrwa import model
+from mbrwa import integrators, model
 from mbrwa.model import (
     VARS5,
     VARS6,
@@ -188,3 +192,51 @@ def test_compiled_rhs_matches_symbolic():
             point = [rng.uniform(-2, 2) for _ in range(model.system_dim(system))]
             exact = model.rhs(system, point)
             assert np.allclose(fast(np.array(point)), [float(v) for v in exact], rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Generated scalar kernels against the numpy renditions, bit for bit
+# ---------------------------------------------------------------------------
+
+# doubles whose scalar x**2 (libm pow) differs from x*x in the last bit
+POW_NOT_MUL = (-1.818447760617123, -1.8375751333484804, -0.9667936558439592)
+
+
+@st.composite
+def system_states(draw):
+    system = draw(st.sampled_from(list(SystemId)))
+    n = model.system_dim(system)
+    return system, draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@given(system_states(), st.floats(0.0, 0.5, exclude_min=True))
+@example((SystemId.HAM6, [POW_NOT_MUL[0], POW_NOT_MUL[1], 0.3, 0.1, -0.2, POW_NOT_MUL[2]]), 0.5)
+@settings(max_examples=300)
+def test_rk4_kernel_is_the_array_step(case, h):
+    system, x = case
+    got = model.rk4_step_compiled(system)(*x, h)
+    want = integrators.rk4_step_field(model.rhs_compiled(system), np.array(x), 0.0, h)
+    assert _bits(got) == want.tobytes()
+
+
+@given(system_states())
+@example((SystemId.MB5, [POW_NOT_MUL[0], POW_NOT_MUL[1], POW_NOT_MUL[2], 0.5, -1.5]))
+@example((SystemId.HAM6, [POW_NOT_MUL[0], POW_NOT_MUL[1], 0.3, POW_NOT_MUL[2], 0.5, -1.5]))
+@example((SystemId.EL6, [POW_NOT_MUL[0], POW_NOT_MUL[1], 0.3, POW_NOT_MUL[2], 0.5, -1.5]))
+@settings(max_examples=300)
+def test_invariants_kernel_is_each_compiled_invariant(case):
+    system, x = case
+    got = model.invariants_compiled(system)(*x)
+    want = [model.invariant_compiled(inv)(np.array(x)) for inv in model.system_invariants(system)]
+    assert _bits(got) == _bits(want)
+
+
+def test_invariants_kernel_overflow_is_nan():
+    # Python float ** raises OverflowError where numpy returns inf
+    h, c, j = model.invariants_compiled(SystemId.MB5)(0.0, 0.0, 0.0, 0.0, 1e155)
+    assert math.isnan(h)
+    assert (c, j) == (1e155, 0.0)
