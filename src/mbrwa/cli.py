@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -28,6 +29,7 @@ _CSV_COLUMNS = {
     system: (("t",) + model.system_vars(system).names, model.system_invariants(system))
     for system in SystemId
 }
+_CSV_BLOCK = 1024  # rows per write of simulate's CSV, whose whole text is never held
 
 
 def _print_json(payload) -> None:
@@ -130,25 +132,23 @@ def cmd_simulate(args, parser) -> int:
     traj = _run_trajectory(args, parser)
     state_cols, invariants = _CSV_COLUMNS[traj.system]
     header = state_cols + tuple(i.value for i in invariants)
-    # rows carry their newline: joining them is the one copy of the text
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    n = len(traj)
-    rows = range(0, n, args.every)
-    if rows[-1] != n - 1:
-        rows = [*rows, n - 1]
+    rows = range(0, len(traj), args.every)
+    if rows[-1] != len(traj) - 1:
+        rows = [*rows, len(traj) - 1]
     values = integrators.invariant_values(traj, invariants, rows)
-    lines = [",".join(header) + "\n"]
-    for k, inv in zip(rows, values):
-        lines.append(row_format % (traj.times[k], *traj.states[k].tolist(), *inv.tolist()))
-    text = "".join(lines)
+    blocks = ("".join(row_format % (traj.times[k], *traj.states[k].tolist(), *inv.tolist())
+                      for k, inv in zip(rows[i:i + _CSV_BLOCK], values[i:i + _CSV_BLOCK]))
+              for i in range(0, len(rows), _CSV_BLOCK))
+    text = itertools.chain([",".join(header) + "\n"], blocks)
     if args.out:
         try:
             with open(args.out, "w", newline="") as fh:
-                fh.write(text)
+                fh.writelines(text)
         except OSError as exc:
             parser.error(f"--out cannot be written: {exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     return EXIT_OK
 
 
