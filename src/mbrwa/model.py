@@ -8,12 +8,17 @@ Each system exists in two renditions: exact polynomial right-hand sides for
 symbolic certification, and compiled float functions (generated from the
 same polynomials) for numerical integration, so the two cannot diverge.
 
-The scalar kernels (one RK4 step, all invariants) take Python floats, one
-state at a time, never numpy columns: an array's ``x**2`` is ``x*x``, a
-scalar's is libm ``pow``, and they differ in the last bit on about 0.09% of
-doubles.  A float ``**`` raises OverflowError where numpy returns inf.  The
-RK4 kernel lets it propagate (the term would be +-inf and reach the new state
-additively: a blow-up); the invariant kernel returns nan.
+The scalar kernels (the rhs, one RK4 step, one implicit midpoint Newton
+evaluation, all invariants) take Python floats, one state at a time, never
+numpy columns: an array's ``x**2`` is ``x*x``, a scalar's is libm ``pow``, and
+they differ in the last bit on about 0.09% of doubles.  Python and numpy
+scalars both call ``pow``, so a kernel written in the operation order of the
+array step it replaces gives the same bits.  The midpoint kernel returns the
+Newton residual and the Newton matrix together, so one call per iteration
+leaves only the linear solve to numpy.  A float ``**`` raises OverflowError
+where numpy returns inf.  The step kernels let it propagate (the term would
+be +-inf and reach the new state or the Newton residual: a blow-up); the
+invariant kernel returns nan.
 
 A state is a named tuple whose fields are the names of its system's VarSet;
 any sequence of the right length is accepted wherever a state is.
@@ -307,6 +312,33 @@ def rk4_step_compiled(system: SystemId) -> Callable[..., tuple]:
             body += [f"{s} = {xi} + {scale}*{kj}" for s, xi, kj in zip(stage, x, k[j])]
     new = [f"{xi} + b*({k1} + 2.0*{k2} + 2.0*{k3} + {k4})" for xi, k1, k2, k3, k4 in zip(x, *k)]
     return _compile_scalar("_rk4", (*x, "h"), body, new)
+
+
+@lru_cache(maxsize=None)
+def rhs_scalar_compiled(system: SystemId) -> Callable[..., tuple]:
+    """The right-hand side as a scalar function ``_rhs(*x) -> tuple``."""
+    x = system_vars(system).names
+    return _compile_scalar("_rhs", x, [], [_poly_source(p, x) for p in rhs_symbolic(system)])
+
+
+@lru_cache(maxsize=None)
+def midpoint_newton_compiled(system: SystemId) -> Callable[..., tuple]:
+    """One implicit midpoint Newton evaluation as a scalar function
+    ``_newton(*x, *new, h) -> tuple``: the residual ``new - x - h*f(mid)``,
+    then the Newton matrix ``eye - (0.5*h)*jac(mid)`` row by row, at
+    ``mid = 0.5*(x + new)``, in ``integrators.midpoint_step_field``'s
+    operation order.  A Jacobian entry that is identically zero is written
+    as its value for a finite h, ``1.0`` on the diagonal and ``0.0`` off it."""
+    x, f = system_vars(system).names, rhs_symbolic(system)
+    new, mid = [f"n{i}" for i in range(len(x))], [f"m{i}" for i in range(len(x))]
+    body = ["c = 0.5 * h", *(f"{m} = 0.5*({xi} + {ni})" for m, xi, ni in zip(mid, x, new))]
+    residual = [f"{ni} - {xi} - h*{_poly_source(p, mid)}" for ni, xi, p in zip(new, x, f)]
+    matrix = []
+    for i, comp in enumerate(f):
+        for j, name in enumerate(x):
+            d, eye = comp.diff(name), "1.0" if i == j else "0.0"
+            matrix.append(eye if d.is_zero else f"{eye} - c*{_poly_source(d, mid)}")
+    return _compile_scalar("_newton", (*x, *new, "h"), body, residual + matrix)
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,28 @@ class TestNumericFailure:
         assert err.endswith("numerical failure: non-finite state at t = 0.001\n")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "system, init",
+        [
+            ("ham6", "1e110,0,0,0,0,0"),  # q1**3 overflows in the predictor
+            ("ham6", "1e200,1e200,0,0,0,1e200"),
+            ("mb5", "1e160,0,0,0,1e160"),  # x1*z is inf: the first residual is not finite
+        ],
+    )
+    def test_blow_up_inside_a_newton_iteration(self, capsys, system, init):
+        # a blow-up at the first step, not 50 iterations on nan, and no
+        # numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "invariants", "--system", system, "--method", "midpoint",
+                f"--init={init}", "--t-end", "0.01", "--h", "1e-3",
+            )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err == "numerical failure: non-finite state at t = 0.001\n"
+        assert [str(w.message) for w in caught] == []
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):
@@ -365,6 +388,11 @@ class TestGoldenOutput:
                "--t-end", "20", "--h", "1e-3")
     HAM6_MIDPOINT = ("--system", "ham6", "--method", "midpoint",
                      "--init=0.3,-0.5,0.7,0.1,-0.9,0.4", "--t-end", "20", "--h", "1e-2")
+    MB5_MIDPOINT = ("--system", "mb5", "--method", "midpoint", "--init=0.3,-0.5,0.7,0.1,-0.9",
+                    "--t-end", "20", "--h", "1e-2")
+    # 1000 full steps and a partial one of 5e-3
+    EL6_MIDPOINT = ("--system", "el6", "--method", "midpoint",
+                    "--init=0.3,-0.5,0.7,0.1,-0.9,0.4", "--t-end", "10.005", "--h", "1e-2")
     # 10000 full steps and a partial one of 5e-4
     EL6_RK4 = ("--system", "el6", "--method", "rk4", "--init=0.3,-0.5,0.7,0.1,-0.9,0.4",
                "--t-end", "10.0005", "--h", "1e-3")
@@ -378,6 +406,10 @@ class TestGoldenOutput:
             ("invariants_ham6_midpoint.json", ("invariants", *HAM6_MIDPOINT)),
             ("simulate_el6_rk4.csv", ("simulate", *EL6_RK4, "--every", "100")),
             ("invariants_el6_rk4.json", ("invariants", *EL6_RK4)),
+            ("simulate_mb5_midpoint.csv", ("simulate", *MB5_MIDPOINT, "--every", "10")),
+            ("invariants_mb5_midpoint.json", ("invariants", *MB5_MIDPOINT)),
+            ("simulate_el6_midpoint.csv", ("simulate", *EL6_MIDPOINT, "--every", "10")),
+            ("invariants_el6_midpoint.json", ("invariants", *EL6_MIDPOINT)),
         ],
     )
     def test_numeric_bytes(self, capsys, name, argv):

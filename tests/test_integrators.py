@@ -71,6 +71,13 @@ class TestStep:
         j1 = model.invariant_compiled(InvariantId.JTILDE)(np.array(out))
         assert abs(j1 - j0) <= 5e-16
 
+    def test_midpoint_step_overflow_is_a_nan_state(self):
+        # q1**3 overflows a float ** in the predictor: neither an
+        # OverflowError nor a NewtonError leaves the step
+        out = step(IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6,
+                   State6(1e110, 0.0, 0.0, 0.0, 0.0, 0.0), 0.0, 1e-3)
+        assert all(map(math.isnan, out))
+
 
 class TestStepCores:
     def test_rk4_on_linear_field_matches_taylor(self):
@@ -95,6 +102,16 @@ class TestStepCores:
         with pytest.raises(NewtonError) as exc:
             midpoint_step_field(f, jac, np.array([1.0]), 0.0, 0.1, tol=0.0, max_iter=3)
         assert exc.value.iterations == 3
+
+    def test_midpoint_stops_at_a_non_finite_iterate(self):
+        # the predictor is inf: one Newton evaluation, then a nan state
+        calls = []
+        f = lambda s: (calls.append("f"), np.full_like(s, math.inf))[1]
+        jac = lambda s: (calls.append("jac"), np.eye(len(s)))[1]
+        with np.errstate(invalid="ignore"):  # inf - inf in the array residual
+            out = midpoint_step_field(f, jac, np.array([1.0, 2.0]), 0.0, 0.1)
+        assert np.isnan(out).all()
+        assert calls == ["f", "f", "jac"]
 
     def test_midpoint_converges_at_large_state(self):
         # at |p3| = 1e6 rounding keeps the update near 1e-11, above the

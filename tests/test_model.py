@@ -240,3 +240,30 @@ def test_invariants_kernel_overflow_is_nan():
     h, c, j = model.invariants_compiled(SystemId.MB5)(0.0, 0.0, 0.0, 0.0, 1e155)
     assert math.isnan(h)
     assert (c, j) == (1e155, 0.0)
+
+
+def _newton_states(n: int) -> list:
+    """200 seeded states in [-1, 1], one whose squares differ from x*x, and
+    one with a last component of 1e8 (p3 on ham6)."""
+    rng = np.random.default_rng(2014)
+    states = rng.uniform(-1.0, 1.0, (200, n)).tolist()
+    return states + [[*POW_NOT_MUL, 0.5, -0.25, 0.75][:n], [0.1, 0.2, 0.3, 0.1, 0.2, 1e8][-n:]]
+
+
+@pytest.mark.parametrize("system", list(SystemId))
+def test_midpoint_kernel_is_the_array_step(system):
+    # the generated residual and Newton matrix, and the system stepper built
+    # on them, against the numpy renditions of the rhs and its Jacobian
+    n = model.system_dim(system)
+    kernel = model.midpoint_newton_compiled(system)
+    stepper = integrators._stepper(integrators.IntegratorId.IMPLICIT_MIDPOINT, system)
+    f, jac = model.rhs_compiled(system), model.rhs_jacobian_compiled(system)
+    rng = np.random.default_rng(6)
+    for x in _newton_states(n):
+        for h in (0.05, -0.05):
+            new = np.array(x) + rng.uniform(-0.1, 0.1, n)
+            mid = 0.5 * (np.array(x) + new)
+            want = [*(new - x - h * f(mid)), *(np.eye(n) - 0.5 * h * jac(mid)).ravel()]
+            assert _bits(kernel(*x, *new.tolist(), h)) == _bits(want)
+            got = stepper(*x, h)
+            assert _bits(got) == integrators.midpoint_step_field(f, jac, np.array(x), 0.0, h).tobytes()
