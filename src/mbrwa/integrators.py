@@ -178,10 +178,20 @@ def _stepper(method: IntegratorId, system: SystemId) -> Callable[..., Sequence[f
 
 
 def step(method: IntegratorId, system: SystemId, state, t: float, h: float):
-    """One step of the named scheme; returns a state object of the system."""
+    """One step of the named scheme; returns a state object of the system.
+
+    A step that blows up, by overflowing a float ``**`` or by reaching a
+    state that is not finite, returns the all-nan state under either scheme.
+    """
     if h <= 0:
         raise ValueError("step size must be positive")
-    out = _stepper(method, system)(*map(float, model.state_values(system, state)), h)
+    values = model.state_values(system, state)
+    try:
+        out = _stepper(method, system)(*map(float, values), h)
+    except OverflowError:  # a term of the new state would be +-inf
+        out = (math.inf,)
+    if not all(map(math.isfinite, out)):
+        out = (math.nan,) * len(values)
     return model._STATE_TYPES[system](*out)
 
 

@@ -18,6 +18,9 @@ a polynomial onto another VarSet (unbound variables carry over by name), and
 The exact linear algebra (:func:`matrix_rank`, :func:`solve_nullspace`,
 :func:`solve_linear`) takes plain row lists of ints or Fractions and
 eliminates on sparse rows: the determining equations are about 1% nonzero.
+A caller that already holds sparse ``{column: Fraction}`` rows, as the
+determining-equation assembly does, passes them to :func:`_nullspace`
+without a dense detour.
 """
 
 from __future__ import annotations
@@ -413,7 +416,13 @@ def solve_nullspace(matrix: Sequence[Sequence[Coeff]]) -> list[list[Fraction]]:
 
     Returns an empty list for a trivial nullspace.
     """
-    rows, ncols = _fraction_rows(matrix)
+    return _nullspace(*_fraction_rows(matrix))
+
+
+def _nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
+    """The nullspace basis of sparse rows (as :func:`_rref` takes them, which
+    eliminates them in place): one vector per free column, in column order,
+    with a 1 at that column."""
     pivots = _rref(rows, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

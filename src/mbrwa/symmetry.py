@@ -11,6 +11,19 @@ regression check on the generator.  The equations themselves are
 space are derived from ``model``'s Legendre map and realization map Phi with
 their inverses, so every certificate here is about the maps ``model`` defines.
 
+``solve_determining`` assembles its matrix by linearity, since the
+prolongation is linear in the field.  Each unit field puts one monomial m of
+(t, q) in one slot; with D the total derivative along solutions (qdd
+replaced by the accelerations A_i, which do not depend on t), the residuals
+pr2(u)(qdd_i - A_i) of the unit fields are
+
+* xi = m:    R_i = -D^2(m) qd_i - 2 D(m) A_i + D(m) sum_j qd_j dA_i/dqd_j,
+* eta_k = m: R_i = delta_ik D^2(m) - m dA_i/dq_k - D(m) dA_i/dqd_k,
+
+so every column is a few products of m, D(m) and D^2(m) with fixed
+polynomials.  :func:`determining_residuals` stays the generated reference:
+it certifies the family and is the oracle the assembly is tested against.
+
 Velocity-dependent or non-polynomial symmetry coefficients are out of scope.
 """
 
@@ -26,7 +39,7 @@ from typing import Literal
 
 from . import model
 from .model import InvariantId, SystemId
-from .polyring import Poly, VarSet, lie_derivative, matrix_rank, solve_nullspace
+from .polyring import Poly, VarSet, _nullspace, lie_derivative, matrix_rank
 
 BASE_NAMES = ("t", "q1", "q2", "q3")
 JET_EXTRA = ("qd1", "qd2", "qd3", "qdd1", "qdd2", "qdd3")
@@ -292,6 +305,47 @@ def _monomials(max_degree: int) -> list[tuple[int, int, int, int]]:
     return monos
 
 
+def _determining_columns(
+    monos: Sequence[tuple[int, int, int, int]],
+) -> list[tuple[Poly, Poly, Poly]]:
+    """The determining residuals of the unit fields xi = m, then eta_1 = m,
+    eta_2 = m and eta_3 = m, for each monomial m of ``monos`` in turn.
+
+    Assembled by linearity from three jets of each m (see the module
+    docstring); equal, column by column, to :func:`determining_residuals`
+    of the unit field.
+    """
+    jv = jet_vars(BASE_VARS)
+    acc = [a.rename(jv) for a in model.rhs_symbolic(SystemId.EL6)[3:]]
+    qd = [Poly.var(jv, f"qd{k}") for k in (1, 2, 3)]
+    # the total derivative along solutions, qdd already replaced by A
+    along = VectorField.of(jv, {
+        "t": Poly.const(jv, 1),
+        **{f"q{k}": v for k, v in enumerate(qd, start=1)},
+        **{f"qd{k}": a for k, a in enumerate(acc, start=1)},
+    })
+    d_q = [[a.diff(f"q{k}") for k in (1, 2, 3)] for a in acc]
+    d_qd = [[a.diff(f"qd{k}") for k in (1, 2, 3)] for a in acc]
+    # the xi columns' factor of D_t m: 2 A_i - sum_j qd_j dA_i/dqd_j
+    xi_factor = [
+        2 * a - sum((v * d for v, d in zip(qd, row)), Poly.zero(jv)) for a, row in zip(acc, d_qd)
+    ]
+    jets = []
+    for m in monos:
+        m0 = Poly(jv, {m + (0,) * 6: Fraction(1)})
+        m1 = lie_derivative(along, m0)
+        jets.append((m0, m1, lie_derivative(along, m1)))
+    columns = [
+        tuple(-(m2 * qd[i]) - m1 * xi_factor[i] for i in range(3)) for m0, m1, m2 in jets
+    ]
+    for k in range(3):
+        for m0, m1, m2 in jets:
+            col = [-(m0 * d_q[i][k]) - m1 * d_qd[i][k] for i in range(3)]
+            col[k] = col[k] + m2
+            columns.append(tuple(col))
+    return columns
+
+
 def solve_determining(max_degree: int = 2) -> list[JetVectorField]:
     """Exact nullspace of the determining equations for a polynomial ansatz
     of total degree <= max_degree in (t, q).
@@ -302,32 +356,13 @@ def solve_determining(max_degree: int = 2) -> list[JetVectorField]:
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     monos = _monomials(max_degree)
-    columns: list[tuple[int, tuple[int, ...]]] = [
-        (slot, m) for slot in range(4) for m in monos
-    ]
-    # Residuals are linear in (xi, eta): assemble column by column from
-    # single-monomial unit fields.
-    residual_columns = []
-    for slot, m in columns:
-        mono_poly = Poly(BASE_VARS, {m: Fraction(1)})
-        zero = Poly.zero(BASE_VARS)
-        comps = [zero, zero, zero, zero]
-        comps[slot] = mono_poly
-        u = JetVectorField(xi=comps[0], eta=tuple(comps[1:]))
-        residual_columns.append(determining_residuals(u))
-    row_keys = sorted(
-        {
-            (eq_idx, e)
-            for col in residual_columns
-            for eq_idx, r in enumerate(col)
-            for e in r.terms
-        }
-    )
-    matrix = [
-        [col[eq_idx].terms.get(e, 0) for col in residual_columns]
-        for eq_idx, e in row_keys
-    ]
-    basis_vectors = solve_nullspace(matrix)
+    # one sparse row per (equation, jet monomial), in sorted order
+    rows: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = {}
+    for j, col in enumerate(_determining_columns(monos)):
+        for eq_idx, r in enumerate(col):
+            for e, c in r.terms.items():
+                rows.setdefault((eq_idx, e), {})[j] = c
+    basis_vectors = _nullspace([rows[key] for key in sorted(rows)], 4 * len(monos))
     fields = []
     for vec in basis_vectors:
         comps = []

@@ -384,6 +384,14 @@ class TestGoldenOutput:
         assert payload["matches_reference_family"] is True
         assert out == (self.DATA / "solve_symmetries_max_degree_4.json").read_text()
 
+    def test_solve_symmetries_degree_5_bytes(self, capsys):
+        code, out, _ = run(capsys, "solve-symmetries", "--max-degree", "5")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["dimension"] == 4
+        assert payload["matches_reference_family"] is True
+        assert out == (self.DATA / "solve_symmetries_max_degree_5.json").read_text()
+
     MB5_RK4 = ("--system", "mb5", "--method", "rk4", "--init=0.3,-0.5,0.7,0.1,-0.9",
                "--t-end", "20", "--h", "1e-3")
     HAM6_MIDPOINT = ("--system", "ham6", "--method", "midpoint",

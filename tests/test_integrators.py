@@ -78,6 +78,14 @@ class TestStep:
                    State6(1e110, 0.0, 0.0, 0.0, 0.0, 0.0), 0.0, 1e-3)
         assert all(map(math.isnan, out))
 
+    def test_rk4_step_overflow_is_a_nan_state(self):
+        # the same state overflows a float ** in RK4's first stage: the
+        # step returns all nan, as midpoint does, not an OverflowError
+        out = step(IntegratorId.RK4, SystemId.HAM6,
+                   State6(1e110, 0.0, 0.0, 0.0, 0.0, 0.0), 0.0, 1e-3)
+        assert type(out) is State6
+        assert all(map(math.isnan, out))
+
 
 class TestStepCores:
     def test_rk4_on_linear_field_matches_taylor(self):

@@ -160,6 +160,20 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_determining(0)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_assembled_columns_match_the_residuals(self, degree):
+        # the assembly by linearity against the generated prolongation,
+        # entry for entry, for every unit field of the ansatz
+        monos = symmetry._monomials(degree)
+        columns = symmetry._determining_columns(monos)
+        units = [(slot, m) for slot in range(4) for m in monos]
+        assert len(columns) == len(units)
+        for col, (slot, m) in zip(columns, units):
+            comps = [ZERO] * 4
+            comps[slot] = Poly(BASE_VARS, {m: Fraction(1)})
+            u = JetVectorField(xi=comps[0], eta=tuple(comps[1:]))
+            assert col == determining_residuals(u), (slot, m)
+
 
 class TestAlgebra:
     def test_bracket_table(self):
