@@ -16,6 +16,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__, integrators, model, poisson, symmetry, verify
 from .integrators import BlowUpError, IntegratorId, NewtonError
 from .model import SystemId
@@ -137,9 +139,13 @@ def cmd_simulate(args, parser) -> int:
     if rows[-1] != len(traj) - 1:
         rows = [*rows, len(traj) - 1]
     values = integrators.invariant_values(traj, invariants, rows)
-    blocks = ("".join(row_format % (traj.times[k], *traj.states[k].tolist(), *inv.tolist())
-                      for k, inv in zip(rows[i:i + _CSV_BLOCK], values[i:i + _CSV_BLOCK]))
-              for i in range(0, len(rows), _CSV_BLOCK))
+
+    def block(i: int) -> str:  # CSV lines of rows[i:i + _CSV_BLOCK], formatted by one %
+        k = rows[i:i + _CSV_BLOCK]
+        table = np.column_stack((traj.times[k], traj.states[k], values[i:i + _CSV_BLOCK]))
+        return (row_format * len(table)) % tuple(table.ravel().tolist())
+
+    blocks = map(block, range(0, len(rows), _CSV_BLOCK))
     text = itertools.chain([",".join(header) + "\n"], blocks)
     if args.out:
         try:

@@ -16,10 +16,12 @@ blow-up (see ``model``).
 
 One Newton loop, ``_midpoint_newton``, serves both the system steps and
 ``midpoint_step_field`` on ad-hoc array fields, so its stopping rules exist
-once.  Its linear solve stays LAPACK's ``np.linalg.solve``: a pure-Python
+once.  Its linear solve calls numpy's ``solve1`` gufunc directly, on views of
+one preallocated buffer: that is the LAPACK gesv kernel ``np.linalg.solve``
+runs for a 1-D right-hand side, without the argument handling around it, and
+states stay bit-identical because the kernel is the same.  (A pure-Python
 elimination with partial pivoting in its place moved 3 of 60 012 states by
-up to 8.7e-19 on 12 seeded 5000-step ham6 orbits, and states are meant to
-stay bit-identical.
+up to 8.7e-19 on 12 seeded 5000-step ham6 orbits.)
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1  # the gesv gufunc behind np.linalg.solve
 
 from . import model
 from .model import InvariantId, SystemId, system_invariants  # noqa: F401  (re-exported)
@@ -122,18 +125,18 @@ def midpoint_step_field(
         mid = 0.5 * (x + new)
         return (*(new - x - h * f(mid)), *(eye - 0.5 * h * jac(mid)).ravel())
 
-    return np.array(_midpoint_newton(lambda *x: f(np.array(x)), kernel, s.tolist(), h, tol, max_iter))
+    advance = _midpoint_newton(lambda *x: f(np.array(x)), kernel, n, tol, max_iter)
+    return np.array(advance(*s.tolist(), h))
 
 
 def _midpoint_newton(
     f: Callable,
     kernel: Callable,
-    s: Sequence[float],
-    h: float,
+    n: int,
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
-) -> tuple:
-    """The Newton iteration of one implicit midpoint step, over float tuples.
+) -> Callable[..., tuple]:
+    """The implicit midpoint step ``(*s, h) -> tuple`` of n floats, by Newton.
 
     ``f(*s)`` is the field, for the explicit Euler predictor; ``kernel(*s, *new, h)``
     returns the residual ``new - s - h f(mid)`` and then the n*n entries of the
@@ -141,27 +144,38 @@ def _midpoint_newton(
     Terminates when the max-norm of the Newton update drops below ``tol``,
     or when the update has stopped shrinking within ``tol * (1 + max|s'|)``:
     at large |s'| rounding alone keeps the update above an absolute ``tol``.
-    An iterate or residual that is not finite, or that overflows a float
-    ``**``, ends the step with a nan state, which ``integrate`` reports as a
-    blow-up.
+    An iterate, residual or Newton update that is not finite, or a float
+    ``**`` that overflows, ends the step with a nan state, which ``integrate``
+    reports as a blow-up; so does an exactly singular Newton matrix, whose
+    solve is all nan.  No numpy floating-point warning escapes a step.
     """
-    n = len(s)
-    try:
-        new = tuple(x + h * v for x, v in zip(s, f(*s)))  # explicit Euler predictor
-        update_norm = math.inf
-        for _ in range(max_iter):
-            out = kernel(*s, *new, h)
-            if not all(map(math.isfinite, out)):
-                return (math.nan,) * n
-            flat = np.array(out)
-            delta = np.linalg.solve(flat[n:].reshape(n, n), flat[:n]).tolist()
-            new = tuple(map(operator.sub, new, delta))
-            previous, update_norm = update_norm, max(map(abs, delta))
-            if update_norm <= tol or previous <= update_norm <= tol * (1.0 + max(map(abs, new))):
-                return new
-    except OverflowError:
-        return (math.nan,) * n
-    raise NewtonError(max_iter, update_norm)
+    buf = np.empty(n + n * n)  # one kernel output: residual, then the matrix
+    b, a = buf[:n], buf[n:].reshape(n, n)
+    blow_up = (math.nan,) * n
+
+    def advance(*s_h):
+        s, h = s_h[:-1], s_h[-1]
+        try:
+            with np.errstate(all="ignore"):  # a singular matrix sets "invalid"
+                new = tuple(x + h * v for x, v in zip(s, f(*s)))  # explicit Euler predictor
+                update_norm = math.inf
+                for _ in range(max_iter):
+                    out = kernel(*s, *new, h)
+                    if not all(map(math.isfinite, out)):
+                        return blow_up
+                    buf[:] = out
+                    delta = solve1(a, b).tolist()
+                    if not all(map(math.isfinite, delta)):
+                        return blow_up
+                    new = tuple(map(operator.sub, new, delta))
+                    previous, update_norm = update_norm, max(map(abs, delta))
+                    if update_norm <= tol or previous <= update_norm <= tol * (1.0 + max(map(abs, new))):
+                        return new
+        except OverflowError:
+            return blow_up
+        raise NewtonError(max_iter, update_norm)
+
+    return advance
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +188,7 @@ def _stepper(method: IntegratorId, system: SystemId) -> Callable[..., Sequence[f
     if method is IntegratorId.RK4:
         return model.rk4_step_compiled(system)
     f, kernel = model.rhs_scalar_compiled(system), model.midpoint_newton_compiled(system)
-    return lambda *x_h: _midpoint_newton(f, kernel, x_h[:-1], x_h[-1])
+    return _midpoint_newton(f, kernel, model.system_dim(system))
 
 
 def step(method: IntegratorId, system: SystemId, state, t: float, h: float):

@@ -298,6 +298,23 @@ class TestNumericFailure:
         assert err == "numerical failure: non-finite state at t = 0.001\n"
         assert [str(w.message) for w in caught] == []
 
+    def test_singular_newton_matrix(self, capsys, monkeypatch):
+        # a Newton matrix that is exactly zero: a blow-up, not a LinAlgError
+        def newton_compiled(system):
+            return lambda *x_new_h: (1.0,) * 6 + (0.0,) * 36
+
+        monkeypatch.setattr(integrators.model, "midpoint_newton_compiled", newton_compiled)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "invariants", "--system", "ham6", "--method", "midpoint",
+                "--init=1,0.5,-0.3,0.2,0.1,0.4", "--t-end", "0.01", "--h", "1e-3",
+            )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err == "numerical failure: non-finite state at t = 0.001\n"
+        assert [str(w.message) for w in caught] == []
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):

@@ -1,6 +1,7 @@
 """Fixed-step integrators: correctness, structure preservation, failure modes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,25 @@ class TestStepCores:
             out = midpoint_step_field(f, jac, np.array([1.0, 2.0]), 0.0, 0.1)
         assert np.isnan(out).all()
         assert calls == ["f", "f", "jac"]
+
+    def test_midpoint_singular_newton_matrix_is_a_blow_up(self):
+        # eye - (h/2) * 4 eye = 0 at h = 0.5: a nan state and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = midpoint_step_field(lambda s: 4 * s, lambda s: 4 * np.eye(2),
+                                      np.array([1.0, 2.0]), 0.0, 0.5)
+        assert np.isnan(out).all()
+
+    def test_newton_stops_at_a_zero_matrix(self):
+        # the residual stays finite, so only the solve can end the step
+        calls = []
+        kernel = lambda *x_new_h: (calls.append(x_new_h), (1.0, -1.0, 0.0, 0.0, 0.0, 0.0))[1]
+        advance = integrators._midpoint_newton(lambda *s: (1.0, 1.0), kernel, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = advance(1.0, 2.0, 0.1)
+        assert all(map(math.isnan, out)) and len(out) == 2
+        assert len(calls) == 1
 
     def test_midpoint_converges_at_large_state(self):
         # at |p3| = 1e6 rounding keeps the update near 1e-11, above the

@@ -267,3 +267,38 @@ def test_midpoint_kernel_is_the_array_step(system):
             assert _bits(kernel(*x, *new.tolist(), h)) == _bits(want)
             got = stepper(*x, h)
             assert _bits(got) == integrators.midpoint_step_field(f, jac, np.array(x), 0.0, h).tobytes()
+
+
+def _newton_update(out: tuple, n: int) -> tuple:
+    """0.0 minus the Newton update that ``integrators._midpoint_newton``
+    solves for the kernel output ``out``: from the zero state, with a zero
+    field, one iteration that always counts as converged."""
+    advance = integrators._midpoint_newton(
+        lambda *s: (0.0,) * n, lambda *x_new_h: out, n, tol=math.inf, max_iter=1
+    )
+    return advance(*(0.0,) * n, 0.05)
+
+
+@pytest.mark.parametrize("system", list(SystemId))
+def test_newton_solve_is_numpy_solve_bit_for_bit(system):
+    # the buffered LAPACK kernel against np.linalg.solve, on the generated
+    # Newton systems and on ill-conditioned matrices (0.0 - d is exact, up
+    # to the sign of a zero)
+    n = model.system_dim(system)
+    kernel = model.midpoint_newton_compiled(system)
+    rng = np.random.default_rng(9)
+    outs = []
+    for x in _newton_states(n):
+        for h in (0.05, -0.05):
+            new = np.array(x) + rng.uniform(-0.1, 0.1, n)
+            outs.append(kernel(*x, *new.tolist(), h))
+    hilbert = 1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0)
+    nearly_singular = np.eye(n)
+    nearly_singular[-1] = nearly_singular[0] + 1e-15 * rng.uniform(0.5, 1.0, n)
+    graded = np.diag(10.0 ** np.linspace(-12, 12, n)) @ rng.uniform(-1.0, 1.0, (n, n))
+    for matrix in (hilbert, nearly_singular, graded):
+        for _ in range(10):
+            outs.append((*rng.uniform(-1.0, 1.0, n).tolist(), *matrix.ravel().tolist()))
+    for out in outs:
+        want = np.linalg.solve(np.reshape(out[n:], (n, n)), out[:n]).tolist()
+        assert _bits(_newton_update(out, n)) == _bits([0.0 - d for d in want])
