@@ -2,7 +2,8 @@
 
 Exit codes are a contract: 0 success, 2 usage error, 3 numerical failure
 (a state or an invariant that is not finite, or Newton non-convergence),
-4 verification failure.  CSV output is
+4 verification failure, and 141 (128 + SIGPIPE) when the reader closes
+stdout before the output is written, with nothing on stderr.  CSV output is
 locale-independent ('.' decimal separator, LF line endings, 17 significant
 digits); verification output is a JSON array of report objects.
 """
@@ -14,6 +15,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command a closed pipe stopped
 
 _CSV_COLUMNS = {
     system: (("t",) + model.system_vars(system).names, model.system_invariants(system))
@@ -245,6 +248,11 @@ def cmd_solve_symmetries(args, parser) -> int:
     return EXIT_OK if matches else EXIT_VERIFY
 
 
+def cmd_version(args, parser) -> int:
+    print(__version__)
+    return EXIT_OK
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -254,15 +262,19 @@ def main(argv: list[str] | None = None) -> int:
         "verify": cmd_verify,
         "bracket-table": cmd_bracket_table,
         "solve-symmetries": cmd_solve_symmetries,
+        "version": cmd_version,
     }
-    if args.command == "version":
-        print(__version__)
-        return EXIT_OK
     try:
-        return handlers[args.command](args, parser)
+        code = handlers[args.command](args, parser)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
+        return code
     except (BlowUpError, NewtonError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        # the reader closed stdout: what is left to flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -9,19 +9,37 @@ differentiation of the polynomial right-hand side and compiled to floats.
 
 Fixed step only: adaptive stepping would break the drift-scaling tests and
 nothing here needs it.  Both schemes run in one loop over float states; RK4,
-the midpoint Newton residual and matrix, and the invariants run through
-``model``'s scalar kernels, never on numpy columns.  ``integrate`` counts a
+the midpoint step and the invariants run as code generated from ``model``'s
+polynomials, on floats, never on numpy columns.  ``integrate`` counts a
 step that overflows, or whose Newton iterate or residual is not finite, as a
 blow-up (see ``model``).
 
-One Newton loop, ``_midpoint_newton``, serves both the system steps and
-``midpoint_step_field`` on ad-hoc array fields, so its stopping rules exist
-once.  Its linear solve calls numpy's ``solve1`` gufunc directly, on views of
-one preallocated buffer: that is the LAPACK gesv kernel ``np.linalg.solve``
-runs for a 1-D right-hand side, without the argument handling around it, and
-states stay bit-identical because the kernel is the same.  (A pure-Python
-elimination with partial pivoting in its place moved 3 of 60 012 states by
-up to 8.7e-19 on 12 seeded 5000-step ham6 orbits.)
+The implicit midpoint step is written once, as source (``_MIDPOINT_STEP``:
+Euler predictor, Newton iterations, finiteness checks, solve, update, both
+stopping rules, ``NewtonError``), and compiled twice.  ``_system_midpoint``
+inlines a system's rhs and Newton evaluation from ``model``, so each step of
+``integrate``, ``step`` and ``midpoint_roundtrip_error`` is one call on
+floats; ``_field_midpoint`` calls a field ``f`` and a Newton ``kernel`` passed
+in, for ``midpoint_step_field`` on ad-hoc array fields.  Each source is
+compiled once per system or dimension.  The linear solve calls numpy's
+``solve1`` gufunc directly, on views of one buffer allocated per stepper:
+that is the LAPACK gesv kernel ``np.linalg.solve`` runs for a 1-D right-hand
+side, without the argument handling around it, and states stay bit-identical
+because the kernel is the same.  (A pure-Python elimination with partial
+pivoting in its place moved 3 of 60 012 states by up to 8.7e-19 on 12 seeded
+5000-step ham6 orbits.)
+
+An exactly singular Newton matrix makes ``solve1`` warn unless an
+``np.errstate`` ignores numpy's "invalid" flag.  Entering one costs about as
+much as a step's predictor, so the system step enters none: ``integrate``
+enters one around its whole loop, ``step`` and ``midpoint_roundtrip_error``
+one per call, and ``midpoint_step_field`` one per step, inside
+``_midpoint_newton``'s ``advance``.  A kernel output or Newton update is
+tested as ``not isfinite(sum(v)) and not all(map(isfinite, v))``.  That is
+exact: a nan or infinite entry makes the sum nan or infinite (so does
+Python 3.12's compensated ``sum``, which adds its compensation term only
+when that is finite), and a sum of finite entries that overflows falls
+through to the test of each entry.
 """
 
 from __future__ import annotations
@@ -29,9 +47,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,6 +147,83 @@ def midpoint_step_field(
     return np.array(advance(*s.tolist(), h))
 
 
+# The implicit midpoint step, written once.  ``_compile_midpoint`` fills in the
+# state arguments, the explicit Euler predictor (lines that set n0, n1, ...)
+# and one Newton evaluation (lines that set ``out``: the residual, then the
+# n*n entries of the Newton matrix).  ``_make`` allocates the solve's buffer
+# and binds ``f``, ``kernel`` (either may be unused), ``tol`` and ``max_iter``.
+_MIDPOINT_STEP = """
+def _make(f, kernel, tol, max_iter):
+    buf = np.empty({n} + {n} * {n})  # one kernel output: residual, then the matrix
+    residual, matrix = buf[:{n}], buf[{n}:].reshape({n}, {n})
+    blow_up = (nan,) * {n}
+
+    def _midpoint({x}, h):
+        try:
+            {predictor}
+            update_norm = inf
+            for _ in range(max_iter):
+                {kernel}
+                if not isfinite(sum(out)) and not all(map(isfinite, out)):
+                    return blow_up
+                buf[:] = out
+                delta = solve1(matrix, residual).tolist()
+                if not isfinite(sum(delta)) and not all(map(isfinite, delta)):
+                    return blow_up
+                {d}, = delta
+                {update}
+                previous, update_norm = update_norm, {d_norm}
+                if update_norm <= tol or previous <= update_norm <= tol * (1.0 + {new_norm}):
+                    return ({new},)
+        except OverflowError:
+            return blow_up
+        raise NewtonError(max_iter, update_norm)
+
+    return _midpoint
+"""
+
+
+def _compile_midpoint(x: Sequence[str], predictor: list, kernel: list) -> Callable:
+    """``_MIDPOINT_STEP``'s ``_make`` for the state arguments ``x``."""
+    n, new, d = len(x), [f"n{i}" for i in range(len(x))], [f"d{i}" for i in range(len(x))]
+
+    def max_abs(names):
+        return f"max({', '.join(f'abs({v})' for v in names)})" if n > 1 else f"abs({names[0]})"
+
+    source = _MIDPOINT_STEP.format(
+        n=n, x=", ".join(x), new=", ".join(new), d=", ".join(d),
+        predictor="\n            ".join(predictor),
+        kernel="\n                ".join(kernel),
+        update="\n                ".join(f"{ni} = {ni} - {di}" for ni, di in zip(new, d)),
+        d_norm=max_abs(d), new_norm=max_abs(new),
+    )
+    ns = {"np": np, "solve1": solve1, "isfinite": math.isfinite, "nan": math.nan,
+          "inf": math.inf, "NewtonError": NewtonError}
+    exec(source, ns)
+    return ns["_make"]
+
+
+@lru_cache(maxsize=None)
+def _system_midpoint(system: SystemId) -> Callable:
+    """The step's ``_make`` on ``system``, with its rhs and Newton
+    evaluation inlined from ``model``'s source."""
+    x, f = model.system_vars(system).names, model.rhs_source(system)
+    predictor = [f"n{i} = {xi} + h * {fi}" for i, (xi, fi) in enumerate(zip(x, f))]
+    body, out = model.midpoint_newton_source(system)
+    return _compile_midpoint(x, predictor, [*body, f"out = ({', '.join(out)},)"])
+
+
+@lru_cache(maxsize=None)
+def _field_midpoint(n: int) -> Callable:
+    """The step's ``_make`` in n dimensions, calling ``f(*x)`` for the
+    predictor and ``kernel(*x, *new, h)`` for each Newton evaluation."""
+    x, v = [f"x{i}" for i in range(n)], [f"v{i}" for i in range(n)]
+    predictor = [f"{', '.join(v)}, = f({', '.join(x)})",
+                 *(f"n{i} = {xi} + h * {vi}" for i, (xi, vi) in enumerate(zip(x, v)))]
+    kernel = [f"out = kernel({', '.join(x)}, {', '.join(f'n{i}' for i in range(n))}, h)"]
+    return _compile_midpoint(x, predictor, kernel)
+
+
 def _midpoint_newton(
     f: Callable,
     kernel: Callable,
@@ -149,31 +244,11 @@ def _midpoint_newton(
     reports as a blow-up; so does an exactly singular Newton matrix, whose
     solve is all nan.  No numpy floating-point warning escapes a step.
     """
-    buf = np.empty(n + n * n)  # one kernel output: residual, then the matrix
-    b, a = buf[:n], buf[n:].reshape(n, n)
-    blow_up = (math.nan,) * n
+    midpoint = _field_midpoint(n)(f, kernel, tol, max_iter)
 
     def advance(*s_h):
-        s, h = s_h[:-1], s_h[-1]
-        try:
-            with np.errstate(all="ignore"):  # a singular matrix sets "invalid"
-                new = tuple(x + h * v for x, v in zip(s, f(*s)))  # explicit Euler predictor
-                update_norm = math.inf
-                for _ in range(max_iter):
-                    out = kernel(*s, *new, h)
-                    if not all(map(math.isfinite, out)):
-                        return blow_up
-                    buf[:] = out
-                    delta = solve1(a, b).tolist()
-                    if not all(map(math.isfinite, delta)):
-                        return blow_up
-                    new = tuple(map(operator.sub, new, delta))
-                    previous, update_norm = update_norm, max(map(abs, delta))
-                    if update_norm <= tol or previous <= update_norm <= tol * (1.0 + max(map(abs, new))):
-                        return new
-        except OverflowError:
-            return blow_up
-        raise NewtonError(max_iter, update_norm)
+        with np.errstate(all="ignore"):  # a singular matrix sets "invalid"
+            return midpoint(*s_h)
 
     return advance
 
@@ -184,11 +259,11 @@ def _midpoint_newton(
 
 
 def _stepper(method: IntegratorId, system: SystemId) -> Callable[..., Sequence[float]]:
-    """The step of ``method`` on ``system`` as a function ``(*x, h)`` of floats."""
+    """The step of ``method`` on ``system`` as a function ``(*x, h)`` of floats.
+    It enters no ``np.errstate``: its caller does, once per run."""
     if method is IntegratorId.RK4:
         return model.rk4_step_compiled(system)
-    f, kernel = model.rhs_scalar_compiled(system), model.midpoint_newton_compiled(system)
-    return _midpoint_newton(f, kernel, model.system_dim(system))
+    return _system_midpoint(system)(None, None, NEWTON_TOL, NEWTON_MAX_ITER)
 
 
 def step(method: IntegratorId, system: SystemId, state, t: float, h: float):
@@ -201,7 +276,8 @@ def step(method: IntegratorId, system: SystemId, state, t: float, h: float):
         raise ValueError("step size must be positive")
     values = model.state_values(system, state)
     try:
-        out = _stepper(method, system)(*map(float, values), h)
+        with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
+            out = _stepper(method, system)(*map(float, values), h)
     except OverflowError:  # a term of the new state would be +-inf
         out = (math.inf,)
     if not all(map(math.isfinite, out)):
@@ -239,21 +315,23 @@ def integrate(
         raise ValueError("step size must be positive")
     n_full = step_count(t0, t_end, h)
     t_last = t0 + n_full * h
-    partial = t_last < t_end - 1e-12 * max(1.0, abs(t_end))
+    partial = t_last < t_end - 1e-12 * abs(t_end - t0)  # rounding in n_full * h scales with the span
     times = np.append(t0 + np.arange(n_full + 1) * h, [t_end] * partial)
     states = np.empty((len(times), model.system_dim(system)))
     states[0] = model.state_values(system, initial)
     s = states[0].tolist()
     advance = _stepper(method, system)
     sizes = itertools.chain(itertools.repeat(h, n_full), [t_end - t_last] * partial)
-    for k, dt in enumerate(sizes, 1):
-        try:
-            s = advance(*s, dt)
-        except OverflowError:  # a term of the new state would be +-inf
-            s = (math.inf,)
-        if not all(map(math.isfinite, s)):
-            raise BlowUpError(float(times[k]))
-        states[k] = s
+    isfinite = math.isfinite
+    with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
+        for k, dt in enumerate(sizes, 1):
+            try:
+                s = advance(*s, dt)
+            except OverflowError:  # a term of the new state would be +-inf
+                s = (math.inf,)
+            if not isfinite(sum(s)) and not all(map(isfinite, s)):
+                raise BlowUpError(float(times[k]))
+            states[k] = s
     return Trajectory(system=system, times=times, states=states, h=h)
 
 
@@ -289,7 +367,9 @@ def midpoint_roundtrip_error(system: SystemId, state, h: float) -> float:
     """Max-norm error of one implicit midpoint step forward then backward."""
     advance = _stepper(IntegratorId.IMPLICIT_MIDPOINT, system)
     s0 = tuple(map(float, model.state_values(system, state)))
-    return float(np.max(np.abs(np.subtract(advance(*advance(*s0, h), -h), s0))))
+    with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
+        back = advance(*advance(*s0, h), -h)
+    return float(np.max(np.abs(np.subtract(back, s0))))
 
 
 def convergence_order(

@@ -13,9 +13,12 @@ evaluation, all invariants) take Python floats, one state at a time, never
 numpy columns: an array's ``x**2`` is ``x*x``, a scalar's is libm ``pow``, and
 they differ in the last bit on about 0.09% of doubles.  Python and numpy
 scalars both call ``pow``, so a kernel written in the operation order of the
-array step it replaces gives the same bits.  The midpoint kernel returns the
-Newton residual and the Newton matrix together, so one call per iteration
-leaves only the linear solve to numpy.  A float ``**`` raises OverflowError
+array step it replaces gives the same bits.  The implicit midpoint step is
+generated by ``integrators`` around source from here: ``rhs_source`` for its
+Euler predictor and ``midpoint_newton_source`` for each Newton evaluation
+(the residual and the Newton matrix together), both inlined, so an
+iteration leaves only the linear solve to numpy; ``midpoint_newton_compiled``
+compiles that evaluation alone, for the tests.  A float ``**`` raises OverflowError
 where numpy returns inf.  The step kernels let it propagate (the term would
 be +-inf and reach the new state or the Newton residual: a blow-up); the
 invariant kernel returns nan.
@@ -314,21 +317,22 @@ def rk4_step_compiled(system: SystemId) -> Callable[..., tuple]:
     return _compile_scalar("_rk4", (*x, "h"), body, new)
 
 
-@lru_cache(maxsize=None)
-def rhs_scalar_compiled(system: SystemId) -> Callable[..., tuple]:
-    """The right-hand side as a scalar function ``_rhs(*x) -> tuple``."""
+def rhs_source(system: SystemId) -> list[str]:
+    """The right-hand side as source, one expression per component, in the
+    system's variable names."""
     x = system_vars(system).names
-    return _compile_scalar("_rhs", x, [], [_poly_source(p, x) for p in rhs_symbolic(system)])
+    return [_poly_source(p, x) for p in rhs_symbolic(system)]
 
 
-@lru_cache(maxsize=None)
-def midpoint_newton_compiled(system: SystemId) -> Callable[..., tuple]:
-    """One implicit midpoint Newton evaluation as a scalar function
-    ``_newton(*x, *new, h) -> tuple``: the residual ``new - x - h*f(mid)``,
-    then the Newton matrix ``eye - (0.5*h)*jac(mid)`` row by row, at
-    ``mid = 0.5*(x + new)``, in ``integrators.midpoint_step_field``'s
-    operation order.  A Jacobian entry that is identically zero is written
-    as its value for a finite h, ``1.0`` on the diagonal and ``0.0`` off it."""
+def midpoint_newton_source(system: SystemId) -> tuple[list[str], list[str]]:
+    """One implicit midpoint Newton evaluation as source: body lines, then
+    the returned expressions, in the system's variable names ``x``, the
+    iterate ``n0, n1, ...`` and ``h``.  It returns the residual
+    ``new - x - h*f(mid)``, then the Newton matrix ``eye - (0.5*h)*jac(mid)``
+    row by row, at ``mid = 0.5*(x + new)``, in
+    ``integrators.midpoint_step_field``'s operation order.  A Jacobian entry
+    that is identically zero is written as its value for a finite h, ``1.0``
+    on the diagonal and ``0.0`` off it."""
     x, f = system_vars(system).names, rhs_symbolic(system)
     new, mid = [f"n{i}" for i in range(len(x))], [f"m{i}" for i in range(len(x))]
     body = ["c = 0.5 * h", *(f"{m} = 0.5*({xi} + {ni})" for m, xi, ni in zip(mid, x, new))]
@@ -338,7 +342,16 @@ def midpoint_newton_compiled(system: SystemId) -> Callable[..., tuple]:
         for j, name in enumerate(x):
             d, eye = comp.diff(name), "1.0" if i == j else "0.0"
             matrix.append(eye if d.is_zero else f"{eye} - c*{_poly_source(d, mid)}")
-    return _compile_scalar("_newton", (*x, *new, "h"), body, residual + matrix)
+    return body, residual + matrix
+
+
+@lru_cache(maxsize=None)
+def midpoint_newton_compiled(system: SystemId) -> Callable[..., tuple]:
+    """``midpoint_newton_source`` as a scalar function
+    ``_newton(*x, *new, h) -> tuple``."""
+    new = [f"n{i}" for i in range(system_dim(system))]
+    body, returns = midpoint_newton_source(system)
+    return _compile_scalar("_newton", (*system_vars(system).names, *new, "h"), body, returns)
 
 
 @lru_cache(maxsize=None)

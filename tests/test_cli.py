@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
 from mbrwa import integrators
-from mbrwa.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from mbrwa.cli import EXIT_BROKEN_PIPE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
 def run(capsys, *argv):
@@ -298,22 +301,48 @@ class TestNumericFailure:
         assert err == "numerical failure: non-finite state at t = 0.001\n"
         assert [str(w.message) for w in caught] == []
 
-    def test_singular_newton_matrix(self, capsys, monkeypatch):
-        # a Newton matrix that is exactly zero: a blow-up, not a LinAlgError
-        def newton_compiled(system):
-            return lambda *x_new_h: (1.0,) * 6 + (0.0,) * 36
-
-        monkeypatch.setattr(integrators.model, "midpoint_newton_compiled", newton_compiled)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run(
-                capsys, "invariants", "--system", "ham6", "--method", "midpoint",
-                "--init=1,0.5,-0.3,0.2,0.1,0.4", "--t-end", "0.01", "--h", "1e-3",
+    def test_singular_newton_matrix(self, capsys):
+        # mb5 at (0, 0, 0, 0, 16) with h = 0.5: the Euler predictor stays put
+        # and the Newton matrix eye - 0.25*J(mid) holds the block
+        # [[1, -0.25], [-4, 1]], exactly singular: a blow-up, not a LinAlgError
+        for command in ("invariants", "simulate"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(
+                    capsys, command, "--system", "mb5", "--method", "midpoint",
+                    "--init=0,0,0,0,16", "--t-end", "1", "--h", "0.5",
+                )
+            assert code == EXIT_NUMERIC
+            assert out == ""
+            assert err == "numerical failure: non-finite state at t = 0.5\n"
+            assert [str(w.message) for w in caught] == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = integrators.step(
+                integrators.IntegratorId.IMPLICIT_MIDPOINT, integrators.SystemId.MB5,
+                (0.0, 0.0, 0.0, 0.0, 16.0), 0.0, 0.5,
             )
-        assert code == EXIT_NUMERIC
-        assert out == ""
-        assert err == "numerical failure: non-finite state at t = 0.001\n"
-        assert [str(w.message) for w in caught] == []
+        assert all(map(math.isnan, state))
+
+
+class TestClosedPipe:
+    def test_closed_stdout_exits_141_without_a_traceback(self):
+        # the reader takes one line and closes the pipe, as `| head -1` does
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        # about 1.8 MB of CSV, far more than a pipe buffers: the writer is
+        # still writing when the pipe closes
+        argv = ("simulate", "--system", "mb5", "--method", "rk4", "--init=1,0.5,-0.3,0.2,0.1",
+                "--t-end", "100", "--h", "0.01")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mbrwa.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert err == b""
 
 
 class TestVerify:

@@ -141,6 +141,48 @@ class TestStepCores:
         assert all(map(math.isnan, out)) and len(out) == 2
         assert len(calls) == 1
 
+    @staticmethod
+    def _one_newton_update(out: tuple):
+        """The step from the zero state under a zero field with the kernel
+        output ``out`` (one iteration that always counts as converged), and
+        the kernel calls it made; numpy warnings are errors."""
+        calls = []
+        kernel = lambda *x_new_h: (calls.append(x_new_h), out)[1]
+        advance = integrators._midpoint_newton(
+            lambda *s: (0.0, 0.0), kernel, 2, tol=math.inf, max_iter=1
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return advance(0.0, 0.0, 0.1), len(calls)
+
+    @pytest.mark.parametrize(
+        "residual, matrix",
+        [
+            ((1.0, 1.0), (1e308, 0.0, 0.0, 1e308)),  # the kernel output's sum overflows
+            ((1e308, 1e308), (1.0, 0.0, 0.0, 1.0)),  # the Newton update's sum overflows
+        ],
+    )
+    def test_finite_entries_whose_sum_overflows_are_no_blow_up(self, residual, matrix):
+        out, calls = self._one_newton_update((*residual, *matrix))
+        want = np.linalg.solve(np.reshape(matrix, (2, 2)), residual).tolist()
+        assert np.array(out).tobytes() == np.array([0.0 - d for d in want]).tobytes()
+        assert calls == 1
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            (1.0, math.nan, 1.0, 0.0, 0.0, 1.0),
+            # LAPACK solves these two to a finite update: only the test of
+            # the kernel output ends the step
+            (1.0, 1.0, math.inf, 0.0, 0.0, 1.0),
+            (1.0, 1.0, math.inf, 0.0, 0.0, -math.inf),  # the sum is nan
+        ],
+    )
+    def test_a_non_finite_kernel_entry_is_a_blow_up(self, out):
+        state, calls = self._one_newton_update(out)
+        assert all(map(math.isnan, state)) and len(state) == 2
+        assert calls == 1
+
     def test_midpoint_converges_at_large_state(self):
         # at |p3| = 1e6 rounding keeps the update near 1e-11, above the
         # absolute tolerance, yet the step has converged
@@ -166,6 +208,9 @@ class TestIntegrate:
     def test_partial_final_step(self):
         traj = integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 0.9, 0.4)
         assert np.allclose(traj.times, [0.0, 0.4, 0.8, 0.9])
+        # a span far below 1e-12 still gets its one partial step
+        traj = integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 1e-13, 1.0)
+        assert traj.times.tolist() == [0.0, 1e-13]
 
     def test_degenerate_interval(self):
         traj = integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 2.0, 2.0, 0.1)
