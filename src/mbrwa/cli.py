@@ -177,6 +177,11 @@ def cmd_invariants(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     pi = None
     family = None
+    for flag, given, name in (("--mutate-pi", args.mutate_pi, "pi"),
+                              ("--mutate-family", args.mutate_family, "family")):
+        if given and args.suite not in ("all", *verify.SUITE_READERS[name]):
+            parser.error(f"{flag}: suite {args.suite} does not read it; "
+                         "the mutation changes nothing")
     if args.mutate_pi:
         parts = args.mutate_pi.split(",")
         if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "both"):

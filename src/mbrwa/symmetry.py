@@ -24,6 +24,11 @@ so every column is a few products of m, D(m) and D^2(m) with fixed
 polynomials.  :func:`determining_residuals` stays the generated reference:
 it certifies the family and is the oracle the assembly is tested against.
 
+The constants of motion are derived, not restated: :func:`noether_charge`
+applies Noether's formula to a t-free point field with ``model``'s L.  In the
+family only the alpha = 0 members are variational, and t occurs only in the
+alpha terms, so the family's charge is that of those members.
+
 Velocity-dependent or non-polynomial symmetry coefficients are out of scope.
 """
 
@@ -413,31 +418,34 @@ class NoetherCharge:
         return self.conservation_residual.is_zero
 
 
-def _charge_from_coeffs(beta: Poly | Fraction, gamma, delta, vars: VarSet) -> NoetherCharge:
-    h = model.invariant_symbolic(InvariantId.HTILDE).rename(vars)
-    j = model.invariant_symbolic(InvariantId.JTILDE).rename(vars)
-    c = model.invariant_symbolic(InvariantId.CTILDE).rename(vars)
-    charge = -beta * h - gamma * j + delta * c
-    field = {
-        name: f.rename(vars)
-        for name, f in zip(model.VARS6.names, model.rhs_symbolic(SystemId.HAM6))
-    }
+def noether_charge(u: JetVectorField) -> NoetherCharge:
+    """Noether's charge Q = xi L + sum_i (eta_i - xi qd_i) dL/dqd_i of a
+    t-free point field (Olver, *Applications of Lie Groups to Differential
+    Equations*, ch. 4; the gauge term is zero), carried to (q, p) by the
+    inverse Legendre map, over (q, p) plus the field's parameters.  Its
+    conservation residual is taken along ham6."""
+    if any("t" in c.occurring() for c in u.components()):
+        raise ValueError("t occurs in the field; only t-free fields have a charge on (q, p)")
+    params = u.vars.names[4:]
+    tangent, vars = VarSet(*model.VARST6.names, *params), VarSet(*model.VARS6.names, *params)
+    lag = model.invariant_symbolic(InvariantId.L).rename(tangent)
+    xi, *eta = (c.rename(tangent) for c in u.components())
+    charge = xi * lag
+    for i, e in enumerate(eta, start=1):
+        charge = charge + (e - xi * Poly.var(tangent, f"qd{i}")) * lag.diff(f"qd{i}")
+    inverse = zip(model.VARST6.names, model.legendre_inverse_symbolic())
+    charge = charge.substitute({name: c.rename(vars) for name, c in inverse})
+    ham6 = zip(model.VARS6.names, model.rhs_symbolic(SystemId.HAM6))
+    field = {name: f.rename(vars) for name, f in ham6}
     return NoetherCharge(poly=charge, conservation_residual=lie_derivative(field, charge))
 
 
-def noether_charge(p: SymParams) -> NoetherCharge:
-    """The charge -beta*Htilde - gamma*Jtilde + delta*Ctilde of a variational
-    symmetry (alpha must be zero)."""
-    if p.alpha != 0:
-        raise ValueError("only the alpha = 0 members are variational; no Noether charge")
-    return _charge_from_coeffs(p.beta, p.gamma, p.delta, model.VARS6)
-
-
-def noether_charge_symbolic() -> NoetherCharge:
-    """The charge with (beta, gamma, delta) as symbolic variables."""
-    vars = VarSet(*model.VARS6.names, "beta", "gamma", "delta")
-    be, ga, de = (Poly.var(vars, n) for n in ("beta", "gamma", "delta"))
-    return _charge_from_coeffs(be, ga, de, vars)
+def noether_charge_symbolic(family: JetVectorField | None = None) -> NoetherCharge:
+    """The charge of the alpha = 0 members of ``family`` (by default the
+    symmetry family), the variational ones, with (beta, gamma, delta) symbolic."""
+    family = family or symbolic_family_field()
+    xi, *eta = (c.substitute({"alpha": 0}) for c in family.components())
+    return noether_charge(JetVectorField(xi=xi, eta=tuple(eta)))
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,32 @@ class TestVerify:
         )
         assert code == EXIT_VERIFY
 
+    @pytest.mark.parametrize(
+        "suite", ["poisson", "cocycle", "algebra", "symmetry", "variational", "noether",
+                  "pushforward", "all"],
+    )
+    @pytest.mark.parametrize(
+        "flag, value, readers",
+        [
+            ("--mutate-pi", "2,5,both", {"poisson", "all"}),
+            ("--mutate-family", "eta1:q2",
+             {"symmetry", "variational", "noether", "pushforward", "all"}),
+        ],
+    )
+    def test_mutation_on_a_suite_that_ignores_it(self, capsys, suite, flag, value, readers):
+        # a mutation the suite does not read would leave every check green
+        # for nothing: that is a usage error, not a pass
+        try:
+            code = main(["verify", "--suite", suite, flag, value])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        if suite in readers:
+            assert code == EXIT_VERIFY
+        else:
+            assert code == EXIT_USAGE
+            assert f"{flag}: suite {suite} does not read it" in err
+
     def test_bad_mutate_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--mutate-pi", "2"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mbrwa import model, poisson
+from mbrwa import model, poisson, verify
 from mbrwa.model import VARS5, InvariantId, SystemId
 from mbrwa.polyring import Poly
 
@@ -100,8 +100,6 @@ class TestAssembly:
 
     def test_structure_constant_antisymmetry_enforced(self):
         ones = tuple(tuple(Fraction(1) for _ in range(5)) for _ in range(5))
-        with pytest.raises(ValueError, match="alpha not antisymmetric"):
-            poisson.StructureConstants(alpha=tuple(ones for _ in range(5)))
         with pytest.raises(ValueError, match="cocycle matrix not antisymmetric"):
             poisson.Cocycle(matrix=ones)
 
@@ -192,3 +190,20 @@ class TestMutationSensitivity:
         field = poisson.ham_vector_field(mutated, model.invariant_symbolic(InvariantId.H))
         dyn_bad = field != model.rhs_symbolic(SystemId.MB5)
         assert jac_bad or dyn_bad
+
+    def test_negated_e5_reaches_the_tensor(self, monkeypatch):
+        # the tensor's linear part is read off E_BASIS's brackets, so a wrong
+        # basis matrix must show in the certificates built on the tensor
+        e5 = tuple(tuple(-c for c in row) for row in poisson.E_BASIS[4])
+        caches = (poisson._e_bracket_constants, poisson.mb_poisson_tensor)
+        monkeypatch.setattr(poisson, "E_BASIS", poisson.E_BASIS[:4] + (e5,))
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            assert poisson.mb_poisson_tensor().entry(2, 5) == -X1
+            reports = {r.check: r.passed for r in verify.suite_poisson()}
+        finally:
+            for cached in caches:
+                cached.cache_clear()
+        for check in ("pi-assembly", "casimir", "hamiltonian-field", "involution"):
+            assert not reports[check], check

@@ -262,27 +262,50 @@ class TestVariational:
 
 class TestNoether:
     def test_energy_charge(self):
-        nc = symmetry.noether_charge(SymParams(beta=Fraction(1)))
+        nc = symmetry.noether_charge(family_field(SymParams(beta=Fraction(1))))
         assert nc.poly == -model.invariant_symbolic(InvariantId.HTILDE)
         assert nc.conserved
 
     def test_momentum_charge(self):
-        nc = symmetry.noether_charge(SymParams(delta=Fraction(1)))
+        nc = symmetry.noether_charge(family_field(SymParams(delta=Fraction(1))))
         assert nc.poly == Poly.var(model.VARS6, "p3")
         assert nc.conserved
 
     def test_angular_momentum_charge(self):
-        nc = symmetry.noether_charge(SymParams(gamma=Fraction(1)))
+        nc = symmetry.noether_charge(family_field(SymParams(gamma=Fraction(1))))
         q1, q2, q3, p1, p2, p3 = Poly.variables(model.VARS6)
         assert nc.poly == -(q1 * p2 - q2 * p1)
         assert nc.conserved
 
     def test_alpha_nonzero_rejected(self):
         with pytest.raises(ValueError):
-            symmetry.noether_charge(SymParams(alpha=Fraction(1)))
+            symmetry.noether_charge(family_field(SymParams(alpha=Fraction(1))))
 
     def test_symbolic_conservation(self):
         assert symmetry.noether_charge_symbolic().conserved
+
+    def test_rotation_charge_is_J_on_the_5d_system(self):
+        nc = symmetry.noether_charge(symmetry_basis()[3])
+        charge5 = nc.poly.substitute(model.phi_section_symbolic())
+        assert charge5 == -model.invariant_symbolic(InvariantId.J)
+
+    def test_symbolic_charge_is_the_alpha_zero_members(self):
+        nc = symmetry.noether_charge_symbolic()
+        assert nc.poly.vars.names == model.VARS6.names + symmetry.PARAM_NAMES
+        assert "alpha" not in nc.poly.occurring()
+
+    def test_wrong_sign_in_rotation_field_is_caught(self):
+        # eta1 = -q2 instead of q2: the derived charge is no longer -Jtilde,
+        # and it is not conserved
+        mutated = flip_family_coefficient(symmetry_basis()[3], "eta1", "q2")
+        assert mutated.eta[0] == -Poly.var(BASE_VARS, "q2")
+        nc = symmetry.noether_charge(mutated)
+        assert nc.poly != -model.invariant_symbolic(InvariantId.JTILDE)
+        assert not nc.conserved
+
+    def test_mutated_family_fails_conservation(self):
+        mutated = flip_family_coefficient(symbolic_family_field(), "eta1", "q2")
+        assert not symmetry.noether_charge_symbolic(mutated).conserved
 
 
 class TestPushforward:
