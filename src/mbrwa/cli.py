@@ -11,6 +11,7 @@ digits); verification output is a JSON array of report objects.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import itertools
 import json
@@ -259,6 +260,8 @@ def cmd_version(args, parser) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if os.name == "posix" and hasattr(libc := ctypes.CDLL(None), "mallopt"):  # see README
+        libc.mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD: map, and unmap, each block over 1 MiB
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {

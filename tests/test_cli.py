@@ -538,3 +538,25 @@ def test_version(capsys):
     code, out, _ = run(capsys, "version")
     assert code == EXIT_OK
     assert out.strip() == __version__
+
+
+class _Libc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the CLI calls mallopt on POSIX only")
+def test_main_pins_the_mmap_threshold(capsys, monkeypatch):
+    libc = _Libc()
+    monkeypatch.setattr("mbrwa.cli.ctypes.CDLL", lambda name: libc)
+    assert run(capsys, "version")[0] == EXIT_OK
+    assert libc.calls == [(-3, 1 << 20)]  # M_MMAP_THRESHOLD, 1 MiB
+
+
+def test_main_runs_without_mallopt(capsys, monkeypatch):
+    monkeypatch.setattr("mbrwa.cli.ctypes.CDLL", lambda name: object())
+    assert run(capsys, "version")[0] == EXIT_OK
