@@ -16,29 +16,33 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import model
 from .model import VARS5, InvariantId
-from .polyring import InconsistentSystem, Poly, VarSet, lie_derivative, solve_linear
+from .polyring import Coeff, InconsistentSystem, Poly, VarSet, lie_derivative, solve_linear
 from .report import Outcome, VerificationReport, run_check
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[Coeff, ...], ...]
 
 DIM = 5
 
 
 def _mat(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(Fraction(c) for c in row) for row in rows)
+    return tuple(tuple(row) for row in rows)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product; entries may be Fractions or Polys over one VarSet."""
+    """Matrix product; entries may be exact scalars or Polys over one VarSet.
+
+    A zero scalar factor is skipped, so 0/+-1 matrices multiply in ints.  A
+    Poly is always truthy, so a product of Poly matrices sums every term and
+    stays a Poly."""
     n, m, k = len(a), len(b[0]), len(b)
     return tuple(
-        tuple(sum((a[i][r] * b[r][j] for r in range(k)), Fraction(0)) for j in range(m))
+        tuple(sum((a[i][r] * b[r][j] for r in range(k) if a[i][r] and b[r][j]), 0)
+              for j in range(m))
         for i in range(n)
     )
 
@@ -102,18 +106,18 @@ class PoissonTensor:
 
 def mb_cocycle() -> Cocycle:
     """The constant brackets {u1,u2}=1, {u3,u4}=1 as a 2-cocycle matrix."""
-    matrix = [[Fraction(0)] * DIM for _ in range(DIM)]
+    matrix = [[0] * DIM for _ in range(DIM)]
     for i, j in ((0, 1), (2, 3)):
-        matrix[i][j] = Fraction(1)
-        matrix[j][i] = Fraction(-1)
+        matrix[i][j] = 1
+        matrix[j][i] = -1
     return Cocycle(matrix=tuple(tuple(r) for r in matrix))
 
 
 @lru_cache(maxsize=None)
-def _e_bracket_constants() -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+def _e_bracket_constants() -> tuple[tuple[tuple[Coeff, ...], ...], ...]:
     """alpha[i][j]: the coordinates of [E_i, E_j] in ``E_BASIS`` (0-based),
     the commutator table completed antisymmetrically."""
-    alpha = [[(Fraction(0),) * DIM] * DIM for _ in range(DIM)]
+    alpha = [[(0,) * DIM] * DIM for _ in range(DIM)]
     for (i, j), coeffs in matrix_commutator_table(E_BASIS).items():
         alpha[i - 1][j - 1] = coeffs
         alpha[j - 1][i - 1] = tuple(-c for c in coeffs)
@@ -211,20 +215,30 @@ def antisymmetry_residuals(pi: PoissonTensor) -> list[Poly]:
 # ---------------------------------------------------------------------------
 
 
+def coeffs_str(x) -> str:
+    """A coefficient tuple, or a matrix as a tuple of them, as text like
+    ``(0, -1, 1/2)``: each entry by its ``str``, so the text is the same
+    whether an entry is stored as an int or a Fraction.  Anything else is
+    its ``str``."""
+    if isinstance(x, tuple):
+        return f"({', '.join(map(coeffs_str, x))})"
+    return str(x)
+
+
 class CommutatorOutsideSpan(ValueError):
     """A basis commutator does not lie in the span of the basis."""
 
     def __init__(self, i: int, j: int, witness):
         self.indices = (i, j)
         self.witness = witness
-        super().__init__(f"[B{i},B{j}] is outside the span of the basis: {witness}")
+        super().__init__(f"[B{i},B{j}] is outside the span of the basis: {coeffs_str(witness)}")
 
 
 def structure_constants(
     basis: Sequence,
     bracket: Callable,
-    flatten: Callable[..., Sequence[Fraction]],
-) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+    flatten: Callable[..., Sequence[Coeff]],
+) -> dict[tuple[int, int], tuple[Coeff, ...]]:
     """Expand every bracket [B_i, B_j], i < j (1-based), in the basis.
 
     ``flatten`` gives an element's coordinates; the expansion is an exact
@@ -243,11 +257,11 @@ def structure_constants(
     return table
 
 
-def _flatten_matrix(m: Matrix) -> list[Fraction]:
+def _flatten_matrix(m: Matrix) -> list[Coeff]:
     return [c for row in m for c in row]
 
 
-def matrix_commutator_table(basis: Sequence[Matrix]) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+def matrix_commutator_table(basis: Sequence[Matrix]) -> dict[tuple[int, int], tuple[Coeff, ...]]:
     """Expand every [B_i, B_j], i < j (1-based), over the matrix entries."""
     return structure_constants(basis, commutator, _flatten_matrix)
 
@@ -291,9 +305,9 @@ def cocycle_check(theta: Cocycle | None = None) -> VerificationReport:
     theta = theta or mb_cocycle()
     alpha = _e_bracket_constants()
 
-    def theta_bracket(i: int, j: int, k: int) -> Fraction:
+    def theta_bracket(i: int, j: int, k: int) -> Coeff:
         # theta([E_i, E_j], E_k) expanded through the brackets of E_BASIS
-        return sum((alpha[i][j][m] * theta.matrix[m][k] for m in range(DIM)), Fraction(0))
+        return sum(alpha[i][j][m] * theta.matrix[m][k] for m in range(DIM))
 
     def body():
         failures: list[str] = []

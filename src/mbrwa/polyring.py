@@ -1,9 +1,13 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 Everything symbolic in this package reduces to "this polynomial is
-identically zero", so coefficients are exact rationals
-(:class:`fractions.Fraction`) and polynomials are kept in canonical form:
-structural equality is mathematical equality.
+identically zero", so coefficients are exact rationals and polynomials are
+kept in canonical form: structural equality is mathematical equality.  A
+coefficient is stored as an ``int`` when it is integral and as a
+:class:`fractions.Fraction` only when its denominator is not 1.  Almost every
+coefficient here is an integer, and int arithmetic is several times cheaper
+than Fraction arithmetic; since ``1 == Fraction(1)`` and the two hash alike,
+the mixed storage leaves equality, hashing and ``str`` unchanged.
 
 Polynomials live over a fixed, ordered :class:`VarSet`; exponent vectors are
 dense tuples of the same length as the variable list.  The polynomials in
@@ -18,9 +22,10 @@ a polynomial onto another VarSet (unbound variables carry over by name), and
 The exact linear algebra (:func:`matrix_rank`, :func:`solve_nullspace`,
 :func:`solve_linear`) takes plain row lists of ints or Fractions and
 eliminates on sparse rows: the determining equations are about 1% nonzero.
-A caller that already holds sparse ``{column: Fraction}`` rows, as the
-determining-equation assembly does, passes them to :func:`_nullspace`
-without a dense detour.
+Row entries follow the coefficient rule above, and results come back in
+the same form.  A caller that already holds sparse ``{column: coefficient}``
+rows, as the determining-equation assembly does, passes them to
+:func:`_nullspace` without a dense detour.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from typing import Mapping, Sequence, Union
 
 Rational = Fraction
 
+# An exact coefficient: an int when integral, a Fraction (denominator not 1)
+# otherwise.  Inputs may be any int or Fraction; stored values are canonical.
 Coeff = Union[int, Fraction]
 
 
@@ -74,32 +81,38 @@ class VarSetMismatch(ValueError):
     """Raised when combining polynomials over different variable sets."""
 
 
-def _as_fraction(c: Coeff) -> Fraction:
-    if isinstance(c, Fraction):
+def _coeff(c: Coeff) -> Coeff:
+    """``c`` in canonical form: an int if integral, else a Fraction whose
+    denominator is not 1.  Takes an int (a bool too) or a Fraction; anything
+    else, a float in particular, is a TypeError."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
 class Poly:
     """A multivariate polynomial with exact rational coefficients.
 
-    Immutable; all operations return new instances in canonical form
-    (no stored zero coefficients).
+    Immutable; all operations return new instances in canonical form: no
+    stored zero coefficients, and each coefficient an ``int`` when integral,
+    a ``Fraction`` otherwise.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: VarSet, terms: Mapping[tuple[int, ...], Coeff]):
         n = len(vars)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Coeff] = {}
         for exps, c in terms.items():
             if len(exps) != n:
                 raise ValueError(f"exponent vector {exps} has wrong length for {vars}")
-            f = _as_fraction(c)
-            if f:
-                clean[tuple(exps)] = f
+            c = _coeff(c)
+            if c:
+                clean[tuple(exps)] = c
         self.vars = vars
         self.terms = clean
 
@@ -117,7 +130,7 @@ class Poly:
     def var(vars: VarSet, name: str) -> "Poly":
         exps = [0] * len(vars)
         exps[vars.index(name)] = 1
-        return Poly(vars, {tuple(exps): Fraction(1)})
+        return Poly(vars, {tuple(exps): 1})
 
     @staticmethod
     def variables(vars: VarSet) -> tuple["Poly", ...]:
@@ -141,10 +154,10 @@ class Poly:
         is, with a nonzero exponent in some term."""
         return {self.vars.names[i] for e in self.terms for i, k in enumerate(e) if k}
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Sequence[int]) -> Coeff:
+        return self.terms.get(tuple(exps), 0)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coeff:
         """The value of a degree-<=0 polynomial; error otherwise."""
         if self.total_degree() > 0:
             raise ValueError(f"not a constant: {self}")
@@ -166,7 +179,7 @@ class Poly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            terms[e] = terms.get(e, 0) + c
         return Poly(self.vars, terms)
 
     __radd__ = __add__
@@ -182,11 +195,11 @@ class Poly:
 
     def __mul__(self, other: Union["Poly", Coeff]) -> "Poly":
         other = self._coerce(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return Poly(self.vars, terms)
 
     __rmul__ = __mul__
@@ -214,13 +227,13 @@ class Poly:
     def diff(self, name: str) -> "Poly":
         """Exact partial derivative with respect to ``name``."""
         i = self.vars.index(name)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Coeff] = {}
         for e, c in self.terms.items():
             k = e[i]
             if k == 0:
                 continue
             e2 = e[:i] + (k - 1,) + e[i + 1 :]
-            terms[e2] = terms.get(e2, Fraction(0)) + c * k
+            terms[e2] = terms.get(e2, 0) + c * k
         return Poly(self.vars, terms)
 
     def substitute(self, bindings: Mapping[str, Union["Poly", Coeff]]) -> "Poly":
@@ -254,7 +267,7 @@ class Poly:
             if i not in repl and name in occurring
         }
         powers: dict[tuple[int, int], Poly] = {}
-        total: dict[tuple[int, ...], Fraction] = {}
+        total: dict[tuple[int, ...], Coeff] = {}
         for e, c in self.terms.items():
             mono = [0] * len(target)
             factors = []
@@ -271,7 +284,7 @@ class Poly:
             for f in factors:
                 term = term * f
             for m, v in term.terms.items():
-                total[m] = total.get(m, Fraction(0)) + v
+                total[m] = total.get(m, 0) + v
         return Poly(target, total)
 
     def eval(self, point: Mapping[str, Union[Coeff, float]]):
@@ -299,19 +312,19 @@ class Poly:
 
         Every variable that occurs must exist in ``target``.
         """
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Coeff] = {}
         for e, c in self.terms.items():
             e2 = [0] * len(target)
             for i, k in enumerate(e):
                 if k:
                     e2[target.index(self.vars.names[i])] += k
             key = tuple(e2)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         return Poly(target, terms)
 
     # -- display -----------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
         """Terms in graded-lexicographic order (high degree first)."""
         return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
 
@@ -350,7 +363,7 @@ def lie_derivative(field: Mapping[str, Poly], f: Poly) -> Poly:
     Components and ``f`` must share one VarSet; variables the field does not
     name have a zero component.
     """
-    total: dict[tuple[int, ...], Fraction] = {}
+    total: dict[tuple[int, ...], Coeff] = {}
     for name, comp in field.items():
         if comp.is_zero:
             continue
@@ -358,7 +371,7 @@ def lie_derivative(field: Mapping[str, Poly], f: Poly) -> Poly:
         if df.is_zero:
             continue
         for e, c in (comp * df).terms.items():
-            total[e] = total.get(e, Fraction(0)) + c
+            total[e] = total.get(e, 0) + c
     return Poly(f.vars, total)
 
 
@@ -371,22 +384,26 @@ class InconsistentSystem(ValueError):
     """Raised when an inhomogeneous linear system has no solution."""
 
 
-def _fraction_rows(matrix: Sequence[Sequence[Coeff]]) -> tuple[list[dict[int, Fraction]], int]:
-    """The rows of a matrix as sparse ``{column: Fraction}`` dicts without
+def _sparse_rows(matrix: Sequence[Sequence[Coeff]]) -> tuple[list[dict[int, Coeff]], int]:
+    """The rows of a matrix as sparse ``{column: coefficient}`` dicts without
     zeros, and its column count.  Every solver reads its matrix through
-    here, so ragged rows are rejected in one place."""
+    here, so ragged rows and float entries are rejected in one place."""
     widths = {len(row) for row in matrix}
     if len(widths) > 1:
         raise ValueError(f"ragged matrix: row lengths {sorted(widths)}")
-    rows = [{j: _as_fraction(c) for j, c in enumerate(row) if c} for row in matrix]
+    rows = [{j: _coeff(c) for j, c in enumerate(row) if c} for row in matrix]
     return rows, widths.pop() if widths else 0
 
 
-def _rref(rows: list[dict[int, Fraction]], ncols: int) -> list[int]:
+def _rref(rows: list[dict[int, Coeff]], ncols: int) -> list[int]:
     """Bring sparse rows to reduced row echelon form in place; returns the
     pivot columns.  Columns go in order, each pivoting on the first remaining
     row that is nonzero there, and entries that cancel are removed.  A matrix
-    has exactly one RREF, so sparse storage changes only the cost."""
+    has exactly one RREF, so sparse storage changes only the cost.
+
+    Entries stay canonical: a pivot of 1 needs no scaling, any other is
+    inverted as ``Fraction(1) / p`` (``1 / p`` would make an int pivot a
+    float), and an entry that comes out integral is stored as an int."""
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -394,32 +411,35 @@ def _rref(rows: list[dict[int, Fraction]], ncols: int) -> list[int]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        pivot = rows[r] = {k: v * inv for k, v in rows[r].items()}
+        pivot = rows[r]
+        p = pivot[c]
+        if p != 1:
+            inv = Fraction(1) / p
+            pivot = rows[r] = {k: _coeff(v * inv) for k, v in pivot.items()}
         for row in rows:
             f = row.get(c) if row is not pivot else None
             if f:
                 for k, v in pivot.items():
                     x = row.pop(k, 0) - f * v
-                    if x:
-                        row[k] = x
+                    if x:  # _coeff(x), inlined in the hot loop
+                        row[k] = x.numerator if type(x) is Fraction and x.denominator == 1 else x
         pivots.append(c)
     return pivots
 
 
 def matrix_rank(matrix: Sequence[Sequence[Coeff]]) -> int:
-    return len(_rref(*_fraction_rows(matrix)))
+    return len(_rref(*_sparse_rows(matrix)))
 
 
-def solve_nullspace(matrix: Sequence[Sequence[Coeff]]) -> list[list[Fraction]]:
+def solve_nullspace(matrix: Sequence[Sequence[Coeff]]) -> list[list[Coeff]]:
     """Exact rational basis of the solution space of ``A x = 0``.
 
     Returns an empty list for a trivial nullspace.
     """
-    return _nullspace(*_fraction_rows(matrix))
+    return _nullspace(*_sparse_rows(matrix))
 
 
-def _nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
+def _nullspace(rows: list[dict[int, Coeff]], ncols: int) -> list[list[Coeff]]:
     """The nullspace basis of sparse rows (as :func:`_rref` takes them, which
     eliminates them in place): one vector per free column, in column order,
     with a 1 at that column."""
@@ -428,25 +448,25 @@ def _nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fractio
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        vec = [0] * ncols
+        vec[f] = 1
         for r, p in enumerate(pivots):
-            vec[p] = -rows[r].get(f, Fraction(0))
+            vec[p] = -rows[r].get(f, 0)
         basis.append(vec)
     return basis
 
 
-def solve_linear(matrix: Sequence[Sequence[Coeff]], rhs: Sequence[Coeff]) -> list[Fraction]:
+def solve_linear(matrix: Sequence[Sequence[Coeff]], rhs: Sequence[Coeff]) -> list[Coeff]:
     """One exact solution of ``A x = b``; raises if the system is inconsistent."""
-    rows, ncols = _fraction_rows(matrix)
+    rows, ncols = _sparse_rows(matrix)
     if len(rhs) != len(rows):
         raise ValueError("rhs length does not match row count")
     # b is column ncols of the augmented matrix [A | b]
-    rows = [{**row, ncols: _as_fraction(b)} if b else row for row, b in zip(rows, rhs)]
+    rows = [{**row, ncols: _coeff(b)} if b else row for row, b in zip(rows, rhs)]
     pivots = _rref(rows, ncols + 1)
     if ncols in pivots:
         raise InconsistentSystem("no exact solution exists")
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for r, p in enumerate(pivots):
-        x[p] = rows[r].get(ncols, Fraction(0))
+        x[p] = rows[r].get(ncols, 0)
     return x

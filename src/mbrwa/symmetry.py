@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from collections.abc import Mapping, Sequence
 from types import MappingProxyType
@@ -44,7 +43,7 @@ from typing import Literal
 
 from . import model
 from .model import InvariantId, SystemId
-from .polyring import Poly, VarSet, _nullspace, lie_derivative, matrix_rank
+from .polyring import Coeff, Poly, VarSet, _nullspace, lie_derivative, matrix_rank
 
 BASE_NAMES = ("t", "q1", "q2", "q3")
 JET_EXTRA = ("qd1", "qd2", "qd3", "qdd1", "qdd2", "qdd3")
@@ -64,10 +63,10 @@ class NotInSymmetryFamily(ValueError):
 class SymParams:
     """The four real parameters of the symmetry family."""
 
-    alpha: Fraction = Fraction(0)
-    beta: Fraction = Fraction(0)
-    gamma: Fraction = Fraction(0)
-    delta: Fraction = Fraction(0)
+    alpha: Coeff = 0
+    beta: Coeff = 0
+    gamma: Coeff = 0
+    delta: Coeff = 0
 
 
 @dataclass(frozen=True)
@@ -256,10 +255,10 @@ def symmetry_basis() -> tuple[JetVectorField, ...]:
     """The four basis symmetries: scaling, time translation, q3 translation,
     rotation in the (q1, q2) plane."""
     return (
-        family_field(SymParams(alpha=Fraction(1))),
-        family_field(SymParams(beta=Fraction(1))),
-        family_field(SymParams(delta=Fraction(1))),
-        family_field(SymParams(gamma=Fraction(1))),
+        family_field(SymParams(alpha=1)),
+        family_field(SymParams(beta=1)),
+        family_field(SymParams(delta=1)),
+        family_field(SymParams(gamma=1)),
     )
 
 
@@ -287,11 +286,11 @@ def lie_bracket(u: JetVectorField, v: JetVectorField) -> JetVectorField:
     return JetVectorField(xi=w["t"], eta=(w["q1"], w["q2"], w["q3"]))
 
 
-def field_coefficient_vector(u: JetVectorField, max_degree: int) -> list[Fraction]:
+def field_coefficient_vector(u: JetVectorField, max_degree: int) -> list[Coeff]:
     """Flatten a field into coefficients over all (t, q) monomials of total
     degree <= max_degree, slot by slot (xi, eta1, eta2, eta3)."""
     monos = _monomials(max_degree)
-    vec: list[Fraction] = []
+    vec: list[Coeff] = []
     for comp in u.components():
         if comp.total_degree() > max_degree:
             raise ValueError("coefficient degree exceeds the requested cap")
@@ -337,7 +336,7 @@ def _determining_columns(
     ]
     jets = []
     for m in monos:
-        m0 = Poly(jv, {m + (0,) * 6: Fraction(1)})
+        m0 = Poly(jv, {m + (0,) * 6: 1})
         m1 = lie_derivative(along, m0)
         jets.append((m0, m1, lie_derivative(along, m1)))
     columns = [
@@ -362,7 +361,7 @@ def solve_determining(max_degree: int = 2) -> list[JetVectorField]:
         raise ValueError("max_degree must be >= 1")
     monos = _monomials(max_degree)
     # one sparse row per (equation, jet monomial), in sorted order
-    rows: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = {}
+    rows: dict[tuple[int, tuple[int, ...]], dict[int, Coeff]] = {}
     for j, col in enumerate(_determining_columns(monos)):
         for eq_idx, r in enumerate(col):
             for e, c in r.terms.items():

@@ -1,8 +1,10 @@
 """The three formulations, their invariants, and the connecting maps."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +182,29 @@ class TestJacobianRank:
         for _ in range(25):
             s = State6(*[rng.uniform(-5, 5) for _ in range(6)])
             assert model.jacobian_rank_phi(s) == 5
+
+
+def test_generated_kernel_source_is_pinned():
+    # The float kernels are generated from the exact polynomials; the golden
+    # file pins their source text, so a change in how coefficients are stored
+    # cannot move a compiled constant or the order of its operations.
+    sources = {
+        system.value: {
+            "rhs_source": model.rhs_source(system),
+            "midpoint_newton_source": dict(
+                zip(("body", "returns"), model.midpoint_newton_source(system))
+            ),
+        }
+        for system in SystemId
+    }
+    sources["invariants"] = {
+        inv.value: model._poly_source(
+            model.invariant_symbolic(inv), model.system_vars(model.invariant_system(inv)).names
+        )
+        for inv in InvariantId
+    }
+    golden = Path(__file__).parent / "data" / "kernel_sources.json"
+    assert sources == json.loads(golden.read_text())
 
 
 def test_compiled_rhs_matches_symbolic():

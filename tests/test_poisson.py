@@ -207,3 +207,64 @@ class TestMutationSensitivity:
                 cached.cache_clear()
         for check in ("pi-assembly", "casimir", "hamiltonian-field", "involution"):
             assert not reports[check], check
+
+
+class TestAlgebraSuiteFailures:
+    """The algebra suite's failure strings show structure constants by their
+    ``str``: the same text whether a constant is an int or a Fraction."""
+
+    A1, A2, A3, A4 = poisson.A_BASIS
+
+    def reports(self, monkeypatch, basis):
+        monkeypatch.setattr(poisson, "A_BASIS", basis)
+        return {r.check: r for r in verify.suite_algebra()}
+
+    def test_swapped_basis_messages(self, monkeypatch):
+        reports = self.reports(monkeypatch, (self.A1, self.A3, self.A2, self.A4))
+        assert reports["A-commutator-table"].residuals == [
+            "[B1,B2] expands to (0, -1, 0, 0), expected (0, 1, 0, 0)",
+            "[B1,B3] expands to (0, 0, 1, 0), expected (0, 0, -1, 0)",
+        ]
+        assert reports["symmetry-algebra-isomorphism"].residuals == [
+            "structure constants differ at (1, 2): fields (0, 1, 0, 0), matrices (0, -1, 0, 0)",
+            "structure constants differ at (1, 3): fields (0, 0, -1, 0), matrices (0, 0, 1, 0)",
+        ]
+        for check in ("A-commutator-table", "symmetry-algebra-isomorphism"):
+            assert reports[check].status == "fail"
+            assert reports[check].witnesses == {"pairs": 6}
+
+    def test_rational_constants_print_as_fractions(self, monkeypatch):
+        half = tuple(tuple(Fraction(c, 2) for c in row) for row in self.A1)
+        reports = self.reports(monkeypatch, (half, self.A2, self.A3, self.A4))
+        assert reports["A-commutator-table"].residuals == [
+            "[B1,B2] expands to (0, 1/2, 0, 0), expected (0, 1, 0, 0)",
+            "[B1,B3] expands to (0, 0, -1/2, 0), expected (0, 0, -1, 0)",
+        ]
+        assert reports["symmetry-algebra-isomorphism"].residuals[0] == (
+            "structure constants differ at (1, 2): fields (0, 1, 0, 0), matrices (0, 1/2, 0, 0)"
+        )
+
+    def test_a_table_computed_once_per_run(self, monkeypatch):
+        computed = []
+        original = poisson.matrix_commutator_table
+
+        def counting(basis):
+            computed.append(basis)
+            return original(basis)
+
+        monkeypatch.setattr(poisson, "matrix_commutator_table", counting)
+        assert all(r.passed for r in verify.suite_algebra())
+        assert computed.count(poisson.A_BASIS) == 1
+        assert computed.count(poisson.E_BASIS) == 1
+
+    def test_outside_span_basis(self, monkeypatch):
+        # [B1, B2] = E_13 leaves the span: the isomorphism check cannot
+        # compare tables and raises, as it always has
+        a = poisson._mat([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+        b = poisson._mat([[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+        with pytest.raises(poisson.CommutatorOutsideSpan) as exc:
+            self.reports(monkeypatch, (a, b))
+        assert str(exc.value) == (
+            "[B1,B2] is outside the span of the basis: "
+            "((0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))"
+        )

@@ -250,3 +250,145 @@ class TestLinearSolver:
     def test_ragged_rejected(self, solver, matrix):
         with pytest.raises(ValueError, match="ragged"):
             solver(matrix)
+
+
+# ---------------------------------------------------------------------------
+# canonical coefficients: an int when integral, a Fraction otherwise
+# ---------------------------------------------------------------------------
+
+
+def canonical(c) -> bool:
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+class TestCanonicalCoefficients:
+    def test_bool_stored_as_int(self):
+        p = Poly(XY, {(1, 0): True})
+        assert p.terms == {(1, 0): 1}
+        assert type(p.terms[(1, 0)]) is int
+
+    def test_integral_fraction_stored_as_int(self):
+        c = Poly(XY, {(1, 0): Fraction(6, 3), (0, 1): Fraction(1, 2)}).terms
+        assert type(c[(1, 0)]) is int and c[(1, 0)] == 2
+        assert c[(0, 1)] == Fraction(1, 2)
+
+    def test_var_stores_int_one(self):
+        assert type(X.terms[(1, 0)]) is int
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            Poly(XY, {(1, 0): 1.0})
+        with pytest.raises(TypeError):
+            X * 0.5
+
+    def test_float_rejected_by_the_solvers(self):
+        with pytest.raises(TypeError):
+            solve_nullspace([[1.0, 2]])
+        with pytest.raises(TypeError):
+            solve_linear([[1, 0], [0, 1]], [0.5, 1])
+
+    def test_solve_linear_with_int_pivots_stays_exact(self):
+        # an int pivot inverted as 1 / p would be a float
+        x = solve_linear([[2, 0], [0, 3]], [1, 1])
+        assert x == [Fraction(1, 2), Fraction(1, 3)]
+        assert all(type(c) is Fraction for c in x)
+
+    def test_nullspace_with_non_unit_pivots(self):
+        m = [[2, 3, 0], [0, 4, 2]]
+        basis = solve_nullspace(m)
+        assert basis == [[Fraction(3, 4), Fraction(-1, 2), 1]]
+        assert all(canonical(c) for c in basis[0])
+        assert [sum(a * x for a, x in zip(row, basis[0])) for row in m] == [0, 0]
+
+    def test_integral_eliminations_stay_int(self):
+        # pivots 2 and 3 divide their rows exactly: every entry is an int
+        basis = solve_nullspace([[2, 4, -6], [0, 3, 3]])
+        assert basis == [[5, -1, 1]]
+        assert all(type(c) is int for c in basis[0])
+
+    def test_entries_that_cancel_to_integers_are_ints(self):
+        # the first row passes through (1, 1/2, 0); eliminating the second
+        # pivot leaves 0 - (1/2)*2 = -1, which must be stored as an int
+        basis = solve_nullspace([[2, 1, 0], [1, 1, 1]])
+        assert basis == [[1, -2, 1]]
+        assert all(type(c) is int for c in basis[0])
+
+
+@st.composite
+def mixed_polys(draw, vars=VARS3, max_terms=4, max_exp=2):
+    """Polys whose coefficients are drawn as ints or as Fractions, some of
+    them integral (as Fraction(4, 2))."""
+    coeff = st.one_of(
+        st.integers(-6, 6),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    )
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
+    return Poly(vars, draw(st.dictionaries(exps, coeff, max_size=max_terms)))
+
+
+# A reference polynomial arithmetic on plain {exponents: Fraction} dicts.
+
+
+def _ref(p: Poly) -> dict:
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = _ref_add(out, {tuple(x + y for x, y in zip(e1, e2)): c1 * c2})
+    return out
+
+
+def _ref_pow(a: dict, n: int, nvars: int) -> dict:
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_diff(a: dict, i: int) -> dict:
+    out: dict = {}
+    for e, c in a.items():
+        if e[i]:
+            out = _ref_add(out, {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i]})
+    return out
+
+
+def _ref_substitute(a: dict, i: int, g: dict) -> dict:
+    out: dict = {}
+    for e, c in a.items():
+        rest = {e[:i] + (0,) + e[i + 1 :]: c}
+        out = _ref_add(out, _ref_mul(rest, _ref_pow(g, e[i], len(e))))
+    return out
+
+
+@given(mixed_polys(), mixed_polys(), mixed_polys(), st.integers(0, 3), st.integers(0, 2))
+@settings(max_examples=60)
+def test_results_have_canonical_coefficients(p, q, r, n, i):
+    v = VARS3.names[i]
+    rp, rq, rr = _ref(p), _ref(q), _ref(r)
+    neg_q = {e: -c for e, c in rq.items()}
+    cases = [
+        (p + q, _ref_add(rp, rq)),
+        (p - q, _ref_add(rp, neg_q)),
+        (p * q, _ref_mul(rp, rq)),
+        (p**n, _ref_pow(rp, n, len(VARS3))),
+        (p.diff(v), _ref_diff(rp, i)),
+        (p.substitute({v: q}), _ref_substitute(rp, i, rq)),
+        (
+            lie_derivative({"a": q, "b": r}, p),
+            _ref_add(_ref_mul(rq, _ref_diff(rp, 0)), _ref_mul(rr, _ref_diff(rp, 1))),
+        ),
+    ]
+    for result, reference in cases:
+        assert all(canonical(c) for c in result.terms.values()), result.terms
+        assert result.terms == reference
