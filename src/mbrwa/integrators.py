@@ -10,13 +10,15 @@ differentiation of the polynomial right-hand side and compiled to floats.
 Fixed step only: adaptive stepping would break the drift-scaling tests and
 nothing here needs it.  Both schemes run in one loop over float states; RK4,
 the midpoint step and the invariants run as code generated from ``model``'s
-polynomials, on floats, never on numpy columns.  ``integrate`` counts a
-step that overflows, or whose Newton iterate or residual is not finite, as a
-blow-up (see ``model``).
+polynomials, on floats, never on numpy columns.  A step that overflows a
+float ``**``, or whose Newton iterate, residual or update is not finite,
+returns the all-nan state (see ``model``), and ``integrate`` reports it as a
+blow-up.
 
 The implicit midpoint step is written once, as source (``_MIDPOINT_STEP``:
 Euler predictor, Newton iterations, finiteness checks, solve, update, both
-stopping rules, ``NewtonError``), and compiled twice.  ``_system_midpoint``
+stopping rules with ``NEWTON_TOL`` and ``NEWTON_MAX_ITER`` written in as
+constants, ``NewtonError``), and compiled twice.  ``_system_midpoint``
 inlines a system's rhs and Newton evaluation from ``model``, so each step of
 ``integrate``, ``step`` and ``midpoint_roundtrip_error`` is one call on
 floats; ``_field_midpoint`` calls a field ``f`` and a Newton ``kernel`` passed
@@ -31,10 +33,9 @@ pivoting in its place moved 3 of 60 012 states by up to 8.7e-19 on 12 seeded
 
 An exactly singular Newton matrix makes ``solve1`` warn unless an
 ``np.errstate`` ignores numpy's "invalid" flag.  Entering one costs about as
-much as a step's predictor, so the system step enters none: ``integrate``
-enters one around its whole loop, ``step`` and ``midpoint_roundtrip_error``
-one per call, and ``midpoint_step_field`` one per step, inside
-``_midpoint_newton``'s ``advance``.  A kernel output or Newton update is
+much as a step's predictor, so no compiled step enters one: ``integrate``
+enters one around its whole loop, and ``step``, ``midpoint_roundtrip_error``
+and ``midpoint_step_field`` one per call.  A kernel output or Newton update is
 tested as ``not isfinite(sum(v)) and not all(map(isfinite, v))``.  That is
 exact: a nan or infinite entry makes the sum nan or infinite (so does
 Python 3.12's compensated ``sum``, which adds its compensation term only
@@ -125,17 +126,11 @@ def rk4_step_field(f: Callable, s: np.ndarray, t: float, h: float) -> np.ndarray
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def midpoint_step_field(
-    f: Callable,
-    jac: Callable,
-    s: np.ndarray,
-    t: float,
-    h: float,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-) -> np.ndarray:
+def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: float) -> np.ndarray:
     """One implicit midpoint step s' = s + h f((s + s')/2) by Newton, on a
-    field ``f`` and its Jacobian ``jac`` of arrays (see ``_midpoint_newton``)."""
+    field ``f`` and its Jacobian ``jac`` of arrays: ``_MIDPOINT_STEP`` with
+    ``f`` for the predictor and a Newton evaluation built from ``f`` and
+    ``jac``.  No numpy floating-point warning escapes the step."""
     n, eye = len(s), np.eye(len(s))
 
     def kernel(*x_new_h):
@@ -143,17 +138,24 @@ def midpoint_step_field(
         mid = 0.5 * (x + new)
         return (*(new - x - h * f(mid)), *(eye - 0.5 * h * jac(mid)).ravel())
 
-    advance = _midpoint_newton(lambda *x: f(np.array(x)), kernel, n, tol, max_iter)
-    return np.array(advance(*s.tolist(), h))
+    midpoint = _field_midpoint(n)(lambda *x: f(np.array(x)), kernel)
+    with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
+        return np.array(midpoint(*s.tolist(), h))
 
 
 # The implicit midpoint step, written once.  ``_compile_midpoint`` fills in the
 # state arguments, the explicit Euler predictor (lines that set n0, n1, ...)
-# and one Newton evaluation (lines that set ``out``: the residual, then the
-# n*n entries of the Newton matrix).  ``_make`` allocates the solve's buffer
-# and binds ``f``, ``kernel`` (either may be unused), ``tol`` and ``max_iter``.
+# and one Newton evaluation (lines that set ``out``: the residual
+# ``new - x - h*f(mid)``, then the n*n entries of the Newton matrix
+# ``eye - (0.5*h)*jac(mid)``, at ``mid = 0.5*(x + new)``).  ``_make`` allocates
+# the solve's buffer and binds ``f`` and ``kernel`` (either may be unused).
+# Newton stops when the max-norm of its update drops below NEWTON_TOL, or when
+# the update has stopped shrinking within NEWTON_TOL * (1 + max|new|): at large
+# |new| rounding alone keeps the update above an absolute tolerance.  After
+# NEWTON_MAX_ITER iterations it raises NewtonError.  An exactly singular
+# Newton matrix solves to all nan, so it ends the step as a blow-up.
 _MIDPOINT_STEP = """
-def _make(f, kernel, tol, max_iter):
+def _make(f, kernel):
     buf = np.empty({n} + {n} * {n})  # one kernel output: residual, then the matrix
     residual, matrix = buf[:{n}], buf[{n}:].reshape({n}, {n})
     blow_up = (nan,) * {n}
@@ -162,7 +164,7 @@ def _make(f, kernel, tol, max_iter):
         try:
             {predictor}
             update_norm = inf
-            for _ in range(max_iter):
+            for _ in range({max_iter}):
                 {kernel}
                 if not isfinite(sum(out)) and not all(map(isfinite, out)):
                     return blow_up
@@ -173,11 +175,11 @@ def _make(f, kernel, tol, max_iter):
                 {d}, = delta
                 {update}
                 previous, update_norm = update_norm, {d_norm}
-                if update_norm <= tol or previous <= update_norm <= tol * (1.0 + {new_norm}):
+                if update_norm <= {tol!r} or previous <= update_norm <= {tol!r} * (1.0 + {new_norm}):
                     return ({new},)
         except OverflowError:
             return blow_up
-        raise NewtonError(max_iter, update_norm)
+        raise NewtonError({max_iter}, update_norm)
 
     return _midpoint
 """
@@ -195,7 +197,7 @@ def _compile_midpoint(x: Sequence[str], predictor: list, kernel: list) -> Callab
         predictor="\n            ".join(predictor),
         kernel="\n                ".join(kernel),
         update="\n                ".join(f"{ni} = {ni} - {di}" for ni, di in zip(new, d)),
-        d_norm=max_abs(d), new_norm=max_abs(new),
+        d_norm=max_abs(d), new_norm=max_abs(new), tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
     )
     ns = {"np": np, "solve1": solve1, "isfinite": math.isfinite, "nan": math.nan,
           "inf": math.inf, "NewtonError": NewtonError}
@@ -224,35 +226,6 @@ def _field_midpoint(n: int) -> Callable:
     return _compile_midpoint(x, predictor, kernel)
 
 
-def _midpoint_newton(
-    f: Callable,
-    kernel: Callable,
-    n: int,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-) -> Callable[..., tuple]:
-    """The implicit midpoint step ``(*s, h) -> tuple`` of n floats, by Newton.
-
-    ``f(*s)`` is the field, for the explicit Euler predictor; ``kernel(*s, *new, h)``
-    returns the residual ``new - s - h f(mid)`` and then the n*n entries of the
-    Newton matrix ``eye - (0.5*h) jac(mid)``, at ``mid = 0.5*(s + new)``.
-    Terminates when the max-norm of the Newton update drops below ``tol``,
-    or when the update has stopped shrinking within ``tol * (1 + max|s'|)``:
-    at large |s'| rounding alone keeps the update above an absolute ``tol``.
-    An iterate, residual or Newton update that is not finite, or a float
-    ``**`` that overflows, ends the step with a nan state, which ``integrate``
-    reports as a blow-up; so does an exactly singular Newton matrix, whose
-    solve is all nan.  No numpy floating-point warning escapes a step.
-    """
-    midpoint = _field_midpoint(n)(f, kernel, tol, max_iter)
-
-    def advance(*s_h):
-        with np.errstate(all="ignore"):  # a singular matrix sets "invalid"
-            return midpoint(*s_h)
-
-    return advance
-
-
 # ---------------------------------------------------------------------------
 # System-facing API
 # ---------------------------------------------------------------------------
@@ -263,23 +236,17 @@ def _stepper(method: IntegratorId, system: SystemId) -> Callable[..., Sequence[f
     It enters no ``np.errstate``: its caller does, once per run."""
     if method is IntegratorId.RK4:
         return model.rk4_step_compiled(system)
-    return _system_midpoint(system)(None, None, NEWTON_TOL, NEWTON_MAX_ITER)
+    return _system_midpoint(system)(None, None)
 
 
 def step(method: IntegratorId, system: SystemId, state, t: float, h: float):
-    """One step of the named scheme; returns a state object of the system.
-
-    A step that blows up, by overflowing a float ``**`` or by reaching a
-    state that is not finite, returns the all-nan state under either scheme.
-    """
+    """One step of the named scheme; returns a state object of the system,
+    all nan if the step blows up."""
     if h <= 0:
         raise ValueError("step size must be positive")
     values = model.state_values(system, state)
-    try:
-        with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
-            out = _stepper(method, system)(*map(float, values), h)
-    except OverflowError:  # a term of the new state would be +-inf
-        out = (math.inf,)
+    with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
+        out = _stepper(method, system)(*map(float, values), h)
     if not all(map(math.isfinite, out)):
         out = (math.nan,) * len(values)
     return model._STATE_TYPES[system](*out)
@@ -325,10 +292,7 @@ def integrate(
     isfinite = math.isfinite
     with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
         for k, dt in enumerate(sizes, 1):
-            try:
-                s = advance(*s, dt)
-            except OverflowError:  # a term of the new state would be +-inf
-                s = (math.inf,)
+            s = advance(*s, dt)
             if not isfinite(sum(s)) and not all(map(isfinite, s)):
                 raise BlowUpError(float(times[k]))
             states[k] = s

@@ -17,11 +17,11 @@ array step it replaces gives the same bits.  The implicit midpoint step is
 generated by ``integrators`` around source from here: ``rhs_source`` for its
 Euler predictor and ``midpoint_newton_source`` for each Newton evaluation
 (the residual and the Newton matrix together), both inlined, so an
-iteration leaves only the linear solve to numpy; ``midpoint_newton_compiled``
-compiles that evaluation alone, for the tests.  A float ``**`` raises OverflowError
-where numpy returns inf.  The step kernels let it propagate (the term would
-be +-inf and reach the new state or the Newton residual: a blow-up); the
-invariant kernel returns nan.
+iteration leaves only the linear solve to numpy.  A float ``**`` raises
+OverflowError where numpy returns inf, and every generated kernel absorbs it:
+a step (RK4 here, implicit midpoint in ``integrators``) returns the all-nan
+state, which its caller reports as a blow-up, and the invariant kernel
+returns nan for the invariant that overflowed.
 
 A state is a named tuple whose fields are the names of its system's VarSet;
 any sequence of the right length is accepted wherever a state is.
@@ -304,7 +304,8 @@ def invariant_compiled(inv: InvariantId) -> Callable[[np.ndarray], float]:
 def rk4_step_compiled(system: SystemId) -> Callable[..., tuple]:
     """One RK4 step as a scalar function ``_rk4(*x, h) -> tuple``: the rhs
     inlined four times in ``integrators.rk4_step_field``'s operation order,
-    ``x + a*k`` with ``a = 0.5 * h``, then ``x + b*(k1 + 2.0*k2 + 2.0*k3 + k4)``."""
+    ``x + a*k`` with ``a = 0.5 * h``, then ``x + b*(k1 + 2.0*k2 + 2.0*k3 + k4)``.
+    A stage whose ``**`` overflows makes the step return all nan."""
     x = system_vars(system).names
     k = [[f"k{j}_{i}" for i in range(len(x))] for j in range(4)]
     body, stage = ["a = 0.5 * h", "b = h / 6.0"], x
@@ -314,6 +315,8 @@ def rk4_step_compiled(system: SystemId) -> Callable[..., tuple]:
             stage = [f"s{j}_{i}" for i in range(len(x))]
             body += [f"{s} = {xi} + {scale}*{kj}" for s, xi, kj in zip(stage, x, k[j])]
     new = [f"{xi} + b*({k1} + 2.0*{k2} + 2.0*{k3} + {k4})" for xi, k1, k2, k3, k4 in zip(x, *k)]
+    body = ["try:", *(f"    {line}" for line in body),
+            "except OverflowError:", f"    return (float('nan'),) * {len(x)}"]
     return _compile_scalar("_rk4", (*x, "h"), body, new)
 
 
@@ -343,15 +346,6 @@ def midpoint_newton_source(system: SystemId) -> tuple[list[str], list[str]]:
             d, eye = comp.diff(name), "1.0" if i == j else "0.0"
             matrix.append(eye if d.is_zero else f"{eye} - c*{_poly_source(d, mid)}")
     return body, residual + matrix
-
-
-@lru_cache(maxsize=None)
-def midpoint_newton_compiled(system: SystemId) -> Callable[..., tuple]:
-    """``midpoint_newton_source`` as a scalar function
-    ``_newton(*x, *new, h) -> tuple``."""
-    new = [f"n{i}" for i in range(system_dim(system))]
-    body, returns = midpoint_newton_source(system)
-    return _compile_scalar("_newton", (*system_vars(system).names, *new, "h"), body, returns)
 
 
 @lru_cache(maxsize=None)

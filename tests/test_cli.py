@@ -476,6 +476,9 @@ class TestGoldenOutput:
     # 10000 full steps and a partial one of 5e-4
     EL6_RK4 = ("--system", "el6", "--method", "rk4", "--init=0.3,-0.5,0.7,0.1,-0.9,0.4",
                "--t-end", "10.0005", "--h", "1e-3")
+    # the same grid on ham6, whose q1**2 terms are the ones that can overflow
+    HAM6_RK4 = ("--system", "ham6", "--method", "rk4", "--init=0.3,-0.5,0.7,0.1,-0.9,0.4",
+                "--t-end", "10.0005", "--h", "1e-3")
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -490,6 +493,8 @@ class TestGoldenOutput:
             ("invariants_mb5_midpoint.json", ("invariants", *MB5_MIDPOINT)),
             ("simulate_el6_midpoint.csv", ("simulate", *EL6_MIDPOINT, "--every", "10")),
             ("invariants_el6_midpoint.json", ("invariants", *EL6_MIDPOINT)),
+            ("simulate_ham6_rk4.csv", ("simulate", *HAM6_RK4, "--every", "100")),
+            ("invariants_ham6_rk4.json", ("invariants", *HAM6_RK4)),
         ],
     )
     def test_numeric_bytes(self, capsys, name, argv):

@@ -8,6 +8,8 @@ import pytest
 
 from mbrwa import integrators, model
 from mbrwa.integrators import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     BlowUpError,
     IntegratorId,
     NewtonError,
@@ -106,11 +108,15 @@ class TestStepCores:
         assert abs(out[0] - 2.0 * (1 + h / 2) / (1 - h / 2)) < 1e-13
 
     def test_midpoint_newton_failure(self):
-        f = lambda s: s
-        jac = lambda s: np.array([[1.0]])
+        # f(m) = -2m with a zero Jacobian at h = 1: the Newton matrix is the
+        # identity, the residual is 2*new, and the iterates cycle -1, 1, -1, ...
+        evaluations = []
+        f = lambda s: -2.0 * s
+        jac = lambda s: (evaluations.append(s[0]), np.zeros((1, 1)))[1]
         with pytest.raises(NewtonError) as exc:
-            midpoint_step_field(f, jac, np.array([1.0]), 0.0, 0.1, tol=0.0, max_iter=3)
-        assert exc.value.iterations == 3
+            midpoint_step_field(f, jac, np.array([1.0]), 0.0, 1.0)
+        assert exc.value.iterations == len(evaluations) == NEWTON_MAX_ITER
+        assert exc.value.residual == 2.0
 
     def test_midpoint_stops_at_a_non_finite_iterate(self):
         # the predictor is inf: one Newton evaluation, then a nan state
@@ -130,30 +136,27 @@ class TestStepCores:
                                       np.array([1.0, 2.0]), 0.0, 0.5)
         assert np.isnan(out).all()
 
+    @staticmethod
+    def _newton_step(out: tuple):
+        """The step from the zero state under a zero field whose first Newton
+        evaluation returns ``out`` and every later one a zero residual and the
+        identity matrix, so that a finite first update has converged by the
+        second evaluation; and the number of evaluations it made."""
+        calls = []
+
+        def kernel(*x_new_h):
+            calls.append(x_new_h)
+            return out if len(calls) == 1 else (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
+
+        midpoint = integrators._field_midpoint(2)(lambda *s: (0.0, 0.0), kernel)
+        with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
+            return midpoint(0.0, 0.0, 0.1), len(calls)
+
     def test_newton_stops_at_a_zero_matrix(self):
         # the residual stays finite, so only the solve can end the step
-        calls = []
-        kernel = lambda *x_new_h: (calls.append(x_new_h), (1.0, -1.0, 0.0, 0.0, 0.0, 0.0))[1]
-        advance = integrators._midpoint_newton(lambda *s: (1.0, 1.0), kernel, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = advance(1.0, 2.0, 0.1)
+        out, calls = self._newton_step((1.0, -1.0, 0.0, 0.0, 0.0, 0.0))
         assert all(map(math.isnan, out)) and len(out) == 2
-        assert len(calls) == 1
-
-    @staticmethod
-    def _one_newton_update(out: tuple):
-        """The step from the zero state under a zero field with the kernel
-        output ``out`` (one iteration that always counts as converged), and
-        the kernel calls it made; numpy warnings are errors."""
-        calls = []
-        kernel = lambda *x_new_h: (calls.append(x_new_h), out)[1]
-        advance = integrators._midpoint_newton(
-            lambda *s: (0.0, 0.0), kernel, 2, tol=math.inf, max_iter=1
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return advance(0.0, 0.0, 0.1), len(calls)
+        assert calls == 1
 
     @pytest.mark.parametrize(
         "residual, matrix",
@@ -163,10 +166,11 @@ class TestStepCores:
         ],
     )
     def test_finite_entries_whose_sum_overflows_are_no_blow_up(self, residual, matrix):
-        out, calls = self._one_newton_update((*residual, *matrix))
+        out, calls = self._newton_step((*residual, *matrix))
         want = np.linalg.solve(np.reshape(matrix, (2, 2)), residual).tolist()
         assert np.array(out).tobytes() == np.array([0.0 - d for d in want]).tobytes()
-        assert calls == 1
+        # an update of 1e-308 has converged at once, one of 1e308 at the next evaluation
+        assert calls == (1 if max(map(abs, want)) <= NEWTON_TOL else 2)
 
     @pytest.mark.parametrize(
         "out",
@@ -179,7 +183,7 @@ class TestStepCores:
         ],
     )
     def test_a_non_finite_kernel_entry_is_a_blow_up(self, out):
-        state, calls = self._one_newton_update(out)
+        state, calls = self._newton_step(out)
         assert all(map(math.isnan, state)) and len(state) == 2
         assert calls == 1
 

@@ -267,6 +267,20 @@ def test_invariants_kernel_overflow_is_nan():
     assert (c, j) == (1e155, 0.0)
 
 
+def test_rk4_kernel_overflow_is_nan():
+    # q1**3 overflows a float ** in the first stage: the step is all nan
+    out = model.rk4_step_compiled(SystemId.HAM6)(1e110, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-3)
+    assert len(out) == 6 and all(map(math.isnan, out))
+
+
+def _newton_kernel(system: SystemId):
+    """``midpoint_newton_source`` as a function ``(*x, *new, h) -> tuple``."""
+    new = [f"n{i}" for i in range(model.system_dim(system))]
+    body, returns = model.midpoint_newton_source(system)
+    return model._compile_scalar("_newton", (*model.system_vars(system).names, *new, "h"),
+                                 body, returns)
+
+
 def _newton_states(n: int) -> list:
     """200 seeded states in [-1, 1], one whose squares differ from x*x, and
     one with a last component of 1e8 (p3 on ham6)."""
@@ -280,7 +294,7 @@ def test_midpoint_kernel_is_the_array_step(system):
     # the generated residual and Newton matrix, and the system stepper built
     # on them, against the numpy renditions of the rhs and its Jacobian
     n = model.system_dim(system)
-    kernel = model.midpoint_newton_compiled(system)
+    kernel = _newton_kernel(system)
     stepper = integrators._stepper(integrators.IntegratorId.IMPLICIT_MIDPOINT, system)
     f, jac = model.rhs_compiled(system), model.rhs_jacobian_compiled(system)
     rng = np.random.default_rng(6)
@@ -295,13 +309,14 @@ def test_midpoint_kernel_is_the_array_step(system):
 
 
 def _newton_update(out: tuple, n: int) -> tuple:
-    """0.0 minus the Newton update that ``integrators._midpoint_newton``
-    solves for the kernel output ``out``: from the zero state, with a zero
-    field, one iteration that always counts as converged."""
-    advance = integrators._midpoint_newton(
-        lambda *s: (0.0,) * n, lambda *x_new_h: out, n, tol=math.inf, max_iter=1
-    )
-    return advance(*(0.0,) * n, 0.05)
+    """0.0 minus the Newton update that ``integrators._MIDPOINT_STEP`` solves
+    for the kernel output ``out``: from the zero state, with a zero field.
+    The next evaluation returns a zero residual and the identity matrix, so
+    a finite update has converged by then and is not moved."""
+    outs = iter([out, (*(0.0,) * n, *np.eye(n).ravel().tolist())])
+    midpoint = integrators._field_midpoint(n)(lambda *s: (0.0,) * n, lambda *x_new_h: next(outs))
+    with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
+        return midpoint(*(0.0,) * n, 0.05)
 
 
 @pytest.mark.parametrize("system", list(SystemId))
@@ -310,7 +325,7 @@ def test_newton_solve_is_numpy_solve_bit_for_bit(system):
     # Newton systems and on ill-conditioned matrices (0.0 - d is exact, up
     # to the sign of a zero)
     n = model.system_dim(system)
-    kernel = model.midpoint_newton_compiled(system)
+    kernel = _newton_kernel(system)
     rng = np.random.default_rng(9)
     outs = []
     for x in _newton_states(n):
