@@ -21,5 +21,5 @@ from .model import (  # noqa: F401
     rhs,
     rhs_symbolic,
 )
-from .polyring import Poly, Rational, VarSet  # noqa: F401
+from .polyring import Poly, VarSet  # noqa: F401
 from .report import VerificationReport  # noqa: F401

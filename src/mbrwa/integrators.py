@@ -8,34 +8,41 @@ is a Newton iteration with the analytic Jacobian, obtained by symbolic
 differentiation of the polynomial right-hand side and compiled to floats.
 
 Fixed step only: adaptive stepping would break the drift-scaling tests and
-nothing here needs it.  Both schemes run in one loop over float states; RK4,
-the midpoint step and the invariants run as code generated from ``model``'s
-polynomials, on floats, never on numpy columns.  A step that overflows a
-float ``**``, or whose Newton iterate, residual or update is not finite,
-returns the all-nan state (see ``model``), and ``integrate`` reports it as a
-blow-up.
+nothing here needs it.  Both schemes run in one loop over float states.  Each
+scheme is written here, in two renditions side by side: an array step on a
+field of numpy arrays (``rk4_step_field``, ``midpoint_step_field``), and the
+builder (``_system_rk4``, ``_system_midpoint``) of the step that runs, one
+scalar function per system with its polynomial rhs inlined, on Python
+floats, never numpy columns: an array's ``x**2`` is ``x*x``, a scalar's is
+libm ``pow``, and they differ in the last bit on about 0.09% of doubles.
+Python and numpy scalars both call ``pow``, so a generated step written in
+its array step's operation order gives the same bits.
 
 The implicit midpoint step is written once, as source (``_MIDPOINT_STEP``:
 Euler predictor, Newton iterations, finiteness checks, solve, update, both
 stopping rules with ``NEWTON_TOL`` and ``NEWTON_MAX_ITER`` written in as
 constants, ``NewtonError``), and compiled twice.  ``_system_midpoint``
-inlines a system's rhs and Newton evaluation from ``model``, so each step of
-``integrate``, ``step`` and ``midpoint_roundtrip_error`` is one call on
-floats; ``_field_midpoint`` calls a field ``f`` and a Newton ``kernel`` passed
-in, for ``midpoint_step_field`` on ad-hoc array fields.  Each source is
-compiled once per system or dimension.  The linear solve calls numpy's
-``solve1`` gufunc directly, on views of one buffer allocated per stepper:
-that is the LAPACK gesv kernel ``np.linalg.solve`` runs for a 1-D right-hand
-side, without the argument handling around it, and states stay bit-identical
+inlines a system's rhs in the predictor and its Newton evaluation (the
+residual and the Newton matrix together), so an iteration leaves only the
+linear solve to numpy; ``_field_midpoint`` calls a field ``f`` and a Newton
+``kernel`` passed in, for ``midpoint_step_field``.  Each source is compiled
+once per system or dimension.  The linear solve calls numpy's ``solve1``
+gufunc directly, on views of one buffer allocated per stepper: that is the
+LAPACK gesv kernel ``np.linalg.solve`` runs for a 1-D right-hand side,
+without the argument handling around it, and states stay bit-identical
 because the kernel is the same.  (A pure-Python elimination with partial
 pivoting in its place moved 3 of 60 012 states by up to 8.7e-19 on 12 seeded
 5000-step ham6 orbits.)
 
-An exactly singular Newton matrix makes ``solve1`` warn unless an
-``np.errstate`` ignores numpy's "invalid" flag.  Entering one costs about as
-much as a step's predictor, so no compiled step enters one: ``integrate``
-enters one around its whole loop, and ``step``, ``midpoint_roundtrip_error``
-and ``midpoint_step_field`` one per call.  A kernel output or Newton update is
+Every step keeps one float contract.  A float ``**`` raises OverflowError
+where numpy returns inf; a generated step absorbs it and returns the all-nan
+state, as it does when a Newton iterate, residual or update is not finite,
+and ``integrate`` reports that state as a blow-up.  An exactly singular
+Newton matrix makes ``solve1`` warn unless an ``np.errstate`` ignores
+numpy's "invalid" flag.  Entering one costs about as much as a step's
+predictor, so no compiled step enters one: ``integrate`` enters one around
+its whole loop, and ``step``, ``midpoint_roundtrip_error`` and
+``midpoint_step_field`` one per call.  A kernel output or Newton update is
 tested as ``not isfinite(sum(v)) and not all(map(isfinite, v))``.  That is
 exact: a nan or infinite entry makes the sum nan or infinite (so does
 Python 3.12's compensated ``sum``, which adds its compensation term only
@@ -114,7 +121,7 @@ class DriftReport:
 
 
 # ---------------------------------------------------------------------------
-# Generic single-step cores (also usable with ad-hoc test fields)
+# The two schemes: each array step, beside the builder of its generated step
 # ---------------------------------------------------------------------------
 
 
@@ -124,6 +131,25 @@ def rk4_step_field(f: Callable, s: np.ndarray, t: float, h: float) -> np.ndarray
     k3 = f(s + 0.5 * h * k2)
     k4 = f(s + h * k3)
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@lru_cache(maxsize=None)
+def _system_rk4(system: SystemId) -> Callable[..., tuple]:
+    """One RK4 step on ``system`` as a function ``(*x, h) -> tuple``: the rhs
+    inlined four times in ``rk4_step_field``'s operation order, ``x + a*k``
+    with ``a = 0.5 * h``, then ``x + b*(k1 + 2.0*k2 + 2.0*k3 + k4)``."""
+    x, f = model.system_vars(system).names, model.rhs_symbolic(system)
+    k = [[f"k{j}_{i}" for i in range(len(x))] for j in range(4)]
+    body, stage = ["a = 0.5 * h", "b = h / 6.0"], x
+    for j, scale in enumerate(("a", "a", "h", None)):
+        body += [f"{kj} = {model._poly_source(p, stage)}" for kj, p in zip(k[j], f)]
+        if scale:
+            stage = [f"s{j}_{i}" for i in range(len(x))]
+            body += [f"{s} = {xi} + {scale}*{kj}" for s, xi, kj in zip(stage, x, k[j])]
+    new = [f"{xi} + b*({k1} + 2.0*{k2} + 2.0*{k3} + {k4})" for xi, k1, k2, k3, k4 in zip(x, *k)]
+    body = ["try:", *(f"    {line}" for line in body),
+            "except OverflowError:", f"    return (float('nan'),) * {len(x)}"]
+    return model._compile_scalar("_rk4", (*x, "h"), body, new)
 
 
 def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: float) -> np.ndarray:
@@ -207,12 +233,22 @@ def _compile_midpoint(x: Sequence[str], predictor: list, kernel: list) -> Callab
 
 @lru_cache(maxsize=None)
 def _system_midpoint(system: SystemId) -> Callable:
-    """The step's ``_make`` on ``system``, with its rhs and Newton
-    evaluation inlined from ``model``'s source."""
-    x, f = model.system_vars(system).names, model.rhs_source(system)
-    predictor = [f"n{i} = {xi} + h * {fi}" for i, (xi, fi) in enumerate(zip(x, f))]
-    body, out = model.midpoint_newton_source(system)
-    return _compile_midpoint(x, predictor, [*body, f"out = ({', '.join(out)},)"])
+    """The step's ``_make`` on ``system``: its rhs inlined in the predictor
+    and in the Newton evaluation, in ``midpoint_step_field``'s operation order,
+    with the Newton matrix row by row.  A Jacobian entry that is identically
+    zero is written as its value for a finite h, ``1.0`` on the diagonal and
+    ``0.0`` off it."""
+    x, f, source = model.system_vars(system).names, model.rhs_symbolic(system), model._poly_source
+    new, mid = [f"n{i}" for i in range(len(x))], [f"m{i}" for i in range(len(x))]
+    out = [f"{ni} - {xi} - h*{source(p, mid)}" for ni, xi, p in zip(new, x, f)]
+    for i, p in enumerate(f):
+        for j, name in enumerate(x):
+            d, eye = p.diff(name), "1.0" if i == j else "0.0"
+            out.append(eye if d.is_zero else f"{eye} - c*{source(d, mid)}")
+    return _compile_midpoint(
+        x, [f"{ni} = {xi} + h * {source(p, x)}" for ni, xi, p in zip(new, x, f)],
+        ["c = 0.5 * h", *(f"{m} = 0.5*({xi} + {ni})" for m, xi, ni in zip(mid, x, new)),
+         f"out = ({', '.join(out)},)"])
 
 
 @lru_cache(maxsize=None)
@@ -235,7 +271,7 @@ def _stepper(method: IntegratorId, system: SystemId) -> Callable[..., Sequence[f
     """The step of ``method`` on ``system`` as a function ``(*x, h)`` of floats.
     It enters no ``np.errstate``: its caller does, once per run."""
     if method is IntegratorId.RK4:
-        return model.rk4_step_compiled(system)
+        return _system_rk4(system)
     return _system_midpoint(system)(None, None)
 
 

@@ -5,23 +5,13 @@
 * EL6  -- the Euler-Lagrange form, written first-order on (q, qdot)
 
 Each system exists in two renditions: exact polynomial right-hand sides for
-symbolic certification, and compiled float functions (generated from the
-same polynomials) for numerical integration, so the two cannot diverge.
-
-The scalar kernels (the rhs, one RK4 step, one implicit midpoint Newton
-evaluation, all invariants) take Python floats, one state at a time, never
-numpy columns: an array's ``x**2`` is ``x*x``, a scalar's is libm ``pow``, and
-they differ in the last bit on about 0.09% of doubles.  Python and numpy
-scalars both call ``pow``, so a kernel written in the operation order of the
-array step it replaces gives the same bits.  The implicit midpoint step is
-generated by ``integrators`` around source from here: ``rhs_source`` for its
-Euler predictor and ``midpoint_newton_source`` for each Newton evaluation
-(the residual and the Newton matrix together), both inlined, so an
-iteration leaves only the linear solve to numpy.  A float ``**`` raises
-OverflowError where numpy returns inf, and every generated kernel absorbs it:
-a step (RK4 here, implicit midpoint in ``integrators``) returns the all-nan
-state, which its caller reports as a blow-up, and the invariant kernel
-returns nan for the invariant that overflowed.
+symbolic certification, and float functions compiled from source generated
+from the same polynomials (``_poly_source``), so the two cannot diverge.
+Beside the numpy renditions, the invariants are compiled as one scalar kernel
+per system, on Python floats, never numpy columns: an array's ``x**2`` is
+``x*x``, a scalar's is libm ``pow``, and they differ in the last bit on about
+0.09% of doubles.  A float ``**`` raises OverflowError where numpy returns
+inf; the kernel returns nan for the invariant that overflowed.
 
 A state is a named tuple whose fields are the names of its system's VarSet;
 any sequence of the right length is accepted wherever a state is.
@@ -298,54 +288,6 @@ def invariant_compiled(inv: InvariantId) -> Callable[[np.ndarray], float]:
     system = _INVARIANT_SYSTEM[inv]
     fn = compile_poly_vector((invariant_symbolic(inv),), system_vars(system))
     return lambda state: float(fn(state)[0])
-
-
-@lru_cache(maxsize=None)
-def rk4_step_compiled(system: SystemId) -> Callable[..., tuple]:
-    """One RK4 step as a scalar function ``_rk4(*x, h) -> tuple``: the rhs
-    inlined four times in ``integrators.rk4_step_field``'s operation order,
-    ``x + a*k`` with ``a = 0.5 * h``, then ``x + b*(k1 + 2.0*k2 + 2.0*k3 + k4)``.
-    A stage whose ``**`` overflows makes the step return all nan."""
-    x = system_vars(system).names
-    k = [[f"k{j}_{i}" for i in range(len(x))] for j in range(4)]
-    body, stage = ["a = 0.5 * h", "b = h / 6.0"], x
-    for j, scale in enumerate(("a", "a", "h", None)):
-        body += [f"{kj} = {_poly_source(p, stage)}" for kj, p in zip(k[j], rhs_symbolic(system))]
-        if scale:
-            stage = [f"s{j}_{i}" for i in range(len(x))]
-            body += [f"{s} = {xi} + {scale}*{kj}" for s, xi, kj in zip(stage, x, k[j])]
-    new = [f"{xi} + b*({k1} + 2.0*{k2} + 2.0*{k3} + {k4})" for xi, k1, k2, k3, k4 in zip(x, *k)]
-    body = ["try:", *(f"    {line}" for line in body),
-            "except OverflowError:", f"    return (float('nan'),) * {len(x)}"]
-    return _compile_scalar("_rk4", (*x, "h"), body, new)
-
-
-def rhs_source(system: SystemId) -> list[str]:
-    """The right-hand side as source, one expression per component, in the
-    system's variable names."""
-    x = system_vars(system).names
-    return [_poly_source(p, x) for p in rhs_symbolic(system)]
-
-
-def midpoint_newton_source(system: SystemId) -> tuple[list[str], list[str]]:
-    """One implicit midpoint Newton evaluation as source: body lines, then
-    the returned expressions, in the system's variable names ``x``, the
-    iterate ``n0, n1, ...`` and ``h``.  It returns the residual
-    ``new - x - h*f(mid)``, then the Newton matrix ``eye - (0.5*h)*jac(mid)``
-    row by row, at ``mid = 0.5*(x + new)``, in
-    ``integrators.midpoint_step_field``'s operation order.  A Jacobian entry
-    that is identically zero is written as its value for a finite h, ``1.0``
-    on the diagonal and ``0.0`` off it."""
-    x, f = system_vars(system).names, rhs_symbolic(system)
-    new, mid = [f"n{i}" for i in range(len(x))], [f"m{i}" for i in range(len(x))]
-    body = ["c = 0.5 * h", *(f"{m} = 0.5*({xi} + {ni})" for m, xi, ni in zip(mid, x, new))]
-    residual = [f"{ni} - {xi} - h*{_poly_source(p, mid)}" for ni, xi, p in zip(new, x, f)]
-    matrix = []
-    for i, comp in enumerate(f):
-        for j, name in enumerate(x):
-            d, eye = comp.diff(name), "1.0" if i == j else "0.0"
-            matrix.append(eye if d.is_zero else f"{eye} - c*{_poly_source(d, mid)}")
-    return body, residual + matrix
 
 
 @lru_cache(maxsize=None)

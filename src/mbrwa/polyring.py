@@ -33,8 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-Rational = Fraction
-
 # An exact coefficient: an int when integral, a Fraction (denominator not 1)
 # otherwise.  Inputs may be any int or Fraction; stored values are canonical.
 Coeff = Union[int, Fraction]

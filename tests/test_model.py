@@ -1,10 +1,12 @@
 """The three formulations, their invariants, and the connecting maps."""
 
+import builtins
 import json
 import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -184,27 +186,58 @@ class TestJacobianRank:
             assert model.jacobian_rank_phi(s) == 5
 
 
+def _exec_source(build, system: SystemId) -> str:
+    """The source text that the cached kernel builder ``build`` execs for
+    ``system``, taken from a fresh, uncached build."""
+    texts, real_exec = [], builtins.exec
+
+    def spy(source, *namespaces):
+        texts.append(source)
+        return real_exec(source, *namespaces)
+
+    with mock.patch("builtins.exec", spy):
+        build.__wrapped__(system)
+    (text,) = texts
+    return text
+
+
 def test_generated_kernel_source_is_pinned():
     # The float kernels are generated from the exact polynomials; the golden
-    # file pins their source text, so a change in how coefficients are stored
-    # cannot move a compiled constant or the order of its operations.
-    sources = {
-        system.value: {
-            "rhs_source": model.rhs_source(system),
-            "midpoint_newton_source": dict(
-                zip(("body", "returns"), model.midpoint_newton_source(system))
-            ),
-        }
+    # file pins every text they are compiled from, so a change in how
+    # coefficients are stored, or in where a step is built, cannot move a
+    # compiled constant or the order of its operations.
+    golden = json.loads((Path(__file__).parent / "data" / "kernel_sources.json").read_text())
+    builders = {"rk4": integrators._system_rk4, "midpoint": integrators._system_midpoint,
+                "invariants": model.invariants_compiled}
+    compiled = {
+        system.value: {name: _exec_source(build, system).split("\n")
+                       for name, build in builders.items()}
         for system in SystemId
     }
-    sources["invariants"] = {
+    assert compiled == golden["compiled_sources"]
+    # the rhs and Newton evaluation pinned as fragments, before the steps were
+    # pinned whole, are where each step runs them
+    for system in SystemId:
+        x, pinned = model.system_vars(system).names, golden[system.value]
+        rk4 = [line.strip() for line in compiled[system.value]["rk4"]]
+        midpoint = [line.strip() for line in compiled[system.value]["midpoint"]]
+        newton = pinned["midpoint_newton_source"]
+        stage = [f"k0_{i} = {f}" for i, f in enumerate(pinned["rhs_source"])]
+        start = rk4.index("b = h / 6.0") + 1
+        assert stage == rk4[start:start + len(x)]
+        predictor = [f"n{i} = {xi} + h * {f}" for i, (xi, f) in enumerate(zip(x, pinned["rhs_source"]))]
+        start = midpoint.index("try:") + 1
+        assert predictor == midpoint[start:start + len(x)]
+        kernel = [*newton["body"], f"out = ({', '.join(newton['returns'])},)"]
+        start = midpoint.index("for _ in range(50):") + 1
+        assert kernel == midpoint[start:start + len(kernel)]
+    invariants = {
         inv.value: model._poly_source(
             model.invariant_symbolic(inv), model.system_vars(model.invariant_system(inv)).names
         )
         for inv in InvariantId
     }
-    golden = Path(__file__).parent / "data" / "kernel_sources.json"
-    assert sources == json.loads(golden.read_text())
+    assert invariants == golden["invariants"]
 
 
 def test_compiled_rhs_matches_symbolic():
@@ -243,7 +276,7 @@ def _bits(values) -> bytes:
 @settings(max_examples=300)
 def test_rk4_kernel_is_the_array_step(case, h):
     system, x = case
-    got = model.rk4_step_compiled(system)(*x, h)
+    got = integrators._system_rk4(system)(*x, h)
     want = integrators.rk4_step_field(model.rhs_compiled(system), np.array(x), 0.0, h)
     assert _bits(got) == want.tobytes()
 
@@ -269,16 +302,19 @@ def test_invariants_kernel_overflow_is_nan():
 
 def test_rk4_kernel_overflow_is_nan():
     # q1**3 overflows a float ** in the first stage: the step is all nan
-    out = model.rk4_step_compiled(SystemId.HAM6)(1e110, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-3)
+    out = integrators._system_rk4(SystemId.HAM6)(1e110, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-3)
     assert len(out) == 6 and all(map(math.isnan, out))
 
 
 def _newton_kernel(system: SystemId):
-    """``midpoint_newton_source`` as a function ``(*x, *new, h) -> tuple``."""
+    """The Newton evaluation of the system's midpoint step text, the lines
+    that set ``out``, as a function ``(*x, *new, h) -> tuple``."""
+    lines = [line.strip() for line in _exec_source(integrators._system_midpoint, system).split("\n")]
+    start = lines.index("for _ in range(50):") + 1
+    body = lines[start:next(i for i, line in enumerate(lines) if line.startswith("out = (")) + 1]
     new = [f"n{i}" for i in range(model.system_dim(system))]
-    body, returns = model.midpoint_newton_source(system)
     return model._compile_scalar("_newton", (*model.system_vars(system).names, *new, "h"),
-                                 body, returns)
+                                 body, ["*out"])
 
 
 def _newton_states(n: int) -> list:

@@ -6,7 +6,7 @@ import pytest
 
 from mbrwa import model, poisson, verify
 from mbrwa.model import VARS5, InvariantId, SystemId
-from mbrwa.polyring import Poly
+from mbrwa.polyring import Poly, matrix_rank
 
 X1, Y1, X2, Y2, Z = Poly.variables(VARS5)
 PI = poisson.mb_poisson_tensor()
@@ -42,6 +42,25 @@ class TestBracket:
         assert poisson.poisson_bracket(h, c).is_zero
         assert poisson.poisson_bracket(h, j).is_zero
         assert poisson.poisson_bracket(c, j).is_zero
+
+
+class TestIndependence:
+    # (H, C, J) are functionally independent; with their involution
+    # (TestBracket.test_involution_of_constants) this is the Liouville-type
+    # statement behind the paper's third constant of motion
+    GRADIENT = [[model.invariant_symbolic(inv).diff(v) for v in VARS5.names]
+                for inv in (InvariantId.H, InvariantId.C, InvariantId.J)]
+
+    def test_gradient_rank_three_at_a_rational_point(self):
+        point = dict(zip(VARS5.names, (1, 1, 0, 0, 0)))
+        assert matrix_rank([[g.eval(point) for g in row] for row in self.GRADIENT]) == 3
+
+    def test_a_three_by_three_minor_is_nonzero(self):
+        # the minor over the columns (x1, y1, x2)
+        (a, b, c), (d, e, f), (g, h, i) = (row[:3] for row in self.GRADIENT)
+        minor = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        assert minor == Y1 * (X1 * Y1 + X2 * Y2)
+        assert not minor.is_zero
 
 
 class TestJacobi:
