@@ -21,7 +21,8 @@ a polynomial onto another VarSet (unbound variables carry over by name), and
 
 The exact linear algebra (:func:`matrix_rank`, :func:`solve_nullspace`,
 :func:`solve_linear`) takes plain row lists of ints or Fractions and
-eliminates on sparse rows: the determining equations are about 1% nonzero.
+eliminates on sparse rows, indexed by column and pivoting on the sparsest
+row (Markowitz's rule): the determining equations are about 1% nonzero.
 Row entries follow the coefficient rule above, and results come back in
 the same form.  A caller that already holds sparse ``{column: coefficient}``
 rows, as the determining-equation assembly does, passes them to
@@ -395,33 +396,52 @@ def _sparse_rows(matrix: Sequence[Sequence[Coeff]]) -> tuple[list[dict[int, Coef
 
 def _rref(rows: list[dict[int, Coeff]], ncols: int) -> list[int]:
     """Bring sparse rows to reduced row echelon form in place; returns the
-    pivot columns.  Columns go in order, each pivoting on the first remaining
-    row that is nonzero there, and entries that cancel are removed.  A matrix
-    has exactly one RREF, so sparse storage changes only the cost.
+    pivot columns, with pivot ``r`` in ``rows[r]`` and the emptied rows after.
+
+    One Gauss-Jordan pass over the columns in order, driven by an index
+    ``where[k]`` of the rows with an entry in column ``k``, kept up to date
+    as entries fill in and cancel.  Each column pivots on the sparsest row
+    that has an entry there and is no pivot yet (Markowitz's rule; ties go
+    to the lower row index), and eliminates only the rows its index lists.
+    A matrix has exactly one RREF, so the pivot rule changes only the cost.
 
     Entries stay canonical: a pivot of 1 needs no scaling, any other is
     inverted as ``Fraction(1) / p`` (``1 / p`` would make an int pivot a
     float), and an entry that comes out integral is stored as an int."""
+    where: list[set[int]] = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for k in row:
+            where[k].add(i)
+    is_pivot = [False] * len(rows)
     pivots: list[int] = []
+    order: list[int] = []
     for c in range(ncols):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, len(rows)) if c in rows[i]), None)
-        if pivot_row is None:
+        free = [i for i in where[c] if not is_pivot[i]]
+        if not free:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        r = min(free, key=lambda i: (len(rows[i]), i))
         pivot = rows[r]
         p = pivot[c]
         if p != 1:
             inv = Fraction(1) / p
             pivot = rows[r] = {k: _coeff(v * inv) for k, v in pivot.items()}
-        for row in rows:
-            f = row.get(c) if row is not pivot else None
-            if f:
-                for k, v in pivot.items():
-                    x = row.pop(k, 0) - f * v
-                    if x:  # _coeff(x), inlined in the hot loop
-                        row[k] = x.numerator if type(x) is Fraction and x.denominator == 1 else x
+        for i in where[c] - {r}:
+            row = rows[i]
+            f = row[c]
+            for k, v in pivot.items():
+                old = row.get(k, 0)
+                x = old - f * v
+                if x:  # _coeff(x), inlined in the hot loop
+                    row[k] = x.numerator if type(x) is Fraction and x.denominator == 1 else x
+                    if not old:
+                        where[k].add(i)
+                else:
+                    del row[k]
+                    where[k].remove(i)
+        is_pivot[r] = True
         pivots.append(c)
+        order.append(r)
+    rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if not is_pivot[i]]
     return pivots
 
 

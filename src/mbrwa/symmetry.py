@@ -350,6 +350,18 @@ def _determining_columns(
     return columns
 
 
+def _determining_rows(monos: Sequence[tuple[int, int, int, int]]) -> list[dict[int, Coeff]]:
+    """The determining matrix of the ansatz over ``monos`` as sparse rows,
+    one per (equation, jet monomial) in sorted order; column
+    ``slot * len(monos) + j`` is monomial j in slot xi, eta1, eta2, eta3."""
+    rows: dict[tuple[int, tuple[int, ...]], dict[int, Coeff]] = {}
+    for j, col in enumerate(_determining_columns(monos)):
+        for eq_idx, r in enumerate(col):
+            for e, c in r.terms.items():
+                rows.setdefault((eq_idx, e), {})[j] = c
+    return [rows[key] for key in sorted(rows)]
+
+
 def solve_determining(max_degree: int = 2) -> list[JetVectorField]:
     """Exact nullspace of the determining equations for a polynomial ansatz
     of total degree <= max_degree in (t, q).
@@ -360,13 +372,7 @@ def solve_determining(max_degree: int = 2) -> list[JetVectorField]:
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     monos = _monomials(max_degree)
-    # one sparse row per (equation, jet monomial), in sorted order
-    rows: dict[tuple[int, tuple[int, ...]], dict[int, Coeff]] = {}
-    for j, col in enumerate(_determining_columns(monos)):
-        for eq_idx, r in enumerate(col):
-            for e, c in r.terms.items():
-                rows.setdefault((eq_idx, e), {})[j] = c
-    basis_vectors = _nullspace([rows[key] for key in sorted(rows)], 4 * len(monos))
+    basis_vectors = _nullspace(_determining_rows(monos), 4 * len(monos))
     fields = []
     for vec in basis_vectors:
         comps = []

@@ -10,8 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from mbrwa import integrators
-from mbrwa.cli import EXIT_BROKEN_PIPE, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from mbrwa import integrators, symmetry
+from mbrwa.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    MAX_SOLVE_DEGREE,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -464,6 +472,15 @@ class TestGoldenOutput:
         assert payload["matches_reference_family"] is True
         assert out == (self.DATA / "solve_symmetries_max_degree_5.json").read_text()
 
+    @pytest.mark.parametrize("degree", [6, 7])
+    def test_solve_symmetries_high_degree_bytes(self, capsys, degree):
+        code, out, _ = run(capsys, "solve-symmetries", "--max-degree", str(degree))
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["dimension"] == 4
+        assert payload["matches_reference_family"] is True
+        assert out == (self.DATA / f"solve_symmetries_max_degree_{degree}.json").read_text()
+
     MB5_RK4 = ("--system", "mb5", "--method", "rk4", "--init=0.3,-0.5,0.7,0.1,-0.9",
                "--t-end", "20", "--h", "1e-3")
     HAM6_MIDPOINT = ("--system", "ham6", "--method", "midpoint",
@@ -535,6 +552,16 @@ class TestSolveSymmetries:
         with pytest.raises(SystemExit) as exc:
             main(["solve-symmetries", "--max-degree", "0"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("degree", [MAX_SOLVE_DEGREE + 1, 40, 10**9])
+    def test_degree_above_the_cap(self, capsys, monkeypatch, degree):
+        # rejected before the ansatz is built: a solve here fails the test
+        monkeypatch.setattr(symmetry, "solve_determining", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-symmetries", "--max-degree", str(degree)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"--max-degree must be between 1 and {MAX_SOLVE_DEGREE}" in err
 
 
 def test_version(capsys):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbrwa import symmetry
 from mbrwa.polyring import (
     InconsistentSystem,
     Poly,
     VarSet,
     VarSetMismatch,
+    _rref,
     lie_derivative,
     matrix_rank,
     solve_linear,
@@ -250,6 +252,59 @@ class TestLinearSolver:
     def test_ragged_rejected(self, solver, matrix):
         with pytest.raises(ValueError, match="ragged"):
             solver(matrix)
+
+
+@st.composite
+def shuffled_systems(draw):
+    """A sparse rational system with dependent rows (sums of multiples of
+    drawn rows) and a permutation of its rows: which row the elimination
+    meets first, and how sparse each candidate pivot row is, both vary."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    sparse = st.one_of(st.just(Fraction(0)), entry)
+    rows = [[draw(sparse) for _ in range(ncols)] for _ in range(draw(st.integers(1, 5)))]
+    for _ in range(draw(st.integers(0, 3))):
+        weights = [draw(st.integers(-2, 2)) for _ in rows]
+        rows.append([sum(w * row[j] for w, row in zip(weights, rows)) for j in range(ncols)])
+    rhs = [draw(st.integers(-2, 2)) for _ in rows]
+    order = draw(st.permutations(range(len(rows))))
+    return rows, rhs, order
+
+
+def _solve_or_inconsistent(matrix, rhs):
+    try:
+        return solve_linear(matrix, rhs)
+    except InconsistentSystem:
+        return "inconsistent"
+
+
+@given(shuffled_systems())
+def test_row_order_does_not_change_the_results(system):
+    # a matrix has one RREF whatever row each column pivots on, so the
+    # results read off it cannot depend on the order of the rows
+    rows, rhs, order = system
+    shuffled = [rows[i] for i in order]
+    assert matrix_rank(shuffled) == matrix_rank(rows)
+    assert solve_nullspace(shuffled) == solve_nullspace(rows)
+    assert _solve_or_inconsistent(shuffled, [rhs[i] for i in order]) == _solve_or_inconsistent(
+        rows, rhs
+    )
+
+
+def test_rref_shape_on_the_degree_3_determining_rows():
+    monos = symmetry._monomials(3)
+    rows = symmetry._determining_rows(monos)
+    ncols = 4 * len(monos)
+    assert (len(rows), ncols) == (758, 140)
+    pivots = _rref(rows, ncols)
+    assert len(pivots) == 136
+    pivot_set = set(pivots)
+    for r, p in enumerate(pivots):
+        # a 1 at its own pivot column and no entry in any other
+        assert rows[r][p] == 1
+        assert pivot_set & rows[r].keys() == {p}
+    assert all(not row for row in rows[len(pivots):])
+    assert all(canonical(c) for row in rows for c in row.values())
 
 
 # ---------------------------------------------------------------------------
