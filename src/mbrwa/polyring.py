@@ -115,6 +115,17 @@ class Poly:
         self.vars = vars
         self.terms = clean
 
+    @classmethod
+    def _made(cls, vars: VarSet, terms: Mapping[tuple[int, ...], Coeff]) -> "Poly":
+        """A result of this module's own operations, whose exponent vectors
+        are tuples of the right length already: only the zeros are dropped
+        and the coefficients made canonical (a Fraction product may come out
+        integral).  Outside input goes through ``__init__``."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = {e: c if type(c) is int else _coeff(c) for e, c in terms.items() if c}
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -179,12 +190,12 @@ class Poly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return Poly(self.vars, terms)
+        return Poly._made(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._made(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["Poly", Coeff]) -> "Poly":
         return self + (-self._coerce(other))
@@ -199,7 +210,7 @@ class Poly:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return Poly(self.vars, terms)
+        return Poly._made(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -233,7 +244,7 @@ class Poly:
                 continue
             e2 = e[:i] + (k - 1,) + e[i + 1 :]
             terms[e2] = terms.get(e2, 0) + c * k
-        return Poly(self.vars, terms)
+        return Poly._made(self.vars, terms)
 
     def substitute(self, bindings: Mapping[str, Union["Poly", Coeff]]) -> "Poly":
         """Simultaneous substitution of polynomials for variables.
@@ -279,12 +290,12 @@ class Poly:
                     factors.append(powers[(i, k)])
                 else:
                     mono[carry[i]] += k
-            term = Poly(target, {tuple(mono): c})
+            term = Poly._made(target, {tuple(mono): c})
             for f in factors:
                 term = term * f
             for m, v in term.terms.items():
                 total[m] = total.get(m, 0) + v
-        return Poly(target, total)
+        return Poly._made(target, total)
 
     def eval(self, point: Mapping[str, Union[Coeff, float]]):
         """Evaluate at a point binding every variable.
@@ -319,7 +330,7 @@ class Poly:
                     e2[target.index(self.vars.names[i])] += k
             key = tuple(e2)
             terms[key] = terms.get(key, 0) + c
-        return Poly(target, terms)
+        return Poly._made(target, terms)
 
     # -- display -----------------------------------------------------------
 
@@ -371,7 +382,7 @@ def lie_derivative(field: Mapping[str, Poly], f: Poly) -> Poly:
             continue
         for e, c in (comp * df).terms.items():
             total[e] = total.get(e, 0) + c
-    return Poly(f.vars, total)
+    return Poly._made(f.vars, total)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,18 @@ pr2(u)(qdd_i - A_i) of the unit fields are
 * xi = m:    R_i = -D^2(m) qd_i - 2 D(m) A_i + D(m) sum_j qd_j dA_i/dqd_j,
 * eta_k = m: R_i = delta_ik D^2(m) - m dA_i/dq_k - D(m) dA_i/dqd_k,
 
-so every column is a few products of m, D(m) and D^2(m) with fixed
-polynomials.  :func:`determining_residuals` stays the generated reference:
-it certifies the family and is the oracle the assembly is tested against.
+and, as m does not depend on the velocities,
+
+* D(m)   = m_t + sum_k qd_k m_qk,
+* D^2(m) = m_tt + 2 sum_k qd_k m_tqk + sum_kl qd_k qd_l m_qkql + sum_k A_k m_qk.
+
+So every residual is a sum of partial derivatives of m of order <= 2, each
+times a fixed polynomial F that does not depend on m.  A derivative of a
+monomial is an integer times a lower monomial, and its product with F is F
+with shifted exponents: the columns are written straight into sparse rows
+from one table of F's terms, with no polynomial built per monomial.
+:func:`determining_residuals` stays the generated reference: it certifies
+the family and is the oracle the assembly is tested against.
 
 The constants of motion are derived, not restated: :func:`noether_charge`
 applies Noether's formula to a t-free point field with ``model``'s L.  In the
@@ -35,6 +44,7 @@ Velocity-dependent or non-polynomial symmetry coefficients are out of scope.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from collections.abc import Mapping, Sequence
@@ -43,7 +53,7 @@ from typing import Literal
 
 from . import model
 from .model import InvariantId, SystemId
-from .polyring import Coeff, Poly, VarSet, _nullspace, lie_derivative, matrix_rank
+from .polyring import Coeff, Poly, VarSet, _coeff, _nullspace, lie_derivative, matrix_rank
 
 BASE_NAMES = ("t", "q1", "q2", "q3")
 JET_EXTRA = ("qd1", "qd2", "qd3", "qdd1", "qdd2", "qdd3")
@@ -309,56 +319,118 @@ def _monomials(max_degree: int) -> list[tuple[int, int, int, int]]:
     return monos
 
 
-def _determining_columns(
-    monos: Sequence[tuple[int, int, int, int]],
-) -> list[tuple[Poly, Poly, Poly]]:
-    """The determining residuals of the unit fields xi = m, then eta_1 = m,
-    eta_2 = m and eta_3 = m, for each monomial m of ``monos`` in turn.
+def _order(*vs: int) -> tuple[int, ...]:
+    """The orders in (t, q1, q2, q3) of the partial derivative by the base
+    variables with the given indices."""
+    return tuple(vs.count(w) for w in range(4))
 
-    Assembled by linearity from three jets of each m (see the module
-    docstring); equal, column by column, to :func:`determining_residuals`
-    of the unit field.
-    """
+
+# The partial derivatives of an ansatz monomial m that its residuals read:
+# m itself, its first derivatives and its second derivatives.
+_ORDERS = tuple(
+    _order(*vs) for n in range(3) for vs in itertools.combinations_with_replacement(range(4), n)
+)
+
+
+@lru_cache(maxsize=None)
+def _unit_residual_pieces() -> tuple[tuple[Mapping[tuple[int, ...], Poly], ...], ...]:
+    """The residual R_i of the unit field with monomial m in slot xi, eta1,
+    eta2 or eta3, as ``pieces[slot][i] = {order: F}``: R_i is the sum of
+    (d m) F over the partial derivatives d of m of the given orders (see the
+    module docstring).  No F depends on m."""
     jv = jet_vars(BASE_VARS)
     acc = [a.rename(jv) for a in model.rhs_symbolic(SystemId.EL6)[3:]]
     qd = [Poly.var(jv, f"qd{k}") for k in (1, 2, 3)]
-    # the total derivative along solutions, qdd already replaced by A
-    along = VectorField.of(jv, {
-        "t": Poly.const(jv, 1),
-        **{f"q{k}": v for k, v in enumerate(qd, start=1)},
-        **{f"qd{k}": a for k, a in enumerate(acc, start=1)},
-    })
-    d_q = [[a.diff(f"q{k}") for k in (1, 2, 3)] for a in acc]
-    d_qd = [[a.diff(f"qd{k}") for k in (1, 2, 3)] for a in acc]
-    # the xi columns' factor of D_t m: 2 A_i - sum_j qd_j dA_i/dqd_j
-    xi_factor = [
-        2 * a - sum((v * d for v, d in zip(qd, row)), Poly.zero(jv)) for a, row in zip(acc, d_qd)
-    ]
-    jets = []
-    for m in monos:
-        m0 = Poly(jv, {m + (0,) * 6: 1})
-        m1 = lie_derivative(along, m0)
-        jets.append((m0, m1, lie_derivative(along, m1)))
-    columns = [
-        tuple(-(m2 * qd[i]) - m1 * xi_factor[i] for i in range(3)) for m0, m1, m2 in jets
-    ]
+    one = Poly.const(jv, 1)
+    # m, D m and D^2 m, each as {order of the derivative of m: its factor}
+    jet0 = {_order(): one}
+    jet1 = {_order(0): one, **{_order(k + 1): qd[k] for k in range(3)}}
+    jet2 = {_order(0, 0): one, **{_order(k + 1): acc[k] for k in range(3)}}
     for k in range(3):
-        for m0, m1, m2 in jets:
-            col = [-(m0 * d_q[i][k]) - m1 * d_qd[i][k] for i in range(3)]
-            col[k] = col[k] + m2
-            columns.append(tuple(col))
-    return columns
+        jet2[_order(0, k + 1)] = 2 * qd[k]
+        for l in range(k, 3):
+            jet2[_order(k + 1, l + 1)] = (1 if k == l else 2) * qd[k] * qd[l]
+
+    def combine(*terms) -> Mapping[tuple[int, ...], Poly]:
+        out: dict[tuple[int, ...], Poly] = {}
+        for factor, jet in terms:
+            for o, p in jet.items():
+                out[o] = out.get(o, 0) + factor * p
+        return MappingProxyType({o: p for o, p in out.items() if not p.is_zero})
+
+    d_qd = [[a.diff(f"qd{k}") for k in (1, 2, 3)] for a in acc]
+    xi = tuple(
+        combine(
+            (-qd[i], jet2),
+            (sum((v * dv for v, dv in zip(qd, d_qd[i])), -2 * acc[i]), jet1),
+        )
+        for i in range(3)
+    )
+    etas = tuple(
+        tuple(
+            combine(
+                (int(i == k), jet2),
+                (-acc[i].diff(f"q{k + 1}"), jet0),
+                (-d_qd[i][k], jet1),
+            )
+            for i in range(3)
+        )
+        for k in range(3)
+    )
+    return (xi, *etas)
 
 
 def _determining_rows(monos: Sequence[tuple[int, int, int, int]]) -> list[dict[int, Coeff]]:
     """The determining matrix of the ansatz over ``monos`` as sparse rows,
     one per (equation, jet monomial) in sorted order; column
-    ``slot * len(monos) + j`` is monomial j in slot xi, eta1, eta2, eta3."""
-    rows: dict[tuple[int, tuple[int, ...]], dict[int, Coeff]] = {}
-    for j, col in enumerate(_determining_columns(monos)):
-        for eq_idx, r in enumerate(col):
-            for e, c in r.terms.items():
-                rows.setdefault((eq_idx, e), {})[j] = c
+    ``slot * len(monos) + j`` is monomial j in slot xi, eta1, eta2, eta3.
+
+    Each column is written straight into the rows: a derivative of a
+    monomial is an integer times a lower monomial, so its product with a
+    piece F is F's terms with shifted exponents.  A row key (i, e) is packed
+    into one int, the digits i, e_1, ..., e_n in a base above every exponent
+    that can occur, so that int order is tuple order and adding packed
+    exponents adds them."""
+    pieces = _unit_residual_pieces()
+    nvars = len(jet_vars(BASE_VARS))
+    top = max((sum(m) for m in monos), default=0)
+    base = top + max(p.total_degree() for s in pieces for r in s for p in r.values()) + 1
+    weights = [base ** (nvars - 1 - v) for v in range(4)]
+
+    def pack(i: int, e: tuple[int, ...]) -> int:
+        key = i
+        for k in e:
+            key = key * base + k
+        return key
+
+    # per slot, per derivative order: the (packed key, coefficient) of F's terms
+    packed = [
+        [
+            [(pack(i, e), c) for i, r in enumerate(slot) if o in r for e, c in r[o].terms.items()]
+            for o in _ORDERS
+        ]
+        for slot in pieces
+    ]
+    # per monomial: (order index, integer factor, packed shift) of each
+    # derivative that is not zero
+    tables = []
+    for m in monos:
+        table = []
+        for n, o in enumerate(_ORDERS):
+            c = math.prod(map(math.perm, m, o))
+            if c:
+                table.append((n, c, sum((a - k) * w for a, k, w in zip(m, o, weights))))
+        tables.append(table)
+    rows: dict[int, dict[int, Coeff]] = {}
+    for j, (slot, table) in enumerate(itertools.product(packed, tables)):
+        col: dict[int, Coeff] = {}
+        for n, c, shift in table:
+            for key, f in slot[n]:
+                key += shift
+                col[key] = col.get(key, 0) + c * f
+        for key, v in col.items():
+            if v:
+                rows.setdefault(key, {})[j] = _coeff(v)
     return [rows[key] for key in sorted(rows)]
 
 

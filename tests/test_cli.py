@@ -472,7 +472,7 @@ class TestGoldenOutput:
         assert payload["matches_reference_family"] is True
         assert out == (self.DATA / "solve_symmetries_max_degree_5.json").read_text()
 
-    @pytest.mark.parametrize("degree", [6, 7])
+    @pytest.mark.parametrize("degree", [6, 7, 8])
     def test_solve_symmetries_high_degree_bytes(self, capsys, degree):
         code, out, _ = run(capsys, "solve-symmetries", "--max-degree", str(degree))
         assert code == EXIT_OK

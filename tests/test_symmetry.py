@@ -1,7 +1,10 @@
 """Prolongation, determining equations, Noether charges, push-forwards."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +37,7 @@ from mbrwa.symmetry import (
 T, Q1, Q2, Q3 = Poly.variables(BASE_VARS)
 ZERO = Poly.zero(BASE_VARS)
 JV = jet_vars(BASE_VARS)
+DATA = Path(__file__).parent / "data"
 
 
 def jet(name):
@@ -161,18 +165,31 @@ class TestSolver:
             solve_determining(0)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-    def test_assembled_columns_match_the_residuals(self, degree):
-        # the assembly by linearity against the generated prolongation,
-        # entry for entry, for every unit field of the ansatz
+    def test_assembled_rows_match_the_residuals(self, degree):
+        # the shift-based assembly against the generated prolongation: the
+        # residuals of every unit field of the ansatz, flattened into rows
+        # keyed by (equation, jet monomial) in sorted order, row for row
         monos = symmetry._monomials(degree)
-        columns = symmetry._determining_columns(monos)
-        units = [(slot, m) for slot in range(4) for m in monos]
-        assert len(columns) == len(units)
-        for col, (slot, m) in zip(columns, units):
-            comps = [ZERO] * 4
-            comps[slot] = Poly(BASE_VARS, {m: Fraction(1)})
-            u = JetVectorField(xi=comps[0], eta=tuple(comps[1:]))
-            assert col == determining_residuals(u), (slot, m)
+        columns = []
+        for slot in range(4):
+            for m in monos:
+                comps = [ZERO] * 4
+                comps[slot] = Poly(BASE_VARS, {m: 1})
+                columns.append(determining_residuals(JetVectorField(comps[0], tuple(comps[1:]))))
+        keys = sorted({(i, e) for col in columns for i, r in enumerate(col) for e in r.terms})
+        want = [
+            {j: c for j, col in enumerate(columns) if (c := col[i].coefficient(e))}
+            for i, e in keys
+        ]
+        assert symmetry._determining_rows(monos) == want
+
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_assembled_rows_match_their_digest(self, degree):
+        # sha256 of the rows' repr, pinned before the assembly was rewritten:
+        # it covers row order, column order and the int/Fraction types
+        digests = json.loads((DATA / "determining_rows_sha256.json").read_text())["degrees"]
+        rows = symmetry._determining_rows(symmetry._monomials(degree))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digests[str(degree)]
 
 
 class TestAlgebra:
