@@ -238,10 +238,7 @@ def cmd_solve_symmetries(args, parser) -> int:
     if not 1 <= args.max_degree <= MAX_SOLVE_DEGREE:
         parser.error(f"--max-degree must be between 1 and {MAX_SOLVE_DEGREE}")
     basis = symmetry.solve_determining(args.max_degree)
-    reference = symmetry.symmetry_basis()
-    matches = len(basis) == 4 and symmetry.spans_match(
-        basis, reference, args.max_degree
-    )
+    matches = len(basis) == 4 and symmetry.spans_match(basis, symmetry.symmetry_basis())
     payload = {
         "max_degree": args.max_degree,
         "dimension": len(basis),

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from . import model
 from .model import VARS5, InvariantId
-from .polyring import Coeff, InconsistentSystem, Poly, VarSet, lie_derivative, solve_linear
+from .polyring import Coeff, InconsistentSystem, Poly, VarSet, express, lie_derivative
 from .report import Outcome, VerificationReport, run_check
 
 Matrix = tuple[tuple[Coeff, ...], ...]
@@ -237,20 +237,20 @@ class CommutatorOutsideSpan(ValueError):
 def structure_constants(
     basis: Sequence,
     bracket: Callable,
-    flatten: Callable[..., Sequence[Coeff]],
+    coords: Callable[..., Sequence],
 ) -> dict[tuple[int, int], tuple[Coeff, ...]]:
     """Expand every bracket [B_i, B_j], i < j (1-based), in the basis.
 
-    ``flatten`` gives an element's coordinates; the expansion is an exact
-    linear solve on them, and failure to expand raises
-    :class:`CommutatorOutsideSpan` with the bracket as witness.
+    ``coords`` gives an element's coordinates, exact scalars or Polys; the
+    expansion is :func:`~mbrwa.polyring.express` on them, and failure to
+    expand raises :class:`CommutatorOutsideSpan` with the bracket as witness.
     """
-    columns = list(zip(*(flatten(b) for b in basis)))
+    images = [coords(b) for b in basis]
     table = {}
     for i, j in itertools.combinations(range(len(basis)), 2):
         w = bracket(basis[i], basis[j])
         try:
-            coeffs = solve_linear(columns, flatten(w))
+            coeffs = express(coords(w), images)
         except InconsistentSystem:
             raise CommutatorOutsideSpan(i + 1, j + 1, w) from None
         table[(i + 1, j + 1)] = tuple(coeffs)

@@ -19,14 +19,13 @@ everything else: :meth:`Poly.substitute`, the one composition, which may move
 a polynomial onto another VarSet (unbound variables carry over by name), and
 :func:`lie_derivative`, the derivative along a vector field.
 
-The exact linear algebra (:func:`matrix_rank`, :func:`solve_nullspace`,
-:func:`solve_linear`) takes plain row lists of ints or Fractions and
-eliminates on sparse rows, indexed by column and pivoting on the sparsest
-row (Markowitz's rule): the determining equations are about 1% nonzero.
-Row entries follow the coefficient rule above, and results come back in
-the same form.  A caller that already holds sparse ``{column: coefficient}``
-rows, as the determining-equation assembly does, passes them to
-:func:`_nullspace` without a dense detour.
+The exact linear algebra eliminates on sparse rows, indexed by column and
+pivoting on the sparsest row (Markowitz's rule): the determining equations
+are about 1% nonzero.  Entries and results follow the coefficient rule
+above.  :func:`kernel` finds the vanishing combinations of images (tuples
+of Polys or exact scalars) over the monomials that occur, with no degree
+cap, and :func:`express` derives from it.  :func:`matrix_rank` and
+:func:`solve_nullspace` take row lists, and :func:`_nullspace` sparse rows.
 """
 
 from __future__ import annotations
@@ -396,8 +395,8 @@ class InconsistentSystem(ValueError):
 
 def _sparse_rows(matrix: Sequence[Sequence[Coeff]]) -> tuple[list[dict[int, Coeff]], int]:
     """The rows of a matrix as sparse ``{column: coefficient}`` dicts without
-    zeros, and its column count.  Every solver reads its matrix through
-    here, so ragged rows and float entries are rejected in one place."""
+    zeros, and its column count.  Both matrix solvers read their matrix
+    through here, so ragged rows and floats are rejected in one place."""
     widths = {len(row) for row in matrix}
     if len(widths) > 1:
         raise ValueError(f"ragged matrix: row lengths {sorted(widths)}")
@@ -485,17 +484,33 @@ def _nullspace(rows: list[dict[int, Coeff]], ncols: int) -> list[list[Coeff]]:
     return basis
 
 
-def solve_linear(matrix: Sequence[Sequence[Coeff]], rhs: Sequence[Coeff]) -> list[Coeff]:
-    """One exact solution of ``A x = b``; raises if the system is inconsistent."""
-    rows, ncols = _sparse_rows(matrix)
-    if len(rhs) != len(rows):
-        raise ValueError("rhs length does not match row count")
-    # b is column ncols of the augmented matrix [A | b]
-    rows = [{**row, ncols: _coeff(b)} if b else row for row, b in zip(rows, rhs)]
-    pivots = _rref(rows, ncols + 1)
-    if ncols in pivots:
+def kernel(images: Sequence[Sequence[Union[Poly, Coeff]]]) -> list[list[Coeff]]:
+    """The ``c`` with ``sum_j c[j] * images[j] == 0``, as :func:`_nullspace`
+    gives them, over one row per (position, monomial) that occurs.  Each
+    position holds only exact scalars or only Polys over one VarSet, else
+    ValueError: a scalar 1 and ``Poly.const(1)`` would sit on different rows."""
+    if len({len(x) for x in images}) > 1:
+        raise ValueError("ragged images: their lengths differ")
+    rows: dict[tuple, dict[int, Coeff]] = {}
+    for pos, entries in enumerate(zip(*images)):
+        polys = isinstance(entries[0], Poly)
+        for j, x in enumerate(entries):
+            if isinstance(x, Poly) != polys:
+                raise ValueError(f"position {pos} mixes Polys and scalars")
+            if polys:
+                entries[0]._check(x)
+                for e, c in x.terms.items():
+                    rows.setdefault((pos, e), {})[j] = c
+            elif c := _coeff(x):
+                rows.setdefault((pos,), {})[j] = c
+    return _nullspace(list(rows.values()), len(images))
+
+
+def express(target: Sequence, images: Sequence[Sequence]) -> list[Coeff]:
+    """The ``x``, zero on free images, with ``sum_j x[j] * images[j] ==
+    target``, or :class:`InconsistentSystem`.  The target's column is free,
+    its kernel vector the last, exactly when the target is in the span."""
+    basis = kernel([*images, target])
+    if not (basis and basis[-1][-1]):
         raise InconsistentSystem("no exact solution exists")
-    x = [0] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r].get(ncols, 0)
-    return x
+    return [-c for c in basis[-1][:-1]]

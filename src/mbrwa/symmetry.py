@@ -53,7 +53,7 @@ from typing import Literal
 
 from . import model
 from .model import InvariantId, SystemId
-from .polyring import Coeff, Poly, VarSet, _coeff, _nullspace, lie_derivative, matrix_rank
+from .polyring import Coeff, Poly, VarSet, _coeff, _nullspace, kernel, lie_derivative
 
 BASE_NAMES = ("t", "q1", "q2", "q3")
 JET_EXTRA = ("qd1", "qd2", "qd3", "qdd1", "qdd2", "qdd3")
@@ -296,19 +296,6 @@ def lie_bracket(u: JetVectorField, v: JetVectorField) -> JetVectorField:
     return JetVectorField(xi=w["t"], eta=(w["q1"], w["q2"], w["q3"]))
 
 
-def field_coefficient_vector(u: JetVectorField, max_degree: int) -> list[Coeff]:
-    """Flatten a field into coefficients over all (t, q) monomials of total
-    degree <= max_degree, slot by slot (xi, eta1, eta2, eta3)."""
-    monos = _monomials(max_degree)
-    vec: list[Coeff] = []
-    for comp in u.components():
-        if comp.total_degree() > max_degree:
-            raise ValueError("coefficient degree exceeds the requested cap")
-        for m in monos:
-            vec.append(comp.coefficient(m + (0,) * (len(comp.vars) - 4)))
-    return vec
-
-
 def _monomials(max_degree: int) -> list[tuple[int, int, int, int]]:
     monos = [
         e
@@ -444,31 +431,21 @@ def solve_determining(max_degree: int = 2) -> list[JetVectorField]:
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     monos = _monomials(max_degree)
-    basis_vectors = _nullspace(_determining_rows(monos), 4 * len(monos))
+    n = len(monos)
     fields = []
-    for vec in basis_vectors:
-        comps = []
-        for slot in range(4):
-            terms = {}
-            for j, m in enumerate(monos):
-                c = vec[slot * len(monos) + j]
-                if c:
-                    terms[m] = c
-            comps.append(Poly(BASE_VARS, terms))
-        fields.append(JetVectorField(xi=comps[0], eta=tuple(comps[1:])))
+    for vec in _nullspace(_determining_rows(monos), 4 * n):
+        xi, *eta = (Poly(BASE_VARS, dict(zip(monos, vec[s * n : (s + 1) * n]))) for s in range(4))
+        fields.append(JetVectorField(xi=xi, eta=tuple(eta)))
     return fields
 
 
-def spans_match(
-    fields: Sequence[JetVectorField],
-    reference: Sequence[JetVectorField],
-    max_degree: int,
-) -> bool:
+def spans_match(fields: Sequence[JetVectorField], reference: Sequence[JetVectorField]) -> bool:
     """Whether two families of point fields span the same linear space."""
-    a = [field_coefficient_vector(u, max_degree) for u in fields]
-    b = [field_coefficient_vector(u, max_degree) for u in reference]
-    ra, rb, rab = matrix_rank(a), matrix_rank(b), matrix_rank(a + b)
-    return ra == rb == rab
+    a, b, ab = (
+        len(us) - len(kernel([u.components() for u in us]))
+        for us in (fields, reference, [*fields, *reference])
+    )
+    return a == b == ab
 
 
 # ---------------------------------------------------------------------------

@@ -167,15 +167,11 @@ def _table_report(
 
 
 def point_field_commutator_table(
-    basis: list[JetVectorField], max_degree: int = 1
+    basis: list[JetVectorField],
 ) -> dict[tuple[int, int], tuple[Coeff, ...]]:
     """Expand every [u_i, u_j], i < j (1-based), in the given field basis,
-    over the coefficients of all (t, q) monomials of degree <= max_degree."""
-    return poisson.structure_constants(
-        basis,
-        symmetry.lie_bracket,
-        lambda u: symmetry.field_coefficient_vector(u, max_degree),
-    )
+    over the coefficients of its (xi, eta1, eta2, eta3) polynomials."""
+    return poisson.structure_constants(basis, symmetry.lie_bracket, JetVectorField.components)
 
 
 def suite_algebra() -> list[VerificationReport]:
@@ -217,7 +213,7 @@ def suite_symmetry(family: JetVectorField | None = None) -> list[VerificationRep
         failures = []
         if len(basis) != 4:
             failures.append(f"solver returned dimension {len(basis)}, expected 4")
-        elif not symmetry.spans_match(basis, symmetry.symmetry_basis(), 2):
+        elif not symmetry.spans_match(basis, symmetry.symmetry_basis()):
             failures.append("solver basis does not span the four reference symmetries")
         return Outcome(failures, {"dimension": len(basis)})
 

@@ -73,9 +73,7 @@ def test_criterion_4_symmetry(report):
         r.is_zero for r in symmetry.determining_residuals(symmetry.symbolic_family_field())
     )
     basis = symmetry.solve_determining(2)
-    solver_ok = len(basis) == 4 and symmetry.spans_match(
-        basis, symmetry.symmetry_basis(), 2
-    )
+    solver_ok = len(basis) == 4 and symmetry.spans_match(basis, symmetry.symmetry_basis())
     algebra_ok = all(r.passed for r in verify.suite_algebra())
     ok = family_ok and solver_ok and algebra_ok
     report(4, "symmetry", ok)

@@ -13,9 +13,10 @@ from mbrwa.polyring import (
     VarSet,
     VarSetMismatch,
     _rref,
+    express,
+    kernel,
     lie_derivative,
     matrix_rank,
-    solve_linear,
     solve_nullspace,
 )
 
@@ -229,25 +230,28 @@ class TestLinearSolver:
         eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert solve_nullspace(eye) == []
 
-    def test_solve_exact(self):
-        x = solve_linear([[2, 0], [0, 3]], [1, 1])
+    # A x = b as express: the columns of A are the images, b the target
+
+    def test_express_exact(self):
+        x = express((1, 1), [(2, 0), (0, 3)])
         assert x == [Fraction(1, 2), Fraction(1, 3)]
 
-    def test_solve_inconsistent(self):
+    def test_express_inconsistent(self):
         with pytest.raises(InconsistentSystem):
-            solve_linear([[1, 0], [1, 0]], [1, 2])
+            express((1, 2), [(1, 1), (0, 0)])
 
-    def test_rhs_length_mismatch(self):
+    def test_target_length_mismatch(self):
         with pytest.raises(ValueError):
-            solve_linear([[1, 0], [0, 1]], [1])
+            express((1,), [(1, 0), (0, 1)])
 
     @pytest.mark.parametrize(
         "matrix", [[[1, 2], [1]], [[1], [1, 2]]], ids=["second-row-short", "first-row-short"]
     )
     @pytest.mark.parametrize(
         "solver",
-        [matrix_rank, solve_nullspace, lambda m: solve_linear(m, [0] * len(m))],
-        ids=["matrix_rank", "solve_nullspace", "solve_linear"],
+        # as images, the rows of a ragged matrix have different lengths
+        [matrix_rank, solve_nullspace, lambda m: express(m[0], m)],
+        ids=["matrix_rank", "solve_nullspace", "express"],
     )
     def test_ragged_rejected(self, solver, matrix):
         with pytest.raises(ValueError, match="ragged"):
@@ -273,7 +277,7 @@ def shuffled_systems(draw):
 
 def _solve_or_inconsistent(matrix, rhs):
     try:
-        return solve_linear(matrix, rhs)
+        return express(rhs, list(zip(*matrix)))
     except InconsistentSystem:
         return "inconsistent"
 
@@ -340,11 +344,11 @@ class TestCanonicalCoefficients:
         with pytest.raises(TypeError):
             solve_nullspace([[1.0, 2]])
         with pytest.raises(TypeError):
-            solve_linear([[1, 0], [0, 1]], [0.5, 1])
+            express((0.5, 1), [(1, 0), (0, 1)])
 
-    def test_solve_linear_with_int_pivots_stays_exact(self):
+    def test_express_with_int_pivots_stays_exact(self):
         # an int pivot inverted as 1 / p would be a float
-        x = solve_linear([[2, 0], [0, 3]], [1, 1])
+        x = express((1, 1), [(2, 0), (0, 3)])
         assert x == [Fraction(1, 2), Fraction(1, 3)]
         assert all(type(c) is Fraction for c in x)
 
@@ -447,3 +451,73 @@ def test_results_have_canonical_coefficients(p, q, r, n, i):
     for result, reference in cases:
         assert all(canonical(c) for c in result.terms.values()), result.terms
         assert result.terms == reference
+
+
+# ---------------------------------------------------------------------------
+# kernel and express over polynomial images
+# ---------------------------------------------------------------------------
+
+
+class TestKernelInputRule:
+    def test_positions_may_differ_in_kind(self):
+        assert kernel([(1, X), (2, 2 * X)]) == [[-2, 1]]
+
+    def test_scalar_and_poly_at_one_position(self):
+        # the scalar 1 and the Poly -1 would sit on different rows and
+        # come out independent
+        with pytest.raises(ValueError, match="mixes"):
+            kernel([(1,), (Poly.const(XY, -1),)])
+        with pytest.raises(ValueError, match="mixes"):
+            kernel([(X,), (2,)])
+
+    def test_two_varsets_at_one_position(self):
+        with pytest.raises(VarSetMismatch):
+            kernel([(X,), (Poly.var(VarSet("x", "z"), "x"),)])
+
+    def test_float_entry(self):
+        with pytest.raises(TypeError):
+            kernel([(1,), (0.5,)])
+        with pytest.raises(TypeError):
+            kernel([(1,), (0.0,)])
+
+    def test_ragged_images(self):
+        with pytest.raises(ValueError, match="ragged"):
+            kernel([(X, Y), (X,)])
+
+
+@st.composite
+def poly_images(draw):
+    """One to four images of one to three Polys, then up to two
+    combinations of them, and weights for one more combination."""
+    width = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
+    images = [tuple(draw(mixed_polys()) for _ in range(width)) for _ in range(count)]
+    for _ in range(draw(st.integers(0, 2))):
+        images.append(_combine([draw(st.integers(-2, 2)) for _ in images], images))
+    return images, [draw(st.integers(-3, 3)) for _ in images]
+
+
+def _combine(weights, images):
+    return tuple(
+        sum((c * x[p] for c, x in zip(weights, images)), Poly.zero(VARS3))
+        for p in range(len(images[0]))
+    )
+
+
+@given(poly_images())
+@settings(max_examples=60)
+def test_kernel_and_express_on_poly_images(drawn):
+    images, weights = drawn
+    basis = kernel(images)
+    for vec in basis:
+        assert all(p.is_zero for p in _combine(vec, images))
+    # the rank of the images flattened onto every (position, monomial) of them
+    keys = sorted({(p, e) for x in images for p, q in enumerate(x) for e in q.terms})
+    rank = matrix_rank([[x[p].coefficient(e) for x in images] for p, e in keys])
+    assert len(basis) + rank == len(images)
+    target = _combine(weights, images)
+    assert _combine(express(target, images), images) == target
+    # mixed_polys keeps every exponent below 3: a^3 is in no image
+    outside = (target[0] + Poly.var(VARS3, "a") ** 3, *target[1:])
+    with pytest.raises(InconsistentSystem):
+        express(outside, images)

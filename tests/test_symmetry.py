@@ -10,7 +10,7 @@ import pytest
 
 from mbrwa import model, symmetry
 from mbrwa.model import InvariantId
-from mbrwa.polyring import Poly, VarSet, lie_derivative
+from mbrwa.polyring import Poly, VarSet, kernel, lie_derivative
 from mbrwa.symmetry import (
     BASE_VARS,
     JetVectorField,
@@ -154,7 +154,7 @@ class TestSolver:
     def test_dimension_is_four(self, degree):
         basis = solve_determining(degree)
         assert len(basis) == 4
-        assert spans_match(basis, symmetry_basis(), degree)
+        assert spans_match(basis, symmetry_basis())
 
     def test_basis_elements_are_symmetries(self):
         for u in solve_determining(2):
@@ -233,6 +233,36 @@ class TestAlgebra:
         assert exc.value.witness == JetVectorField(
             xi=ZERO, eta=(ZERO, Poly.const(BASE_VARS, 1), ZERO)
         )
+
+    def test_point_table_has_no_degree_cap(self):
+        # d/dq1, q1 d/dq1, q1^2 d/dq1 span sl(2); the expansion reads the
+        # monomials that occur, so degree 2 needs no cap to be raised
+        from mbrwa.verify import point_field_commutator_table
+
+        one = Poly.const(BASE_VARS, 1)
+        sl2 = [JetVectorField(xi=ZERO, eta=(c, ZERO, ZERO)) for c in (one, Q1, Q1**2)]
+        assert point_field_commutator_table(sl2) == {
+            (1, 2): (1, 0, 0),
+            (1, 3): (0, 2, 0),
+            (2, 3): (0, 0, 1),
+        }
+
+    def test_variational_symmetries_leave_out_the_scaling(self):
+        # the combinations of the solved basis with a zero variational
+        # residual: time translation, rotation and q3 translation, not the
+        # scaling field
+        basis = solve_determining(2)
+        null = kernel([(variational_residual(u),) for u in basis])
+        assert null == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+        variational = [
+            JetVectorField(xi, tuple(eta))
+            for xi, *eta in (
+                [sum((c * u.components()[s] for c, u in zip(vec, basis)), ZERO) for s in range(4)]
+                for vec in null
+            )
+        ]
+        assert spans_match(variational, symmetry_basis()[1:])
+        assert not spans_match(variational, symmetry_basis())
 
 
 FAMILY_PARAMS = [
