@@ -18,6 +18,8 @@ import json
 import math
 import os
 import sys
+from array import array
+from typing import Iterator
 
 import numpy as np
 
@@ -117,9 +119,8 @@ def _parse_init(parser: argparse.ArgumentParser, system: SystemId, text: str) ->
     return values
 
 
-def _run_trajectory(args, parser) -> integrators.Trajectory:
-    """Validate every run option, then integrate; usage errors exit 2
-    before any step is taken."""
+def _run_orbit(args, parser) -> tuple[SystemId, Iterator[tuple[float, tuple]]]:
+    """Validate every run option (usage errors exit 2), then start the run."""
     system = SystemId(args.system)
     method = IntegratorId(args.method)
     init = _parse_init(parser, system, args.init)
@@ -134,29 +135,32 @@ def _run_trajectory(args, parser) -> integrators.Trajectory:
     # --every exists on simulate only
     if getattr(args, "every", 1) < 1:
         parser.error("--every must be >= 1")
-    try:
-        return integrators.integrate(method, system, init, 0.0, args.t_end, args.h)
-    except MemoryError:  # the time and state arrays are allocated before the first step
-        parser.error("--t-end / --h: the trajectory does not fit in memory")
+    return system, integrators.orbit(method, system, init, 0.0, args.t_end, args.h)
 
 
 def cmd_simulate(args, parser) -> int:
-    traj = _run_trajectory(args, parser)
-    state_cols, invariants = _CSV_COLUMNS[traj.system]
+    system, rows = _run_orbit(args, parser)
+    state_cols, invariants = _CSV_COLUMNS[system]
     header = state_cols + tuple(i.value for i in invariants)
+    fn, packed = model.invariants_compiled(system), array("d")  # the rows, 8 bytes a value
+    try:  # every --every-th state and the last, held until the run ends
+        for k, (t, s) in enumerate(rows):
+            if k % args.every == 0:
+                packed.extend((t, *s, *fn(*s)))
+        if k % args.every:
+            packed.extend((t, *s, *fn(*s)))
+    except MemoryError:
+        parser.error("--t-end / --h: the trajectory does not fit in memory")
+    table = np.frombuffer(packed).reshape(-1, len(header))
+    if len(bad := np.argwhere(~np.isfinite(table[:, -len(invariants):]))):
+        raise BlowUpError(float(table[bad[0, 0], 0]), invariants[bad[0, 1]])
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    rows = range(0, len(traj), args.every)
-    if rows[-1] != len(traj) - 1:
-        rows = [*rows, len(traj) - 1]
-    values = integrators.invariant_values(traj, invariants, rows)
 
-    def block(i: int) -> str:  # CSV lines of rows[i:i + _CSV_BLOCK], formatted by one %
-        k = rows[i:i + _CSV_BLOCK]
-        table = np.column_stack((traj.times[k], traj.states[k], values[i:i + _CSV_BLOCK]))
-        return (row_format * len(table)) % tuple(table.ravel().tolist())
+    def block(i: int) -> str:  # CSV lines of table[i:i + _CSV_BLOCK], formatted by one %
+        chunk = table[i:i + _CSV_BLOCK]
+        return (row_format * len(chunk)) % tuple(chunk.ravel().tolist())
 
-    blocks = map(block, range(0, len(rows), _CSV_BLOCK))
-    text = itertools.chain([",".join(header) + "\n"], blocks)
+    text = itertools.chain([",".join(header) + "\n"], map(block, range(0, len(table), _CSV_BLOCK)))
     if args.out:
         try:
             with open(args.out, "w", newline="") as fh:
@@ -169,12 +173,12 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_invariants(args, parser) -> int:
-    traj = _run_trajectory(args, parser)
-    report = integrators.drift_report(traj, model.system_invariants(traj.system))
+    system, rows = _run_orbit(args, parser)
+    report = integrators.fold_drift(system, model.system_invariants(system), rows)
     payload = {
-        "system": traj.system.value,
-        "steps": len(traj) - 1,
-        "h": traj.h,
+        "system": system.value,
+        "steps": report.steps,
+        "h": args.h,
         "invariants": {inv.value: dataclasses.asdict(d) for inv, d in report.drifts.items()},
     }
     _print_json(payload)

@@ -8,7 +8,8 @@ is a Newton iteration with the analytic Jacobian, obtained by symbolic
 differentiation of the polynomial right-hand side and compiled to floats.
 
 Fixed step only: adaptive stepping would break the drift-scaling tests and
-nothing here needs it.  Both schemes run in one loop over float states.  Each
+nothing here needs it.  Both schemes run in one loop over float states, the
+generator ``orbit``; ``integrate`` and ``fold_drift`` consume it.  Each
 scheme is written here, in two renditions side by side: an array step on a
 field of numpy arrays (``rk4_step_field``, ``midpoint_step_field``), and the
 builder (``_system_rk4``, ``_system_midpoint``) of the step that runs, one
@@ -37,17 +38,16 @@ pivoting in its place moved 3 of 60 012 states by up to 8.7e-19 on 12 seeded
 Every step keeps one float contract.  A float ``**`` raises OverflowError
 where numpy returns inf; a generated step absorbs it and returns the all-nan
 state, as it does when a Newton iterate, residual or update is not finite,
-and ``integrate`` reports that state as a blow-up.  An exactly singular
-Newton matrix makes ``solve1`` warn unless an ``np.errstate`` ignores
-numpy's "invalid" flag.  Entering one costs about as much as a step's
-predictor, so no compiled step enters one: ``integrate`` enters one around
-its whole loop, and ``step``, ``midpoint_roundtrip_error`` and
-``midpoint_step_field`` one per call.  A kernel output or Newton update is
-tested as ``not isfinite(sum(v)) and not all(map(isfinite, v))``.  That is
-exact: a nan or infinite entry makes the sum nan or infinite (so does
-Python 3.12's compensated ``sum``, which adds its compensation term only
-when that is finite), and a sum of finite entries that overflows falls
-through to the test of each entry.
+and ``orbit`` reports that state as a blow-up.  An exactly singular Newton
+matrix makes ``solve1`` warn unless an ``np.errstate`` ignores numpy's
+"invalid" flag.  Entering one costs about as much as a step's predictor, so
+no compiled step enters one: ``orbit`` enters one per run, and ``step``,
+``midpoint_roundtrip_error`` and ``midpoint_step_field`` one per call.  A
+kernel output or Newton update is tested as ``not isfinite(sum(v)) and not
+all(map(isfinite, v))``.  That is exact: a nan or infinite entry makes the
+sum nan or infinite (so does Python 3.12's compensated ``sum``, which adds
+its compensation term only when that is finite), and a sum of finite entries
+that overflows falls through to the test of each entry.
 """
 
 from __future__ import annotations
@@ -56,9 +56,10 @@ import enum
 import itertools
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1  # the gesv gufunc behind np.linalg.solve
@@ -68,6 +69,7 @@ from .model import InvariantId, SystemId, system_invariants  # noqa: F401  (re-e
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+_DRIFT_BLOCK = 1024  # rows per numpy pass of fold_drift
 
 
 class IntegratorId(enum.Enum):
@@ -117,6 +119,7 @@ class InvariantDrift:
 @dataclass(frozen=True)
 class DriftReport:
     system: SystemId
+    steps: int
     drifts: dict[InvariantId, InvariantDrift]
 
 
@@ -302,65 +305,74 @@ def step_count(t0: float, t_end: float, h: float) -> int:
     return int(math.floor(n_steps + 1e-12))
 
 
-def integrate(
-    method: IntegratorId,
-    system: SystemId,
-    initial,
-    t0: float,
-    t_end: float,
-    h: float,
-) -> Trajectory:
-    """Fixed-step integration with a final partial step landing on t_end;
-    BlowUpError at the first state that is not finite."""
+def orbit(method: IntegratorId, system: SystemId, initial, t0: float, t_end: float,
+          h: float) -> Iterator[tuple[float, tuple]]:
+    """The fixed-step run as ``(t, state)`` float tuples from the initial state:
+    ``step_count`` steps at t = t0 + k*h, then a partial step landing on t_end.
+    BlowUpError at the first state that is not finite.  The run's one
+    ``np.errstate`` stays entered while the generator is suspended."""
     if t_end < t0:
         raise ValueError("t_end must be >= t0")
     if h <= 0:
         raise ValueError("step size must be positive")
+    t0, t_end, h = float(t0), float(t_end), float(h)
     n_full = step_count(t0, t_end, h)
     t_last = t0 + n_full * h
     partial = t_last < t_end - 1e-12 * abs(t_end - t0)  # rounding in n_full * h scales with the span
-    times = np.append(t0 + np.arange(n_full + 1) * h, [t_end] * partial)
-    states = np.empty((len(times), model.system_dim(system)))
-    states[0] = model.state_values(system, initial)
-    s = states[0].tolist()
-    advance = _stepper(method, system)
-    sizes = itertools.chain(itertools.repeat(h, n_full), [t_end - t_last] * partial)
-    isfinite = math.isfinite
+    s = tuple(map(float, model.state_values(system, initial)))
+    yield t0 + 0 * h, s
+    advance, isfinite = _stepper(method, system), math.isfinite
+    steps = itertools.chain(zip(map(t0.__add__, map(h.__mul__, range(1, n_full + 1))),
+                                itertools.repeat(h)), [(t_end, t_end - t_last)] * partial)
     with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
-        for k, dt in enumerate(sizes, 1):
+        for t, dt in steps:
             s = advance(*s, dt)
             if not isfinite(sum(s)) and not all(map(isfinite, s)):
-                raise BlowUpError(float(times[k]))
-            states[k] = s
-    return Trajectory(system=system, times=times, states=states, h=h)
+                raise BlowUpError(t)
+            yield t, s
 
 
-def invariant_values(
-    traj: Trajectory, invariants: Sequence[InvariantId], rows: Sequence[int]
-) -> np.ndarray:
-    """The ``invariants`` (columns) at the states ``rows`` of ``traj``;
-    BlowUpError at the first row, and in it the first column, not finite."""
+def integrate(method: IntegratorId, system: SystemId, initial, t0: float, t_end: float,
+              h: float) -> Trajectory:
+    """The ``orbit`` from t0 to t_end, collected into arrays."""
+    times, states = array("d"), array("d")
+    for t, s in orbit(method, system, initial, t0, t_end, h):
+        times.append(t)
+        states.extend(s)
+    return Trajectory(system, np.frombuffer(times), np.frombuffer(states).reshape(len(times), -1), h)
+
+
+def fold_drift(system: SystemId, invariants: Sequence[InvariantId],
+               rows: Iterable[tuple[float, Sequence[float]]]) -> DriftReport:
+    """Deviation bookkeeping for each invariant along a run's (t, state) rows,
+    in O(``_DRIFT_BLOCK``) memory.  BlowUpError at the first row, and in it the
+    first column, not finite, raised once the rows end: a state that is not
+    finite later in the run is reported first."""
     for inv in invariants:
-        if (home := model.invariant_system(inv)) is not traj.system:
+        if (home := model.invariant_system(inv)) is not system:
             raise ValueError(f"invariant {inv.value} is defined on {home.value}, "
-                             f"trajectory is {traj.system.value}")
-    fn, order = model.invariants_compiled(traj.system), system_invariants(traj.system)
-    flat = itertools.chain.from_iterable(fn(*traj.states[k].tolist()) for k in rows)
-    table = np.fromiter(flat, float, len(rows) * len(order)).reshape(len(rows), len(order))
-    values = table[:, [order.index(inv) for inv in invariants]]
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        raise BlowUpError(float(traj.times[rows[bad[0, 0]]]), invariants[bad[0, 1]])
-    return values
+                             f"trajectory is {system.value}")
+    fn, order = model.invariants_compiled(system), system_invariants(system)
+    cols, rows = [order.index(inv) for inv in invariants], iter(rows)
+    initial, worst, bad, steps = None, np.zeros(len(cols)), None, -1
+    while block := list(itertools.islice(rows, _DRIFT_BLOCK)):
+        flat = itertools.chain.from_iterable(fn(*s) for _, s in block)
+        values = np.fromiter(flat, float, len(block) * len(order)).reshape(len(block), -1)[:, cols]
+        initial = values[0] if initial is None else initial
+        dev = np.abs(values - initial)
+        np.maximum(worst, dev.max(axis=0), out=worst)
+        if bad is None and len(where := np.argwhere(~np.isfinite(values))):
+            bad = BlowUpError(block[where[0, 0]][0], invariants[where[0, 1]])
+        steps += len(block)
+    if bad is not None:
+        raise bad
+    drifts = zip(invariants, initial, worst, dev[-1])
+    return DriftReport(system, steps, {inv: InvariantDrift(*map(float, v)) for inv, *v in drifts})
 
 
 def drift_report(traj: Trajectory, invariants: Sequence[InvariantId]) -> DriftReport:
     """Deviation bookkeeping for each invariant along a trajectory."""
-    values = invariant_values(traj, invariants, range(len(traj)))
-    dev = np.abs(values - values[0])
-    drifts = {inv: InvariantDrift(float(v0), float(d.max()), float(d[-1]))
-              for inv, v0, d in zip(invariants, values[0], dev.T)}
-    return DriftReport(system=traj.system, drifts=drifts)
+    return fold_drift(traj.system, invariants, zip(traj.times.tolist(), traj.states.tolist()))
 
 
 def midpoint_roundtrip_error(system: SystemId, state, h: float) -> float:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from . import model
 from .model import VARS5, InvariantId
-from .polyring import Coeff, InconsistentSystem, Poly, VarSet, express, lie_derivative
+from .polyring import Coeff, Poly, VarSet, kernel, lie_derivative
 from .report import Outcome, VerificationReport, run_check
 
 Matrix = tuple[tuple[Coeff, ...], ...]
@@ -235,25 +235,24 @@ class CommutatorOutsideSpan(ValueError):
 
 
 def structure_constants(
-    basis: Sequence,
-    bracket: Callable,
-    coords: Callable[..., Sequence],
+    basis: Sequence, bracket: Callable, coords: Callable[..., Sequence]
 ) -> dict[tuple[int, int], tuple[Coeff, ...]]:
     """Expand every bracket [B_i, B_j], i < j (1-based), in the basis.
 
-    ``coords`` gives an element's coordinates, exact scalars or Polys; the
-    expansion is :func:`~mbrwa.polyring.express` on them, and failure to
-    expand raises :class:`CommutatorOutsideSpan` with the bracket as witness.
-    """
-    images = [coords(b) for b in basis]
+    ``coords`` gives an element's coordinates, exact scalars or Polys.  One
+    :func:`~mbrwa.polyring.kernel` of the basis and every bracket expands them
+    all: a bracket's column is free, with its expansion negated in its kernel
+    vector, until the first bracket outside the span, which raises
+    :class:`CommutatorOutsideSpan` with the bracket as witness."""
+    n, pairs = len(basis), list(itertools.combinations(range(len(basis)), 2))
+    brackets = [bracket(basis[i], basis[j]) for i, j in pairs]
+    vectors = kernel([*map(coords, basis), *map(coords, brackets)])
+    free = {max(k for k, c in enumerate(v) if c): v for v in vectors}  # by its last nonzero
     table = {}
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        w = bracket(basis[i], basis[j])
-        try:
-            coeffs = express(coords(w), images)
-        except InconsistentSystem:
-            raise CommutatorOutsideSpan(i + 1, j + 1, w) from None
-        table[(i + 1, j + 1)] = tuple(coeffs)
+    for col, ((i, j), w) in enumerate(zip(pairs, brackets), n):
+        if col not in free:
+            raise CommutatorOutsideSpan(i + 1, j + 1, w)
+        table[(i + 1, j + 1)] = tuple(-c for c in free[col][:n])
     return table
 
 

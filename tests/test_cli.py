@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 import warnings
+from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mbrwa import integrators, symmetry
+from mbrwa import cli, integrators, model, symmetry
 from mbrwa.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_NUMERIC,
@@ -20,6 +22,8 @@ from mbrwa.cli import (
     MAX_SOLVE_DEGREE,
     main,
 )
+from mbrwa.integrators import IntegratorId
+from mbrwa.model import SystemId
 
 
 def run(capsys, *argv):
@@ -161,10 +165,10 @@ class TestUsageErrors:
         ],
     )
     def test_rejected_before_integrating(self, capsys, monkeypatch, command, flag, value):
-        def integrate(*args, **kwargs):
+        def orbit(*args, **kwargs):
             raise AssertionError("integrated despite a usage error")
 
-        monkeypatch.setattr(integrators, "integrate", integrate)
+        monkeypatch.setattr(integrators, "orbit", orbit)
         options = {"--system": "mb5", "--method": "rk4", "--init": "1,0.5,-0.3,0.2,0.1",
                    "--t-end": "1", "--h": "0.1", flag: value}
         argv = [command] + [text for item in options.items() for text in item]
@@ -196,16 +200,20 @@ class TestUsageErrors:
         )
 
     def test_trajectory_beyond_memory(self, capsys, monkeypatch):
-        # integrate allocates every time and state before the first step;
-        # a refused allocation is a usage error, not a traceback
-        def integrate(*args, **kwargs):
-            raise MemoryError
+        # simulate packs its output rows into one growing array until the
+        # run ends; a refused allocation is a usage error, not a traceback,
+        # and writes no row
+        class Full(array):
+            def extend(self, values):
+                raise MemoryError
 
-        monkeypatch.setattr(integrators, "integrate", integrate)
+        monkeypatch.setattr(cli, "array", Full)
         with pytest.raises(SystemExit) as exc:
             main(list(TestSimulate.ARGS))
         assert exc.value.code == EXIT_USAGE
-        assert "--t-end / --h: the trajectory does not fit in memory" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--t-end / --h: the trajectory does not fit in memory" in captured.err
 
     def test_out_unwritable(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"
@@ -351,6 +359,35 @@ class TestClosedPipe:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
         assert err == b""
+
+
+class TestStreamingMemory:
+    # The child caps its own address space 4 MiB above what it has mapped
+    # after its imports.  250 000 RK4 steps would need 12 MB as time and
+    # state arrays; invariants keeps one 1024-row block at a time.
+    CHILD = """
+import resource, sys
+from mbrwa import cli
+with open("/proc/self/status") as fh:
+    mapped = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (mapped + 4 * 2**20, resource.RLIM_INFINITY))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmSize")
+    def test_invariants_beyond_an_array_sized_cap(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        single = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS")}  # no thread pools
+        argv = ("invariants", "--system", "mb5", "--method", "rk4",
+                "--init=0.3,-0.5,0.7,0.1,-0.9", "--t-end", "250", "--h", "1e-3")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv], capture_output=True, timeout=120,
+            env={**os.environ, **single, "PYTHONPATH": path},
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr.decode()
+        assert json.loads(proc.stdout)["steps"] == 250_000
 
 
 class TestVerify:
@@ -525,6 +562,56 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, "bracket-table")
         assert code == EXIT_OK
         assert out == (self.DATA / "bracket_table.json").read_text()
+
+
+def array_built_output(command, system, method, init, t_end, h, every=1) -> str:
+    """The CLI output built from whole arrays, the way it was before the run
+    streamed: ``integrate``, the scalar invariant kernel at every output
+    row, then ``np.abs(values - values[0])`` or ``column_stack`` rows."""
+    traj = integrators.integrate(IntegratorId(method), SystemId(system), init, 0.0, t_end, h)
+    invariants = model.system_invariants(traj.system)
+    rows = list(range(0, len(traj), every))
+    if rows[-1] != len(traj) - 1:
+        rows.append(len(traj) - 1)
+    fn = model.invariants_compiled(traj.system)
+    values = np.array([fn(*traj.states[k].tolist()) for k in rows])
+    if command == "invariants":
+        dev = np.abs(values - values[0])
+        drifts = {inv.value: {"initial": float(values[0, i]),
+                              "max_abs_deviation": float(dev[:, i].max()),
+                              "final_deviation": float(dev[-1, i])}
+                  for i, inv in enumerate(invariants)}
+        payload = {"system": system, "steps": len(traj) - 1, "h": h, "invariants": drifts}
+        return json.dumps(payload, indent=2) + "\n"
+    header = ("t", *model.system_vars(traj.system).names, *(inv.value for inv in invariants))
+    table = np.column_stack((traj.times[rows], traj.states[rows], values))
+    return "".join([",".join(header) + "\n",
+                    *(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())])
+
+
+class TestStreamingOracle:
+    """The streamed output equals, byte for byte, the output built from the
+    whole trajectory.  1105 full steps and a partial one of 5e-4: 1107 rows,
+    two drift blocks; the last row falls on the --every 7 grid and off the
+    --every 3 grid."""
+
+    INIT = {"mb5": (0.3, -0.5, 0.7, 0.1, -0.9), "ham6": (0.3, -0.5, 0.7, 0.1, -0.9, 0.4),
+            "el6": (0.3, -0.5, 0.7, 0.1, -0.9, 0.4)}
+    T_END, H = 1.1055, 1e-3
+
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    @pytest.mark.parametrize("system", ["mb5", "ham6", "el6"])
+    @pytest.mark.parametrize("command, every", [("simulate", 1), ("simulate", 3),
+                                                ("simulate", 7), ("invariants", None)])
+    def test_equals_the_array_built_output(self, capsys, system, method, command, every):
+        init = self.INIT[system]
+        argv = [command, "--system", system, "--method", method,
+                f"--init={','.join(map(repr, init))}", "--t-end", repr(self.T_END),
+                "--h", repr(self.H), *(["--every", str(every)] if every else [])]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == array_built_output(command, system, method, init, self.T_END, self.H,
+                                         every or 1)
 
 
 class TestBracketTable:

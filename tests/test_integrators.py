@@ -253,6 +253,24 @@ class TestIntegrate:
                 integrate(IntegratorId.RK4, SystemId.MB5, huge, 0.0, 10.0, 1.0)
 
 
+class TestOrbit:
+    def test_times_are_the_array_grid(self):
+        # t = t0 + k*h, bit for bit as numpy's t0 + arange(n)*h, then a
+        # partial step landing on t_end
+        t0, t_end, h = 0.3, 1.4055, 1e-3
+        traj = integrate(IntegratorId.RK4, SystemId.MB5, INIT5, t0, t_end, h)
+        grid = t0 + np.arange(integrators.step_count(t0, t_end, h) + 1) * h
+        assert traj.times.tobytes() == np.append(grid, [t_end]).tobytes()
+
+    def test_integrate_collects_the_orbit(self):
+        rows = list(integrators.orbit(IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6, INIT6,
+                                      0.0, 0.505, 0.01))
+        traj = integrate(IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6, INIT6, 0.0, 0.505, 0.01)
+        assert [t for t, _ in rows] == traj.times.tolist()
+        assert [list(s) for _, s in rows] == traj.states.tolist()
+        assert all(type(v) is float for t, s in rows for v in (t, *s))
+
+
 class TestDriftReport:
     def test_constant_trajectory_zero_drift(self):
         eq = State5(0.0, 0.0, 0.0, 0.0, 1.5)
