@@ -121,8 +121,7 @@ def _parse_init(parser: argparse.ArgumentParser, system: SystemId, text: str) ->
 
 def _run_orbit(args, parser) -> tuple[SystemId, Iterator[tuple[float, tuple]]]:
     """Validate every run option (usage errors exit 2), then start the run."""
-    system = SystemId(args.system)
-    method = IntegratorId(args.method)
+    system, method = SystemId(args.system), IntegratorId(args.method)
     init = _parse_init(parser, system, args.init)
     if not (math.isfinite(args.h) and args.h > 0):
         parser.error("--h must be positive and finite")

@@ -344,10 +344,9 @@ def integrate(method: IntegratorId, system: SystemId, initial, t0: float, t_end:
 
 def fold_drift(system: SystemId, invariants: Sequence[InvariantId],
                rows: Iterable[tuple[float, Sequence[float]]]) -> DriftReport:
-    """Deviation bookkeeping for each invariant along a run's (t, state) rows,
-    in O(``_DRIFT_BLOCK``) memory.  BlowUpError at the first row, and in it the
-    first column, not finite, raised once the rows end: a state that is not
-    finite later in the run is reported first."""
+    """Deviation bookkeeping for each invariant along a run's (t, state) rows in
+    O(``_DRIFT_BLOCK``) memory; BlowUpError at the first row, then column, not
+    finite, raised once the rows end, so a later non-finite state wins."""
     for inv in invariants:
         if (home := model.invariant_system(inv)) is not system:
             raise ValueError(f"invariant {inv.value} is defined on {home.value}, "
@@ -372,7 +371,9 @@ def fold_drift(system: SystemId, invariants: Sequence[InvariantId],
 
 def drift_report(traj: Trajectory, invariants: Sequence[InvariantId]) -> DriftReport:
     """Deviation bookkeeping for each invariant along a trajectory."""
-    return fold_drift(traj.system, invariants, zip(traj.times.tolist(), traj.states.tolist()))
+    rows = (zip(traj.times[i:i + _DRIFT_BLOCK].tolist(), traj.states[i:i + _DRIFT_BLOCK].tolist())
+            for i in range(0, len(traj), _DRIFT_BLOCK))  # floats one block at a time
+    return fold_drift(traj.system, invariants, itertools.chain.from_iterable(rows))
 
 
 def midpoint_roundtrip_error(system: SystemId, state, h: float) -> float:

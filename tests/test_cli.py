@@ -565,9 +565,9 @@ class TestGoldenOutput:
 
 
 def array_built_output(command, system, method, init, t_end, h, every=1) -> str:
-    """The CLI output built from whole arrays, the way it was before the run
-    streamed: ``integrate``, the scalar invariant kernel at every output
-    row, then ``np.abs(values - values[0])`` or ``column_stack`` rows."""
+    """The CLI output built from whole arrays: ``integrate``, the scalar
+    invariant kernel at every output row, then ``np.abs(values - values[0])``
+    or ``column_stack`` rows."""
     traj = integrators.integrate(IntegratorId(method), SystemId(system), init, 0.0, t_end, h)
     invariants = model.system_invariants(traj.system)
     rows = list(range(0, len(traj), every))
