@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__, integrators, model, poisson, symmetry, verify
-from .integrators import BlowUpError, IntegratorId, NewtonError
+from .integrators import ROW_BLOCK, BlowUpError, IntegratorId, NewtonError
 from .model import SystemId
 
 EXIT_OK = 0
@@ -33,11 +33,6 @@ EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command a closed pipe stopped
 
-_CSV_COLUMNS = {
-    system: (("t",) + model.system_vars(system).names, model.system_invariants(system))
-    for system in SystemId
-}
-_CSV_BLOCK = 1024  # rows per write of simulate's CSV, whose whole text is never held
 # Highest solve-symmetries degree: degree 12 solves in about 1 s at 60 MB
 # peak on a 2-core host, degree 20 in 4 s at 220 MB, and the ansatz walks
 # (d+1)^4 exponent tuples before any jet is built
@@ -139,8 +134,8 @@ def _run_orbit(args, parser) -> tuple[SystemId, Iterator[tuple[float, tuple]]]:
 
 def cmd_simulate(args, parser) -> int:
     system, rows = _run_orbit(args, parser)
-    state_cols, invariants = _CSV_COLUMNS[system]
-    header = state_cols + tuple(i.value for i in invariants)
+    invariants = model.system_invariants(system)
+    header = ("t", *model.system_vars(system).names, *(inv.value for inv in invariants))
     fn, packed = model.invariants_compiled(system), array("d")  # the rows, 8 bytes a value
     try:  # every --every-th state and the last, held until the run ends
         for k, (t, s) in enumerate(rows):
@@ -155,11 +150,11 @@ def cmd_simulate(args, parser) -> int:
         raise BlowUpError(float(table[bad[0, 0], 0]), invariants[bad[0, 1]])
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
 
-    def block(i: int) -> str:  # CSV lines of table[i:i + _CSV_BLOCK], formatted by one %
-        chunk = table[i:i + _CSV_BLOCK]
+    def block(i: int) -> str:  # CSV lines of table[i:i + ROW_BLOCK], formatted by one %
+        chunk = table[i:i + ROW_BLOCK]
         return (row_format * len(chunk)) % tuple(chunk.ravel().tolist())
 
-    text = itertools.chain([",".join(header) + "\n"], map(block, range(0, len(table), _CSV_BLOCK)))
+    text = itertools.chain([",".join(header) + "\n"], map(block, range(0, len(table), ROW_BLOCK)))
     if args.out:
         try:
             with open(args.out, "w", newline="") as fh:

@@ -69,7 +69,7 @@ from .model import InvariantId, SystemId, system_invariants  # noqa: F401  (re-e
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-_DRIFT_BLOCK = 1024  # rows per numpy pass of fold_drift
+ROW_BLOCK = 1024  # rows per numpy pass of fold_drift, and per write of simulate's CSV
 
 
 class IntegratorId(enum.Enum):
@@ -228,10 +228,8 @@ def _compile_midpoint(x: Sequence[str], predictor: list, kernel: list) -> Callab
         update="\n                ".join(f"{ni} = {ni} - {di}" for ni, di in zip(new, d)),
         d_norm=max_abs(d), new_norm=max_abs(new), tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
     )
-    ns = {"np": np, "solve1": solve1, "isfinite": math.isfinite, "nan": math.nan,
-          "inf": math.inf, "NewtonError": NewtonError}
-    exec(source, ns)
-    return ns["_make"]
+    return model._compile(source, "_make", np=np, solve1=solve1, isfinite=math.isfinite,
+                          nan=math.nan, inf=math.inf, NewtonError=NewtonError)
 
 
 @lru_cache(maxsize=None)
@@ -281,8 +279,8 @@ def _stepper(method: IntegratorId, system: SystemId) -> Callable[..., Sequence[f
 def step(method: IntegratorId, system: SystemId, state, t: float, h: float):
     """One step of the named scheme; returns a state object of the system,
     all nan if the step blows up."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < h < math.inf:  # also rejects nan
+        raise ValueError(f"step size must be positive and finite, got {h!r}")
     values = model.state_values(system, state)
     with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
         out = _stepper(method, system)(*map(float, values), h)
@@ -313,8 +311,8 @@ def orbit(method: IntegratorId, system: SystemId, initial, t0: float, t_end: flo
     ``np.errstate`` stays entered while the generator is suspended."""
     if t_end < t0:
         raise ValueError("t_end must be >= t0")
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < h < math.inf:  # also rejects nan
+        raise ValueError(f"step size must be positive and finite, got {h!r}")
     t0, t_end, h = float(t0), float(t_end), float(h)
     n_full = step_count(t0, t_end, h)
     t_last = t0 + n_full * h
@@ -345,7 +343,7 @@ def integrate(method: IntegratorId, system: SystemId, initial, t0: float, t_end:
 def fold_drift(system: SystemId, invariants: Sequence[InvariantId],
                rows: Iterable[tuple[float, Sequence[float]]]) -> DriftReport:
     """Deviation bookkeeping for each invariant along a run's (t, state) rows in
-    O(``_DRIFT_BLOCK``) memory; BlowUpError at the first row, then column, not
+    O(``ROW_BLOCK``) memory; BlowUpError at the first row, then column, not
     finite, raised once the rows end, so a later non-finite state wins."""
     for inv in invariants:
         if (home := model.invariant_system(inv)) is not system:
@@ -354,7 +352,7 @@ def fold_drift(system: SystemId, invariants: Sequence[InvariantId],
     fn, order = model.invariants_compiled(system), system_invariants(system)
     cols, rows = [order.index(inv) for inv in invariants], iter(rows)
     initial, worst, bad, steps = None, np.zeros(len(cols)), None, -1
-    while block := list(itertools.islice(rows, _DRIFT_BLOCK)):
+    while block := list(itertools.islice(rows, ROW_BLOCK)):
         flat = itertools.chain.from_iterable(fn(*s) for _, s in block)
         values = np.fromiter(flat, float, len(block) * len(order)).reshape(len(block), -1)[:, cols]
         initial = values[0] if initial is None else initial
@@ -371,8 +369,8 @@ def fold_drift(system: SystemId, invariants: Sequence[InvariantId],
 
 def drift_report(traj: Trajectory, invariants: Sequence[InvariantId]) -> DriftReport:
     """Deviation bookkeeping for each invariant along a trajectory."""
-    rows = (zip(traj.times[i:i + _DRIFT_BLOCK].tolist(), traj.states[i:i + _DRIFT_BLOCK].tolist())
-            for i in range(0, len(traj), _DRIFT_BLOCK))  # floats one block at a time
+    rows = (zip(traj.times[i:i + ROW_BLOCK].tolist(), traj.states[i:i + ROW_BLOCK].tolist())
+            for i in range(0, len(traj), ROW_BLOCK))  # floats one block at a time
     return fold_drift(traj.system, invariants, itertools.chain.from_iterable(rows))
 
 

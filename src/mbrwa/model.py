@@ -7,6 +7,7 @@
 Each system exists in two renditions: exact polynomial right-hand sides for
 symbolic certification, and float functions compiled from source generated
 from the same polynomials (``_poly_source``), so the two cannot diverge.
+``_compile`` execs every generated text and keeps it as ``.source``.
 Beside the numpy renditions, the invariants are compiled as one scalar kernel
 per system, on Python floats, never numpy columns: an array's ``x**2`` is
 ``x*x``, a scalar's is libm ``pow``, and they differ in the last bit on about
@@ -240,12 +241,19 @@ def compile_poly_vector(
     return lambda state: np.array(inner(*state), dtype=float)
 
 
+def _compile(source: str, name: str, **namespace) -> Callable:
+    """The function ``name`` that generated ``source`` defines over
+    ``namespace``, with the text as its ``.source``: the one ``exec``."""
+    exec(source, namespace)
+    fn = namespace[name]
+    fn.source = source
+    return fn
+
+
 def _compile_scalar(name: str, args: Sequence[str], body: list, returns: list) -> Callable:
     """Compile ``def name(*args)``: the ``body`` lines, then the tuple ``returns``."""
-    ns: dict = {}
     lines = [f"def {name}({', '.join(args)}):", *body, f"return ({', '.join(returns)},)"]
-    exec("\n    ".join(lines), ns)
-    return ns[name]
+    return _compile("\n    ".join(lines), name)
 
 
 def _poly_source(p: Poly, names: Sequence[str]) -> str:

@@ -101,6 +101,8 @@ class PoissonTensor:
 
     def entry(self, i: int, j: int) -> Poly:
         """Entry by 1-based coordinate indices."""
+        if not (1 <= i <= DIM and 1 <= j <= DIM):
+            raise ValueError(f"entry ({i}, {j}): indices must be in 1..{DIM}")
         return self.entries[i - 1][j - 1]
 
 
@@ -147,9 +149,9 @@ def flip_entry_sign(pi: PoissonTensor, i: int, j: int, antisymmetric: bool = Fal
     Jacobi / Casimir / vector-field certificates instead.
     """
     rows = [list(r) for r in pi.entries]
-    rows[i - 1][j - 1] = -rows[i - 1][j - 1]
+    rows[i - 1][j - 1] = -pi.entry(i, j)
     if antisymmetric and i != j:
-        rows[j - 1][i - 1] = -rows[j - 1][i - 1]
+        rows[j - 1][i - 1] = -pi.entry(j, i)
     return PoissonTensor(entries=tuple(tuple(r) for r in rows))
 
 

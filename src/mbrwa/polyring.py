@@ -19,13 +19,15 @@ everything else: :meth:`Poly.substitute`, the one composition, which may move
 a polynomial onto another VarSet (unbound variables carry over by name), and
 :func:`lie_derivative`, the derivative along a vector field.
 
-The exact linear algebra eliminates on sparse rows, indexed by column and
-pivoting on the sparsest row (Markowitz's rule): the determining equations
-are about 1% nonzero.  Entries and results follow the coefficient rule
-above.  :func:`kernel` finds the vanishing combinations of images (tuples
-of Polys or exact scalars) over the monomials that occur, with no degree
-cap, and :func:`express` derives from it.  :func:`matrix_rank` and
-:func:`solve_nullspace` take row lists, and :func:`_nullspace` sparse rows.
+The exact linear algebra has one way in, :func:`kernel`: the vanishing
+combinations of images (tuples of Polys or exact scalars), over one sparse
+row per (position, monomial) that occurs, with no degree cap.
+:func:`express`, :func:`solve_nullspace` and :func:`matrix_rank` derive
+from it (a row list's images are its columns); only the symmetry solver
+writes its packed rows straight into :func:`_nullspace`.  Rows are
+eliminated sparse, indexed by column and pivoting on the sparsest row
+(Markowitz's rule): the determining equations are about 1% nonzero.
+Entries and results follow the coefficient rule above.
 """
 
 from __future__ import annotations
@@ -393,17 +395,6 @@ class InconsistentSystem(ValueError):
     """Raised when an inhomogeneous linear system has no solution."""
 
 
-def _sparse_rows(matrix: Sequence[Sequence[Coeff]]) -> tuple[list[dict[int, Coeff]], int]:
-    """The rows of a matrix as sparse ``{column: coefficient}`` dicts without
-    zeros, and its column count.  Both matrix solvers read their matrix
-    through here, so ragged rows and floats are rejected in one place."""
-    widths = {len(row) for row in matrix}
-    if len(widths) > 1:
-        raise ValueError(f"ragged matrix: row lengths {sorted(widths)}")
-    rows = [{j: _coeff(c) for j, c in enumerate(row) if c} for row in matrix]
-    return rows, widths.pop() if widths else 0
-
-
 def _rref(rows: list[dict[int, Coeff]], ncols: int) -> list[int]:
     """Bring sparse rows to reduced row echelon form in place; returns the
     pivot columns, with pivot ``r`` in ``rows[r]`` and the emptied rows after.
@@ -426,10 +417,10 @@ def _rref(rows: list[dict[int, Coeff]], ncols: int) -> list[int]:
     pivots: list[int] = []
     order: list[int] = []
     for c in range(ncols):
-        free = [i for i in where[c] if not is_pivot[i]]
+        free = [(len(rows[i]), i) for i in where[c] if not is_pivot[i]]
         if not free:
             continue
-        r = min(free, key=lambda i: (len(rows[i]), i))
+        r = min(free)[1]
         pivot = rows[r]
         p = pivot[c]
         if p != 1:
@@ -456,15 +447,16 @@ def _rref(rows: list[dict[int, Coeff]], ncols: int) -> list[int]:
 
 
 def matrix_rank(matrix: Sequence[Sequence[Coeff]]) -> int:
-    return len(_rref(*_sparse_rows(matrix)))
+    """The rank of a row list: its column count less its nullity."""
+    return (len(matrix[0]) if matrix else 0) - len(solve_nullspace(matrix))
 
 
 def solve_nullspace(matrix: Sequence[Sequence[Coeff]]) -> list[list[Coeff]]:
-    """Exact rational basis of the solution space of ``A x = 0``.
-
-    Returns an empty list for a trivial nullspace.
-    """
-    return _nullspace(*_sparse_rows(matrix))
+    """Exact rational basis of the solution space of ``A x = 0``, the
+    :func:`kernel` of A's columns; an empty list for a trivial nullspace."""
+    if len(widths := {len(row) for row in matrix}) > 1:
+        raise ValueError(f"ragged matrix: row lengths {sorted(widths)}")
+    return kernel(list(zip(*matrix)))
 
 
 def _nullspace(rows: list[dict[int, Coeff]], ncols: int) -> list[list[Coeff]]:

@@ -10,6 +10,7 @@ regression check on the generator.  The equations themselves are
 ``model.rhs_symbolic(EL6)``, and the push-forwards onto (t, q, p) and the 5D
 space are derived from ``model``'s Legendre map and realization map Phi with
 their inverses, so every certificate here is about the maps ``model`` defines.
+On the 5D space, X is a symmetry iff [X, V] is a multiple of the dynamics V.
 
 ``solve_determining`` assembles its matrix by linearity, since the
 prolongation is linear in the field.  Each unit field puts one monomial m of
@@ -599,31 +600,34 @@ def _dynamics_field(vars: VarSet) -> VectorField:
 
 
 def first_order_symmetry_residual(x: VectorField) -> tuple[Poly, ...]:
-    """Lie-point-symmetry residuals of the 5D first-order system.
-
-    For each state coordinate: D_t(eta_k) - F_k D_t(xi) - X(F_k), with
-    every velocity replaced by F; all five vanish iff x is a symmetry.
-    The total derivative along solutions is the extended field
-    d/dt + F_j d/dx_j.
-    """
+    """Lie-point-symmetry residuals of the 5D first-order system: X maps
+    solutions to solutions iff [X, V] = [X, V]_t V for the dynamics field
+    V = d/dt + F_j d/dx_j, that is iff every V_k [X, V]_t - [X, V]_k,
+    one per state coordinate, vanishes."""
     dyn = _dynamics_field(x.vars)
-    dxi = lie_derivative(dyn, x["t"])
-    return tuple(
-        lie_derivative(dyn, x[name]) - dyn[name] * dxi - lie_derivative(x, dyn[name])
-        for name in model.VARS5.names
-    )
+    comm = lie_bracket_fields(x, dyn)
+    return tuple(dyn[name] * comm["t"] - comm[name] for name in model.VARS5.names)
 
 
 @dataclass(frozen=True)
 class DynamicsCommutatorRecord:
     """Classification of a field against the extended dynamics field."""
 
-    commutator: VectorField
-    proportional: bool
-    factor: Poly | None  # the constant c with [X, V] = c V (conformal), when proportional
-    is_symmetry: bool  # [X, V] = 0
-    is_master: bool  # [X, V] != 0 and [[X, V], V] = 0
-    double_commutator_zero: bool
+    commutator: VectorField  # [X, V]
+    factor: Poly | None  # the constant c with [X, V] = c V (conformal), else None
+    double_commutator_zero: bool  # [[X, V], V] = 0
+
+    @property
+    def proportional(self) -> bool:
+        return self.factor is not None
+
+    @property
+    def is_symmetry(self) -> bool:  # [X, V] = 0
+        return self.commutator.is_zero
+
+    @property
+    def is_master(self) -> bool:  # [X, V] != 0 and [[X, V], V] = 0
+        return not self.is_symmetry and self.double_commutator_zero
 
 
 def dynamics_commutator(x: VectorField) -> DynamicsCommutatorRecord:
@@ -635,13 +639,5 @@ def dynamics_commutator(x: VectorField) -> DynamicsCommutatorRecord:
     proportional = factor.occurring().isdisjoint(X5_NAMES) and all(
         (comm[n] - factor * dyn[n]).is_zero for n in X5_NAMES
     )
-    double = lie_bracket_fields(comm, dyn)
-    is_symmetry = comm.is_zero
-    return DynamicsCommutatorRecord(
-        commutator=comm,
-        proportional=proportional,
-        factor=factor if proportional else None,
-        is_symmetry=is_symmetry,
-        is_master=(not is_symmetry) and double.is_zero,
-        double_commutator_zero=double.is_zero,
-    )
+    double_zero = lie_bracket_fields(comm, dyn).is_zero
+    return DynamicsCommutatorRecord(comm, factor if proportional else None, double_zero)

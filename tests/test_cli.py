@@ -444,10 +444,28 @@ class TestVerify:
             assert code == EXIT_USAGE
             assert f"{flag}: suite {suite} does not read it" in err
 
-    def test_bad_mutate_argument(self, capsys):
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--mutate-pi", "2", "--mutate-pi expects I,J or I,J,both"),
+            ("--mutate-pi", "a,2", "--mutate-pi indices must be integers"),
+            ("--mutate-pi", "2,5.0,both", "--mutate-pi indices must be integers"),
+            ("--mutate-pi", "0,2", "--mutate-pi indices must be in 1..5"),
+            ("--mutate-pi", "2,6,both", "--mutate-pi indices must be in 1..5"),
+            ("--mutate-family", "eta1q2", "--mutate-family expects SLOT:VAR, e.g. eta1:q2"),
+            ("--mutate-family", "eta1:q2:q3", "--mutate-family expects SLOT:VAR, e.g. eta1:q2"),
+            ("--mutate-family", "eta4:q2", "--mutate-family expects SLOT:VAR, e.g. eta1:q2"),
+            ("--mutate-family", "eta1:p2", "--mutate-family expects SLOT:VAR, e.g. eta1:q2"),
+        ],
+    )
+    def test_bad_mutate_argument(self, capsys, flag, value, message):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--mutate-pi", "2"])
+            main(["verify", flag, value])
         assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestGoldenOutput:

@@ -55,9 +55,11 @@ class TestStep:
         out = step(method, SystemId.MB5, eq, 0.0, 0.1)
         assert out == eq
 
-    def test_nonpositive_step_rejected(self):
-        with pytest.raises(ValueError):
-            step(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 0.0)
+    # a nan step would otherwise come back as an all-nan state
+    @pytest.mark.parametrize("h", [0.0, math.nan, math.inf])
+    def test_nonpositive_step_rejected(self, h):
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            step(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, h)
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
@@ -261,6 +263,14 @@ class TestOrbit:
         traj = integrate(IntegratorId.RK4, SystemId.MB5, INIT5, t0, t_end, h)
         grid = t0 + np.arange(integrators.step_count(t0, t_end, h) + 1) * h
         assert traj.times.tobytes() == np.append(grid, [t_end]).tobytes()
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.inf, math.nan])
+    def test_step_size_rejected(self, h):
+        # an infinite step would otherwise give one row at t = t0 + 0 * inf = nan
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            next(integrators.orbit(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 1.0, h))
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 1.0, h)
 
     def test_integrate_collects_the_orbit(self):
         rows = list(integrators.orbit(IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6, INIT6,

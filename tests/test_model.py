@@ -1,12 +1,10 @@
 """The three formulations, their invariants, and the connecting maps."""
 
-import builtins
 import json
 import math
 import random
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,21 +184,6 @@ class TestJacobianRank:
             assert model.jacobian_rank_phi(s) == 5
 
 
-def _exec_source(build, system: SystemId) -> str:
-    """The source text that the cached kernel builder ``build`` execs for
-    ``system``, taken from a fresh, uncached build."""
-    texts, real_exec = [], builtins.exec
-
-    def spy(source, *namespaces):
-        texts.append(source)
-        return real_exec(source, *namespaces)
-
-    with mock.patch("builtins.exec", spy):
-        build.__wrapped__(system)
-    (text,) = texts
-    return text
-
-
 def test_generated_kernel_source_is_pinned():
     # The float kernels are generated from the exact polynomials; the golden
     # file pins every text they are compiled from, so a change in how
@@ -210,8 +193,7 @@ def test_generated_kernel_source_is_pinned():
     builders = {"rk4": integrators._system_rk4, "midpoint": integrators._system_midpoint,
                 "invariants": model.invariants_compiled}
     compiled = {
-        system.value: {name: _exec_source(build, system).split("\n")
-                       for name, build in builders.items()}
+        system.value: {name: build(system).source.split("\n") for name, build in builders.items()}
         for system in SystemId
     }
     assert compiled == golden["compiled_sources"]
@@ -309,7 +291,7 @@ def test_rk4_kernel_overflow_is_nan():
 def _newton_kernel(system: SystemId):
     """The Newton evaluation of the system's midpoint step text, the lines
     that set ``out``, as a function ``(*x, *new, h) -> tuple``."""
-    lines = [line.strip() for line in _exec_source(integrators._system_midpoint, system).split("\n")]
+    lines = [line.strip() for line in integrators._system_midpoint(system).source.split("\n")]
     start = lines.index("for _ in range(50):") + 1
     body = lines[start:next(i for i, line in enumerate(lines) if line.startswith("out = (")) + 1]
     new = [f"n{i}" for i in range(model.system_dim(system))]

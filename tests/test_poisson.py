@@ -196,6 +196,48 @@ class TestCocycle:
         assert not report.passed
 
 
+class TestOneBasedIndices:
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (6, 1), (1, 6), (-1, 2)])
+    def test_entry_outside_one_to_five_rejected(self, i, j):
+        # index 0 would read row 5 through Python's negative indexing
+        with pytest.raises(ValueError, match=rf"entry \({i}, {j}\): indices must be in 1..5"):
+            PI.entry(i, j)
+
+    @pytest.mark.parametrize("i, j", [(0, 2), (2, 0), (6, 1)])
+    def test_flip_outside_one_to_five_rejected(self, i, j):
+        # (0, 2) would negate entry (5, 2)
+        with pytest.raises(ValueError, match="indices must be in 1..5"):
+            poisson.flip_entry_sign(PI, i, j)
+        with pytest.raises(ValueError, match="indices must be in 1..5"):
+            poisson.flip_entry_sign(PI, i, j, antisymmetric=True)
+
+    def test_flip_negates_the_entry_and_its_partner(self):
+        flipped = poisson.flip_entry_sign(PI, 2, 5, antisymmetric=True)
+        assert (flipped.entry(2, 5), flipped.entry(5, 2)) == (-X1, X1)
+        assert flipped.entries[0] == PI.entries[0]
+
+
+class TestCocycleWitnessFailures:
+    def test_theta_e1_e2_is_not_one(self):
+        rows = [list(r) for r in poisson.mb_cocycle().matrix]
+        rows[0][1], rows[1][0] = 2, -2
+        report = poisson.cocycle_check(poisson.Cocycle(matrix=tuple(map(tuple, rows))))
+        assert report.residuals == ["theta(E1,E2) = 2 != 1"]
+        assert report.witnesses == {"commutator_E1_E2": "0", "theta_E1_E2": "2"}
+
+    def test_e1_e2_do_not_commute(self, monkeypatch):
+        # brackets with [E1, E2] = E3: theta is then no cocycle on (1, 2, 4)
+        alpha = [list(row) for row in poisson._e_bracket_constants()]
+        alpha[0][1], alpha[1][0] = (0, 0, 1, 0, 0), (0, 0, -1, 0, 0)
+        monkeypatch.setattr(poisson, "_e_bracket_constants", lambda: alpha)
+        report = poisson.cocycle_check()
+        assert report.residuals == [
+            "cocycle identity (1,2,4): 1",
+            "[E1,E2] != 0: coordinates 0, 0, 1, 0, 0",
+        ]
+        assert report.witnesses == {"commutator_E1_E2": "nonzero", "theta_E1_E2": "1"}
+
+
 class TestMutationSensitivity:
     def test_single_entry_flip_breaks_antisymmetry(self):
         mutated = poisson.flip_entry_sign(PI, 1, 2)

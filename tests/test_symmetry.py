@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mbrwa import model, symmetry
+from mbrwa import model, symmetry, verify
 from mbrwa.model import InvariantId
 from mbrwa.polyring import Poly, VarSet, kernel, lie_derivative
 from mbrwa.symmetry import (
@@ -445,6 +445,56 @@ class TestDynamicsCommutator:
         assert record.factor == Poly.var(x.vars, "alpha")
         assert record.double_commutator_zero
         assert record.is_master
+
+
+class TestVerifyFailureStrings:
+    """Each failure string of the determining-solver and conformal-master
+    checks, from a wrong solver or push-forward."""
+
+    def solver_report(self, monkeypatch, basis):
+        monkeypatch.setattr(symmetry, "solve_determining", lambda degree: basis)
+        return {r.check: r for r in verify.suite_symmetry()}["determining-solver"]
+
+    def test_solver_dimension(self, monkeypatch):
+        report = self.solver_report(monkeypatch, list(symmetry_basis()[:3]))
+        assert report.residuals == ["solver returned dimension 3, expected 4"]
+        assert report.witnesses == {"dimension": 3}
+
+    def test_solver_span(self, monkeypatch):
+        scaling, time, q3, _ = symmetry_basis()
+        report = self.solver_report(monkeypatch, [scaling, time, q3, q3])
+        assert report.residuals == ["solver basis does not span the four reference symmetries"]
+
+    def master_report(self, monkeypatch, wrong):
+        # the 5D push-forward x5 becomes wrong(x5); the cotangent one is kept
+        real = symmetry.pushforward
+
+        def pushforward(u, target):
+            x = real(u, target)
+            return wrong(x) if target == "PHI" else x
+
+        monkeypatch.setattr(symmetry, "pushforward", pushforward)
+        return {r.check: r for r in verify.suite_pushforward()}["conformal-master"]
+
+    def test_not_a_multiple_of_v(self, monkeypatch):
+        def x1_scaling(x):
+            return VectorField.of(x.vars, {"x1": Poly.var(x.vars, "x1")})
+
+        report = self.master_report(monkeypatch, x1_scaling)
+        assert report.residuals == [
+            "[X,V] is not a constant multiple of V",
+            "[[X,V],V] != 0",
+            "alpha = 0 does not make [X,V] vanish",
+        ]
+        assert report.witnesses == {"factor": None, "is_master": False}
+
+    def test_wrong_factor(self, monkeypatch):
+        def doubled(x):
+            return VectorField(x.vars, tuple(2 * c for c in x.components))
+
+        report = self.master_report(monkeypatch, doubled)
+        assert report.residuals == ["[X,V] = c V with c = 2*alpha, expected alpha"]
+        assert report.witnesses == {"factor": "2*alpha", "is_master": True}
 
 
 class TestMutationSensitivity:
