@@ -10,7 +10,9 @@ regression check on the generator.  The equations themselves are
 ``model.rhs_symbolic(EL6)``, and the push-forwards onto (t, q, p) and the 5D
 space are derived from ``model``'s Legendre map and realization map Phi with
 their inverses, so every certificate here is about the maps ``model`` defines.
-On the 5D space, X is a symmetry iff [X, V] is a multiple of the dynamics V.
+One transport, :func:`pushforward`, returns both fields, and on the 5D space
+one record, :func:`dynamics_commutator`, answers the 5D question from one
+[X, V]: X is a symmetry iff [X, V] is a multiple of the dynamics V.
 
 ``solve_determining`` assembles its matrix by linearity, since the
 prolongation is linear in the field.  Each unit field puts one monomial m of
@@ -234,6 +236,7 @@ def determining_residuals(u: JetVectorField) -> tuple[Poly, Poly, Poly]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def symbolic_family_field() -> JetVectorField:
     """The family with the four parameters as extra symbolic variables.
 
@@ -262,6 +265,7 @@ def family_field(p: SymParams) -> JetVectorField:
     return _bind_family([Poly.const(BASE_VARS, getattr(p, name)) for name in PARAM_NAMES])
 
 
+@lru_cache(maxsize=None)
 def symmetry_basis() -> tuple[JetVectorField, ...]:
     """The four basis symmetries: scaling, time translation, q3 translation,
     rotation in the (q1, q2) plane."""
@@ -526,10 +530,9 @@ def extract_family_params(u: JetVectorField) -> tuple[Poly, Poly, Poly, Poly]:
     return alpha, beta, gamma, delta
 
 
-def pushforward(u: JetVectorField, target: Literal["FL", "PHI"]) -> VectorField:
-    """Transport a family field to (t, q, p) along the Legendre map
-    (target="FL"), or further onto the extended 5D space along Phi
-    (target="PHI").
+def pushforward(u: JetVectorField) -> tuple[VectorField, VectorField]:
+    """Transport a family field along the Legendre map to (t, q, p), and that
+    image further along Phi onto the extended 5D space: (cotangent, x5).
 
     Restricted to the four-parameter family: projectability onto the 5D
     space is not guaranteed outside it.
@@ -542,16 +545,12 @@ def pushforward(u: JetVectorField, target: Literal["FL", "PHI"]) -> VectorField:
         dict(zip(model.VARST6.names, model.legendre_inverse_symbolic())),
         VarSet("t", *model.VARS6.names, *params),
     )
-    if target == "FL":
-        return cotangent
-    if target == "PHI":
-        return _push(
-            cotangent,
-            dict(zip(model.VARS5.names, model.phi_symbolic())),
-            model.phi_section_symbolic(),
-            VarSet(*X5_NAMES, *params),
-        )
-    raise ValueError(f"unknown push-forward target {target!r}")
+    return cotangent, _push(
+        cotangent,
+        dict(zip(model.VARS5.names, model.phi_symbolic())),
+        model.phi_section_symbolic(),
+        VarSet(*X5_NAMES, *params),
+    )
 
 
 def _push(
@@ -599,27 +598,22 @@ def _dynamics_field(vars: VarSet) -> VectorField:
     return VectorField.of(vars, {"t": Poly.const(vars, 1), **dict(zip(model.VARS5.names, rhs))})
 
 
-def first_order_symmetry_residual(x: VectorField) -> tuple[Poly, ...]:
-    """Lie-point-symmetry residuals of the 5D first-order system: X maps
-    solutions to solutions iff [X, V] = [X, V]_t V for the dynamics field
-    V = d/dt + F_j d/dx_j, that is iff every V_k [X, V]_t - [X, V]_k,
-    one per state coordinate, vanishes."""
-    dyn = _dynamics_field(x.vars)
-    comm = lie_bracket_fields(x, dyn)
-    return tuple(dyn[name] * comm["t"] - comm[name] for name in model.VARS5.names)
-
-
 @dataclass(frozen=True)
 class DynamicsCommutatorRecord:
-    """Classification of a field against the extended dynamics field."""
+    """[X, V] of a field X on (t, x) with the dynamics V = d/dt + F_j d/dx_j.
+    X maps solutions to solutions iff [X, V] = [X, V]_t V: every residual is 0."""
 
     commutator: VectorField  # [X, V]
-    factor: Poly | None  # the constant c with [X, V] = c V (conformal), else None
+    residuals: tuple[Poly, ...]  # V_k [X, V]_t - [X, V]_k, per state coordinate
     double_commutator_zero: bool  # [[X, V], V] = 0
 
     @property
-    def proportional(self) -> bool:
-        return self.factor is not None
+    def factor(self) -> Poly | None:
+        """The constant c with [X, V] = c V (conformal), else None."""
+        c = self.commutator["t"]
+        if c.occurring().isdisjoint(X5_NAMES) and all(r.is_zero for r in self.residuals):
+            return c
+        return None
 
     @property
     def is_symmetry(self) -> bool:  # [X, V] = 0
@@ -634,10 +628,5 @@ def dynamics_commutator(x: VectorField) -> DynamicsCommutatorRecord:
     """Compute [X, V] and classify: symmetry, conformal, master."""
     dyn = _dynamics_field(x.vars)
     comm = lie_bracket_fields(x, dyn)
-    # candidate factor from the d/dt component: [X,V]_t = c * 1
-    factor = comm["t"]
-    proportional = factor.occurring().isdisjoint(X5_NAMES) and all(
-        (comm[n] - factor * dyn[n]).is_zero for n in X5_NAMES
-    )
-    double_zero = lie_bracket_fields(comm, dyn).is_zero
-    return DynamicsCommutatorRecord(comm, factor if proportional else None, double_zero)
+    residuals = tuple(dyn[name] * comm["t"] - comm[name] for name in model.VARS5.names)
+    return DynamicsCommutatorRecord(comm, residuals, lie_bracket_fields(comm, dyn).is_zero)

@@ -1,11 +1,11 @@
 """Named verification suites aggregating every symbolic certificate.
 
 Each suite returns a list of :class:`VerificationReport`; a suite passes iff
-every report passes.  Suites accept optional mutated inputs (a tampered
-Poisson tensor or symmetry family) so that the sensitivity of the checks can
-itself be tested: a vacuously-green certificate is worthless.  A mutated
-family is a ``symmetry.flip_family_coefficient`` of the symbolic family, so
-every family a suite receives is over ``symmetry.BASE_VARS_P``.
+every report passes.  :func:`run_suite` gives a suite the model's Poisson
+tensor or symmetry family, or a tampered one, so that the sensitivity of the
+checks can itself be tested: a vacuously-green certificate is worthless.  A
+mutated family is a ``symmetry.flip_family_coefficient`` of the symbolic
+family, so every family a suite receives is over ``symmetry.BASE_VARS_P``.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ def reference_poisson_entries() -> tuple[tuple[Poly, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def suite_poisson(pi: poisson.PoissonTensor | None = None) -> list[VerificationReport]:
-    pi = pi or poisson.mb_poisson_tensor()
-
+def suite_poisson(pi: poisson.PoissonTensor) -> list[VerificationReport]:
     def assembly():
         ref = reference_poisson_entries()
         return [pi.entries[i][j] - ref[i][j] for i in range(5) for j in range(5)]
@@ -205,9 +203,7 @@ def suite_algebra() -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
-def suite_symmetry(family: JetVectorField | None = None) -> list[VerificationReport]:
-    family = family or symmetry.symbolic_family_field()
-
+def suite_symmetry(family: JetVectorField) -> list[VerificationReport]:
     def solver():
         basis = symmetry.solve_determining(2)
         failures = []
@@ -223,8 +219,7 @@ def suite_symmetry(family: JetVectorField | None = None) -> list[VerificationRep
     ]
 
 
-def suite_variational(family: JetVectorField | None = None) -> list[VerificationReport]:
-    family = family or symmetry.symbolic_family_field()
+def suite_variational(family: JetVectorField) -> list[VerificationReport]:
     # computed by the first check that reads it, then shared
     residual = cache(partial(symmetry.variational_residual, family))
 
@@ -243,7 +238,7 @@ def suite_variational(family: JetVectorField | None = None) -> list[Verification
     ]
 
 
-def suite_noether(family: JetVectorField | None = None) -> list[VerificationReport]:
+def suite_noether(family: JetVectorField) -> list[VerificationReport]:
     def basis_charges():
         # Noether's formula on the time, rotation and q3 fields gives -H, -J
         # and C, on (q, p) and, through Phi's section, on the 5D system
@@ -285,13 +280,13 @@ def suite_noether(family: JetVectorField | None = None) -> list[VerificationRepo
     ]
 
 
-def suite_pushforward(family: JetVectorField | None = None) -> list[VerificationReport]:
-    family = family or symmetry.symbolic_family_field()
+def suite_pushforward(family: JetVectorField) -> list[VerificationReport]:
     try:
-        cotangent = symmetry.pushforward(family, "FL")
-        x5 = symmetry.pushforward(family, "PHI")
+        cotangent, x5 = symmetry.pushforward(family)
     except symmetry.NotInSymmetryFamily as exc:
         return [run_check("pushforward", lambda: [str(exc)])]
+    # computed by the first check that reads it, then shared
+    commutator = cache(partial(symmetry.dynamics_commutator, x5))
 
     def cotangent_residuals():
         # expected momentum coefficients (2a p1 + g p2, 2a p2 - g p1, 2a p3)
@@ -318,9 +313,9 @@ def suite_pushforward(family: JetVectorField | None = None) -> list[Verification
         return [x5[n] - expected[n] for n in symmetry.X5_NAMES]
 
     def conformal_master():
-        record = symmetry.dynamics_commutator(x5)
+        record = commutator()
         failures = []
-        if not record.proportional or record.factor is None:
+        if record.factor is None:
             failures.append("[X,V] is not a constant multiple of V")
         elif record.factor != Poly.var(x5.vars, "alpha"):
             failures.append(f"[X,V] = c V with c = {record.factor}, expected alpha")
@@ -340,7 +335,7 @@ def suite_pushforward(family: JetVectorField | None = None) -> list[Verification
     return [
         run_check("pushforward-cotangent", cotangent_residuals),
         run_check("pushforward-5d", x5_residuals),
-        run_check("first-order-symmetry", lambda: symmetry.first_order_symmetry_residual(x5)),
+        run_check("first-order-symmetry", lambda: commutator().residuals),
         run_check("conformal-master", conformal_master),
     ]
 
@@ -366,7 +361,10 @@ def run_suite(
     pi: poisson.PoissonTensor | None = None,
     family: JetVectorField | None = None,
 ) -> list[VerificationReport]:
-    """Run one named suite, or all of them in a fixed order."""
+    """Run one named suite, or all of them in a fixed order, on the given
+    inputs or, where one is not given, the model's tensor and family."""
+    pi = pi or poisson.mb_poisson_tensor()
+    family = family or symmetry.symbolic_family_field()
     if name == "all":
         return [r for suite in SUITE_NAMES for r in run_suite(suite, pi=pi, family=family)]
     if name not in SUITE_NAMES:

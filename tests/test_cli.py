@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbrwa import cli, integrators, model, symmetry
+from mbrwa import cli, integrators, model, symmetry, verify
 from mbrwa.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_NUMERIC,
@@ -476,30 +476,49 @@ class TestGoldenOutput:
 
     DATA = Path(__file__).parent / "data"
 
+    # every mutant that the certify benchmark sends, each pinned in
+    # verify_mutate_<flag>_<value>.json
+    MUTANTS = [
+        ("pi", "2,5,both"),
+        ("family", "eta1:q2"),
+        *(("pi", v) for v in ("1,2,both", "3,4,both", "4,5,both", "2,5")),
+        *(("family", v) for v in ("xi:t", "eta1:q1", "eta2:q1", "eta2:q2", "eta3:q3")),
+    ]
+
+    def masked(self, text):
+        reports = json.loads(text)
+        for report in reports:
+            assert report.pop("elapsed_ms") >= 0
+        return reports
+
     @pytest.mark.parametrize(
         "name, argv, want_code",
         [
             ("verify_all", ("verify", "--suite", "all"), EXIT_OK),
-            (
-                "verify_mutate_pi_2_5_both",
-                ("verify", "--suite", "all", "--mutate-pi", "2,5,both"),
-                EXIT_VERIFY,
-            ),
-            (
-                "verify_mutate_family_eta1_q2",
-                ("verify", "--suite", "all", "--mutate-family", "eta1:q2"),
-                EXIT_VERIFY,
+            *(
+                (
+                    f"verify_mutate_{flag}_{value.replace(',', '_').replace(':', '_')}",
+                    ("verify", "--suite", "all", f"--mutate-{flag}", value),
+                    EXIT_VERIFY,
+                )
+                for flag, value in MUTANTS
             ),
         ],
     )
     def test_verify_reports(self, capsys, name, argv, want_code):
         code, out, _ = run(capsys, *argv)
         assert code == want_code
-        got = json.loads(out)
-        want = json.loads((self.DATA / f"{name}.json").read_text())
-        for report in got + want:
-            assert report.pop("elapsed_ms") >= 0
-        assert got == want
+        want = (self.DATA / f"{name}.json").read_text()
+        assert self.masked(out) == self.masked(want)
+
+    @pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+    def test_single_suite_is_its_slice_of_all(self, capsys, suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == EXIT_OK
+        got = self.masked(out)
+        checks = {r["check"] for r in got}
+        every = self.masked((self.DATA / "verify_all.json").read_text())
+        assert got and got == [r for r in every if r["check"] in checks]
 
     def test_solve_symmetries_bytes(self, capsys):
         code, out, _ = run(capsys, "solve-symmetries", "--max-degree", "2")

@@ -262,7 +262,7 @@ class TestMutationSensitivity:
             cached.cache_clear()
         try:
             assert poisson.mb_poisson_tensor().entry(2, 5) == -X1
-            reports = {r.check: r.passed for r in verify.suite_poisson()}
+            reports = {r.check: r.passed for r in verify.run_suite("poisson")}
         finally:
             for cached in caches:
                 cached.cache_clear()

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from mbrwa.symmetry import (
     determining_residuals,
     dynamics_commutator,
     family_field,
-    first_order_symmetry_residual,
     flip_family_coefficient,
     jet_vars,
     lie_bracket,
@@ -357,7 +357,7 @@ class TestNoether:
 
 class TestPushforward:
     def test_rotation_to_5d(self):
-        x = pushforward(symmetry_basis()[3], "PHI")
+        _, x = pushforward(symmetry_basis()[3])
         assert x["x1"] == Poly.var(x.vars, "x2")
         assert x["y1"] == Poly.var(x.vars, "y2")
         assert x["x2"] == -Poly.var(x.vars, "x1")
@@ -366,16 +366,16 @@ class TestPushforward:
         assert x["t"].is_zero
 
     def test_q3_translation_projects_to_zero(self):
-        x = pushforward(symmetry_basis()[2], "PHI")
+        _, x = pushforward(symmetry_basis()[2])
         assert x.is_zero
 
     def test_time_translation(self):
-        x = pushforward(symmetry_basis()[1], "PHI")
+        _, x = pushforward(symmetry_basis()[1])
         assert x["t"] == 1
         assert all(x[n].is_zero for n in ("x1", "y1", "x2", "y2", "z"))
 
     def test_cotangent_momentum_coefficients(self):
-        v = pushforward(symbolic_family_field(), "FL")
+        v, _ = pushforward(symbolic_family_field())
         al = Poly.var(v.vars, "alpha")
         ga = Poly.var(v.vars, "gamma")
         p1, p2, p3 = (Poly.var(v.vars, n) for n in ("p1", "p2", "p3"))
@@ -386,7 +386,7 @@ class TestPushforward:
     def test_outside_family_rejected(self):
         u = JetVectorField(xi=ZERO, eta=(Q1**2, ZERO, ZERO))
         with pytest.raises(NotInSymmetryFamily):
-            pushforward(u, "FL")
+            pushforward(u)
 
     def test_q3_dependent_component_does_not_project(self):
         # Phi forgets q3, so q3 d/dq1 (x1 component q3) has no image on the
@@ -405,8 +405,8 @@ class TestPushforward:
 
 class TestFirstOrderSymmetry:
     def test_family_pushforward_is_a_symmetry(self):
-        x = pushforward(symbolic_family_field(), "PHI")
-        assert all(r.is_zero for r in first_order_symmetry_residual(x))
+        _, x = pushforward(symbolic_family_field())
+        assert all(r.is_zero for r in dynamics_commutator(x).residuals)
 
     def test_x1_scaling_is_not(self):
         vars = VarSet(*symmetry.X5_NAMES)
@@ -414,34 +414,79 @@ class TestFirstOrderSymmetry:
         comps = [zero] * 6
         comps[vars.index("x1")] = Poly.var(vars, "x1")
         x = VectorField(vars=vars, components=tuple(comps))
-        assert any(not r.is_zero for r in first_order_symmetry_residual(x))
+        assert any(not r.is_zero for r in dynamics_commutator(x).residuals)
 
     def test_dynamics_commutes_with_itself(self):
         x = symmetry._dynamics_field(VarSet(*symmetry.X5_NAMES))
-        assert all(r.is_zero for r in first_order_symmetry_residual(x))
+        assert all(r.is_zero for r in dynamics_commutator(x).residuals)
+
+
+def hand_derived_residuals(x: VectorField) -> list[Poly]:
+    """The 5D symmetry criterion as first derived by hand: per state
+    coordinate, D_t eta_k - F_k D_t xi - X(F_k), with D_t = d/dt + F_j d/dx_j
+    and X = xi d/dt + eta_j d/dx_j, written out with partial derivatives."""
+    names = model.VARS5.names
+    rhs = [f.rename(x.vars) for f in model.rhs_symbolic(model.SystemId.MB5)]
+
+    def d_t(g):
+        return sum((f * g.diff(n) for f, n in zip(rhs, names)), g.diff("t"))
+
+    def apply_x(g):
+        return sum((x[n] * g.diff(n) for n in names), x["t"] * g.diff("t"))
+
+    return [d_t(x[n]) - f * d_t(x["t"]) - apply_x(f) for f, n in zip(rhs, names)]
+
+
+class TestHandDerivedCriterion:
+    """dynamics_commutator's residuals V_k [X,V]_t - [X,V]_k equal the
+    hand-derived criterion as polynomials."""
+
+    def assert_agrees(self, x):
+        assert list(dynamics_commutator(x).residuals) == hand_derived_residuals(x)
+
+    def test_symbolic_family(self):
+        _, x = pushforward(symbolic_family_field())
+        self.assert_agrees(x)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_basis_field(self, index):
+        _, x = pushforward(symmetry_basis()[index])
+        self.assert_agrees(x)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_quadratic_field(self, seed):
+        rng = random.Random(seed)
+        vars = VarSet(*symmetry.X5_NAMES)
+        monos = [e for e in itertools.product(range(3), repeat=6) if sum(e) <= 2]
+        comps = tuple(
+            Poly(vars, {m: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for m in rng.sample(monos, 4)})
+            for _ in vars.names
+        )
+        x = VectorField(vars, comps)
+        assert not x.is_zero
+        self.assert_agrees(x)
 
 
 class TestDynamicsCommutator:
     def test_pure_scaling_is_conformal_and_master(self):
-        x = pushforward(family_field(SymParams(alpha=Fraction(1))), "PHI")
+        _, x = pushforward(family_field(SymParams(alpha=Fraction(1))))
         record = dynamics_commutator(x)
-        assert record.proportional
+        assert record.factor is not None
         assert record.factor == 1
         assert record.is_master
         assert not record.is_symmetry
 
     def test_alpha_zero_commutes(self):
-        x = pushforward(
-            family_field(SymParams(beta=Fraction(1), gamma=Fraction(2))), "PHI"
-        )
+        _, x = pushforward(family_field(SymParams(beta=Fraction(1), gamma=Fraction(2))))
         record = dynamics_commutator(x)
         assert record.is_symmetry
         assert record.factor == 0
 
     def test_symbolic_factor_is_alpha(self):
-        x = pushforward(symbolic_family_field(), "PHI")
+        _, x = pushforward(symbolic_family_field())
         record = dynamics_commutator(x)
-        assert record.proportional
+        assert record.factor is not None
         assert record.factor == Poly.var(x.vars, "alpha")
         assert record.double_commutator_zero
         assert record.is_master
@@ -453,7 +498,7 @@ class TestVerifyFailureStrings:
 
     def solver_report(self, monkeypatch, basis):
         monkeypatch.setattr(symmetry, "solve_determining", lambda degree: basis)
-        return {r.check: r for r in verify.suite_symmetry()}["determining-solver"]
+        return {r.check: r for r in verify.run_suite("symmetry")}["determining-solver"]
 
     def test_solver_dimension(self, monkeypatch):
         report = self.solver_report(monkeypatch, list(symmetry_basis()[:3]))
@@ -469,12 +514,12 @@ class TestVerifyFailureStrings:
         # the 5D push-forward x5 becomes wrong(x5); the cotangent one is kept
         real = symmetry.pushforward
 
-        def pushforward(u, target):
-            x = real(u, target)
-            return wrong(x) if target == "PHI" else x
+        def pushforward(u):
+            cotangent, x = real(u)
+            return cotangent, wrong(x)
 
         monkeypatch.setattr(symmetry, "pushforward", pushforward)
-        return {r.check: r for r in verify.suite_pushforward()}["conformal-master"]
+        return {r.check: r for r in verify.run_suite("pushforward")}["conformal-master"]
 
     def test_not_a_multiple_of_v(self, monkeypatch):
         def x1_scaling(x):
