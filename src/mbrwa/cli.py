@@ -241,13 +241,7 @@ def cmd_solve_symmetries(args, parser) -> int:
         "max_degree": args.max_degree,
         "dimension": len(basis),
         "basis": [
-            {
-                "xi": str(u.xi),
-                "eta1": str(u.eta[0]),
-                "eta2": str(u.eta[1]),
-                "eta3": str(u.eta[2]),
-            }
-            for u in basis
+            {slot: str(u[name]) for slot, name in symmetry.SYMMETRY_SLOTS.items()} for u in basis
         ],
         "matches_reference_family": matches,
     }

@@ -344,7 +344,8 @@ def fold_drift(system: SystemId, invariants: Sequence[InvariantId],
                rows: Iterable[tuple[float, Sequence[float]]]) -> DriftReport:
     """Deviation bookkeeping for each invariant along a run's (t, state) rows in
     O(``ROW_BLOCK``) memory; BlowUpError at the first row, then column, not
-    finite, raised once the rows end, so a later non-finite state wins."""
+    finite, raised once the rows end, so a later non-finite state wins.
+    ValueError when there are no rows."""
     for inv in invariants:
         if (home := model.invariant_system(inv)) is not system:
             raise ValueError(f"invariant {inv.value} is defined on {home.value}, "
@@ -361,6 +362,8 @@ def fold_drift(system: SystemId, invariants: Sequence[InvariantId],
         if bad is None and len(where := np.argwhere(~np.isfinite(values))):
             bad = BlowUpError(block[where[0, 0]][0], invariants[where[0, 1]])
         steps += len(block)
+    if initial is None:
+        raise ValueError("no rows to fold")
     if bad is not None:
         raise bad
     drifts = zip(invariants, initial, worst, dev[-1])

@@ -13,6 +13,9 @@ their inverses, so every certificate here is about the maps ``model`` defines.
 One transport, :func:`pushforward`, returns both fields, and on the 5D space
 one record, :func:`dynamics_commutator`, answers the 5D question from one
 [X, V]: X is a symmetry iff [X, V] is a multiple of the dynamics V.
+There is one vector-field type, :class:`VectorField`.  A point field is one
+over (t, q1, q2, q3, params): xi and eta_i, named in :data:`SYMMETRY_SLOTS`,
+are its t and q_i components, and each parameter's component is zero.
 
 ``solve_determining`` assembles its matrix by linearity, since the
 prolongation is linear in the field.  Each unit field puts one monomial m of
@@ -61,6 +64,7 @@ from .polyring import Coeff, Poly, VarSet, _coeff, _nullspace, kernel, lie_deriv
 BASE_NAMES = ("t", "q1", "q2", "q3")
 JET_EXTRA = ("qd1", "qd2", "qd3", "qdd1", "qdd2", "qdd3")
 PARAM_NAMES = ("alpha", "beta", "gamma", "delta")
+SYMMETRY_SLOTS = MappingProxyType({"xi": "t", "eta1": "q1", "eta2": "q2", "eta3": "q3"})
 
 BASE_VARS = VarSet(*BASE_NAMES)
 BASE_VARS_P = VarSet(*BASE_NAMES, *PARAM_NAMES)
@@ -80,37 +84,6 @@ class SymParams:
     beta: Coeff = 0
     gamma: Coeff = 0
     delta: Coeff = 0
-
-
-@dataclass(frozen=True)
-class JetVectorField:
-    """A point-symmetry candidate: xi d/dt + sum eta_i d/dq_i.
-
-    Coefficients are polynomials in (t, q1, q2, q3), optionally with extra
-    symbolic parameter variables, but never velocities.
-    """
-
-    xi: Poly
-    eta: tuple[Poly, Poly, Poly]
-
-    def __post_init__(self):
-        vars = self.xi.vars
-        if vars.names[:4] != BASE_NAMES:
-            raise ValueError(f"base variables must start with {BASE_NAMES}")
-        for e in self.eta:
-            if e.vars != vars:
-                raise ValueError("xi and eta must share one variable set")
-
-    @property
-    def vars(self) -> VarSet:
-        return self.xi.vars
-
-    def components(self) -> tuple[Poly, ...]:
-        return (self.xi,) + self.eta
-
-    def field(self) -> VectorField:
-        """This point field as a :class:`VectorField` over its VarSet."""
-        return VectorField.of(self.vars, dict(zip(BASE_NAMES, self.components())))
 
 
 @dataclass(frozen=True)
@@ -135,9 +108,12 @@ class VectorField(Mapping):
     @classmethod
     def of(cls, vars: VarSet, coeffs: Mapping[str, Poly]) -> VectorField:
         """The field with the given coefficients by name; a variable that
-        ``coeffs`` does not name gets a zero coefficient."""
-        zero = Poly.zero(vars)
-        return cls(vars, tuple(coeffs.get(name, zero) for name in vars.names))
+        ``coeffs`` does not name gets a zero coefficient, and a name that is
+        not a variable raises KeyError."""
+        components = [Poly.zero(vars)] * len(vars)
+        for name, c in coeffs.items():
+            components[vars.index(name)] = c
+        return cls(vars, tuple(components))
 
     def __getitem__(self, name: str) -> Poly:
         return self.components[self.vars.index(name)]
@@ -161,6 +137,14 @@ def lie_bracket_fields(u: VectorField, v: VectorField) -> VectorField:
         vars=u.vars,
         components=tuple(lie_derivative(u, v[n]) - lie_derivative(v, u[n]) for n in u),
     )
+
+
+def JetVectorField(xi: Poly, eta: Sequence[Poly]) -> VectorField:
+    """The point field xi d/dt + sum eta_i d/dq_i over xi's VarSet, which
+    must start with (t, q1, q2, q3); the variables after them are parameters."""
+    if xi.vars.names[:4] != BASE_NAMES:
+        raise ValueError(f"base variables must start with {BASE_NAMES}")
+    return VectorField.of(xi.vars, dict(zip(BASE_NAMES, (xi, *eta), strict=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +179,7 @@ def total_derivative(f: Poly) -> Poly:
     return f.diff("t") + lie_derivative(_jet_shift(f.vars), f)
 
 
-def prolong(u: JetVectorField, order: Literal[1, 2]) -> VectorField:
+def prolong(u: VectorField, order: Literal[1, 2]) -> VectorField:
     """First or second prolongation of a point field, on the jet space.
 
     vel_i = D_t(eta_i) - D_t(xi) qd_i, and
@@ -206,7 +190,7 @@ def prolong(u: JetVectorField, order: Literal[1, 2]) -> VectorField:
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     jv = jet_vars(u.vars)
-    coeffs = {name: c.rename(jv) for name, c in zip(BASE_NAMES, u.components())}
+    coeffs = {name: u[name].rename(jv) for name in BASE_NAMES}
     dxi = total_derivative(coeffs["t"])
     for i in (1, 2, 3):
         coeffs[f"qd{i}"] = total_derivative(coeffs[f"q{i}"]) - dxi * Poly.var(jv, f"qd{i}")
@@ -215,7 +199,7 @@ def prolong(u: JetVectorField, order: Literal[1, 2]) -> VectorField:
     return VectorField.of(jv, coeffs)
 
 
-def determining_residuals(u: JetVectorField) -> tuple[Poly, Poly, Poly]:
+def determining_residuals(u: VectorField) -> tuple[Poly, Poly, Poly]:
     """Act with the second prolongation on the Euler-Lagrange equations
     qdd_i = A_i(q, qd) and substitute the accelerations; the field is a
     symmetry iff all three residuals vanish identically in (t, q, qd).
@@ -237,7 +221,7 @@ def determining_residuals(u: JetVectorField) -> tuple[Poly, Poly, Poly]:
 
 
 @lru_cache(maxsize=None)
-def symbolic_family_field() -> JetVectorField:
+def symbolic_family_field() -> VectorField:
     """The family with the four parameters as extra symbolic variables.
 
     This is the one statement of the family's formula; the members are
@@ -252,21 +236,21 @@ def symbolic_family_field() -> JetVectorField:
     )
 
 
-def _bind_family(params: Sequence[Poly]) -> JetVectorField:
+def _bind_family(params: Sequence[Poly]) -> VectorField:
     """The family member with (alpha, beta, gamma, delta) bound to the given
     polynomials, over their VarSet, which must start with (t, q1, q2, q3)."""
     bindings = dict(zip(PARAM_NAMES, params))
-    xi, *eta = (c.substitute(bindings) for c in symbolic_family_field().components())
-    return JetVectorField(xi=xi, eta=tuple(eta))
+    xi, *eta = (symbolic_family_field()[n].substitute(bindings) for n in BASE_NAMES)
+    return JetVectorField(xi, eta)
 
 
-def family_field(p: SymParams) -> JetVectorField:
+def family_field(p: SymParams) -> VectorField:
     """The four-parameter symmetry field with rational parameter values."""
     return _bind_family([Poly.const(BASE_VARS, getattr(p, name)) for name in PARAM_NAMES])
 
 
 @lru_cache(maxsize=None)
-def symmetry_basis() -> tuple[JetVectorField, ...]:
+def symmetry_basis() -> tuple[VectorField, ...]:
     """The four basis symmetries: scaling, time translation, q3 translation,
     rotation in the (q1, q2) plane."""
     return (
@@ -277,28 +261,18 @@ def symmetry_basis() -> tuple[JetVectorField, ...]:
     )
 
 
-def flip_family_coefficient(u: JetVectorField, slot: str, var: str) -> JetVectorField:
+def flip_family_coefficient(u: VectorField, slot: str, var: str) -> VectorField:
     """Mutation helper: negate every term of one coefficient that contains
     the named base variable.
 
-    ``slot`` is one of xi, eta1, eta2, eta3.  Used to confirm that the
+    ``slot`` is one of :data:`SYMMETRY_SLOTS`.  Used to confirm that the
     determining-equation certificates actually notice a wrong coefficient.
     """
-    slots = {"xi": 0, "eta1": 1, "eta2": 2, "eta3": 3}
-    idx = slots[slot]
-    comp = u.components()[idx]
+    name = SYMMETRY_SLOTS[slot]
+    comp = u[name]
     i = comp.vars.index(var)
-    terms = {e: (-c if e[i] else c) for e, c in comp.terms.items()}
-    mutated = Poly(comp.vars, terms)
-    comps = list(u.components())
-    comps[idx] = mutated
-    return JetVectorField(xi=comps[0], eta=tuple(comps[1:]))
-
-
-def lie_bracket(u: JetVectorField, v: JetVectorField) -> JetVectorField:
-    """Bracket of two point fields on (t, q) space."""
-    w = lie_bracket_fields(u.field(), v.field())
-    return JetVectorField(xi=w["t"], eta=(w["q1"], w["q2"], w["q3"]))
+    mutated = Poly(comp.vars, {e: (-c if e[i] else c) for e, c in comp.terms.items()})
+    return VectorField.of(u.vars, {**u, name: mutated})
 
 
 def _monomials(max_degree: int) -> list[tuple[int, int, int, int]]:
@@ -426,7 +400,7 @@ def _determining_rows(monos: Sequence[tuple[int, int, int, int]]) -> list[dict[i
     return [rows[key] for key in sorted(rows)]
 
 
-def solve_determining(max_degree: int = 2) -> list[JetVectorField]:
+def solve_determining(max_degree: int = 2) -> list[VectorField]:
     """Exact nullspace of the determining equations for a polynomial ansatz
     of total degree <= max_degree in (t, q).
 
@@ -439,15 +413,15 @@ def solve_determining(max_degree: int = 2) -> list[JetVectorField]:
     n = len(monos)
     fields = []
     for vec in _nullspace(_determining_rows(monos), 4 * n):
-        xi, *eta = (Poly(BASE_VARS, dict(zip(monos, vec[s * n : (s + 1) * n]))) for s in range(4))
-        fields.append(JetVectorField(xi=xi, eta=tuple(eta)))
+        comps = (Poly(BASE_VARS, dict(zip(monos, vec[s * n : (s + 1) * n]))) for s in range(4))
+        fields.append(VectorField(BASE_VARS, tuple(comps)))
     return fields
 
 
-def spans_match(fields: Sequence[JetVectorField], reference: Sequence[JetVectorField]) -> bool:
+def spans_match(fields: Sequence[VectorField], reference: Sequence[VectorField]) -> bool:
     """Whether two families of point fields span the same linear space."""
     a, b, ab = (
-        len(us) - len(kernel([u.components() for u in us]))
+        len(us) - len(kernel([u.components for u in us]))
         for us in (fields, reference, [*fields, *reference])
     )
     return a == b == ab
@@ -458,7 +432,7 @@ def spans_match(fields: Sequence[JetVectorField], reference: Sequence[JetVectorF
 # ---------------------------------------------------------------------------
 
 
-def variational_residual(u: JetVectorField) -> Poly:
+def variational_residual(u: VectorField) -> Poly:
     """pr1(u) L + L D_t(xi); zero iff u is a variational symmetry."""
     pr = prolong(u, 1)
     lag = model.invariant_symbolic(InvariantId.L).rename(pr.vars)
@@ -477,18 +451,18 @@ class NoetherCharge:
         return self.conservation_residual.is_zero
 
 
-def noether_charge(u: JetVectorField) -> NoetherCharge:
+def noether_charge(u: VectorField) -> NoetherCharge:
     """Noether's charge Q = xi L + sum_i (eta_i - xi qd_i) dL/dqd_i of a
     t-free point field (Olver, *Applications of Lie Groups to Differential
     Equations*, ch. 4; the gauge term is zero), carried to (q, p) by the
     inverse Legendre map, over (q, p) plus the field's parameters.  Its
     conservation residual is taken along ham6."""
-    if any("t" in c.occurring() for c in u.components()):
+    if any("t" in u[n].occurring() for n in BASE_NAMES):
         raise ValueError("t occurs in the field; only t-free fields have a charge on (q, p)")
     params = u.vars.names[4:]
     tangent, vars = VarSet(*model.VARST6.names, *params), VarSet(*model.VARS6.names, *params)
     lag = model.invariant_symbolic(InvariantId.L).rename(tangent)
-    xi, *eta = (c.rename(tangent) for c in u.components())
+    xi, *eta = (u[n].rename(tangent) for n in BASE_NAMES)
     charge = xi * lag
     for i, e in enumerate(eta, start=1):
         charge = charge + (e - xi * Poly.var(tangent, f"qd{i}")) * lag.diff(f"qd{i}")
@@ -499,12 +473,12 @@ def noether_charge(u: JetVectorField) -> NoetherCharge:
     return NoetherCharge(poly=charge, conservation_residual=lie_derivative(field, charge))
 
 
-def noether_charge_symbolic(family: JetVectorField | None = None) -> NoetherCharge:
+def noether_charge_symbolic(family: VectorField | None = None) -> NoetherCharge:
     """The charge of the alpha = 0 members of ``family`` (by default the
     symmetry family), the variational ones, with (beta, gamma, delta) symbolic."""
     family = family or symbolic_family_field()
-    xi, *eta = (c.substitute({"alpha": 0}) for c in family.components())
-    return noether_charge(JetVectorField(xi=xi, eta=tuple(eta)))
+    xi, *eta = (family[n].substitute({"alpha": 0}) for n in BASE_NAMES)
+    return noether_charge(JetVectorField(xi, eta))
 
 
 # ---------------------------------------------------------------------------
@@ -512,25 +486,25 @@ def noether_charge_symbolic(family: JetVectorField | None = None) -> NoetherChar
 # ---------------------------------------------------------------------------
 
 
-def extract_family_params(u: JetVectorField) -> tuple[Poly, Poly, Poly, Poly]:
+def extract_family_params(u: VectorField) -> tuple[Poly, Poly, Poly, Poly]:
     """Recover (alpha, beta, gamma, delta) from a field of the family form.
 
     The coefficients may be polynomials in parameter variables but must be
     free of (t, q); raises NotInSymmetryFamily otherwise.
     """
     vars = u.vars
-    alpha = -u.xi.diff("t")
-    beta = u.xi + alpha * Poly.var(vars, "t")
-    gamma = u.eta[0].diff("q2")
-    delta = u.eta[2] - alpha * Poly.var(vars, "q3")
+    alpha = -u["t"].diff("t")
+    beta = u["t"] + alpha * Poly.var(vars, "t")
+    gamma = u["q1"].diff("q2")
+    delta = u["q3"] - alpha * Poly.var(vars, "q3")
     if any(p.occurring().intersection(BASE_NAMES) for p in (alpha, beta, gamma, delta)):
         raise NotInSymmetryFamily("coefficients are not constant/parameter valued")
-    if u.components() != _bind_family((alpha, beta, gamma, delta)).components():
+    if u != _bind_family((alpha, beta, gamma, delta)):
         raise NotInSymmetryFamily("field does not match the four-parameter form")
     return alpha, beta, gamma, delta
 
 
-def pushforward(u: JetVectorField) -> tuple[VectorField, VectorField]:
+def pushforward(u: VectorField) -> tuple[VectorField, VectorField]:
     """Transport a family field along the Legendre map to (t, q, p), and that
     image further along Phi onto the extended 5D space: (cotangent, x5).
 

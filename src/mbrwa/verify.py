@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import cache, partial
+from operator import attrgetter
 
 from . import model, poisson, symmetry
 from .model import VARS5, VARS6, VARST6, InvariantId, SystemId
 from .polyring import Coeff, Poly, lie_derivative
 from .report import Outcome, VerificationReport, run_check
-from .symmetry import JetVectorField, jet_vars
+from .symmetry import VectorField, jet_vars, lie_bracket_fields
 
 
 def reference_poisson_entries() -> tuple[tuple[Poly, ...], ...]:
@@ -165,11 +166,11 @@ def _table_report(
 
 
 def point_field_commutator_table(
-    basis: list[JetVectorField],
+    basis: list[VectorField],
 ) -> dict[tuple[int, int], tuple[Coeff, ...]]:
     """Expand every [u_i, u_j], i < j (1-based), in the given field basis,
-    over the coefficients of its (xi, eta1, eta2, eta3) polynomials."""
-    return poisson.structure_constants(basis, symmetry.lie_bracket, JetVectorField.components)
+    over the coefficients of its component polynomials."""
+    return poisson.structure_constants(basis, lie_bracket_fields, attrgetter("components"))
 
 
 def suite_algebra() -> list[VerificationReport]:
@@ -203,7 +204,7 @@ def suite_algebra() -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
-def suite_symmetry(family: JetVectorField) -> list[VerificationReport]:
+def suite_symmetry(family: VectorField) -> list[VerificationReport]:
     def solver():
         basis = symmetry.solve_determining(2)
         failures = []
@@ -219,7 +220,7 @@ def suite_symmetry(family: JetVectorField) -> list[VerificationReport]:
     ]
 
 
-def suite_variational(family: JetVectorField) -> list[VerificationReport]:
+def suite_variational(family: VectorField) -> list[VerificationReport]:
     # computed by the first check that reads it, then shared
     residual = cache(partial(symmetry.variational_residual, family))
 
@@ -238,7 +239,7 @@ def suite_variational(family: JetVectorField) -> list[VerificationReport]:
     ]
 
 
-def suite_noether(family: JetVectorField) -> list[VerificationReport]:
+def suite_noether(family: VectorField) -> list[VerificationReport]:
     def basis_charges():
         # Noether's formula on the time, rotation and q3 fields gives -H, -J
         # and C, on (q, p) and, through Phi's section, on the 5D system
@@ -280,7 +281,7 @@ def suite_noether(family: JetVectorField) -> list[VerificationReport]:
     ]
 
 
-def suite_pushforward(family: JetVectorField) -> list[VerificationReport]:
+def suite_pushforward(family: VectorField) -> list[VerificationReport]:
     try:
         cotangent, x5 = symmetry.pushforward(family)
     except symmetry.NotInSymmetryFamily as exc:
@@ -359,7 +360,7 @@ SUITE_READERS = {
 def run_suite(
     name: str,
     pi: poisson.PoissonTensor | None = None,
-    family: JetVectorField | None = None,
+    family: VectorField | None = None,
 ) -> list[VerificationReport]:
     """Run one named suite, or all of them in a fixed order, on the given
     inputs or, where one is not given, the model's tensor and family."""

@@ -306,6 +306,14 @@ class TestDriftReport:
         with pytest.raises(ValueError):
             drift_report(traj, (InvariantId.HTILDE,))
 
+    def test_no_rows_to_fold(self):
+        invariants = system_invariants(SystemId.MB5)
+        with pytest.raises(ValueError, match="no rows to fold"):
+            integrators.fold_drift(SystemId.MB5, invariants, iter(()))
+        empty = integrators.Trajectory(SystemId.MB5, np.empty(0), np.empty((0, 5)), 0.1)
+        with pytest.raises(ValueError, match="no rows to fold"):
+            drift_report(empty, invariants)
+
 
 class TestRoundTrip:
     def test_midpoint_is_time_symmetric(self):

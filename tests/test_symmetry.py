@@ -23,7 +23,7 @@ from mbrwa.symmetry import (
     family_field,
     flip_family_coefficient,
     jet_vars,
-    lie_bracket,
+    lie_bracket_fields,
     prolong,
     pushforward,
     solve_determining,
@@ -75,9 +75,9 @@ class TestProlong:
         # acc_i = Dt^2(eta_i) - Dt^2(xi) qd_i - 2 Dt(xi) qdd_i
         u = JetVectorField(xi=T * Q1, eta=(Q1 * Q2, T**2, Q3))
         pr = prolong(u, 2)
-        xi = u.xi.rename(JV)
+        xi = u["t"].rename(JV)
         for i in range(3):
-            eta = u.eta[i].rename(JV)
+            eta = u[f"q{i+1}"].rename(JV)
             expected = (
                 total_derivative(total_derivative(eta))
                 - total_derivative(total_derivative(xi)) * jet(f"qd{i+1}")
@@ -109,7 +109,7 @@ class TestDeterminingResiduals:
         # second-order symmetry conditions
         u = JetVectorField(xi=T + Q3, eta=(Q1 * Q2, T * Q1, Q2**2))
         pr = prolong(u, 2)
-        eta = [e.rename(JV) for e in u.eta]
+        eta = [u[f"q{i}"].rename(JV) for i in (1, 2, 3)]
         vel = [pr[f"qd{i}"] for i in (1, 2, 3)]
         acc = [pr[f"qdd{i}"] for i in (1, 2, 3)]
         q1, q2 = jet("q1"), jet("q2")
@@ -132,21 +132,47 @@ class TestDeterminingResiduals:
 class TestVectorField:
     def test_point_field_is_a_mapping_by_name(self):
         u = symbolic_family_field()
-        f = u.field()
-        assert list(f) == list(u.vars.names)
-        assert len(f) == len(u.vars)
-        assert (f["t"], f["q1"], f["q2"], f["q3"]) == u.components()
-        assert f["alpha"].is_zero
-        assert "p1" not in f
+        assert u.vars == symmetry.BASE_VARS_P
+        assert list(u) == list(u.vars.names)
+        assert len(u) == len(u.vars)
+        assert (u["t"], u["q1"], u["q2"], u["q3"]) == u.components[:4]
+        assert all(u[n].is_zero for n in symmetry.PARAM_NAMES)
+        assert "p1" not in u
 
     def test_lie_derivative_takes_it_directly(self):
-        rotation = symmetry_basis()[3].field()  # q2 d/dq1 - q1 d/dq2
+        rotation = symmetry_basis()[3]  # q2 d/dq1 - q1 d/dq2
         assert lie_derivative(rotation, Q1**2 + Q2**2).is_zero
         assert lie_derivative(rotation, Q1) == Q2
 
     def test_of_fills_unnamed_variables_with_zero(self):
         v = VectorField.of(BASE_VARS, {"q2": T})
         assert v.components == (ZERO, ZERO, T, ZERO)
+
+    def test_of_rejects_a_name_outside_its_varset(self):
+        with pytest.raises(KeyError, match="unknown variable 'p1'"):
+            VectorField.of(BASE_VARS, {"p1": T})
+
+    def test_jet_vector_field_checks_its_slots(self):
+        vars = VarSet("q1", "t", "q2", "q3")
+        zero = Poly.zero(vars)
+        with pytest.raises(ValueError, match="base variables must start with"):
+            JetVectorField(xi=zero, eta=(zero, zero, zero))
+        with pytest.raises(ValueError, match="must live over the field's VarSet"):
+            JetVectorField(xi=ZERO, eta=(Poly.zero(symmetry.BASE_VARS_P), ZERO, ZERO))
+        with pytest.raises(ValueError, match="shorter"):
+            JetVectorField(xi=T, eta=(Q1,))
+
+    def test_every_point_field_is_a_vector_field(self):
+        fields = [symbolic_family_field(), *symmetry_basis(), *solve_determining(2)]
+        assert all(type(u) is VectorField for u in fields)
+        assert [u.vars for u in fields] == [symmetry.BASE_VARS_P] + [BASE_VARS] * 8
+
+    def test_slots_name_the_point_components(self):
+        # solve-symmetries prints each field by these slot names
+        u = JetVectorField(xi=T, eta=(Q2, -Q1, ZERO))
+        assert u == VectorField(BASE_VARS, (T, Q2, -Q1, ZERO))
+        slots = {slot: u[name] for slot, name in symmetry.SYMMETRY_SLOTS.items()}
+        assert slots == {"xi": T, "eta1": Q2, "eta2": -Q1, "eta3": ZERO}
 
 
 class TestSolver:
@@ -175,7 +201,7 @@ class TestSolver:
             for m in monos:
                 comps = [ZERO] * 4
                 comps[slot] = Poly(BASE_VARS, {m: 1})
-                columns.append(determining_residuals(JetVectorField(comps[0], tuple(comps[1:]))))
+                columns.append(determining_residuals(VectorField(BASE_VARS, tuple(comps))))
         keys = sorted({(i, e) for col in columns for i, r in enumerate(col) for e in r.terms})
         want = [
             {j: c for j, col in enumerate(columns) if (c := col[i].coefficient(e))}
@@ -195,21 +221,20 @@ class TestSolver:
 class TestAlgebra:
     def test_bracket_table(self):
         u1, u2, u3, u4 = symmetry_basis()
-        assert lie_bracket(u1, u2).components() == u2.components()
-        assert lie_bracket(u1, u3).components() == tuple(-c for c in u3.components())
+        assert lie_bracket_fields(u1, u2) == u2
+        assert lie_bracket_fields(u1, u3).components == tuple(-c for c in u3.components)
         for a, b in ((u1, u4), (u2, u3), (u2, u4), (u3, u4)):
-            w = lie_bracket(a, b)
-            assert all(c.is_zero for c in w.components())
+            assert lie_bracket_fields(a, b).is_zero
 
     def test_jacobi_identity_on_basis(self):
         basis = symmetry_basis()
         for a, b, c in itertools.combinations(basis, 3):
             total = [
-                lie_bracket(lie_bracket(a, b), c),
-                lie_bracket(lie_bracket(b, c), a),
-                lie_bracket(lie_bracket(c, a), b),
+                lie_bracket_fields(lie_bracket_fields(a, b), c),
+                lie_bracket_fields(lie_bracket_fields(b, c), a),
+                lie_bracket_fields(lie_bracket_fields(c, a), b),
             ]
-            for comps in zip(*(w.components() for w in total)):
+            for comps in zip(*(w.components for w in total)):
                 assert sum(comps, ZERO).is_zero
 
     def test_isomorphic_to_matrix_algebra(self):
@@ -224,15 +249,13 @@ class TestAlgebra:
         from mbrwa import poisson
         from mbrwa.verify import point_field_commutator_table
 
-        d_q1 = JetVectorField(xi=ZERO, eta=(Poly.const(BASE_VARS, 1), ZERO, ZERO))
-        q1_d_q2 = JetVectorField(xi=ZERO, eta=(ZERO, Q1, ZERO))
+        d_q1 = VectorField.of(BASE_VARS, {"q1": Poly.const(BASE_VARS, 1)})
+        q1_d_q2 = VectorField.of(BASE_VARS, {"q2": Q1})
         with pytest.raises(poisson.CommutatorOutsideSpan) as exc:
             point_field_commutator_table([d_q1, q1_d_q2])
         # [d/dq1, q1 d/dq2] = d/dq2
         assert exc.value.indices == (1, 2)
-        assert exc.value.witness == JetVectorField(
-            xi=ZERO, eta=(ZERO, Poly.const(BASE_VARS, 1), ZERO)
-        )
+        assert exc.value.witness == VectorField.of(BASE_VARS, {"q2": Poly.const(BASE_VARS, 1)})
 
     def test_point_table_has_no_degree_cap(self):
         # d/dq1, q1 d/dq1, q1^2 d/dq1 span sl(2); the expansion reads the
@@ -240,7 +263,7 @@ class TestAlgebra:
         from mbrwa.verify import point_field_commutator_table
 
         one = Poly.const(BASE_VARS, 1)
-        sl2 = [JetVectorField(xi=ZERO, eta=(c, ZERO, ZERO)) for c in (one, Q1, Q1**2)]
+        sl2 = [VectorField.of(BASE_VARS, {"q1": c}) for c in (one, Q1, Q1**2)]
         assert point_field_commutator_table(sl2) == {
             (1, 2): (1, 0, 0),
             (1, 3): (0, 2, 0),
@@ -254,12 +277,10 @@ class TestAlgebra:
         basis = solve_determining(2)
         null = kernel([(variational_residual(u),) for u in basis])
         assert null == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+        slots = list(zip(*(u.components for u in basis)))
         variational = [
-            JetVectorField(xi, tuple(eta))
-            for xi, *eta in (
-                [sum((c * u.components()[s] for c, u in zip(vec, basis)), ZERO) for s in range(4)]
-                for vec in null
-            )
+            VectorField(BASE_VARS, tuple(sum((c * p for c, p in zip(vec, s)), ZERO) for s in slots))
+            for vec in null
         ]
         assert spans_match(variational, symmetry_basis()[1:])
         assert not spans_match(variational, symmetry_basis())
@@ -279,12 +300,19 @@ class TestFamily:
         a, b, c, d = p.alpha, p.beta, p.gamma, p.delta
         u = family_field(p)
         assert u.vars == BASE_VARS
-        assert u.components() == (-a * T + b, a * Q1 + c * Q2, -c * Q1 + a * Q2, a * Q3 + d)
+        assert u.components == (-a * T + b, a * Q1 + c * Q2, -c * Q1 + a * Q2, a * Q3 + d)
 
     @pytest.mark.parametrize("p", FAMILY_PARAMS)
     def test_extract_recovers_params(self, p):
         got = symmetry.extract_family_params(family_field(p))
         assert got == (p.alpha, p.beta, p.gamma, p.delta)
+
+    def test_extract_compares_the_whole_field(self):
+        # the family's point components with a nonzero parameter component
+        u = symbolic_family_field()
+        stray = VectorField.of(u.vars, {**u, "beta": Poly.var(u.vars, "gamma")})
+        with pytest.raises(NotInSymmetryFamily, match="four-parameter form"):
+            symmetry.extract_family_params(stray)
 
 
 class TestVariational:
@@ -345,7 +373,7 @@ class TestNoether:
         # eta1 = -q2 instead of q2: the derived charge is no longer -Jtilde,
         # and it is not conserved
         mutated = flip_family_coefficient(symmetry_basis()[3], "eta1", "q2")
-        assert mutated.eta[0] == -Poly.var(BASE_VARS, "q2")
+        assert mutated["q1"] == -Q2
         nc = symmetry.noether_charge(mutated)
         assert nc.poly != -model.invariant_symbolic(InvariantId.JTILDE)
         assert not nc.conserved
@@ -384,7 +412,7 @@ class TestPushforward:
         assert v["p3"] == 2 * al * p3
 
     def test_outside_family_rejected(self):
-        u = JetVectorField(xi=ZERO, eta=(Q1**2, ZERO, ZERO))
+        u = VectorField.of(BASE_VARS, {"q1": Q1**2})
         with pytest.raises(NotInSymmetryFamily):
             pushforward(u)
 
