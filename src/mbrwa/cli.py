@@ -276,7 +276,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except BrokenPipeError:
         # the reader closed stdout: what is left to flush goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_BROKEN_PIPE
 
 

@@ -257,19 +257,21 @@ def _compile_scalar(name: str, args: Sequence[str], body: list, returns: list) -
 
 
 def _poly_source(p: Poly, names: Sequence[str]) -> str:
-    """Source of ``p`` with its variables written as ``names``."""
+    """Source of ``p`` with its variables written as ``names``.  A coefficient
+    of +-1 is dropped before a factor and a negative term is subtracted, as in
+    ``(-x*y - 0.5*z**2)``: exact in IEEE 754, signed zeros and infinities
+    included, since ``1.0*x`` is ``x``, ``-1.0*x`` is ``-x`` and ``a + -b`` is
+    ``a - b`` (a nan stays a nan; the standard leaves the sign of one open)."""
     if p.is_zero:
         return "0.0"
-    parts = []
+    text = ""
     for e, c in p.sorted_terms():
-        factors = [repr(float(c))]
-        for name, k in zip(names, e):
-            if k == 1:
-                factors.append(name)
-            elif k > 1:
-                factors.append(f"{name}**{k}")
-        parts.append("*".join(factors))
-    return "(" + " + ".join(parts) + ")"
+        factors = [name if k == 1 else f"{name}**{k}" for name, k in zip(names, e) if k]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, repr(float(abs(c))))
+        text += (" - " if c < 0 else " + ") if text else ("-" if c < 0 else "")
+        text += "*".join(factors)
+    return f"({text})"
 
 
 @lru_cache(maxsize=None)

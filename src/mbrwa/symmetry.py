@@ -446,10 +446,6 @@ class NoetherCharge:
     poly: Poly
     conservation_residual: Poly
 
-    @property
-    def conserved(self) -> bool:
-        return self.conservation_residual.is_zero
-
 
 def noether_charge(u: VectorField) -> NoetherCharge:
     """Noether's charge Q = xi L + sum_i (eta_i - xi qd_i) dL/dqd_i of a

@@ -360,6 +360,26 @@ class TestClosedPipe:
         assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
         assert err == b""
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+    def test_closed_stdout_in_process_leaks_no_descriptor(self, monkeypatch, tmp_path):
+        # a stdout whose writes fail as a closed pipe's do, on a scratch
+        # descriptor, so the handler's devnull lands there and not on fd 1
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return scratch
+
+        scratch = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            before = len(os.listdir("/proc/self/fd"))
+            assert [main(["version"]) for _ in range(5)] == [EXIT_BROKEN_PIPE] * 5
+            assert len(os.listdir("/proc/self/fd")) == before
+        finally:
+            os.close(scratch)
+
 
 class TestStreamingMemory:
     # The child caps its own address space 4 MiB above what it has mapped

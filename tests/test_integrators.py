@@ -204,6 +204,26 @@ class TestStepCores:
             assert np.max(np.abs(residual)) <= 1e-14 * np.max(np.abs(out))
             s = out
 
+    @pytest.mark.parametrize("system", list(SystemId))
+    def test_each_midpoint_stepper_owns_its_buffers(self, system):
+        # two steppers of one system, called in alternation, give the bits
+        # each gives run alone: a step reads nothing that a step of another
+        # stepper leaves in a buffer
+        n, make = model.system_dim(system), integrators._system_midpoint(system)
+        starts = [INIT6[:n], (0.3, -0.5, 0.7, 0.1, -0.9, 2.0)[-n:]]
+
+        def run(advance, s):
+            return [s := advance(*s, 0.05) for _ in range(40)]
+
+        alone = [run(make(None, None), s) for s in starts]
+        first, second = make(None, None), make(None, None)
+        (a, b), alternated = starts, ([], [])
+        for _ in range(40):
+            a, b = first(*a, 0.05), second(*b, 0.05)
+            alternated[0].append(a)
+            alternated[1].append(b)
+        assert np.array(alternated).tobytes() == np.array(alone).tobytes()
+
 
 class TestIntegrate:
     def test_times_grid(self):

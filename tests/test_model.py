@@ -3,7 +3,9 @@
 import json
 import math
 import random
+import struct
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +326,80 @@ def test_midpoint_kernel_is_the_array_step(system):
             assert _bits(kernel(*x, *new.tolist(), h)) == _bits(want)
             got = stepper(*x, h)
             assert _bits(got) == integrators.midpoint_step_field(f, jac, np.array(x), 0.0, h).tobytes()
+
+
+def _unfolded_source(p: Poly, names) -> str:
+    """``p`` as the kernels were written before +-1 coefficients were folded:
+    every term ``repr(float(c))*x**k*...``, the terms joined by ``" + "``.
+    Written here, apart from ``model._poly_source``, so that a wrong fold
+    there cannot hide in both texts."""
+    if p.is_zero:
+        return "0.0"
+    terms = []
+    for e, c in p.sorted_terms():
+        factors = (v if k == 1 else f"{v}**{k}" for v, k in zip(names, e) if k)
+        terms.append("*".join([repr(float(c)), *factors]))
+    return "(" + " + ".join(terms) + ")"
+
+
+def _outcome(fn, *args):
+    """The bits of ``fn(*args)``, every nan as one pattern (IEEE 754 leaves
+    the sign of a nan result open, and ``-x`` flips it where ``-1.0*x`` need
+    not), or the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            values = fn(*args)
+    except OverflowError as exc:
+        return repr(exc)
+    return [b"nan" if math.isnan(v) else struct.pack("d", v) for v in values]
+
+
+# components that fold, overflow a float ** (1e155**2), or carry a sign
+FOLD_VALUES = [*POW_NOT_MUL, 0.0, -0.0, 1.0, -1.0, 1e155, -1e155, math.nan]
+FOLD_STATES = st.lists(st.sampled_from(FOLD_VALUES) | st.floats(-2.0, 2.0), min_size=6, max_size=6)
+
+
+@lru_cache(maxsize=None)
+def _unfolded_kernels(system: SystemId) -> tuple:
+    """The Newton evaluation, the invariants and the rhs of ``system``,
+    compiled by ``model._compile_scalar`` from ``_unfolded_source`` texts."""
+    names, f = model.system_vars(system).names, model.rhs_symbolic(system)
+    mid = [f"m{i}" for i in range(len(names))]
+    out = [f"n{i} - {xi} - h*{_unfolded_source(p, mid)}"
+           for i, (xi, p) in enumerate(zip(names, f))]
+    for i, p in enumerate(f):
+        for j, v in enumerate(names):
+            d, eye = p.diff(v), "1.0" if i == j else "0.0"
+            out.append(eye if d.is_zero else f"{eye} - c*{_unfolded_source(d, mid)}")
+    new = [f"n{i}" for i in range(len(names))]
+    body = ["c = 0.5 * h", *(f"{m} = 0.5*({xi} + {ni})" for m, xi, ni in zip(mid, names, new))]
+    newton = model._compile_scalar("_newton", (*names, *new, "h"), body, out)
+    invs = [_unfolded_source(model.invariant_symbolic(inv), names)
+            for inv in model.system_invariants(system)]
+    body = [line for i, src in enumerate(invs) for line in
+            ("try:", f"    v{i} = {src}", "except OverflowError:", f"    v{i} = float('nan')")]
+    invariants = model._compile_scalar("_invariants", names, body,
+                                       [f"v{i}" for i in range(len(invs))])
+    rhs = model._compile_scalar("_rhs", names, [], [_unfolded_source(p, names) for p in f])
+    return newton, invariants, rhs
+
+
+@given(st.sampled_from(list(SystemId)), FOLD_STATES, FOLD_STATES, st.floats(-0.5, 0.5))
+@example(SystemId.MB5, [-0.0, *POW_NOT_MUL, 1e155, math.nan], [0.0, *POW_NOT_MUL, -1.0, 1.0], 0.05)
+@example(SystemId.HAM6, [1e155, -0.0, *POW_NOT_MUL, 1.0], [-1.0, 0.0, 0.5, *POW_NOT_MUL], -0.05)
+@settings(max_examples=200)
+def test_folded_kernels_are_the_unfolded_texts(system, x, new, h):
+    # the rhs (in the RK4 step and the Newton residual), the Newton matrix
+    # entries and the invariants, each against its unfolded text, bit for bit
+    n = model.system_dim(system)
+    x, new = x[:n], new[:n]
+    newton, invariants, rhs = _unfolded_kernels(system)
+    assert _outcome(_newton_kernel(system), *x, *new, h) == _outcome(newton, *x, *new, h)
+    assert _outcome(model.invariants_compiled(system), *x) == _outcome(invariants, *x)
+    field = lambda s: np.array(rhs(*s.tolist()))  # Python floats: scalar pow, as the step
+    want = _outcome(integrators.rk4_step_field, field, np.array(x), 0.0, h)
+    want = [b"nan"] * n if isinstance(want, str) else want  # an overflow ends the step all nan
+    assert _outcome(integrators._system_rk4(system), *x, h) == want
 
 
 def _newton_update(out: tuple, n: int) -> tuple:

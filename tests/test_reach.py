@@ -115,7 +115,7 @@ ALLOWED = {
     **dict.fromkeys(["integrators._field_midpoint", "integrators.convergence_order",
                      "integrators.midpoint_roundtrip_error", "model.jacobian_rank_phi",
                      "poisson.is_zero_matrix", "polyring.Poly.constant_value",
-                     "polyring.express", "symmetry.NoetherCharge.conserved"], TESTS),
+                     "polyring.express"], TESTS),
     **dict.fromkeys(["integrators.Trajectory.__len__", "integrators.drift_report",
                      "integrators.integrate", "integrators.midpoint_step_field",
                      "integrators.rk4_step_field", "integrators.step",

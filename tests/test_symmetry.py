@@ -339,25 +339,25 @@ class TestNoether:
     def test_energy_charge(self):
         nc = symmetry.noether_charge(family_field(SymParams(beta=Fraction(1))))
         assert nc.poly == -model.invariant_symbolic(InvariantId.HTILDE)
-        assert nc.conserved
+        assert nc.conservation_residual.is_zero
 
     def test_momentum_charge(self):
         nc = symmetry.noether_charge(family_field(SymParams(delta=Fraction(1))))
         assert nc.poly == Poly.var(model.VARS6, "p3")
-        assert nc.conserved
+        assert nc.conservation_residual.is_zero
 
     def test_angular_momentum_charge(self):
         nc = symmetry.noether_charge(family_field(SymParams(gamma=Fraction(1))))
         q1, q2, q3, p1, p2, p3 = Poly.variables(model.VARS6)
         assert nc.poly == -(q1 * p2 - q2 * p1)
-        assert nc.conserved
+        assert nc.conservation_residual.is_zero
 
     def test_alpha_nonzero_rejected(self):
         with pytest.raises(ValueError):
             symmetry.noether_charge(family_field(SymParams(alpha=Fraction(1))))
 
     def test_symbolic_conservation(self):
-        assert symmetry.noether_charge_symbolic().conserved
+        assert symmetry.noether_charge_symbolic().conservation_residual.is_zero
 
     def test_rotation_charge_is_J_on_the_5d_system(self):
         nc = symmetry.noether_charge(symmetry_basis()[3])
@@ -376,11 +376,11 @@ class TestNoether:
         assert mutated["q1"] == -Q2
         nc = symmetry.noether_charge(mutated)
         assert nc.poly != -model.invariant_symbolic(InvariantId.JTILDE)
-        assert not nc.conserved
+        assert not nc.conservation_residual.is_zero
 
     def test_mutated_family_fails_conservation(self):
         mutated = flip_family_coefficient(symbolic_family_field(), "eta1", "q2")
-        assert not symmetry.noether_charge_symbolic(mutated).conserved
+        assert not symmetry.noether_charge_symbolic(mutated).conservation_residual.is_zero
 
 
 class TestPushforward:
