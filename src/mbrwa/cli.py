@@ -18,13 +18,11 @@ import json
 import math
 import os
 import sys
-from array import array
-from typing import Iterator
 
 import numpy as np
 
 from . import __version__, integrators, model, poisson, symmetry, verify
-from .integrators import ROW_BLOCK, BlowUpError, IntegratorId, NewtonError
+from .integrators import BlowUpError, IntegratorId, NewtonError
 from .model import SystemId
 
 EXIT_OK = 0
@@ -32,6 +30,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command a closed pipe stopped
+
+CSV_BLOCK = 1024  # rows per write of simulate's CSV
 
 # Highest solve-symmetries degree: degree 12 solves in about 1 s at 60 MB
 # peak on a 2-core host, degree 20 in 4 s at 220 MB, and the ansatz walks
@@ -114,8 +114,9 @@ def _parse_init(parser: argparse.ArgumentParser, system: SystemId, text: str) ->
     return values
 
 
-def _run_orbit(args, parser) -> tuple[SystemId, Iterator[tuple[float, tuple]]]:
-    """Validate every run option (usage errors exit 2), then start the run."""
+def _run_args(args, parser) -> tuple[IntegratorId, SystemId, list[float]]:
+    """The method, system and initial state, once every run option is valid
+    (usage errors exit 2)."""
     system, method = SystemId(args.system), IntegratorId(args.method)
     init = _parse_init(parser, system, args.init)
     if not (math.isfinite(args.h) and args.h > 0):
@@ -129,20 +130,15 @@ def _run_orbit(args, parser) -> tuple[SystemId, Iterator[tuple[float, tuple]]]:
     # --every exists on simulate only
     if getattr(args, "every", 1) < 1:
         parser.error("--every must be >= 1")
-    return system, integrators.orbit(method, system, init, 0.0, args.t_end, args.h)
+    return method, system, init
 
 
 def cmd_simulate(args, parser) -> int:
-    system, rows = _run_orbit(args, parser)
+    method, system, init = _run_args(args, parser)
     invariants = model.system_invariants(system)
     header = ("t", *model.system_vars(system).names, *(inv.value for inv in invariants))
-    fn, packed = model.invariants_compiled(system), array("d")  # the rows, 8 bytes a value
-    try:  # every --every-th state and the last, held until the run ends
-        for k, (t, s) in enumerate(rows):
-            if k % args.every == 0:
-                packed.extend((t, *s, *fn(*s)))
-        if k % args.every:
-            packed.extend((t, *s, *fn(*s)))
+    try:  # every --every-th row and the last, 8 bytes a value, held until the run ends
+        packed = integrators.run_rows(method, system, init, 0.0, args.t_end, args.h, args.every)
     except MemoryError:
         parser.error("--t-end / --h: the trajectory does not fit in memory")
     table = np.frombuffer(packed).reshape(-1, len(header))
@@ -150,11 +146,11 @@ def cmd_simulate(args, parser) -> int:
         raise BlowUpError(float(table[bad[0, 0], 0]), invariants[bad[0, 1]])
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
 
-    def block(i: int) -> str:  # CSV lines of table[i:i + ROW_BLOCK], formatted by one %
-        chunk = table[i:i + ROW_BLOCK]
+    def block(i: int) -> str:  # CSV lines of table[i:i + CSV_BLOCK], formatted by one %
+        chunk = table[i:i + CSV_BLOCK]
         return (row_format * len(chunk)) % tuple(chunk.ravel().tolist())
 
-    text = itertools.chain([",".join(header) + "\n"], map(block, range(0, len(table), ROW_BLOCK)))
+    text = itertools.chain([",".join(header) + "\n"], map(block, range(0, len(table), CSV_BLOCK)))
     if args.out:
         try:
             with open(args.out, "w", newline="") as fh:
@@ -167,8 +163,8 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_invariants(args, parser) -> int:
-    system, rows = _run_orbit(args, parser)
-    report = integrators.fold_drift(system, model.system_invariants(system), rows)
+    method, system, init = _run_args(args, parser)
+    report = integrators.run_drift(method, system, init, 0.0, args.t_end, args.h)
     payload = {
         "system": system.value,
         "steps": report.steps,

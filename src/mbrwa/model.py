@@ -9,7 +9,8 @@ symbolic certification, and float functions compiled from source generated
 from the same polynomials (``_poly_source``), so the two cannot diverge.
 ``_compile`` execs every generated text and keeps it as ``.source``.
 Beside the numpy renditions, the invariants are compiled as one scalar kernel
-per system, on Python floats, never numpy columns: an array's ``x**2`` is
+per system, from the lines (``invariant_lines``) that the integrators' run
+loops inline, on Python floats, never numpy columns: an array's ``x**2`` is
 ``x*x``, a scalar's is libm ``pow``, and they differ in the last bit on about
 0.09% of doubles.  A float ``**`` raises OverflowError where numpy returns
 inf; the kernel returns nan for the invariant that overflowed.
@@ -138,7 +139,7 @@ def invariant_system(inv: InvariantId) -> SystemId:
 
 def system_invariants(system: SystemId) -> tuple[InvariantId, ...]:
     """The invariants naturally attached to a system, in table order."""
-    return tuple(inv for inv, s in _INVARIANT_SYSTEM.items() if s is system)
+    return tuple(inv for inv in InvariantId if invariant_system(inv) is system)
 
 
 @lru_cache(maxsize=None)
@@ -300,13 +301,19 @@ def invariant_compiled(inv: InvariantId) -> Callable[[np.ndarray], float]:
     return lambda state: float(fn(state)[0])
 
 
+def invariant_lines(system: SystemId) -> list[str]:
+    """Source lines that set v0, v1, ... to ``system_invariants(system)`` at
+    the state components, each nan if its ``**`` overflows."""
+    x, body = system_vars(system).names, []
+    for i, inv in enumerate(system_invariants(system)):
+        src = _poly_source(invariant_symbolic(inv), x)
+        body += ["try:", f"    v{i} = {src}", "except OverflowError:", f"    v{i} = float('nan')"]
+    return body
+
+
 @lru_cache(maxsize=None)
 def invariants_compiled(system: SystemId) -> Callable[..., tuple]:
     """All of ``system_invariants(system)`` as one generated scalar function
     of the state components; an invariant whose ``**`` overflows is nan."""
-    x, invs = system_vars(system).names, system_invariants(system)
-    body = []
-    for i, inv in enumerate(invs):
-        src = _poly_source(invariant_symbolic(inv), x)
-        body += ["try:", f"    v{i} = {src}", "except OverflowError:", f"    v{i} = float('nan')"]
-    return _compile_scalar("_invariants", x, body, [f"v{i}" for i in range(len(invs))])
+    returns = [f"v{i}" for i in range(len(system_invariants(system)))]
+    return _compile_scalar("_invariants", system_vars(system).names, invariant_lines(system), returns)

@@ -1,5 +1,7 @@
 """Command-line interface: output formats and the exit-code contract."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,10 +9,13 @@ import subprocess
 import sys
 import warnings
 from array import array
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbrwa import cli, integrators, model, symmetry, verify
 from mbrwa.cli import (
@@ -165,10 +170,11 @@ class TestUsageErrors:
         ],
     )
     def test_rejected_before_integrating(self, capsys, monkeypatch, command, flag, value):
-        def orbit(*args, **kwargs):
+        def run(*args, **kwargs):
             raise AssertionError("integrated despite a usage error")
 
-        monkeypatch.setattr(integrators, "orbit", orbit)
+        monkeypatch.setattr(integrators, "run_rows", run)
+        monkeypatch.setattr(integrators, "run_drift", run)
         options = {"--system": "mb5", "--method": "rk4", "--init": "1,0.5,-0.3,0.2,0.1",
                    "--t-end": "1", "--h": "0.1", flag: value}
         argv = [command] + [text for item in options.items() for text in item]
@@ -207,7 +213,7 @@ class TestUsageErrors:
             def extend(self, values):
                 raise MemoryError
 
-        monkeypatch.setattr(cli, "array", Full)
+        monkeypatch.setattr(integrators, "array", Full)
         with pytest.raises(SystemExit) as exc:
             main(list(TestSimulate.ARGS))
         assert exc.value.code == EXIT_USAGE
@@ -341,6 +347,97 @@ class TestNumericFailure:
         assert all(map(math.isnan, state))
 
 
+    @pytest.mark.parametrize("command", ["invariants", "simulate"])
+    def test_a_later_state_blow_up_wins(self, capsys, command):
+        # H = z**2 / 2 overflows at t = 0 and the state blows up two steps
+        # later: the run reports the state, not the earlier invariant
+        code, out, err = run(
+            capsys, command, "--system", "mb5", "--method", "rk4",
+            "--init=1e-300,0,0,0,1e155", "--t-end", "1", "--h", "1e-3",
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err == "numerical failure: non-finite state at t = 0.002\n"
+
+    # mb5 with x2 = y2 = 0 at the scale where y1**2 overflows: (y1, z) turns
+    # on a circle of radius sqrt(2H) about 1e-9 above sqrt(DBL_MAX), so H
+    # overflows at t = 1e-81 alone, where z crosses 0 and y1 peaks, and is
+    # finite at t = 0, 2e-81 and 3e-81, by margins of about 2e-9 relative
+    PEAK = ("--system", "mb5", "--method", "rk4", "--init=7.5e76,1.34078079056e154,0,0,1.0056e150",
+            "--t-end", "3e-81", "--h", "1e-81")
+
+    def test_simulate_checks_invariants_on_emitted_rows_only(self, capsys):
+        code, out, err = run(capsys, "simulate", *self.PEAK, "--every", "3")
+        assert code == EXIT_OK, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0", "2.9999999999999999e-81"]
+        assert all(math.isfinite(float(row[6])) for row in rows)
+        # every row is emitted, or folded into the drift: H at t = 1e-81 fails
+        for argv in (("simulate", *self.PEAK), ("invariants", *self.PEAK)):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_NUMERIC
+            assert out == ""
+            assert err == "numerical failure: invariant H is not finite at t = 9.9999999999999996e-82\n"
+
+
+# Tokens of the run flags, the valid ones drawn more often, so that about
+# half the runs integrate.  Every finite step count that a (--t-end, --h)
+# pair from these pools gives is at most 2.5 / 0.01 = 250 steps, so each run
+# is short and the property test adds about 2 s to the suite.
+NUMBERS = ["0", "-0", "5e-324", "1e-310", "-0.7", "0.3", "1"] * 8 + [
+    "1e155", "1e308", "-1e308", "nan", "inf", "-inf", "", "x"]
+T_ENDS = ["0.05", "1", "2.5", "1e308", "5e-324"] * 6 + ["0", "-1", "nan", "inf", "-inf", ""]
+STEPS = ["0.01", "0.5", "1", "1e308", "5e-324"] * 6 + ["0", "-0.01", "nan", "inf", ""]
+
+
+@st.composite
+def run_argv(draw) -> tuple[str, dict, list]:
+    """A ``simulate`` or ``invariants`` argv: each flag drawn from its
+    pool or left out, an --init of one component too few to one too many,
+    and at times ``--every`` on ``invariants`` or an unknown flag."""
+    command = draw(st.sampled_from(["simulate", "invariants"]))
+    system = draw(st.sampled_from(["mb5", "ham6", "el6"]))
+    size = (5 if system == "mb5" else 6) + draw(st.sampled_from([0] * 8 + [-1, 1]))
+    options = {
+        "--system": system,
+        "--method": draw(st.sampled_from(["rk4", "midpoint"])),
+        "--init": ",".join(draw(st.lists(st.sampled_from(NUMBERS), min_size=size, max_size=size))),
+        "--t-end": draw(st.sampled_from(T_ENDS)),
+        "--h": draw(st.sampled_from(STEPS)),
+        "--every": draw(st.sampled_from(["1", "3"] * 4 + ["0", "-2", "x"])),
+    }
+    if command == "invariants" and draw(st.integers(0, 9)):
+        del options["--every"]
+    for flag in list(options):
+        if not draw(st.integers(0, 29)):
+            del options[flag]
+    argv = [command, *(f"{flag}={value}" for flag, value in options.items())]
+    if not draw(st.integers(0, 29)):
+        argv.append("--bogus=1")
+    return command, options, argv
+
+
+@given(run_argv())
+@settings(max_examples=300, deadline=None)
+def test_cli_contract_on_drawn_runs(case):
+    command, options, argv = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_VERIFY), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code in (EXIT_USAGE, EXIT_NUMERIC):
+        assert out.getvalue() == "", argv
+    if code == EXIT_OK and command == "invariants":
+        # step_count full steps, then the partial step landing on t_end
+        t_end, h = float(options["--t-end"]), float(options["--h"])
+        full = integrators.step_count(0.0, t_end, h)
+        assert json.loads(out.getvalue())["steps"] == full + (full * h < t_end - 1e-12 * t_end)
+
+
 class TestClosedPipe:
     def test_closed_stdout_exits_141_without_a_traceback(self):
         # the reader takes one line and closes the pipe, as `| head -1` does
@@ -384,7 +481,7 @@ class TestClosedPipe:
 class TestStreamingMemory:
     # The child caps its own address space 4 MiB above what it has mapped
     # after its imports.  250 000 RK4 steps would need 12 MB as time and
-    # state arrays; invariants keeps one 1024-row block at a time.
+    # state arrays; invariants folds each state into its drift as it goes.
     CHILD = """
 import resource, sys
 from mbrwa import cli
@@ -621,36 +718,58 @@ class TestGoldenOutput:
         assert out == (self.DATA / "bracket_table.json").read_text()
 
 
+@lru_cache(maxsize=None)
+def array_built_trajectory(system, method, init, t_end, h) -> tuple:
+    """(times, states) of the run built apart from the generated run loop:
+    one numpy array step (``rk4_step_field``, or ``midpoint_step_field``)
+    per row on the compiled rhs and Jacobian, ``step_count`` full steps at
+    t = k*h, then a partial step landing on t_end."""
+    f, jac = model.rhs_compiled(SystemId(system)), model.rhs_jacobian_compiled(SystemId(system))
+    n_full = integrators.step_count(0.0, t_end, h)
+    grid = [(h * k, h) for k in range(1, n_full + 1)]
+    if n_full * h < t_end - 1e-12 * t_end:
+        grid.append((t_end, t_end - n_full * h))
+    s, times, states = np.array(init, dtype=float), [0.0], [np.array(init, dtype=float)]
+    for t, dt in grid:
+        if method == "rk4":
+            s = integrators.rk4_step_field(f, s, t, dt)
+        else:
+            s = integrators.midpoint_step_field(f, jac, s, t, dt)
+        times.append(t)
+        states.append(s)
+    return np.array(times), np.array(states)
+
+
 def array_built_output(command, system, method, init, t_end, h, every=1) -> str:
-    """The CLI output built from whole arrays: ``integrate``, the scalar
-    invariant kernel at every output row, then ``np.abs(values - values[0])``
-    or ``column_stack`` rows."""
-    traj = integrators.integrate(IntegratorId(method), SystemId(system), init, 0.0, t_end, h)
-    invariants = model.system_invariants(traj.system)
-    rows = list(range(0, len(traj), every))
-    if rows[-1] != len(traj) - 1:
-        rows.append(len(traj) - 1)
-    fn = model.invariants_compiled(traj.system)
-    values = np.array([fn(*traj.states[k].tolist()) for k in rows])
+    """The CLI output built from whole arrays: ``array_built_trajectory``,
+    each compiled invariant at every output row, then
+    ``np.abs(values - values[0])`` or ``column_stack`` rows."""
+    times, states = array_built_trajectory(system, method, init, t_end, h)
+    invariants = model.system_invariants(SystemId(system))
+    rows = list(range(0, len(times), every))
+    if rows[-1] != len(times) - 1:
+        rows.append(len(times) - 1)
+    values = np.array([[model.invariant_compiled(inv)(states[k]) for inv in invariants]
+                       for k in rows])
     if command == "invariants":
         dev = np.abs(values - values[0])
         drifts = {inv.value: {"initial": float(values[0, i]),
                               "max_abs_deviation": float(dev[:, i].max()),
                               "final_deviation": float(dev[-1, i])}
                   for i, inv in enumerate(invariants)}
-        payload = {"system": system, "steps": len(traj) - 1, "h": h, "invariants": drifts}
+        payload = {"system": system, "steps": len(times) - 1, "h": h, "invariants": drifts}
         return json.dumps(payload, indent=2) + "\n"
-    header = ("t", *model.system_vars(traj.system).names, *(inv.value for inv in invariants))
-    table = np.column_stack((traj.times[rows], traj.states[rows], values))
+    header = ("t", *model.system_vars(SystemId(system)).names, *(inv.value for inv in invariants))
+    table = np.column_stack((times[rows], states[rows], values))
     return "".join([",".join(header) + "\n",
                     *(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())])
 
 
 class TestStreamingOracle:
-    """The streamed output equals, byte for byte, the output built from the
-    whole trajectory.  1105 full steps and a partial one of 5e-4: 1107 rows,
-    two drift blocks; the last row falls on the --every 7 grid and off the
-    --every 3 grid."""
+    """The output of the generated run loop equals, byte for byte, the
+    output built from the whole trajectory of the numpy array steps.  1105
+    full steps and a partial one of 5e-4: 1107 rows; the last row falls on
+    the --every 7 grid and off the --every 3 grid."""
 
     INIT = {"mb5": (0.3, -0.5, 0.7, 0.1, -0.9), "ham6": (0.3, -0.5, 0.7, 0.1, -0.9, 0.4),
             "el6": (0.3, -0.5, 0.7, 0.1, -0.9, 0.4)}

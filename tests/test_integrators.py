@@ -140,10 +140,11 @@ class TestStepCores:
 
     @staticmethod
     def _newton_step(out: tuple):
-        """The step from the zero state under a zero field whose first Newton
-        evaluation returns ``out`` and every later one a zero residual and the
-        identity matrix, so that a finite first update has converged by the
-        second evaluation; and the number of evaluations it made."""
+        """The step of size 0.1 from the zero state at t = 0 under a zero
+        field whose first Newton evaluation returns ``out`` and every later
+        one a zero residual and the identity matrix, so that a finite first
+        update has converged by the second evaluation: the state, or the
+        BlowUpError that ends the run; and the number of evaluations made."""
         calls = []
 
         def kernel(*x_new_h):
@@ -152,12 +153,15 @@ class TestStepCores:
 
         midpoint = integrators._field_midpoint(2)(lambda *s: (0.0, 0.0), kernel)
         with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
-            return midpoint(0.0, 0.0, 0.1), len(calls)
+            try:
+                return midpoint(0.0, 0.0, 0.0, 0.1, 1, 2), len(calls)
+            except BlowUpError as exc:
+                return exc, len(calls)
 
     def test_newton_stops_at_a_zero_matrix(self):
         # the residual stays finite, so only the solve can end the step
         out, calls = self._newton_step((1.0, -1.0, 0.0, 0.0, 0.0, 0.0))
-        assert all(map(math.isnan, out)) and len(out) == 2
+        assert isinstance(out, BlowUpError) and out.time == 0.1
         assert calls == 1
 
     @pytest.mark.parametrize(
@@ -186,7 +190,7 @@ class TestStepCores:
     )
     def test_a_non_finite_kernel_entry_is_a_blow_up(self, out):
         state, calls = self._newton_step(out)
-        assert all(map(math.isnan, state)) and len(state) == 2
+        assert isinstance(state, BlowUpError) and state.time == 0.1
         assert calls == 1
 
     def test_midpoint_converges_at_large_state(self):
@@ -206,20 +210,21 @@ class TestStepCores:
 
     @pytest.mark.parametrize("system", list(SystemId))
     def test_each_midpoint_stepper_owns_its_buffers(self, system):
-        # two steppers of one system, called in alternation, give the bits
-        # each gives run alone: a step reads nothing that a step of another
-        # stepper leaves in a buffer
-        n, make = model.system_dim(system), integrators._system_midpoint(system)
+        # two midpoint loops of one system, each made by its own _make and
+        # called a step at a time in alternation, give the bits each gives
+        # run alone: a step reads nothing that another loop leaves in a buffer
+        n = model.system_dim(system)
+        make = integrators._compile_run(IntegratorId.IMPLICIT_MIDPOINT, system, "none")
         starts = [INIT6[:n], (0.3, -0.5, 0.7, 0.1, -0.9, 2.0)[-n:]]
 
         def run(advance, s):
-            return [s := advance(*s, 0.05) for _ in range(40)]
+            return [s := advance(*s, 0.0, 0.05, 1, 2) for _ in range(40)]
 
         alone = [run(make(None, None), s) for s in starts]
         first, second = make(None, None), make(None, None)
         (a, b), alternated = starts, ([], [])
         for _ in range(40):
-            a, b = first(*a, 0.05), second(*b, 0.05)
+            a, b = first(*a, 0.0, 0.05, 1, 2), second(*b, 0.0, 0.05, 1, 2)
             alternated[0].append(a)
             alternated[1].append(b)
         assert np.array(alternated).tobytes() == np.array(alone).tobytes()
@@ -287,18 +292,26 @@ class TestOrbit:
     @pytest.mark.parametrize("h", [0.0, -0.1, math.inf, math.nan])
     def test_step_size_rejected(self, h):
         # an infinite step would otherwise give one row at t = t0 + 0 * inf = nan
-        with pytest.raises(ValueError, match="step size must be positive and finite"):
-            next(integrators.orbit(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 1.0, h))
-        with pytest.raises(ValueError, match="step size must be positive and finite"):
-            integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 1.0, h)
+        for run in (integrators.run_drift, integrators.run_rows, integrate):
+            with pytest.raises(ValueError, match="step size must be positive and finite"):
+                run(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 1.0, h)
 
     def test_integrate_collects_the_orbit(self):
-        rows = list(integrators.orbit(IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6, INIT6,
-                                      0.0, 0.505, 0.01))
-        traj = integrate(IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6, INIT6, 0.0, 0.505, 0.01)
-        assert [t for t, _ in rows] == traj.times.tolist()
-        assert [list(s) for _, s in rows] == traj.states.tolist()
-        assert all(type(v) is float for t, s in rows for v in (t, *s))
+        # 50 full steps and a partial one of 5e-3: the rows loop gives, bit
+        # for bit, the states of one step at a time, and the drift fold of
+        # the fused loop is the numpy fold of those states
+        grid = [(0.01 * k, 0.01) for k in range(1, 51)] + [(0.505, 0.505 - 50 * 0.01)]
+        for method, system, init in ((IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6, INIT6),
+                                     (IntegratorId.RK4, SystemId.MB5, INIT5)):
+            traj = integrate(method, system, init, 0.0, 0.505, 0.01)
+            states = [tuple(init)]
+            for t, dt in grid:
+                states.append(tuple(step(method, system, states[-1], t, dt)))
+            assert traj.times.tolist() == [0.0, *(t for t, _ in grid)]
+            assert traj.states.tobytes() == np.array(states).tobytes()
+            fused = integrators.run_drift(method, system, init, 0.0, 0.505, 0.01)
+            assert fused == drift_report(traj, system_invariants(system))
+            assert fused.steps == 51
 
 
 class TestDriftReport:
@@ -328,8 +341,13 @@ class TestDriftReport:
 
     def test_no_rows_to_fold(self):
         invariants = system_invariants(SystemId.MB5)
-        with pytest.raises(ValueError, match="no rows to fold"):
-            integrators.fold_drift(SystemId.MB5, invariants, iter(()))
+        # a run always has its initial row: over an empty span it has no step
+        # and no deviation
+        rep = integrators.run_drift(IntegratorId.RK4, SystemId.MB5, INIT5, 1.0, 1.0, 0.1)
+        assert rep.steps == 0
+        assert rep == drift_report(integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 1.0, 1.0, 0.1),
+                                   invariants)
+        assert {d.max_abs_deviation for d in rep.drifts.values()} == {0.0}
         empty = integrators.Trajectory(SystemId.MB5, np.empty(0), np.empty((0, 5)), 0.1)
         with pytest.raises(ValueError, match="no rows to fold"):
             drift_report(empty, invariants)

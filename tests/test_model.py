@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbrwa import integrators, model
+from mbrwa.integrators import BlowUpError, IntegratorId
 from mbrwa.model import (
     VARS5,
     VARS6,
@@ -186,35 +187,57 @@ class TestJacobianRank:
             assert model.jacobian_rank_phi(s) == 5
 
 
+EMITS = ("none", "fold", "rows")
+
+
 def test_generated_kernel_source_is_pinned():
     # The float kernels are generated from the exact polynomials; the golden
-    # file pins every text they are compiled from, so a change in how
+    # file pins every text they are compiled from, each run loop (one per
+    # method and emit) and the invariants kernel, so a change in how
     # coefficients are stored, or in where a step is built, cannot move a
     # compiled constant or the order of its operations.
     golden = json.loads((Path(__file__).parent / "data" / "kernel_sources.json").read_text())
-    builders = {"rk4": integrators._system_rk4, "midpoint": integrators._system_midpoint,
-                "invariants": model.invariants_compiled}
     compiled = {
-        system.value: {name: build(system).source.split("\n") for name, build in builders.items()}
+        system.value: {
+            **{f"{method.value}_{emit}": integrators._compile_run(method, system, emit).source
+               .split("\n") for method in IntegratorId for emit in EMITS},
+            "invariants": model.invariants_compiled(system).source.split("\n"),
+        }
         for system in SystemId
     }
     assert compiled == golden["compiled_sources"]
-    # the rhs and Newton evaluation pinned as fragments, before the steps were
-    # pinned whole, are where each step runs them
+    # the rhs, Newton evaluation and invariants pinned as fragments, before
+    # the runs were pinned whole, are where each run executes them: the
+    # step right after the step's time, the Newton evaluation first in each
+    # iteration, the invariants right after the test of the state
     for system in SystemId:
         x, pinned = model.system_vars(system).names, golden[system.value]
-        rk4 = [line.strip() for line in compiled[system.value]["rk4"]]
-        midpoint = [line.strip() for line in compiled[system.value]["midpoint"]]
         newton = pinned["midpoint_newton_source"]
         stage = [f"k0_{i} = {f}" for i, f in enumerate(pinned["rhs_source"])]
-        start = rk4.index("b = h / 6.0") + 1
-        assert stage == rk4[start:start + len(x)]
         predictor = [f"n{i} = {xi} + h * {f}" for i, (xi, f) in enumerate(zip(x, pinned["rhs_source"]))]
-        start = midpoint.index("try:") + 1
-        assert predictor == midpoint[start:start + len(x)]
         kernel = [*newton["body"], f"out = ({', '.join(newton['returns'])},)"]
-        start = midpoint.index("for _ in range(50):") + 1
-        assert kernel == midpoint[start:start + len(kernel)]
+        values = [f"v{i} = {golden['invariants'][inv.value]}"
+                  for i, inv in enumerate(model.system_invariants(system))]
+        for emit in EMITS:
+            rk4 = [line.strip() for line in compiled[system.value][f"rk4_{emit}"]]
+            midpoint = [line.strip() for line in compiled[system.value][f"midpoint_{emit}"]]
+            start = rk4.index("t = t0 + h*k") + 1
+            assert rk4[start:start + 2] == ["a = 0.5 * h", "b = h / 6.0"]
+            assert stage == rk4[start + 2:start + 2 + len(x)]
+            start = midpoint.index("t = t0 + h*k") + 1
+            assert predictor == midpoint[start:start + len(x)]
+            start = midpoint.index("for _ in range(50):") + 1
+            assert kernel == midpoint[start:start + len(kernel)]
+            for run in (rk4, midpoint):
+                start = next(i for i, line in enumerate(run)
+                             if line.startswith(f"if not isfinite({' + '.join(x)}) and")) + 2
+                if emit == "rows":
+                    assert run[start] == "if k % every == 0:"
+                    start += 1
+                if emit == "none":
+                    assert run[start] == "except OverflowError:"
+                else:
+                    assert run[start + 1:start + 4 * len(values):4] == values
     invariants = {
         inv.value: model._poly_source(
             model.invariant_symbolic(inv), model.system_vars(model.invariant_system(inv)).names
@@ -260,7 +283,7 @@ def _bits(values) -> bytes:
 @settings(max_examples=300)
 def test_rk4_kernel_is_the_array_step(case, h):
     system, x = case
-    got = integrators._system_rk4(system)(*x, h)
+    got = integrators._compile_run(IntegratorId.RK4, system, "none")(None, None)(*x, 0.0, h, 1, 2)
     want = integrators.rk4_step_field(model.rhs_compiled(system), np.array(x), 0.0, h)
     assert _bits(got) == want.tobytes()
 
@@ -285,15 +308,34 @@ def test_invariants_kernel_overflow_is_nan():
 
 
 def test_rk4_kernel_overflow_is_nan():
-    # q1**3 overflows a float ** in the first stage: the step is all nan
-    out = integrators._system_rk4(SystemId.HAM6)(1e110, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-3)
+    # q1**3 overflows a float ** in the first stage: the run stops with a
+    # blow-up at the step's time, and the step is all nan
+    run = integrators._compile_run(IntegratorId.RK4, SystemId.HAM6, "none")(None, None)
+    with pytest.raises(BlowUpError) as exc:
+        run(1e110, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-3, 1, 2)
+    assert exc.value.time == 1e-3 and exc.value.invariant is None
+    out = integrators.step(IntegratorId.RK4, SystemId.HAM6, (1e110, 0, 0, 0, 0, 0), 0.0, 1e-3)
     assert len(out) == 6 and all(map(math.isnan, out))
+
+
+def _run_lines(method: IntegratorId, system: SystemId) -> list:
+    """The stripped lines of the system's run loop text without an emit."""
+    return [line.strip() for line in integrators._compile_run(method, system, "none").source.split("\n")]
+
+
+def _rk4_kernel(system: SystemId):
+    """The RK4 step of the system's run text, the lines of one step, as a
+    function ``(*x, h) -> tuple``."""
+    lines, x = _run_lines(IntegratorId.RK4, system), model.system_vars(system).names
+    start = lines.index("t = t0 + h*k") + 1
+    stop = next(i for i, line in enumerate(lines) if line.startswith("if not isfinite("))
+    return model._compile_scalar("_rk4", (*x, "h"), lines[start:stop], x)
 
 
 def _newton_kernel(system: SystemId):
     """The Newton evaluation of the system's midpoint step text, the lines
     that set ``out``, as a function ``(*x, *new, h) -> tuple``."""
-    lines = [line.strip() for line in integrators._system_midpoint(system).source.split("\n")]
+    lines = _run_lines(IntegratorId.IMPLICIT_MIDPOINT, system)
     start = lines.index("for _ in range(50):") + 1
     body = lines[start:next(i for i, line in enumerate(lines) if line.startswith("out = (")) + 1]
     new = [f"n{i}" for i in range(model.system_dim(system))]
@@ -315,7 +357,7 @@ def test_midpoint_kernel_is_the_array_step(system):
     # on them, against the numpy renditions of the rhs and its Jacobian
     n = model.system_dim(system)
     kernel = _newton_kernel(system)
-    stepper = integrators._stepper(integrators.IntegratorId.IMPLICIT_MIDPOINT, system)
+    run = integrators._compile_run(IntegratorId.IMPLICIT_MIDPOINT, system, "none")(None, None)
     f, jac = model.rhs_compiled(system), model.rhs_jacobian_compiled(system)
     rng = np.random.default_rng(6)
     for x in _newton_states(n):
@@ -324,7 +366,7 @@ def test_midpoint_kernel_is_the_array_step(system):
             mid = 0.5 * (np.array(x) + new)
             want = [*(new - x - h * f(mid)), *(np.eye(n) - 0.5 * h * jac(mid)).ravel()]
             assert _bits(kernel(*x, *new.tolist(), h)) == _bits(want)
-            got = stepper(*x, h)
+            got = run(*x, 0.0, h, 1, 2)
             assert _bits(got) == integrators.midpoint_step_field(f, jac, np.array(x), 0.0, h).tobytes()
 
 
@@ -398,8 +440,7 @@ def test_folded_kernels_are_the_unfolded_texts(system, x, new, h):
     assert _outcome(model.invariants_compiled(system), *x) == _outcome(invariants, *x)
     field = lambda s: np.array(rhs(*s.tolist()))  # Python floats: scalar pow, as the step
     want = _outcome(integrators.rk4_step_field, field, np.array(x), 0.0, h)
-    want = [b"nan"] * n if isinstance(want, str) else want  # an overflow ends the step all nan
-    assert _outcome(integrators._system_rk4(system), *x, h) == want
+    assert _outcome(_rk4_kernel(system), *x, h) == want
 
 
 def _newton_update(out: tuple, n: int) -> tuple:
@@ -410,7 +451,7 @@ def _newton_update(out: tuple, n: int) -> tuple:
     outs = iter([out, (*(0.0,) * n, *np.eye(n).ravel().tolist())])
     midpoint = integrators._field_midpoint(n)(lambda *s: (0.0,) * n, lambda *x_new_h: next(outs))
     with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
-        return midpoint(*(0.0,) * n, 0.05)
+        return midpoint(*(0.0,) * n, 0.0, 0.05, 1, 2)
 
 
 @pytest.mark.parametrize("system", list(SystemId))
