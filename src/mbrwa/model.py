@@ -121,24 +121,14 @@ def invariant_symbolic(inv: InvariantId) -> Poly:
     return HALF * (qd1**2 + qd2**2 + qd3**2) + HALF * qd3 * (q1**2 + q2**2)
 
 
-_INVARIANT_SYSTEM = {
-    InvariantId.H: SystemId.MB5,
-    InvariantId.C: SystemId.MB5,
-    InvariantId.J: SystemId.MB5,
-    InvariantId.HTILDE: SystemId.HAM6,
-    InvariantId.CTILDE: SystemId.HAM6,
-    InvariantId.JTILDE: SystemId.HAM6,
-    InvariantId.L: SystemId.EL6,
-}
-
-
+@lru_cache(maxsize=None)
 def invariant_system(inv: InvariantId) -> SystemId:
-    """Which system's states an invariant is defined on."""
-    return _INVARIANT_SYSTEM[inv]
+    """The system whose variables ``invariant_symbolic(inv)`` is written over."""
+    return next(s for s in SystemId if _VARSETS[s] == invariant_symbolic(inv).vars)
 
 
 def system_invariants(system: SystemId) -> tuple[InvariantId, ...]:
-    """The invariants naturally attached to a system, in table order."""
+    """The invariants written over a system's variables, in ``InvariantId`` order."""
     return tuple(inv for inv in InvariantId if invariant_system(inv) is system)
 
 
@@ -195,7 +185,7 @@ def rhs(system: SystemId, state) -> tuple:
 
 def invariant(inv: InvariantId, state):
     """Value of an invariant on a state of the matching system."""
-    return _eval_vector((invariant_symbolic(inv),), _INVARIANT_SYSTEM[inv], state)[0]
+    return _eval_vector((invariant_symbolic(inv),), invariant_system(inv), state)[0]
 
 
 def phi(s: State6) -> State5:
@@ -296,7 +286,7 @@ def rhs_jacobian_compiled(system: SystemId) -> Callable[[np.ndarray], np.ndarray
 
 @lru_cache(maxsize=None)
 def invariant_compiled(inv: InvariantId) -> Callable[[np.ndarray], float]:
-    system = _INVARIANT_SYSTEM[inv]
+    system = invariant_system(inv)
     fn = compile_poly_vector((invariant_symbolic(inv),), system_vars(system))
     return lambda state: float(fn(state)[0])
 

@@ -5,8 +5,9 @@ read off the brackets of the five-dimensional nilpotent matrix algebra
 ``E_BASIS`` (its commutator table, completed antisymmetrically), the constant
 part is a 2-cocycle that is not a coboundary.  Every structural
 claim (Jacobi identity, Casimir, the Hamiltonian vector field reproducing the
-dynamics, the algebra isomorphisms) is certified by exact polynomial
-arithmetic here.
+dynamics, the algebra isomorphisms) is stated and computed here in exact
+polynomial arithmetic, as residuals that vanish iff it holds; ``verify``
+certifies it, naming and reporting each check.
 
 Brackets are computed through the tensor and exact gradients; the pairwise
 coordinate relations are test assertions, not definitions.
@@ -22,7 +23,6 @@ from typing import Callable, Sequence
 from . import model
 from .model import VARS5, InvariantId
 from .polyring import Coeff, Poly, VarSet, kernel, lie_derivative
-from .report import Outcome, VerificationReport, run_check
 
 Matrix = tuple[tuple[Coeff, ...], ...]
 
@@ -160,20 +160,18 @@ def flip_entry_sign(pi: PoissonTensor, i: int, j: int, antisymmetric: bool = Fal
 # ---------------------------------------------------------------------------
 
 
-def poisson_bracket(f: Poly, g: Poly, pi: PoissonTensor | None = None) -> Poly:
+def poisson_bracket(f: Poly, g: Poly, pi: PoissonTensor) -> Poly:
     """{f, g} = (grad f)^T pi (grad g): f differentiated along the
     Hamiltonian field of g, exactly."""
-    pi = pi or mb_poisson_tensor()
     if f.vars != VARS5 or g.vars != VARS5:
         raise ValueError("poisson_bracket arguments must live over the 5D phase space")
     return lie_derivative(dict(zip(VARS5.names, ham_vector_field(pi, g))), f)
 
 
-def jacobi_residual(i: int, j: int, k: int, pi: PoissonTensor | None = None) -> Poly:
+def jacobi_residual(i: int, j: int, k: int, pi: PoissonTensor) -> Poly:
     """Cyclic Jacobi sum for coordinate functions u_i, u_j, u_k (1-based)."""
     if not (1 <= i < j < k <= DIM):
         raise ValueError(f"need 1 <= i < j < k <= {DIM}, got ({i},{j},{k})")
-    pi = pi or mb_poisson_tensor()
     coords = Poly.variables(VARS5)
     ui, uj, uk = coords[i - 1], coords[j - 1], coords[k - 1]
     return (
@@ -199,9 +197,8 @@ def ham_vector_field(pi: PoissonTensor, h: Poly) -> tuple[Poly, ...]:
     return tuple(lie_derivative(dict(zip(VARS5.names, row)), h) for row in pi.entries)
 
 
-def casimir_residual(pi: PoissonTensor | None = None) -> tuple[Poly, ...]:
+def casimir_residual(pi: PoissonTensor) -> tuple[Poly, ...]:
     """pi * grad(C) for the distinguished function C; zero iff C is a Casimir."""
-    pi = pi or mb_poisson_tensor()
     return ham_vector_field(pi, model.invariant_symbolic(InvariantId.C))
 
 
@@ -285,49 +282,37 @@ def vector_product(a: Sequence[Poly], b: Sequence[Poly]) -> tuple[Poly, ...]:
     return (a[1] * b[4] - b[1] * a[4], zero, a[3] * b[4] - b[3] * a[4], zero, zero)
 
 
-def iso_check_Phi() -> VerificationReport:
-    """Certify that the coordinate map into the matrix algebra is a Lie
-    algebra isomorphism: Phi(a x b) = [Phi(a), Phi(b)] for symbolic a, b."""
-
-    def body():
-        vars = VarSet(*[f"a{i}" for i in range(1, 6)], *[f"b{i}" for i in range(1, 6)])
-        a = [Poly.var(vars, f"a{i}") for i in range(1, 6)]
-        b = [Poly.var(vars, f"b{i}") for i in range(1, 6)]
-        ma, mb = _phi_matrix(a, vars), _phi_matrix(b, vars)
-        lhs = _phi_matrix(vector_product(a, b), vars)
-        return _flatten_matrix(mat_sub(lhs, commutator(ma, mb)))
-
-    return run_check("iso-Phi", body)
+def iso_check_Phi() -> list[Poly]:
+    """The entries of Phi(a x b) - [Phi(a), Phi(b)] for symbolic a, b: all
+    zero iff the coordinate map into the matrix algebra is a Lie algebra
+    isomorphism."""
+    vars = VarSet(*[f"a{i}" for i in range(1, 6)], *[f"b{i}" for i in range(1, 6)])
+    a = [Poly.var(vars, f"a{i}") for i in range(1, 6)]
+    b = [Poly.var(vars, f"b{i}") for i in range(1, 6)]
+    lhs = _phi_matrix(vector_product(a, b), vars)
+    return _flatten_matrix(mat_sub(lhs, commutator(_phi_matrix(a, vars), _phi_matrix(b, vars))))
 
 
-def cocycle_check(theta: Cocycle | None = None) -> VerificationReport:
-    """Certify the 2-cocycle identity on all basis triples plus the
-    non-coboundary witness [E1,E2] = 0 with theta(E1,E2) = 1."""
-    theta = theta or mb_cocycle()
+def cocycle_check(theta: Cocycle) -> tuple[list[str], dict[str, str]]:
+    """The failures of the 2-cocycle identity on all basis triples and of
+    the non-coboundary witness [E1,E2] = 0 with theta(E1,E2) = 1, with that
+    witness's values."""
     alpha = _e_bracket_constants()
 
     def theta_bracket(i: int, j: int, k: int) -> Coeff:
         # theta([E_i, E_j], E_k) expanded through the brackets of E_BASIS
         return sum(alpha[i][j][m] * theta.matrix[m][k] for m in range(DIM))
 
-    def body():
-        failures: list[str] = []
-        for i in range(DIM):
-            for j in range(i + 1, DIM):
-                for k in range(j + 1, DIM):
-                    s = theta_bracket(i, j, k) + theta_bracket(j, k, i) + theta_bracket(k, i, j)
-                    if s:
-                        failures.append(f"cocycle identity ({i+1},{j+1},{k+1}): {s}")
-        if any(alpha[0][1]):
-            failures.append(f"[E1,E2] != 0: coordinates {', '.join(map(str, alpha[0][1]))}")
-        if theta.matrix[0][1] != 1:
-            failures.append(f"theta(E1,E2) = {theta.matrix[0][1]} != 1")
-        return Outcome(
-            failures,
-            {
-                "commutator_E1_E2": "nonzero" if any(alpha[0][1]) else "0",
-                "theta_E1_E2": str(theta.matrix[0][1]),
-            },
-        )
-
-    return run_check("cocycle", body)
+    failures: list[str] = []
+    for i, j, k in itertools.combinations(range(DIM), 3):
+        s = theta_bracket(i, j, k) + theta_bracket(j, k, i) + theta_bracket(k, i, j)
+        if s:
+            failures.append(f"cocycle identity ({i+1},{j+1},{k+1}): {s}")
+    if any(alpha[0][1]):
+        failures.append(f"[E1,E2] != 0: coordinates {', '.join(map(str, alpha[0][1]))}")
+    if theta.matrix[0][1] != 1:
+        failures.append(f"theta(E1,E2) = {theta.matrix[0][1]} != 1")
+    return failures, {
+        "commutator_E1_E2": "nonzero" if any(alpha[0][1]) else "0",
+        "theta_E1_E2": str(theta.matrix[0][1]),
+    }

@@ -231,6 +231,9 @@ class Poly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # a constant equals its value, so it hashes as its value
+        if self.total_degree() <= 0:
+            return hash(self.constant_value())
         return hash((self.vars, frozenset(self.terms.items())))
 
     # -- calculus ----------------------------------------------------------

@@ -77,16 +77,6 @@ class NotInSymmetryFamily(ValueError):
 
 
 @dataclass(frozen=True)
-class SymParams:
-    """The four real parameters of the symmetry family."""
-
-    alpha: Coeff = 0
-    beta: Coeff = 0
-    gamma: Coeff = 0
-    delta: Coeff = 0
-
-
-@dataclass(frozen=True)
 class VectorField(Mapping):
     """A vector field as one coefficient polynomial per variable.
 
@@ -244,9 +234,11 @@ def _bind_family(params: Sequence[Poly]) -> VectorField:
     return JetVectorField(xi, eta)
 
 
-def family_field(p: SymParams) -> VectorField:
+def family_field(
+    alpha: Coeff = 0, beta: Coeff = 0, gamma: Coeff = 0, delta: Coeff = 0
+) -> VectorField:
     """The four-parameter symmetry field with rational parameter values."""
-    return _bind_family([Poly.const(BASE_VARS, getattr(p, name)) for name in PARAM_NAMES])
+    return _bind_family([Poly.const(BASE_VARS, c) for c in (alpha, beta, gamma, delta)])
 
 
 @lru_cache(maxsize=None)
@@ -254,10 +246,10 @@ def symmetry_basis() -> tuple[VectorField, ...]:
     """The four basis symmetries: scaling, time translation, q3 translation,
     rotation in the (q1, q2) plane."""
     return (
-        family_field(SymParams(alpha=1)),
-        family_field(SymParams(beta=1)),
-        family_field(SymParams(delta=1)),
-        family_field(SymParams(gamma=1)),
+        family_field(alpha=1),
+        family_field(beta=1),
+        family_field(delta=1),
+        family_field(gamma=1),
     )
 
 

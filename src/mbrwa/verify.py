@@ -1,9 +1,11 @@
 """Named verification suites aggregating every symbolic certificate.
 
-Each suite returns a list of :class:`VerificationReport`; a suite passes iff
-every report passes.  :func:`run_suite` gives a suite the model's Poisson
-tensor or symmetry family, or a tampered one, so that the sensitivity of the
-checks can itself be tested: a vacuously-green certificate is worthless.  A
+Every check is named, timed and reported here, by ``run_check``; ``model``,
+``poisson`` and ``symmetry`` compute the residuals it reads.  A suite
+returns a list of :class:`VerificationReport` and passes iff every report
+passes.  :func:`run_suite` gives a suite the model's Poisson tensor or
+symmetry family, or a tampered one, so that the sensitivity of the checks
+can itself be tested: a vacuously-green certificate is worthless.  A
 mutated family is a ``symmetry.flip_family_coefficient`` of the symbolic
 family, so every family a suite receives is over ``symmetry.BASE_VARS_P``.
 """
@@ -131,7 +133,7 @@ def realization_reports() -> list[VerificationReport]:
 
 
 def suite_cocycle() -> list[VerificationReport]:
-    return [poisson.cocycle_check()]
+    return [run_check("cocycle", lambda: Outcome(*poisson.cocycle_check(poisson.mb_cocycle())))]
 
 
 _E_TABLE = {(2, 5): (1, 1), (4, 5): (3, 1)}  # (i,j) -> (basis index, coefficient)
@@ -193,7 +195,7 @@ def suite_algebra() -> list[VerificationReport]:
         _table_report(
             "E-commutator-table", partial(poisson.matrix_commutator_table, poisson.E_BASIS), _E_TABLE
         ),
-        poisson.iso_check_Phi(),
+        run_check("iso-Phi", poisson.iso_check_Phi),
         _table_report("A-commutator-table", a_table, _A_TABLE),
         run_check("symmetry-algebra-isomorphism", isomorphism),
     ]

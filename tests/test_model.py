@@ -112,6 +112,28 @@ class TestInvariants:
             assert ddt.is_zero, inv
 
 
+# each invariant's home system, stated here independently of the VarSet
+# that ``invariant_symbolic`` writes it over, from which the model derives it
+INVARIANT_HOMES = {
+    InvariantId.H: SystemId.MB5,
+    InvariantId.C: SystemId.MB5,
+    InvariantId.J: SystemId.MB5,
+    InvariantId.HTILDE: SystemId.HAM6,
+    InvariantId.CTILDE: SystemId.HAM6,
+    InvariantId.JTILDE: SystemId.HAM6,
+    InvariantId.L: SystemId.EL6,
+}
+
+
+def test_invariant_homes_and_their_order():
+    assert {inv: model.invariant_system(inv) for inv in InvariantId} == INVARIANT_HOMES
+    assert model.system_invariants(SystemId.MB5) == (InvariantId.H, InvariantId.C, InvariantId.J)
+    assert model.system_invariants(SystemId.HAM6) == (
+        InvariantId.HTILDE, InvariantId.CTILDE, InvariantId.JTILDE
+    )
+    assert model.system_invariants(SystemId.EL6) == (InvariantId.L,)
+
+
 class TestPhi:
     def test_direct(self):
         assert model.phi(State6(1, 2, 3, 4, 5, 6)) == State5(1, 4, 2, 5, Fraction(7, 2))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbrwa import symmetry
@@ -185,6 +185,19 @@ def test_ring_axioms(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
+
+
+@given(polys(), polys(), st.one_of(st.integers(-9, 9), rationals))
+@example(Poly.zero(VARS3), Poly.zero(VARS3), 0)
+@example(Poly.zero(VARS3), Poly.zero(VARS3), Fraction(1, 2))
+def test_equal_values_hash_equal(p, q, c):
+    # a Poly equals the int or Fraction it is constant at, so a set or a
+    # dict key takes the two as one
+    const = Poly.const(VARS3, c)
+    assert const == c and hash(const) == hash(c) and len({c, const}) == 1
+    for a, b in ((p, c), (p, q), (p + q - q, p), (const + p - p, c)):
+        if a == b:
+            assert hash(a) == hash(b)
 
 
 @given(polys(), polys(), st.sampled_from(VARS3.names))

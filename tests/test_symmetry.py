@@ -16,7 +16,6 @@ from mbrwa.symmetry import (
     BASE_VARS,
     JetVectorField,
     NotInSymmetryFamily,
-    SymParams,
     VectorField,
     determining_residuals,
     dynamics_commutator,
@@ -53,7 +52,7 @@ class TestProlong:
 
     def test_scaling_field(self):
         # -t d/dt + q_i d/dq_i lifts to 2 qd_i on the velocities
-        pr = prolong(family_field(SymParams(alpha=Fraction(1))), 1)
+        pr = prolong(family_field(alpha=Fraction(1)), 1)
         assert pr.vars == JV
         for i in (1, 2, 3):
             assert pr[f"qd{i}"] == 2 * jet(f"qd{i}")
@@ -88,11 +87,11 @@ class TestProlong:
 
 class TestDeterminingResiduals:
     def test_scaling_member_is_a_symmetry(self):
-        res = determining_residuals(family_field(SymParams(alpha=Fraction(1))))
+        res = determining_residuals(family_field(alpha=Fraction(1)))
         assert all(r.is_zero for r in res)
 
     def test_time_translation_is_a_symmetry(self):
-        res = determining_residuals(family_field(SymParams(beta=Fraction(1))))
+        res = determining_residuals(family_field(beta=Fraction(1)))
         assert all(r.is_zero for r in res)
 
     def test_pure_q1_scaling_is_not(self):
@@ -286,26 +285,27 @@ class TestAlgebra:
         assert not spans_match(variational, symmetry_basis())
 
 
+# (alpha, beta, gamma, delta)
 FAMILY_PARAMS = [
-    SymParams(),
-    SymParams(alpha=Fraction(1)),
-    SymParams(Fraction(2, 3), Fraction(-1), Fraction(5, 7), Fraction(3)),
-    SymParams(Fraction(-1, 2), Fraction(0), Fraction(-4), Fraction(1, 9)),
+    (0, 0, 0, 0),
+    (Fraction(1), 0, 0, 0),
+    (Fraction(2, 3), Fraction(-1), Fraction(5, 7), Fraction(3)),
+    (Fraction(-1, 2), Fraction(0), Fraction(-4), Fraction(1, 9)),
 ]
 
 
 class TestFamily:
     @pytest.mark.parametrize("p", FAMILY_PARAMS)
     def test_family_field_matches_written_out(self, p):
-        a, b, c, d = p.alpha, p.beta, p.gamma, p.delta
-        u = family_field(p)
+        a, b, c, d = p
+        u = family_field(*p)
         assert u.vars == BASE_VARS
         assert u.components == (-a * T + b, a * Q1 + c * Q2, -c * Q1 + a * Q2, a * Q3 + d)
 
     @pytest.mark.parametrize("p", FAMILY_PARAMS)
     def test_extract_recovers_params(self, p):
-        got = symmetry.extract_family_params(family_field(p))
-        assert got == (p.alpha, p.beta, p.gamma, p.delta)
+        got = symmetry.extract_family_params(family_field(*p))
+        assert got == p
 
     def test_extract_compares_the_whole_field(self):
         # the family's point components with a nonzero parameter component
@@ -323,7 +323,7 @@ class TestVariational:
         assert variational_residual(u) == 3 * Poly.var(jv, "alpha") * lag
 
     def test_alpha_zero_members_are_variational(self):
-        u = family_field(SymParams(beta=Fraction(2), gamma=Fraction(-1), delta=Fraction(3)))
+        u = family_field(beta=Fraction(2), gamma=Fraction(-1), delta=Fraction(3))
         assert variational_residual(u).is_zero
 
     def test_rotation_is_variational(self):
@@ -337,24 +337,24 @@ class TestVariational:
 
 class TestNoether:
     def test_energy_charge(self):
-        nc = symmetry.noether_charge(family_field(SymParams(beta=Fraction(1))))
+        nc = symmetry.noether_charge(family_field(beta=Fraction(1)))
         assert nc.poly == -model.invariant_symbolic(InvariantId.HTILDE)
         assert nc.conservation_residual.is_zero
 
     def test_momentum_charge(self):
-        nc = symmetry.noether_charge(family_field(SymParams(delta=Fraction(1))))
+        nc = symmetry.noether_charge(family_field(delta=Fraction(1)))
         assert nc.poly == Poly.var(model.VARS6, "p3")
         assert nc.conservation_residual.is_zero
 
     def test_angular_momentum_charge(self):
-        nc = symmetry.noether_charge(family_field(SymParams(gamma=Fraction(1))))
+        nc = symmetry.noether_charge(family_field(gamma=Fraction(1)))
         q1, q2, q3, p1, p2, p3 = Poly.variables(model.VARS6)
         assert nc.poly == -(q1 * p2 - q2 * p1)
         assert nc.conservation_residual.is_zero
 
     def test_alpha_nonzero_rejected(self):
         with pytest.raises(ValueError):
-            symmetry.noether_charge(family_field(SymParams(alpha=Fraction(1))))
+            symmetry.noether_charge(family_field(alpha=Fraction(1)))
 
     def test_symbolic_conservation(self):
         assert symmetry.noether_charge_symbolic().conservation_residual.is_zero
@@ -498,7 +498,7 @@ class TestHandDerivedCriterion:
 
 class TestDynamicsCommutator:
     def test_pure_scaling_is_conformal_and_master(self):
-        _, x = pushforward(family_field(SymParams(alpha=Fraction(1))))
+        _, x = pushforward(family_field(alpha=Fraction(1)))
         record = dynamics_commutator(x)
         assert record.factor is not None
         assert record.factor == 1
@@ -506,7 +506,7 @@ class TestDynamicsCommutator:
         assert not record.is_symmetry
 
     def test_alpha_zero_commutes(self):
-        _, x = pushforward(family_field(SymParams(beta=Fraction(1), gamma=Fraction(2))))
+        _, x = pushforward(family_field(beta=Fraction(1), gamma=Fraction(2)))
         record = dynamics_commutator(x)
         assert record.is_symmetry
         assert record.factor == 0
