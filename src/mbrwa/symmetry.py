@@ -392,7 +392,7 @@ def _determining_rows(monos: Sequence[tuple[int, int, int, int]]) -> list[dict[i
     return [rows[key] for key in sorted(rows)]
 
 
-def solve_determining(max_degree: int = 2) -> list[VectorField]:
+def solve_determining(max_degree: int) -> list[VectorField]:
     """Exact nullspace of the determining equations for a polynomial ansatz
     of total degree <= max_degree in (t, q).
 

@@ -586,10 +586,11 @@ class TestVerify:
 
 
 class TestGoldenOutput:
-    """Report JSON, solver output and the numeric CLI output are pinned:
-    check names, order, statuses, residual strings and witnesses, and every
-    CSV and drift byte.  Only ``elapsed_ms`` may differ; update the files
-    only for an intended change of output."""
+    """The one place CLI output bytes are pinned: report JSON, solver
+    output and the numeric CLI output, with check names, order, statuses,
+    residual strings and witnesses, and every CSV and drift byte.  Only
+    ``elapsed_ms`` may differ; update the files only for an intended change
+    of output."""
 
     DATA = Path(__file__).parent / "data"
 
@@ -601,76 +602,18 @@ class TestGoldenOutput:
         *(("pi", v) for v in ("1,2,both", "3,4,both", "4,5,both", "2,5")),
         *(("family", v) for v in ("xi:t", "eta1:q1", "eta2:q1", "eta2:q2", "eta3:q3")),
     ]
-
-    def masked(self, text):
-        reports = json.loads(text)
-        for report in reports:
-            assert report.pop("elapsed_ms") >= 0
-        return reports
-
-    @pytest.mark.parametrize(
-        "name, argv, want_code",
-        [
-            ("verify_all", ("verify", "--suite", "all"), EXIT_OK),
-            *(
-                (
-                    f"verify_mutate_{flag}_{value.replace(',', '_').replace(':', '_')}",
-                    ("verify", "--suite", "all", f"--mutate-{flag}", value),
-                    EXIT_VERIFY,
-                )
-                for flag, value in MUTANTS
-            ),
-        ],
-    )
-    def test_verify_reports(self, capsys, name, argv, want_code):
-        code, out, _ = run(capsys, *argv)
-        assert code == want_code
-        want = (self.DATA / f"{name}.json").read_text()
-        assert self.masked(out) == self.masked(want)
-
-    @pytest.mark.parametrize("suite", verify.SUITE_NAMES)
-    def test_single_suite_is_its_slice_of_all(self, capsys, suite):
-        code, out, _ = run(capsys, "verify", "--suite", suite)
-        assert code == EXIT_OK
-        got = self.masked(out)
-        checks = {r["check"] for r in got}
-        every = self.masked((self.DATA / "verify_all.json").read_text())
-        assert got and got == [r for r in every if r["check"] in checks]
-
-    def test_solve_symmetries_bytes(self, capsys):
-        code, out, _ = run(capsys, "solve-symmetries", "--max-degree", "2")
-        assert code == EXIT_OK
-        assert out == (self.DATA / "solve_symmetries_max_degree_2.json").read_text()
-
-    def test_solve_symmetries_degree_3_bytes(self, capsys):
-        code, out, _ = run(capsys, "solve-symmetries", "--max-degree", "3")
-        assert code == EXIT_OK
-        assert out == (self.DATA / "solve_symmetries_max_degree_3.json").read_text()
-
-    def test_solve_symmetries_degree_4_bytes(self, capsys):
-        code, out, _ = run(capsys, "solve-symmetries", "--max-degree", "4")
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["dimension"] == 4
-        assert payload["matches_reference_family"] is True
-        assert out == (self.DATA / "solve_symmetries_max_degree_4.json").read_text()
-
-    def test_solve_symmetries_degree_5_bytes(self, capsys):
-        code, out, _ = run(capsys, "solve-symmetries", "--max-degree", "5")
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["dimension"] == 4
-        assert payload["matches_reference_family"] is True
-        assert out == (self.DATA / "solve_symmetries_max_degree_5.json").read_text()
-
-    @pytest.mark.parametrize("degree", [6, 7, 8])
-    def test_solve_symmetries_high_degree_bytes(self, capsys, degree):
-        code, out, _ = run(capsys, "solve-symmetries", "--max-degree", str(degree))
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["dimension"] == 4
-        assert payload["matches_reference_family"] is True
-        assert out == (self.DATA / f"solve_symmetries_max_degree_{degree}.json").read_text()
+    VERIFY = [
+        ("verify_all", ("verify", "--suite", "all"), EXIT_OK),
+        *(
+            (
+                f"verify_mutate_{flag}_{value.replace(',', '_').replace(':', '_')}",
+                ("verify", "--suite", "all", f"--mutate-{flag}", value),
+                EXIT_VERIFY,
+            )
+            for flag, value in MUTANTS
+        ),
+    ]
+    SOLVE_DEGREES = range(2, MAX_SOLVE_DEGREE + 1)
 
     MB5_RK4 = ("--system", "mb5", "--method", "rk4", "--init=0.3,-0.5,0.7,0.1,-0.9",
                "--t-end", "20", "--h", "1e-3")
@@ -687,35 +630,83 @@ class TestGoldenOutput:
     # the same grid on ham6, whose q1**2 terms are the ones that can overflow
     HAM6_RK4 = ("--system", "ham6", "--method", "rk4", "--init=0.3,-0.5,0.7,0.1,-0.9,0.4",
                 "--t-end", "10.0005", "--h", "1e-3")
+    NUMERIC = [
+        ("simulate_mb5_rk4.csv", ("simulate", *MB5_RK4, "--every", "100")),
+        ("invariants_mb5_rk4.json", ("invariants", *MB5_RK4)),
+        ("simulate_ham6_midpoint.csv", ("simulate", *HAM6_MIDPOINT, "--every", "10")),
+        ("invariants_ham6_midpoint.json", ("invariants", *HAM6_MIDPOINT)),
+        ("simulate_el6_rk4.csv", ("simulate", *EL6_RK4, "--every", "100")),
+        ("invariants_el6_rk4.json", ("invariants", *EL6_RK4)),
+        ("simulate_mb5_midpoint.csv", ("simulate", *MB5_MIDPOINT, "--every", "10")),
+        ("invariants_mb5_midpoint.json", ("invariants", *MB5_MIDPOINT)),
+        ("simulate_el6_midpoint.csv", ("simulate", *EL6_MIDPOINT, "--every", "10")),
+        ("invariants_el6_midpoint.json", ("invariants", *EL6_MIDPOINT)),
+        ("simulate_ham6_rk4.csv", ("simulate", *HAM6_RK4, "--every", "100")),
+        ("invariants_ham6_rk4.json", ("invariants", *HAM6_RK4)),
+    ]
 
-    @pytest.mark.parametrize(
-        "name, argv",
-        [
-            ("simulate_mb5_rk4.csv", ("simulate", *MB5_RK4, "--every", "100")),
-            ("invariants_mb5_rk4.json", ("invariants", *MB5_RK4)),
-            ("simulate_ham6_midpoint.csv", ("simulate", *HAM6_MIDPOINT, "--every", "10")),
-            ("invariants_ham6_midpoint.json", ("invariants", *HAM6_MIDPOINT)),
-            ("simulate_el6_rk4.csv", ("simulate", *EL6_RK4, "--every", "100")),
-            ("invariants_el6_rk4.json", ("invariants", *EL6_RK4)),
-            ("simulate_mb5_midpoint.csv", ("simulate", *MB5_MIDPOINT, "--every", "10")),
-            ("invariants_mb5_midpoint.json", ("invariants", *MB5_MIDPOINT)),
-            ("simulate_el6_midpoint.csv", ("simulate", *EL6_MIDPOINT, "--every", "10")),
-            ("invariants_el6_midpoint.json", ("invariants", *EL6_MIDPOINT)),
-            ("simulate_ham6_rk4.csv", ("simulate", *HAM6_RK4, "--every", "100")),
-            ("invariants_ham6_rk4.json", ("invariants", *HAM6_RK4)),
-        ],
-    )
-    def test_numeric_bytes(self, capsys, name, argv):
+    def masked(self, text):
+        reports = json.loads(text)
+        for report in reports:
+            assert report.pop("elapsed_ms") >= 0
+        return reports
+
+    def golden(self, name):
+        return (self.DATA / name).read_bytes()
+
+    def test_every_golden_is_read(self):
+        # a golden no test compares pins nothing
+        read = {
+            *(f"{name}.json" for name, _, _ in self.VERIFY),
+            *(f"solve_symmetries_max_degree_{d}.json" for d in self.SOLVE_DEGREES),
+            *(name for name, _ in self.NUMERIC),
+            "bracket_table.json",
+            "kernel_sources.json",  # tests/test_model.py
+            "determining_rows_sha256.json",  # tests/test_symmetry.py
+        }
+        assert {p.name for p in self.DATA.iterdir()} == read
+
+    @pytest.mark.parametrize("name, argv, want_code", VERIFY)
+    def test_verify_reports(self, capsys, name, argv, want_code):
+        code, out, _ = run(capsys, *argv)
+        assert code == want_code
+        assert self.masked(out) == self.masked(self.golden(f"{name}.json"))
+
+    def test_single_suites_concatenate_to_all(self, capsys):
+        # each suite run alone passes and prints its whole slice of the
+        # unmutated run, so no check goes missing when its suite runs alone
+        reports = []
+        for suite in verify.SUITE_NAMES:
+            code, out, _ = run(capsys, "verify", "--suite", suite)
+            assert code == EXIT_OK, suite
+            reports += self.masked(out)
+        assert reports == self.masked(self.golden("verify_all.json"))
+
+    @pytest.mark.parametrize("degree", SOLVE_DEGREES)
+    def test_solve_symmetries_bytes(self, capsys, degree):
+        # exit 0: the solved algebra is 4-dimensional and spans the family
+        code, out, _ = run(capsys, "solve-symmetries", "--max-degree", str(degree))
+        assert code == EXIT_OK
+        assert out.encode() == self.golden(f"solve_symmetries_max_degree_{degree}.json")
+
+    @pytest.mark.parametrize("name, argv", NUMERIC)
+    def test_numeric_bytes(self, capsys, tmp_path, name, argv):
         # every state and invariant digit is pinned, so a change of float
         # operation order in a step or an invariant shows here
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
-        assert out == (self.DATA / name).read_text()
+        assert out.encode() == self.golden(name)
+        if argv[0] == "simulate":
+            path = tmp_path / name
+            code, out, _ = run(capsys, *argv, "--out", str(path))
+            assert code == EXIT_OK
+            assert out == ""
+            assert path.read_bytes() == self.golden(name)
 
     def test_bracket_table_bytes(self, capsys):
         code, out, _ = run(capsys, "bracket-table")
         assert code == EXIT_OK
-        assert out == (self.DATA / "bracket_table.json").read_text()
+        assert out.encode() == self.golden("bracket_table.json")
 
 
 @lru_cache(maxsize=None)
