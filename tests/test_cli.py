@@ -672,6 +672,15 @@ class TestGoldenOutput:
         assert code == want_code
         assert self.masked(out) == self.masked(self.golden(f"{name}.json"))
 
+    @pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+    def test_single_suite_is_its_slice_of_all(self, capsys, suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == EXIT_OK
+        got = self.masked(out)
+        checks = {r["check"] for r in got}
+        every = self.masked(self.golden("verify_all.json"))
+        assert got and got == [r for r in every if r["check"] in checks]
+
     def test_single_suites_concatenate_to_all(self, capsys):
         # each suite run alone passes and prints its whole slice of the
         # unmutated run, so no check goes missing when its suite runs alone
