@@ -1,8 +1,16 @@
 """The three equivalent formulations of the 5D Maxwell-Bloch (RWA) system.
 
-* MB5  -- the five-dimensional first-order system on (x1, y1, x2, y2, z)
-* HAM6 -- its canonical Hamiltonian realization on (q, p)
-* EL6  -- the Euler-Lagrange form, written first-order on (q, qdot)
+* MB5  -- the five-dimensional first-order system on (x1, y1, x2, y2, z),
+  stated here and certified against the Poisson tensor (``hamiltonian-field``)
+* HAM6 -- its canonical Hamiltonian realization on (q, p): Hamilton's
+  equations of H~, derived from ``invariant_symbolic(HTILDE)``
+* EL6  -- the Euler-Lagrange form of L, written first-order on (q, qdot) and
+  derived from ``invariant_symbolic(L)``; L's qdot-Hessian is the identity,
+  so the equations solve for qddot with no inverse
+
+The Legendre map (q, dL/dqdot) is derived from L too.  H~, L, phi, its
+section and the inverse Legendre map stay written out, so that the
+realization and Legendre checks compare separate statements.
 
 Each system exists in two renditions: exact polynomial right-hand sides for
 symbolic certification, and float functions compiled from source generated
@@ -30,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .polyring import Poly, VarSet, matrix_rank
+from .polyring import Poly, VarSet, lie_derivative
 
 VARS5 = VarSet("x1", "y1", "x2", "y2", "z")
 VARS6 = VarSet("q1", "q2", "q3", "p1", "p2", "p3")
@@ -93,11 +101,15 @@ def rhs_symbolic(system: SystemId) -> tuple[Poly, ...]:
         x1, y1, x2, y2, z = Poly.variables(VARS5)
         return (y1, x1 * z, y2, x2 * z, -(x1 * y1 + x2 * y2))
     if system is SystemId.HAM6:
-        q1, q2, q3, p1, p2, p3 = Poly.variables(VARS6)
-        zq = p3 - HALF * (q1**2 + q2**2)
-        return (p1, p2, zq, q1 * zq, q2 * zq, Poly.zero(VARS6))
-    q1, q2, q3, qd1, qd2, qd3 = Poly.variables(VARST6)
-    return (qd1, qd2, qd3, q1 * qd3, q2 * qd3, -(q1 * qd1 + q2 * qd2))
+        # Hamilton's equations: qdot = dH~/dp, pdot = -dH~/dq
+        h = invariant_symbolic(InvariantId.HTILDE)
+        return (*(h.diff(f"p{i}") for i in (1, 2, 3)), *(-h.diff(f"q{i}") for i in (1, 2, 3)))
+    # d/dt dL/dqdot = dL/dq, with L autonomous and its qdot-Hessian the
+    # identity, reads qddot = dL/dq - (d2L/dqdot dq) qdot
+    lag, q, qd = invariant_symbolic(InvariantId.L), VARST6.names[:3], VARST6.names[3:]
+    drift = dict(zip(q, Poly.variables(VARST6)[3:]))  # sum_j qd_j d/dq_j
+    acc = (lag.diff(a) - lie_derivative(drift, lag.diff(v)) for a, v in zip(q, qd))
+    return (*drift.values(), *acc)
 
 
 @lru_cache(maxsize=None)
@@ -157,8 +169,8 @@ def phi_section_symbolic() -> Mapping[str, Poly]:
 @lru_cache(maxsize=None)
 def legendre_symbolic() -> tuple[Poly, ...]:
     """Fiber map (q, qdot) -> (q, p), p_i = dL/dqdot_i, componentwise."""
-    q1, q2, q3, qd1, qd2, qd3 = Poly.variables(VARST6)
-    return (q1, q2, q3, qd1, qd2, qd3 + HALF * (q1**2 + q2**2))
+    lag = invariant_symbolic(InvariantId.L)
+    return (*Poly.variables(VARST6)[:3], *(lag.diff(v) for v in VARST6.names[3:]))
 
 
 @lru_cache(maxsize=None)
@@ -199,20 +211,6 @@ def legendre(ts: TangentState6) -> State6:
 
 def legendre_inv(s: State6) -> TangentState6:
     return TangentState6(*_eval_vector(legendre_inverse_symbolic(), SystemId.HAM6, s))
-
-
-def jacobian_rank_phi(sample: State6) -> int:
-    """Exact rank of the 5x6 Jacobian of the projection at a sample point.
-
-    Float samples are converted exactly to rationals, so the rank is
-    computed by exact row reduction, with no tolerance involved.
-    """
-    values = [Fraction(v) for v in state_values(SystemId.HAM6, sample)]
-    point = dict(zip(VARS6.names, values))
-    jac = [
-        [comp.diff(name).eval(point) for name in VARS6.names] for comp in phi_symbolic()
-    ]
-    return matrix_rank(jac)
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,6 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(not c for row in a for c in row)
-
-
 # The five-dimensional nilpotent algebra: [E2, E5] = E1, [E4, E5] = E3,
 # all other basis brackets zero.  The Poisson tensor and the cocycle check
 # read these brackets off the matrices; verify states them independently.

@@ -168,12 +168,6 @@ class Poly:
     def coefficient(self, exps: Sequence[int]) -> Coeff:
         return self.terms.get(tuple(exps), 0)
 
-    def constant_value(self) -> Coeff:
-        """The value of a degree-<=0 polynomial; error otherwise."""
-        if self.total_degree() > 0:
-            raise ValueError(f"not a constant: {self}")
-        return self.coefficient((0,) * len(self.vars))
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
@@ -233,7 +227,7 @@ class Poly:
     def __hash__(self) -> int:
         # a constant equals its value, so it hashes as its value
         if self.total_degree() <= 0:
-            return hash(self.constant_value())
+            return hash(self.coefficient((0,) * len(self.vars)))
         return hash((self.vars, frozenset(self.terms.items())))
 
     # -- calculus ----------------------------------------------------------

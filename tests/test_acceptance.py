@@ -19,6 +19,7 @@ from mbrwa import integrators, model, poisson, symmetry, verify
 from mbrwa.integrators import IntegratorId
 from mbrwa.model import InvariantId, SystemId
 from mbrwa.polyring import Poly
+from oracles import convergence_order, midpoint_roundtrip_error
 
 INIT5 = (1.0, 0.5, -0.3, 0.2, 0.1)
 INIT6 = (1.0, 0.5, -0.3, 0.2, 0.1, 0.4)
@@ -53,9 +54,8 @@ def test_criterion_1_poisson_structure(report):
 
 def test_criterion_2_cocycle(report):
     (rep,) = verify.run_suite("cocycle")
-    witness_ok = poisson.is_zero_matrix(
-        poisson.commutator(poisson.E_BASIS[0], poisson.E_BASIS[1])
-    ) and poisson.mb_cocycle().matrix[0][1] == 1
+    e1_e2 = poisson.commutator(poisson.E_BASIS[0], poisson.E_BASIS[1])
+    witness_ok = not any(c for row in e1_e2 for c in row) and poisson.mb_cocycle().matrix[0][1] == 1
     ok = rep.passed and witness_ok
     report(2, "cocycle", ok)
     assert ok, rep.residuals
@@ -159,9 +159,9 @@ def test_criterion_8_structure_preservation(report):
     )
     p3_ok = rep.drifts[InvariantId.CTILDE].max_abs_deviation <= 1e-11
     j_ok = rep.drifts[InvariantId.JTILDE].max_abs_deviation <= 1e-10
-    rt_ok = integrators.midpoint_roundtrip_error(SystemId.HAM6, INIT6, 1e-2) <= 1e-11
-    rk4_order = integrators.convergence_order(IntegratorId.RK4, SystemId.MB5, INIT5, 5.0, 0.05)
-    mid_order = integrators.convergence_order(
+    rt_ok = midpoint_roundtrip_error(SystemId.HAM6, INIT6, 1e-2) <= 1e-11
+    rk4_order = convergence_order(IntegratorId.RK4, SystemId.MB5, INIT5, 5.0, 0.05)
+    mid_order = convergence_order(
         IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6, INIT6, 5.0, 0.05
     )
     orders_ok = abs(rk4_order - 4.0) <= 0.4 and abs(mid_order - 2.0) <= 0.3

@@ -790,27 +790,7 @@ class TestStreamingOracle:
                                          every or 1)
 
 
-class TestBracketTable:
-    def test_json_tables(self, capsys):
-        code, out, _ = run(capsys, "bracket-table")
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["phase-space-algebra"]["2,5"] == ["1", "0", "0", "0", "0"]
-        assert payload["symmetry-matrix-algebra"]["1,3"] == ["0", "0", "-1", "0"]
-        assert (
-            payload["symmetry-point-fields"] == payload["symmetry-matrix-algebra"]
-        )
-
-
 class TestSolveSymmetries:
-    def test_dimension_four(self, capsys):
-        code, out, _ = run(capsys, "solve-symmetries", "--max-degree", "2")
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["dimension"] == 4
-        assert payload["matches_reference_family"] is True
-        assert len(payload["basis"]) == 4
-
     def test_degree_validation(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve-symmetries", "--max-degree", "0"])

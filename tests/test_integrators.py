@@ -13,16 +13,15 @@ from mbrwa.integrators import (
     BlowUpError,
     IntegratorId,
     NewtonError,
-    convergence_order,
     drift_report,
     integrate,
-    midpoint_roundtrip_error,
     midpoint_step_field,
     rk4_step_field,
     step,
     system_invariants,
 )
 from mbrwa.model import InvariantId, State5, State6, SystemId
+from oracles import convergence_order, midpoint_roundtrip_error
 
 INIT5 = State5(1.0, 0.5, -0.3, 0.2, 0.1)
 INIT6 = State6(1.0, 0.5, -0.3, 0.2, 0.1, 0.4)

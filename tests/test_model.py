@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mbrwa import integrators, model
+from mbrwa import integrators, model, poisson, symmetry, verify
 from mbrwa.integrators import BlowUpError, IntegratorId
 from mbrwa.model import (
     VARS5,
@@ -25,7 +25,7 @@ from mbrwa.model import (
     SystemId,
     TangentState6,
 )
-from mbrwa.polyring import Poly
+from mbrwa.polyring import Poly, lie_derivative
 
 
 def rand_fractions(n, rng):
@@ -195,18 +195,139 @@ class TestLegendre:
         assert (composed - (energy - lag)).is_zero
 
 
-class TestJacobianRank:
-    def test_at_origin(self):
-        assert model.jacobian_rank_phi(State6(0, 0, 0, 0, 0, 0)) == 5
+# ---------------------------------------------------------------------------
+# ham6, el6 and the Legendre map, derived from H~ and L
+# ---------------------------------------------------------------------------
 
-    def test_at_nonzero_q(self):
-        assert model.jacobian_rank_phi(State6(1, 2, 3, 0, 0, 0)) == 5
+HALF = Fraction(1, 2)
 
-    def test_random_samples(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            s = State6(*[rng.uniform(-5, 5) for _ in range(6)])
-            assert model.jacobian_rank_phi(s) == 5
+
+def _terms(polys) -> list:
+    """Each Poly's terms in stored order, with each coefficient's type."""
+    return [[(e, c, type(c)) for e, c in p.terms.items()] for p in polys]
+
+
+class TestDerivedFormulations:
+    """The model derives ham6 from H~, and el6 and the Legendre map from L.
+    The fields as they were written by hand are stated here, and the derived
+    ones equal them term for term, coefficient types and term order included
+    (``Poly.eval`` sums the terms in stored order)."""
+
+    def test_ham6_is_hamiltons_equations_of_htilde(self):
+        q1, q2, q3, p1, p2, p3 = Poly.variables(VARS6)
+        zq = p3 - HALF * (q1**2 + q2**2)
+        hand = (p1, p2, zq, q1 * zq, q2 * zq, Poly.zero(VARS6))
+        assert _terms(model.rhs_symbolic(SystemId.HAM6)) == _terms(hand)
+
+    def test_el6_is_the_euler_lagrange_system_of_l(self):
+        q1, q2, q3, qd1, qd2, qd3 = Poly.variables(VARST6)
+        hand = (qd1, qd2, qd3, q1 * qd3, q2 * qd3, -(q1 * qd1 + q2 * qd2))
+        assert _terms(model.rhs_symbolic(SystemId.EL6)) == _terms(hand)
+
+    def test_legendre_is_the_fiber_derivative_of_l(self):
+        q1, q2, q3, qd1, qd2, qd3 = Poly.variables(VARST6)
+        hand = (q1, q2, q3, qd1, qd2, qd3 + HALF * (q1**2 + q2**2))
+        assert _terms(model.legendre_symbolic()) == _terms(hand)
+
+    def test_the_qdot_hessian_of_l_is_the_identity(self):
+        # the premise of solving the Euler-Lagrange equations for qddot
+        lag, qd = model.invariant_symbolic(InvariantId.L), VARST6.names[3:]
+        assert [[lag.diff(a).diff(b) for b in qd] for a in qd] == [
+            [int(a == b) for b in qd] for a in qd
+        ]
+
+
+class TestGeneratingFunctionMutants:
+    """A change of H~ or L reaches the fields derived from it, so verify sees
+    it: each mutant below passed every check while ham6 and el6 were
+    written out apart from H~ and L."""
+
+    def run(self, monkeypatch, inv, delta, system):
+        """The mutant's derived field of ``system`` and verify's pass/fail
+        by check name."""
+        original = model.invariant_symbolic
+        caches = (original, model.rhs_symbolic, model.legendre_symbolic,
+                  symmetry._unit_residual_pieces)
+        monkeypatch.setattr(model, "invariant_symbolic",
+                            lambda i: original(i) + delta if i is inv else original(i))
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            return (model.rhs_symbolic(system),
+                    {r.check: r.passed for r in verify.run_suite("all")})
+        finally:
+            for cached in caches:
+                cached.cache_clear()
+
+    def test_htilde_plus_q1_p3(self, monkeypatch):
+        # ham6's q3 equation gains q1, which Phi cannot see
+        q1, p3 = Poly.var(VARS6, "q1"), Poly.var(VARS6, "p3")
+        dq3 = model.rhs_symbolic(SystemId.HAM6)[2]
+        ham6, passed = self.run(monkeypatch, InvariantId.HTILDE, q1 * p3, SystemId.HAM6)
+        assert ham6[2] == dq3 + q1
+        assert not passed["realization-invariants"]
+
+    def test_l_plus_a_gyroscopic_term(self, monkeypatch):
+        # el6's third acceleration gains (q1*qd2 - q2*qd1)/2, and the first
+        # two gyroscopic terms
+        q1, q2, q3, qd1, qd2, qd3 = Poly.variables(VARST6)
+        gyro, acc3 = q1 * qd2 - q2 * qd1, model.rhs_symbolic(SystemId.EL6)[5]
+        el6, passed = self.run(monkeypatch, InvariantId.L, HALF * q3 * gyro, SystemId.EL6)
+        assert el6[5] == acc3 + HALF * gyro
+        assert not passed["legendre-energy"]
+        assert not passed["determining-family"]
+
+
+def _det(m) -> Poly:
+    """The determinant of a square matrix of Polys, by the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+class TestRealizationCertificates:
+    """Phi is a Poisson map onto (R^5, Pi) and a submersion, so it is a
+    symplectic realization, and the Legendre map carries el6's field to
+    ham6's: exact identities of polynomials, at every point."""
+
+    PHI = model.phi_symbolic()
+    DPHI = [[c.diff(v) for v in VARS6.names] for c in PHI]
+
+    def poisson_map_residuals(self, pi) -> list:
+        """The 25 entries of DPhi J DPhi^T - Pi o Phi, J canonical on (q, p)."""
+        d, at_phi = self.DPHI, dict(zip(VARS5.names, self.PHI))
+        return [
+            sum(d[a][i] * d[b][i + 3] - d[a][i + 3] * d[b][i] for i in range(3))
+            - pi.entry(a + 1, b + 1).substitute(at_phi)
+            for a in range(5) for b in range(5)
+        ]
+
+    def test_phi_is_a_poisson_map(self):
+        residuals = self.poisson_map_residuals(poisson.mb_poisson_tensor())
+        assert len(residuals) == 25
+        assert all(r.is_zero for r in residuals), [str(r) for r in residuals]
+
+    @pytest.mark.parametrize("i, j, antisymmetric", [
+        (1, 2, True), (3, 4, True), (2, 5, True), (4, 5, True), (2, 5, False),
+    ])
+    def test_each_mutated_tensor_breaks_it(self, i, j, antisymmetric):
+        # the tensors of verify --mutate-pi I,J,both and I,J
+        pi = poisson.flip_entry_sign(poisson.mb_poisson_tensor(), i, j, antisymmetric)
+        assert not all(r.is_zero for r in self.poisson_map_residuals(pi))
+
+    def test_phi_is_a_submersion(self):
+        # the minor of DPhi over (q1, p1, q2, p2, p3) is 1 everywhere
+        cols = [VARS6.index(v) for v in ("q1", "p1", "q2", "p2", "p3")]
+        assert _det([[row[k] for k in cols] for row in self.DPHI]) == 1
+
+    def test_legendre_carries_el6_to_ham6(self):
+        # DFL . f_el6 = f_ham6 o FL, one identity per component
+        leg = model.legendre_symbolic()
+        el6 = dict(zip(VARST6.names, model.rhs_symbolic(SystemId.EL6)))
+        at_leg = dict(zip(VARS6.names, leg))
+        pushed = [lie_derivative(el6, c) for c in leg]
+        assert pushed == [f.substitute(at_leg) for f in model.rhs_symbolic(SystemId.HAM6)]
 
 
 EMITS = ("none", "fold", "rows")

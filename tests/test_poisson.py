@@ -136,9 +136,8 @@ class TestMatrixAlgebra:
                 assert coeffs == zero, (i, j)
 
     def test_e1_e3_commute(self):
-        assert poisson.is_zero_matrix(
-            poisson.commutator(poisson.E_BASIS[0], poisson.E_BASIS[2])
-        )
+        m = poisson.commutator(poisson.E_BASIS[0], poisson.E_BASIS[2])
+        assert not any(c for row in m for c in row)
 
     def test_a_basis_table(self):
         table = poisson.matrix_commutator_table(poisson.A_BASIS)
@@ -153,7 +152,7 @@ class TestMatrixAlgebra:
         b = poisson._mat([[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
         with pytest.raises(poisson.CommutatorOutsideSpan) as exc:
             poisson.matrix_commutator_table([a, b])
-        assert not poisson.is_zero_matrix(exc.value.witness)
+        assert any(c for row in exc.value.witness for c in row)
 
 
 class TestIsoPhi:
@@ -168,7 +167,7 @@ class TestIsoPhi:
         a = [Poly.const(vars, c) for c in (0, 1, 0, 0, 0)]
         b = [Poly.const(vars, c) for c in (0, 0, 0, 0, 1)]
         prod = poisson.vector_product(a, b)
-        assert [p.constant_value() for p in prod] == [1, 0, 0, 0, 0]
+        assert list(prod) == [1, 0, 0, 0, 0]
 
     def test_self_product_vanishes(self):
         a = [Poly.const(VARS5, c) for c in (3, 1, 4, 1, 5)]
@@ -182,9 +181,8 @@ class TestCocycle:
         assert witnesses["theta_E1_E2"] == "1"
 
     def test_non_coboundary_witness(self):
-        assert poisson.is_zero_matrix(
-            poisson.commutator(poisson.E_BASIS[0], poisson.E_BASIS[1])
-        )
+        m = poisson.commutator(poisson.E_BASIS[0], poisson.E_BASIS[1])
+        assert not any(c for row in m for c in row)
         assert poisson.mb_cocycle().matrix[0][1] == 1
 
     def test_tampered_cocycle_fails(self):
