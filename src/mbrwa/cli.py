@@ -19,8 +19,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, integrators, model, poisson, symmetry, verify
 from .integrators import BlowUpError, IntegratorId, NewtonError
 from .model import SystemId
@@ -135,22 +133,19 @@ def _run_args(args, parser) -> tuple[IntegratorId, SystemId, list[float]]:
 
 def cmd_simulate(args, parser) -> int:
     method, system, init = _run_args(args, parser)
-    invariants = model.system_invariants(system)
-    header = ("t", *model.system_vars(system).names, *(inv.value for inv in invariants))
+    header = ("t", *model.system_vars(system).names,
+              *(inv.value for inv in model.system_invariants(system)))
     try:  # every --every-th row and the last, 8 bytes a value, held until the run ends
         packed = integrators.run_rows(method, system, init, 0.0, args.t_end, args.h, args.every)
     except MemoryError:
         parser.error("--t-end / --h: the trajectory does not fit in memory")
-    table = np.frombuffer(packed).reshape(-1, len(header))
-    if len(bad := np.argwhere(~np.isfinite(table[:, -len(invariants):]))):
-        raise BlowUpError(float(table[bad[0, 0], 0]), invariants[bad[0, 1]])
-    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    row_format, size = ",".join(["%.17g"] * len(header)) + "\n", CSV_BLOCK * len(header)
 
-    def block(i: int) -> str:  # CSV lines of table[i:i + CSV_BLOCK], formatted by one %
-        chunk = table[i:i + CSV_BLOCK]
-        return (row_format * len(chunk)) % tuple(chunk.ravel().tolist())
+    def block(i: int) -> str:  # CSV lines of packed[i:i + size], formatted by one %
+        chunk = packed[i:i + size].tolist()
+        return (row_format * (len(chunk) // len(header))) % tuple(chunk)
 
-    text = itertools.chain([",".join(header) + "\n"], map(block, range(0, len(table), CSV_BLOCK)))
+    text = itertools.chain([",".join(header) + "\n"], map(block, range(0, len(packed), size)))
     if args.out:
         try:
             with open(args.out, "w", newline="") as fh:
@@ -194,7 +189,7 @@ def cmd_verify(args, parser) -> int:
         if not (1 <= i <= 5 and 1 <= j <= 5):
             parser.error("--mutate-pi indices must be in 1..5")
         pi = poisson.mb_poisson_tensor()
-        if pi.entry(i, j).is_zero:
+        if pi[i - 1][j - 1].is_zero:
             parser.error(f"--mutate-pi entry {i},{j} of the Poisson tensor is zero; "
                          "negating it changes nothing")
         pi = poisson.flip_entry_sign(pi, i, j, antisymmetric=len(parts) == 3)

@@ -404,8 +404,10 @@ def step(method: IntegratorId, system: SystemId, state, t: float, h: float):
 def run_rows(method: IntegratorId, system: SystemId, initial, t0: float, t_end: float,
              h: float, every: int = 1) -> array:
     """Rows ``(t, *state, *invariants)`` of the run, packed in one
-    ``array('d')``: row 0, every ``every``-th row and the last.  An invariant
-    that overflows is nan; BlowUpError at the first non-finite state."""
+    ``array('d')``: row 0, every ``every``-th row and the last.  BlowUpError
+    at the first state that is not finite; else at the first row, then
+    column, whose invariant is not finite, raised once the run ends, so a
+    later non-finite state wins."""
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every!r}")
     segments, s = _segments(t0, t_end, h), _state(system, initial)
@@ -415,6 +417,14 @@ def run_rows(method: IntegratorId, system: SystemId, initial, t0: float, t_end: 
     s = _drive(method, system, "rows", s, segments, rows.extend, every)
     if len(segments) == 1 and (stop - 1) % every:  # the last row, a full step off the grid
         rows.extend((t + dt*(stop - 1), *s, *fn(*s)))
+    invariants, n = system_invariants(system), 1 + len(s)
+    width = n + len(invariants)
+    # a column's sum is not finite if an entry is not, and may overflow if none is
+    bad = [k for j in range(n, width) if not math.isfinite(sum(rows[j::width]))
+           for k in range(j, len(rows), width) if not math.isfinite(rows[k])]
+    if bad:  # the lowest index is the first row, then column
+        k = min(bad)
+        raise BlowUpError(rows[k - k % width], invariants[k % width - n])
     return rows
 
 
@@ -442,7 +452,8 @@ def run_drift(method: IntegratorId, system: SystemId, initial, t0: float, t_end:
 def integrate(method: IntegratorId, system: SystemId, initial, t0: float, t_end: float,
               h: float) -> Trajectory:
     """The run from t0 to t_end, every state collected into arrays:
-    ``run_rows``'s table without its invariant columns."""
+    ``run_rows``'s table without its invariant columns.  BlowUpError as
+    ``run_rows`` raises it, for a state or an invariant that is not finite."""
     n = model.system_dim(system)
     rows = run_rows(method, system, initial, t0, t_end, h)
     table = np.frombuffer(rows).reshape(-1, 1 + n + len(system_invariants(system)))

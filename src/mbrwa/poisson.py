@@ -3,11 +3,13 @@
 The phase space carries a modified Lie-Poisson tensor: the linear part is
 read off the brackets of the five-dimensional nilpotent matrix algebra
 ``E_BASIS`` (its commutator table, completed antisymmetrically), the constant
-part is a 2-cocycle that is not a coboundary.  Every structural
-claim (Jacobi identity, Casimir, the Hamiltonian vector field reproducing the
-dynamics, the algebra isomorphisms) is stated and computed here in exact
-polynomial arithmetic, as residuals that vanish iff it holds; ``verify``
-certifies it, naming and reporting each check.
+part is a 2-cocycle that is not a coboundary.  Both are plain ``Matrix``
+values, tuples of rows, and the coordinate map into the matrix algebra is
+Phi(v) = sum_k v_k E_k.  Every structural claim (Jacobi identity, Casimir,
+the Hamiltonian vector field reproducing the dynamics, the algebra
+isomorphisms) is stated and computed here in exact polynomial arithmetic, as
+residuals that vanish iff it holds; ``verify`` certifies it, naming and
+reporting each check.
 
 Brackets are computed through the tensor and exact gradients; the pairwise
 coordinate relations are test assertions, not definitions.
@@ -16,7 +18,6 @@ coordinate relations are test assertions, not definitions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -76,39 +77,9 @@ A_BASIS: tuple[Matrix, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Cocycle:
-    """A constant antisymmetric bilinear form on the algebra, as a matrix."""
-
-    matrix: Matrix
-
-    def __post_init__(self):
-        for i in range(DIM):
-            for j in range(DIM):
-                if self.matrix[i][j] != -self.matrix[j][i]:
-                    raise ValueError(f"cocycle matrix not antisymmetric at ({i},{j})")
-
-
-@dataclass(frozen=True)
-class PoissonTensor:
-    """A 5x5 antisymmetric matrix of polynomials over the 5D phase space."""
-
-    entries: tuple[tuple[Poly, ...], ...]
-
-    def entry(self, i: int, j: int) -> Poly:
-        """Entry by 1-based coordinate indices."""
-        if not (1 <= i <= DIM and 1 <= j <= DIM):
-            raise ValueError(f"entry ({i}, {j}): indices must be in 1..{DIM}")
-        return self.entries[i - 1][j - 1]
-
-
-def mb_cocycle() -> Cocycle:
+def mb_cocycle() -> Matrix:
     """The constant brackets {u1,u2}=1, {u3,u4}=1 as a 2-cocycle matrix."""
-    matrix = [[0] * DIM for _ in range(DIM)]
-    for i, j in ((0, 1), (2, 3)):
-        matrix[i][j] = 1
-        matrix[j][i] = -1
-    return Cocycle(matrix=tuple(tuple(r) for r in matrix))
+    return _mat([[0, 1, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, -1, 0, 0], [0] * 5])
 
 
 @lru_cache(maxsize=None)
@@ -123,32 +94,33 @@ def _e_bracket_constants() -> tuple[tuple[tuple[Coeff, ...], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def mb_poisson_tensor() -> PoissonTensor:
+def mb_poisson_tensor() -> Matrix:
     """Tensor with entries pi_ij = sum_k alpha[i][j][k] u_k + theta_ij, the
     linear part from the brackets of ``E_BASIS``, theta from the cocycle."""
     coords = Poly.variables(VARS5)
-    alpha, theta = _e_bracket_constants(), mb_cocycle().matrix
-
-    def entry(i: int, j: int) -> Poly:
-        linear = (c * u for c, u in zip(alpha[i][j], coords) if c)
-        return sum(linear, Poly.const(VARS5, theta[i][j]))
-
-    rows = range(DIM)
-    return PoissonTensor(entries=tuple(tuple(entry(i, j) for j in rows) for i in rows))
+    alpha, theta = _e_bracket_constants(), mb_cocycle()
+    return tuple(
+        tuple(sum((c * u for c, u in zip(alpha[i][j], coords) if c),
+                  Poly.const(VARS5, theta[i][j])) for j in range(DIM))
+        for i in range(DIM)
+    )
 
 
-def flip_entry_sign(pi: PoissonTensor, i: int, j: int, antisymmetric: bool = False) -> PoissonTensor:
+def flip_entry_sign(pi: Matrix, i: int, j: int, antisymmetric: bool = False) -> Matrix:
     """Mutation helper: flip the sign of entry (i, j), 1-based.
 
     With ``antisymmetric=True`` the partner entry (j, i) is flipped too, so
     the mutation survives the antisymmetry check and must be caught by the
-    Jacobi / Casimir / vector-field certificates instead.
+    Jacobi / Casimir / vector-field certificates instead.  The result need
+    not be antisymmetric; ``antisymmetry_residuals`` states that property.
     """
-    rows = [list(r) for r in pi.entries]
-    rows[i - 1][j - 1] = -pi.entry(i, j)
+    if not (1 <= i <= DIM and 1 <= j <= DIM):  # index 0 would wrap to row DIM
+        raise ValueError(f"entry ({i}, {j}): indices must be in 1..{DIM}")
+    rows = [list(r) for r in pi]
+    rows[i - 1][j - 1] = -pi[i - 1][j - 1]
     if antisymmetric and i != j:
-        rows[j - 1][i - 1] = -pi.entry(j, i)
-    return PoissonTensor(entries=tuple(tuple(r) for r in rows))
+        rows[j - 1][i - 1] = -pi[j - 1][i - 1]
+    return _mat(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +128,7 @@ def flip_entry_sign(pi: PoissonTensor, i: int, j: int, antisymmetric: bool = Fal
 # ---------------------------------------------------------------------------
 
 
-def poisson_bracket(f: Poly, g: Poly, pi: PoissonTensor) -> Poly:
+def poisson_bracket(f: Poly, g: Poly, pi: Matrix) -> Poly:
     """{f, g} = (grad f)^T pi (grad g): f differentiated along the
     Hamiltonian field of g, exactly."""
     if f.vars != VARS5 or g.vars != VARS5:
@@ -164,7 +136,7 @@ def poisson_bracket(f: Poly, g: Poly, pi: PoissonTensor) -> Poly:
     return lie_derivative(dict(zip(VARS5.names, ham_vector_field(pi, g))), f)
 
 
-def jacobi_residual(i: int, j: int, k: int, pi: PoissonTensor) -> Poly:
+def jacobi_residual(i: int, j: int, k: int, pi: Matrix) -> Poly:
     """Cyclic Jacobi sum for coordinate functions u_i, u_j, u_k (1-based)."""
     if not (1 <= i < j < k <= DIM):
         raise ValueError(f"need 1 <= i < j < k <= {DIM}, got ({i},{j},{k})")
@@ -177,7 +149,7 @@ def jacobi_residual(i: int, j: int, k: int, pi: PoissonTensor) -> Poly:
     )
 
 
-def all_jacobi_residuals(pi: PoissonTensor | None = None) -> dict[tuple[int, int, int], Poly]:
+def all_jacobi_residuals(pi: Matrix | None = None) -> dict[tuple[int, int, int], Poly]:
     pi = pi or mb_poisson_tensor()
     return {
         (i, j, k): jacobi_residual(i, j, k, pi)
@@ -187,22 +159,20 @@ def all_jacobi_residuals(pi: PoissonTensor | None = None) -> dict[tuple[int, int
     }
 
 
-def ham_vector_field(pi: PoissonTensor, h: Poly) -> tuple[Poly, ...]:
+def ham_vector_field(pi: Matrix, h: Poly) -> tuple[Poly, ...]:
     """The vector field pi * grad(h), componentwise: row i of pi, read as a
     field, differentiates h."""
-    return tuple(lie_derivative(dict(zip(VARS5.names, row)), h) for row in pi.entries)
+    return tuple(lie_derivative(dict(zip(VARS5.names, row)), h) for row in pi)
 
 
-def casimir_residual(pi: PoissonTensor) -> tuple[Poly, ...]:
+def casimir_residual(pi: Matrix) -> tuple[Poly, ...]:
     """pi * grad(C) for the distinguished function C; zero iff C is a Casimir."""
     return ham_vector_field(pi, model.invariant_symbolic(InvariantId.C))
 
 
-def antisymmetry_residuals(pi: PoissonTensor) -> list[Poly]:
+def antisymmetry_residuals(pi: Matrix) -> list[Poly]:
     """Entries of pi + pi^T; all zero iff the tensor is antisymmetric."""
-    return [
-        pi.entries[i][j] + pi.entries[j][i] for i in range(DIM) for j in range(i, DIM)
-    ]
+    return [pi[i][j] + pi[j][i] for i in range(DIM) for j in range(i, DIM)]
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +230,13 @@ def matrix_commutator_table(basis: Sequence[Matrix]) -> dict[tuple[int, int], tu
     return structure_constants(basis, commutator, _flatten_matrix)
 
 
-def _phi_matrix(v: Sequence[Poly], vars: VarSet) -> tuple[tuple[Poly, ...], ...]:
-    # components of v are (alpha, beta, gamma, delta, theta)
-    zero = Poly.zero(vars)
-    a, b, g, d, th = v
-    return (
-        (zero, -th, -a, g),
-        (zero, zero, -b, d),
-        (zero, zero, zero, zero),
-        (zero, zero, zero, zero),
-    )
+def _phi_matrix(v: Sequence[Poly], vars: VarSet) -> Matrix:
+    """Phi(v) = sum_k v_k E_k, each v_k placed at its E_k's one nonzero entry."""
+    rows = [[Poly.zero(vars)] * len(E_BASIS[0]) for _ in E_BASIS[0]]
+    for vk, e in zip(v, E_BASIS):
+        (r, c, x), = ((r, c, x) for r, row in enumerate(e) for c, x in enumerate(row) if x)
+        rows[r][c] = rows[r][c] + (vk if x == 1 else -vk if x == -1 else x * vk)
+    return _mat(rows)
 
 
 def vector_product(a: Sequence[Poly], b: Sequence[Poly]) -> tuple[Poly, ...]:
@@ -289,7 +256,7 @@ def iso_check_Phi() -> list[Poly]:
     return _flatten_matrix(mat_sub(lhs, commutator(_phi_matrix(a, vars), _phi_matrix(b, vars))))
 
 
-def cocycle_check(theta: Cocycle) -> tuple[list[str], dict[str, str]]:
+def cocycle_check(theta: Matrix) -> tuple[list[str], dict[str, str]]:
     """The failures of the 2-cocycle identity on all basis triples and of
     the non-coboundary witness [E1,E2] = 0 with theta(E1,E2) = 1, with that
     witness's values."""
@@ -297,7 +264,7 @@ def cocycle_check(theta: Cocycle) -> tuple[list[str], dict[str, str]]:
 
     def theta_bracket(i: int, j: int, k: int) -> Coeff:
         # theta([E_i, E_j], E_k) expanded through the brackets of E_BASIS
-        return sum(alpha[i][j][m] * theta.matrix[m][k] for m in range(DIM))
+        return sum(alpha[i][j][m] * theta[m][k] for m in range(DIM))
 
     failures: list[str] = []
     for i, j, k in itertools.combinations(range(DIM), 3):
@@ -306,9 +273,9 @@ def cocycle_check(theta: Cocycle) -> tuple[list[str], dict[str, str]]:
             failures.append(f"cocycle identity ({i+1},{j+1},{k+1}): {s}")
     if any(alpha[0][1]):
         failures.append(f"[E1,E2] != 0: coordinates {', '.join(map(str, alpha[0][1]))}")
-    if theta.matrix[0][1] != 1:
-        failures.append(f"theta(E1,E2) = {theta.matrix[0][1]} != 1")
+    if theta[0][1] != 1:
+        failures.append(f"theta(E1,E2) = {theta[0][1]} != 1")
     return failures, {
         "commutator_E1_E2": "nonzero" if any(alpha[0][1]) else "0",
-        "theta_E1_E2": str(theta.matrix[0][1]),
+        "theta_E1_E2": str(theta[0][1]),
     }

@@ -451,9 +451,8 @@ def noether_charge(u: VectorField) -> NoetherCharge:
     tangent, vars = VarSet(*model.VARST6.names, *params), VarSet(*model.VARS6.names, *params)
     lag = model.invariant_symbolic(InvariantId.L).rename(tangent)
     xi, *eta = (u[n].rename(tangent) for n in BASE_NAMES)
-    charge = xi * lag
-    for i, e in enumerate(eta, start=1):
-        charge = charge + (e - xi * Poly.var(tangent, f"qd{i}")) * lag.diff(f"qd{i}")
+    qd = {f"qd{i}": e - xi * Poly.var(tangent, f"qd{i}") for i, e in enumerate(eta, start=1)}
+    charge = xi * lag + lie_derivative(qd, lag)
     inverse = zip(model.VARST6.names, model.legendre_inverse_symbolic())
     charge = charge.substitute({name: c.rename(vars) for name, c in inverse})
     ham6 = zip(model.VARS6.names, model.rhs_symbolic(SystemId.HAM6))

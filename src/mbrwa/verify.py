@@ -43,10 +43,10 @@ def reference_poisson_entries() -> tuple[tuple[Poly, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def suite_poisson(pi: poisson.PoissonTensor) -> list[VerificationReport]:
+def suite_poisson(pi: poisson.Matrix) -> list[VerificationReport]:
     def assembly():
         ref = reference_poisson_entries()
-        return [pi.entries[i][j] - ref[i][j] for i in range(5) for j in range(5)]
+        return [pi[i][j] - ref[i][j] for i in range(5) for j in range(5)]
 
     def jacobi():
         jac = poisson.all_jacobi_residuals(pi)
@@ -361,7 +361,7 @@ SUITE_READERS = {
 
 def run_suite(
     name: str,
-    pi: poisson.PoissonTensor | None = None,
+    pi: poisson.Matrix | None = None,
     family: VectorField | None = None,
 ) -> list[VerificationReport]:
     """Run one named suite, or all of them in a fixed order, on the given

@@ -278,6 +278,14 @@ class TestIntegrate:
             with pytest.raises(BlowUpError):
                 integrate(IntegratorId.RK4, SystemId.MB5, huge, 0.0, 10.0, 1.0)
 
+    def test_invariant_blow_up_on_finite_states(self):
+        # RK4 keeps the equilibrium z = 1e155 exactly, where H = z**2 / 2
+        # overflows; at z = 1.2e154 each H is finite but their sum is not
+        for run in (integrators.run_rows, integrate):
+            with pytest.raises(BlowUpError, match="invariant H is not finite at t = 0$"):
+                run(IntegratorId.RK4, SystemId.MB5, (0, 0, 0, 0, 1e155), 0.0, 0.002, 1e-3)
+            run(IntegratorId.RK4, SystemId.MB5, (0, 0, 0, 0, 1.2e154), 0.0, 0.002, 1e-3)
+
 
 class TestOrbit:
     def test_times_are_the_array_grid(self):

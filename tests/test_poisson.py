@@ -106,21 +106,17 @@ class TestHamVectorField:
 
 class TestAssembly:
     def test_displayed_entries(self):
-        assert PI.entry(2, 5) == X1
-        assert PI.entry(4, 5) == X2
-        assert PI.entry(1, 2) == 1
-        assert PI.entry(3, 4) == 1
-        assert PI.entry(1, 3).is_zero
+        # PI is a tuple of rows, indexed from 0: PI[1][4] is pi_25
+        assert PI[1][4] == X1
+        assert PI[3][4] == X2
+        assert PI[0][1] == 1
+        assert PI[2][3] == 1
+        assert PI[0][2].is_zero
 
     def test_linear_entries_have_degree_at_most_one(self):
-        for row in PI.entries:
+        for row in PI:
             for p in row:
                 assert p.total_degree() <= 1
-
-    def test_structure_constant_antisymmetry_enforced(self):
-        ones = tuple(tuple(Fraction(1) for _ in range(5)) for _ in range(5))
-        with pytest.raises(ValueError, match="cocycle matrix not antisymmetric"):
-            poisson.Cocycle(matrix=ones)
 
 
 class TestMatrixAlgebra:
@@ -183,44 +179,39 @@ class TestCocycle:
     def test_non_coboundary_witness(self):
         m = poisson.commutator(poisson.E_BASIS[0], poisson.E_BASIS[1])
         assert not any(c for row in m for c in row)
-        assert poisson.mb_cocycle().matrix[0][1] == 1
+        assert poisson.mb_cocycle()[0][1] == 1
 
     def test_tampered_cocycle_fails(self):
-        theta = poisson.mb_cocycle().matrix
-        rows = [list(r) for r in theta]
+        rows = [list(r) for r in poisson.mb_cocycle()]
         # theta(E1,E3) != 0 breaks the identity on the triples (1,4,5) and (2,3,5)
         rows[0][2] = Fraction(1)
         rows[2][0] = Fraction(-1)
-        failures, _ = poisson.cocycle_check(poisson.Cocycle(matrix=tuple(map(tuple, rows))))
+        failures, _ = poisson.cocycle_check(poisson._mat(rows))
         assert failures == ["cocycle identity (1,4,5): -1", "cocycle identity (2,3,5): -1"]
 
 
 class TestOneBasedIndices:
-    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (6, 1), (1, 6), (-1, 2)])
-    def test_entry_outside_one_to_five_rejected(self, i, j):
-        # index 0 would read row 5 through Python's negative indexing
-        with pytest.raises(ValueError, match=rf"entry \({i}, {j}\): indices must be in 1..5"):
-            PI.entry(i, j)
-
-    @pytest.mark.parametrize("i, j", [(0, 2), (2, 0), (6, 1)])
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (0, 2), (2, 0), (6, 1), (1, 6), (-1, 2)])
     def test_flip_outside_one_to_five_rejected(self, i, j):
-        # (0, 2) would negate entry (5, 2)
-        with pytest.raises(ValueError, match="indices must be in 1..5"):
+        # index 0 would wrap through Python's negative indexing: (0, 2)
+        # would negate entry (5, 2)
+        message = rf"entry \({i}, {j}\): indices must be in 1..5"
+        with pytest.raises(ValueError, match=message):
             poisson.flip_entry_sign(PI, i, j)
-        with pytest.raises(ValueError, match="indices must be in 1..5"):
+        with pytest.raises(ValueError, match=message):
             poisson.flip_entry_sign(PI, i, j, antisymmetric=True)
 
     def test_flip_negates_the_entry_and_its_partner(self):
         flipped = poisson.flip_entry_sign(PI, 2, 5, antisymmetric=True)
-        assert (flipped.entry(2, 5), flipped.entry(5, 2)) == (-X1, X1)
-        assert flipped.entries[0] == PI.entries[0]
+        assert (flipped[1][4], flipped[4][1]) == (-X1, X1)
+        assert flipped[0] == PI[0]
 
 
 class TestCocycleWitnessFailures:
     def test_theta_e1_e2_is_not_one(self):
-        rows = [list(r) for r in poisson.mb_cocycle().matrix]
+        rows = [list(r) for r in poisson.mb_cocycle()]
         rows[0][1], rows[1][0] = 2, -2
-        failures, witnesses = poisson.cocycle_check(poisson.Cocycle(matrix=tuple(map(tuple, rows))))
+        failures, witnesses = poisson.cocycle_check(poisson._mat(rows))
         assert failures == ["theta(E1,E2) = 2 != 1"]
         assert witnesses == {"commutator_E1_E2": "0", "theta_E1_E2": "2"}
 
@@ -252,21 +243,25 @@ class TestMutationSensitivity:
         assert jac_bad or dyn_bad
 
     def test_negated_e5_reaches_the_tensor(self, monkeypatch):
-        # the tensor's linear part is read off E_BASIS's brackets, so a wrong
-        # basis matrix must show in the certificates built on the tensor
+        # the tensor's linear part is read off E_BASIS's brackets, and Phi is
+        # sum_k v_k E_k, so a wrong basis matrix must show in the
+        # certificates built on the tensor and in the isomorphism check
         e5 = tuple(tuple(-c for c in row) for row in poisson.E_BASIS[4])
         caches = (poisson._e_bracket_constants, poisson.mb_poisson_tensor)
         monkeypatch.setattr(poisson, "E_BASIS", poisson.E_BASIS[:4] + (e5,))
         for cached in caches:
             cached.cache_clear()
         try:
-            assert poisson.mb_poisson_tensor().entry(2, 5) == -X1
+            assert poisson.mb_poisson_tensor()[1][4] == -X1
             reports = {r.check: r.passed for r in verify.run_suite("poisson")}
+            algebra = {r.check: r.passed for r in verify.run_suite("algebra")}
         finally:
             for cached in caches:
                 cached.cache_clear()
         for check in ("pi-assembly", "casimir", "hamiltonian-field", "involution"):
             assert not reports[check], check
+        for check in ("E-commutator-table", "iso-Phi"):
+            assert not algebra[check], check
 
 
 class TestAlgebraSuiteFailures:
