@@ -58,6 +58,23 @@ class TestRhsSymbolic:
         x1, y1, x2, y2, z = Poly.variables(VARS5)
         assert model.rhs_symbolic(SystemId.MB5)[4] == -x1 * y1 - x2 * y2
 
+    def test_ham6_momentum_p3(self):
+        assert model.rhs_symbolic(SystemId.HAM6)[5].is_zero
+
+    def test_el6_first_acceleration(self):
+        q1 = Poly.var(VARST6, "q1")
+        qd3 = Poly.var(VARST6, "qd3")
+        assert model.rhs_symbolic(SystemId.EL6)[3] == q1 * qd3
+
+    def test_el6_is_first_order_form(self):
+        # substituting the accelerations back into the second-order residuals
+        # must give zero
+        rhs = model.rhs_symbolic(SystemId.EL6)
+        q1, q2, q3, qd1, qd2, qd3 = Poly.variables(VARST6)
+        acc1, acc2, acc3 = rhs[3], rhs[4], rhs[5]
+        assert (acc1 - q1 * qd3).is_zero
+        assert (acc2 - q2 * qd3).is_zero
+        assert (acc3 + q1 * qd1 + q2 * qd2).is_zero
 
 
 class TestInvariants:

@@ -191,7 +191,13 @@ class TestCocycle:
 
 
 class TestOneBasedIndices:
-    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (0, 2), (2, 0), (6, 1), (1, 6), (-1, 2)])
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (6, 1), (1, 6), (-1, 2)])
+    def test_entry_outside_one_to_five_rejected(self, i, j):
+        # the message names the offending entry
+        with pytest.raises(ValueError, match=rf"entry \({i}, {j}\): indices must be in 1..5"):
+            poisson.flip_entry_sign(PI, i, j)
+
+    @pytest.mark.parametrize("i, j", [(0, 2), (2, 0), (6, 1)])
     def test_flip_outside_one_to_five_rejected(self, i, j):
         # index 0 would wrap through Python's negative indexing: (0, 2)
         # would negate entry (5, 2)
