@@ -29,36 +29,42 @@ iterations, finiteness checks, solve, update, both stopping rules with
 ``NEWTON_TOL`` and ``NEWTON_MAX_ITER`` written in as constants, and a
 ``for ... else`` that raises ``NewtonError``.  A system's loop inlines its rhs
 in the predictor and in the Newton evaluation (the residual and the Newton
-matrix together); ``midpoint_step_field``'s loop calls a field and a Newton
-kernel.  The linear solve calls numpy's ``solve1`` gufunc directly: the
-LAPACK gesv kernel ``np.linalg.solve`` runs for a 1-D right-hand side,
-without the argument handling, so states keep their bits.  Each loop owns
-two buffers: one ``struct`` ``pack_into`` writes a kernel output into the
-first (the residual and Newton matrix are views of it), ``solve1`` writes
-the update into the second, and one ``unpack_from`` reads it back: 0.56 us
-and 1.65 us an iteration on 6x6, against 1.32 and 1.81 us for a slice
-assignment and ``.tolist()`` (timeit minima, 2-core x86-64).  A pure-Python
-elimination in place of gesv moved 3 of 60 012 states by up to 8.7e-19 on
-12 seeded 5000-step ham6 orbits.
+matrix together), each power ``v**k`` once as a local ``v_k``;
+``midpoint_step_field``'s loop calls a field and a Newton kernel.  The run's
+setup sets what h fixes once per ``_run`` call: RK4's ``a`` and ``b``, and
+midpoint's ``c = 0.5 * h`` and each Newton-matrix entry whose derivative is
+a nonzero constant, as written (``0.0 - x`` is not ``-x`` for x = 0.0).  The
+linear solve calls numpy's ``solve1`` gufunc directly: the LAPACK gesv
+kernel ``np.linalg.solve`` runs for a 1-D right-hand side, without the
+argument handling, so states keep their bits.  Each loop owns two buffers:
+one ``struct`` ``pack_into`` writes the Newton operands, passed as the locals
+``o<k>``, literals and setup names, into the first (the residual and Newton
+matrix are views of it), ``solve1`` writes the update into the second, and
+one ``unpack_from`` reads it back into ``d0, d1, ...``: with their finiteness
+tests, 0.97 us and 1.61 us an iteration on 6x6, against 1.35 and 1.81 us for
+a tuple tested with ``sum()`` and splatted (timeit minima, 2-core x86-64).  A
+pure-Python elimination in place of gesv moved 3 of 60 012 states by up to
+8.7e-19 on 12 seeded 5000-step ham6 orbits.
 
 Every loop keeps one float contract.  A float ``**`` raises OverflowError
 where numpy returns inf; the loop turns it into a BlowUpError at the step's
 time, as it does a Newton iterate, residual or update, or a state, that is
 not finite.  An exactly singular Newton matrix makes ``solve1`` warn unless
 an ``np.errstate`` ignores "invalid"; entering one costs about as much as a
-predictor, so no loop enters one, and ``_drive`` enters one per run.  A
-vector ``v`` is tested as ``not isfinite(sum(v)) and not all(map(isfinite,
-v))``, a state with its sum written ``x1 + y1 + ...``.  That is exact: a nan
-or infinite entry makes the sum nan or infinite (so does Python 3.12's
-compensated ``sum``, which adds its compensation term only when that is
-finite), and a sum of finite entries that overflows falls through to the
-test of each entry.
+predictor, so no loop enters one, and ``_drive`` enters one per run.  Floats
+``a, b, ...`` are tested as ``not isfinite(a + b + ...) and not (isfinite(a)
+and ...)``, exact: a nan or infinite entry makes the sum nan or infinite, and
+a finite sum that overflows falls through to each entry.  Setup entries,
+finite for a finite h, are left out.  No loop calls ``sum()``; ``run_rows``'
+invariant-column test does, exact on Python 3.12's compensated ``sum`` too,
+which adds its compensation term only when that is finite.
 """
 from __future__ import annotations
 
 import enum
 import itertools
 import math
+import re
 import sys
 from array import array
 from dataclasses import dataclass
@@ -141,13 +147,14 @@ def rk4_step_field(f: Callable, s: np.ndarray, t: float, h: float) -> np.ndarray
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4(system: SystemId) -> tuple[list, list]:
+def _rk4(system: SystemId) -> tuple[list, list, list]:
     """RK4 on ``system``: the rhs inlined four times in ``rk4_step_field``'s
     operation order, ``x + a*k`` with ``a = 0.5 * h``, then
-    ``x = x + b*(k1 + 2.0*k2 + 2.0*k3 + k4)`` with ``b = h / 6.0``."""
+    ``x = x + b*(k1 + 2.0*k2 + 2.0*k3 + k4)`` with ``b = h / 6.0``; a and b
+    are set once per run."""
     x, f = model.system_vars(system).names, model.rhs_symbolic(system)
     k = [[f"k{j}_{i}" for i in range(len(x))] for j in range(4)]
-    step, stage = ["a = 0.5 * h", "b = h / 6.0"], x
+    step, stage = [], x
     for j, scale in enumerate(("a", "a", "h", None)):
         step += [f"{kj} = {model._poly_source(p, stage)}" for kj, p in zip(k[j], f)]
         if scale:
@@ -155,7 +162,7 @@ def _rk4(system: SystemId) -> tuple[list, list]:
             step += [f"{s} = {xi} + {scale}*{kj}" for s, xi, kj in zip(stage, x, k[j])]
     step += [f"{xi} = {xi} + b*({k1} + 2.0*{k2} + 2.0*{k3} + {k4})"
              for xi, k1, k2, k3, k4 in zip(x, *k)]
-    return [], step
+    return [], ["a = 0.5 * h", "b = h / 6.0"], step
 
 
 def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: float) -> np.ndarray:
@@ -180,18 +187,18 @@ def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: 
 
 
 # The implicit midpoint step, written once.  ``_midpoint`` fills in the state
-# locals, the explicit Euler predictor (lines that set n0, n1, ...) and one
-# Newton evaluation (lines that set ``out``: the residual
-# ``new - x - h*f(mid)``, then the n*n entries of the Newton matrix
-# ``eye - (0.5*h)*jac(mid)``, at ``mid = 0.5*(x + new)``).  Newton stops when
-# the max-norm of its update drops below NEWTON_TOL, or when the update has
-# stopped shrinking within NEWTON_TOL * (1 + max|new|): at large |new|
+# locals, the Euler predictor (lines that set n0, n1, ...), one Newton
+# evaluation (lines that set ``o<k>`` for each entry k that varies with the
+# state: the residual ``new - x - h*f(mid)``, then the n*n Newton matrix
+# ``eye - (0.5*h)*jac(mid)``, at ``mid = 0.5*(x + new)``) and, for ``pack``,
+# every entry in that order: its local, literal or setup name.  Newton stops
+# when the max-norm of its update drops below NEWTON_TOL, or when the update
+# has stopped shrinking within NEWTON_TOL * (1 + max|new|): at large |new|
 # rounding alone keeps the update above an absolute tolerance.  After
-# NEWTON_MAX_ITER iterations it raises NewtonError.  An exactly singular
-# Newton matrix solves to all nan, so it ends the run as a blow-up.
-# ``_MIDPOINT_BUFFERS`` are the solve's two buffers, made once per loop.
+# NEWTON_MAX_ITER iterations it raises NewtonError.  An exactly singular Newton
+# matrix solves to all nan, a blow-up.  Each loop makes its ``_MIDPOINT_BUFFERS``.
 _MIDPOINT_BUFFERS = """\
-buf, update = np.empty({size}), np.empty({n})  # kernel output (residual, matrix); update
+buf, update = np.empty({size}), np.empty({n})  # Newton operands (residual, matrix); update
 residual, matrix = buf[:{n}], buf[{n}:].reshape({n}, {n})
 pack, unpack = Struct("{size}d").pack_into, Struct("{n}d").unpack_from"""
 
@@ -200,13 +207,12 @@ _MIDPOINT_STEP = """\
 update_norm = inf
 for _ in range({max_iter}):
     {kernel}
-    if not isfinite(sum(out)) and not all(map(isfinite, out)):
+    if {o_blowup}:
         raise BlowUpError(t)
-    pack(buf, 0, *out)
-    delta = unpack(solve1(matrix, residual, out=update))
-    if not isfinite(sum(delta)) and not all(map(isfinite, delta)):
+    pack(buf, 0, {entries})
+    {d}, = unpack(solve1(matrix, residual, update))
+    if {d_blowup}:
         raise BlowUpError(t)
-    {d}, = delta
     {update}
     previous, update_norm = update_norm, {d_norm}
     if update_norm <= {tol!r} or previous <= update_norm <= {tol!r} * (1.0 + {new_norm}):
@@ -216,8 +222,16 @@ else:
     raise NewtonError({max_iter}, update_norm)"""
 
 
-def _midpoint(x: Sequence[str], predictor: list, kernel: list) -> tuple[list, list]:
-    """``_MIDPOINT_STEP`` and its buffers on the state locals ``x``."""
+def _blowup(names: Sequence[str]) -> str:
+    """The test, written out, that one of the float locals ``names`` is not finite."""
+    each = " and ".join(f"isfinite({v})" for v in names)
+    return f"not isfinite({' + '.join(names)}) and not ({each})"
+
+
+def _midpoint(x: Sequence[str], setup: list, predictor: list, kernel: list,
+              entries: list) -> tuple[list, list, list]:
+    """``_MIDPOINT_STEP``'s buffers, the run's ``setup`` and the step on the
+    state locals ``x``, packing ``entries``; it tests their locals ``o<k>``."""
     n, new, d = len(x), [f"n{i}" for i in range(len(x))], [f"d{i}" for i in range(len(x))]
 
     def max_abs(names):
@@ -225,31 +239,46 @@ def _midpoint(x: Sequence[str], predictor: list, kernel: list) -> tuple[list, li
 
     slots = dict(
         n=n, size=n + n * n, d=", ".join(d), predictor="\n".join(predictor),
-        kernel="\n    ".join(kernel),
+        kernel="\n    ".join(kernel), entries=", ".join(entries),
+        o_blowup=_blowup([e for e in entries if e.startswith("o")]), d_blowup=_blowup(d),
         update="\n    ".join(f"{ni} = {ni} - {di}" for ni, di in zip(new, d)),
         accept="\n        ".join(f"{xi} = {ni}" for xi, ni in zip(x, new)),
         d_norm=max_abs(d), new_norm=max_abs(new), tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
     )
-    return _MIDPOINT_BUFFERS.format(**slots).split("\n"), _MIDPOINT_STEP.format(**slots).split("\n")
+    return (_MIDPOINT_BUFFERS.format(**slots).split("\n"), setup,
+            _MIDPOINT_STEP.format(**slots).split("\n"))
 
 
-def _system_midpoint(system: SystemId) -> tuple[list, list]:
+def _powers_once(lines: list) -> list:
+    """``lines`` after ``v_k = v**k`` for each distinct ``v**k`` in them, read
+    there as ``v_k``: ``**`` binds tighter than ``*`` and unary minus."""
+    power, text = r"\b([A-Za-z_]\w*)\*\*(\d+)", "\n".join(lines)
+    hoisted = [f"{v}_{k} = {v}**{k}" for v, k in dict.fromkeys(re.findall(power, text))]
+    return hoisted + re.sub(power, r"\1_\2", text).split("\n")
+
+
+def _system_midpoint(system: SystemId) -> tuple[list, list, list]:
     """The midpoint scheme on ``system``: its rhs inlined in the predictor
     and in the Newton evaluation, in ``midpoint_step_field``'s operation
     order, with the Newton matrix row by row.  A Jacobian entry that is
     identically zero is written as its value for a finite h, ``1.0`` on the
-    diagonal and ``0.0`` off it."""
+    diagonal and ``0.0`` off it; a nonzero constant one is a setup name."""
     x, f, source = model.system_vars(system).names, model.rhs_symbolic(system), model._poly_source
     new, mid = [f"n{i}" for i in range(len(x))], [f"m{i}" for i in range(len(x))]
-    out = [f"{ni} - {xi} - h*{source(p, mid)}" for ni, xi, p in zip(new, x, f)]
+    entries = [f"{ni} - {xi} - h*{source(p, mid)}" for ni, xi, p in zip(new, x, f)]
+    fixed = {"1.0": "1.0", "0.0": "0.0"}  # an entry constant for a fixed h: its literal or j<k>
     for i, p in enumerate(f):
         for j, name in enumerate(x):
             d, eye = p.diff(name), "1.0" if i == j else "0.0"
-            out.append(eye if d.is_zero else f"{eye} - c*{source(d, mid)}")
-    return _midpoint(
-        x, [f"{ni} = {xi} + h * {source(p, x)}" for ni, xi, p in zip(new, x, f)],
-        ["c = 0.5 * h", *(f"{m} = 0.5*({xi} + {ni})" for m, xi, ni in zip(mid, x, new)),
-         f"out = ({', '.join(out)},)"])
+            entries.append(eye if d.is_zero else f"{eye} - c*{source(d, mid)}")
+            if d.total_degree() == 0:
+                fixed.setdefault(entries[-1], f"j{len(fixed) - 2}")
+    setup = ["c = 0.5 * h", *(f"{name} = {e}" for e, name in fixed.items() if name != e)]
+    kernel = [*(f"{m} = 0.5*({xi} + {ni})" for m, xi, ni in zip(mid, x, new)),
+              *_powers_once([f"o{k} = {e}" for k, e in enumerate(entries) if e not in fixed])]
+    predictor = _powers_once([f"{ni} = {xi} + h * {source(p, x)}" for ni, xi, p in zip(new, x, f)])
+    return _midpoint(x, setup, predictor, kernel,
+                     [fixed.get(e, f"o{k}") for k, e in enumerate(entries)])
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +286,8 @@ def _system_midpoint(system: SystemId) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 
 # ``_make(f, kernel)`` makes the scheme's buffers and binds a field loop's
-# ``f`` and Newton ``kernel`` (None in a system's loop).  ``_run`` takes steps
-# start..stop-1 of size h from the state given and returns the state reached.
+# ``f`` and Newton ``kernel`` (None in a system's loop).  ``_run`` runs the
+# setups, takes steps start..stop-1 of size h and returns the state reached.
 _RUN = """
 def _make(f, kernel):
     {buffers}
@@ -268,7 +297,7 @@ def _make(f, kernel):
             for k in range(start, stop):
                 t = t0 + h*k
                 {step}
-                if not isfinite({x_sum}) and not ({x_finite}):
+                if {x_blowup}:
                     raise BlowUpError(t)
                 {emit}
         except OverflowError:
@@ -304,13 +333,13 @@ def _emit(emit: str, system: SystemId) -> tuple[str, list, list, list]:
 
 def _compile_loop(x: Sequence[str], scheme: tuple, slot: tuple, **namespace) -> Callable:
     """``_RUN``'s ``_make`` for the state locals ``x``, a scheme's
-    (buffers, step) lines and an emit slot."""
-    (buffers, step), (emit_args, setup, emit, teardown) = scheme, slot
+    (buffers, setup, step) lines and an emit slot."""
+    (buffers, scheme_setup, step), (emit_args, emit_setup, emit, teardown) = scheme, slot
     source = _RUN.format(
         x=", ".join(x), emit_args=emit_args, buffers="\n    ".join(buffers),
-        setup="\n        ".join(setup), step="\n                ".join(step),
+        setup="\n        ".join([*scheme_setup, *emit_setup]), step="\n                ".join(step),
         emit="\n                ".join(emit), teardown="\n        ".join(teardown),
-        x_sum=" + ".join(x), x_finite=" and ".join(f"isfinite({xi})" for xi in x),
+        x_blowup=_blowup(x),
     )
     source = "\n".join(line for line in source.split("\n") if line.strip()) + "\n"
     from struct import Struct  # numpy has loaded it; imported here, at first compile
@@ -331,12 +360,13 @@ def _compile_run(method: IntegratorId, system: SystemId, emit: str) -> Callable:
 def _field_midpoint(n: int) -> Callable:
     """The ``_make`` of the midpoint loop in n dimensions with no emit,
     calling ``f(*x)`` for the predictor and ``kernel(*x, *new, h)`` for each
-    Newton evaluation."""
+    Newton evaluation, whose tuple it unpacks into ``o0, o1, ...``."""
     x, v = [f"x{i}" for i in range(n)], [f"v{i}" for i in range(n)]
+    o = [f"o{k}" for k in range(n + n * n)]
     predictor = [f"{', '.join(v)}, = f({', '.join(x)})",
                  *(f"n{i} = {xi} + h * {vi}" for i, (xi, vi) in enumerate(zip(x, v)))]
-    kernel = [f"out = kernel({', '.join(x)}, {', '.join(f'n{i}' for i in range(n))}, h)"]
-    return _compile_loop(x, _midpoint(x, predictor, kernel), _emit("none", None))
+    kernel = [f"{', '.join(o)}, = kernel({', '.join(x + [f'n{i}' for i in range(n)])}, h)"]
+    return _compile_loop(x, _midpoint(x, [], predictor, kernel, o), _emit("none", None))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import struct
 from fractions import Fraction
 from functools import lru_cache
@@ -344,26 +345,42 @@ def test_generated_kernel_source_is_pinned():
     assert compiled == golden["compiled_sources"]
     # the rhs, Newton evaluation and invariants pinned as fragments, before
     # the runs were pinned whole, are where each run executes them: the
-    # step right after the step's time, the Newton evaluation first in each
-    # iteration, the invariants right after the test of the state
+    # step right after the step's time, RK4's a and b and midpoint's c in the
+    # run's setup, the Newton evaluation first in each iteration and its
+    # entries in the pack, the invariants right after the test of the state.
+    # A name the midpoint run hoists (a power v_k, a constant entry j<k>)
+    # reads back as the expression it is set to.
     for system in SystemId:
         x, pinned = model.system_vars(system).names, golden[system.value]
         newton = pinned["midpoint_newton_source"]
         stage = [f"k0_{i} = {f}" for i, f in enumerate(pinned["rhs_source"])]
         predictor = [f"n{i} = {xi} + h * {f}" for i, (xi, f) in enumerate(zip(x, pinned["rhs_source"]))]
-        kernel = [*newton["body"], f"out = ({', '.join(newton['returns'])},)"]
         values = [f"v{i} = {golden['invariants'][inv.value]}"
                   for i, inv in enumerate(model.system_invariants(system))]
         for emit in EMITS:
             rk4 = [line.strip() for line in compiled[system.value][f"rk4_{emit}"]]
             midpoint = [line.strip() for line in compiled[system.value][f"midpoint_{emit}"]]
+            assert _setup(rk4)[:2] == ["a = 0.5 * h", "b = h / 6.0"]
             start = rk4.index("t = t0 + h*k") + 1
-            assert rk4[start:start + 2] == ["a = 0.5 * h", "b = h / 6.0"]
-            assert stage == rk4[start + 2:start + 2 + len(x)]
-            start = midpoint.index("t = t0 + h*k") + 1
-            assert predictor == midpoint[start:start + len(x)]
+            assert stage == rk4[start:start + len(x)]
+            setup, hoisted = _setup(midpoint), {}
+            assert setup[0] == newton["body"][0] == "c = 0.5 * h"
+            for line in midpoint:
+                name, _, expr = line.partition(" = ")
+                if re.fullmatch(r"j\d+", name) and line in setup or re.fullmatch(r"\w+\*\*\d+", expr):
+                    hoisted[name] = expr
+
+            def read_back(text):
+                return re.sub(r"\b\w+\b", lambda m: hoisted.get(m.group(), m.group()), text)
+
+            start, stop = midpoint.index("t = t0 + h*k") + 1, midpoint.index("update_norm = inf")
+            assert predictor == [read_back(line) for line in midpoint[start:stop]
+                                 if line.partition(" = ")[0] not in hoisted]
             start = midpoint.index("for _ in range(50):") + 1
-            assert kernel == midpoint[start:start + len(kernel)]
+            assert newton["body"][1:] == midpoint[start:start + len(x)]
+            entries = dict(line.split(" = ", 1) for line in midpoint[start:]
+                           if re.match(r"o\d+ = ", line))
+            assert [read_back(entries.get(a, a)) for a in _pack_args(midpoint)] == newton["returns"]
             for run in (rk4, midpoint):
                 start = next(i for i, line in enumerate(run)
                              if line.startswith(f"if not isfinite({' + '.join(x)}) and")) + 2
@@ -381,6 +398,29 @@ def test_generated_kernel_source_is_pinned():
         for inv in InvariantId
     }
     assert invariants == golden["invariants"]
+
+
+@pytest.mark.parametrize("emit", EMITS)
+@pytest.mark.parametrize("system", list(SystemId))
+def test_midpoint_iteration_repeats_no_work(system, emit):
+    # what a fixed h fixes is set once per run: a Newton iteration, up to its
+    # pack, sets no c and no Newton-matrix entry whose derivative is a
+    # constant, and it evaluates each power once, as does the predictor
+    lines = [line.strip() for line in
+             integrators._compile_run(IntegratorId.IMPLICIT_MIDPOINT, system, emit).source.split("\n")]
+    start = lines.index("for _ in range(50):") + 1
+    iteration = "\n".join(lines[start:next(i for i in range(start, len(lines))
+                                          if lines[i].startswith("pack("))])
+    x, mid = model.system_vars(system).names, [f"m{i}" for i in range(model.system_dim(system))]
+    constant = [f"{'1.0' if i == j else '0.0'} - c*{model._poly_source(d, mid)}"
+                for i, p in enumerate(model.rhs_symbolic(system))
+                for j, d in enumerate(p.diff(v) for v in x) if d.total_degree() == 0]
+    assert constant and "c = " not in iteration
+    assert not [entry for entry in constant if entry in iteration]
+    predictor = "\n".join(lines[lines.index("t = t0 + h*k") + 1:lines.index("update_norm = inf")])
+    for text in (predictor, iteration):
+        powers = re.findall(r"\b\w+\*\*\d+", text)
+        assert len(powers) == len(set(powers))
 
 
 def test_compiled_rhs_matches_symbolic():
@@ -460,23 +500,39 @@ def _run_lines(method: IntegratorId, system: SystemId) -> list:
 
 
 def _rk4_kernel(system: SystemId):
-    """The RK4 step of the system's run text, the lines of one step, as a
-    function ``(*x, h) -> tuple``."""
+    """The RK4 step of the system's run text, the run's setup lines then the
+    lines of one step, as a function ``(*x, h) -> tuple``."""
     lines, x = _run_lines(IntegratorId.RK4, system), model.system_vars(system).names
     start = lines.index("t = t0 + h*k") + 1
     stop = next(i for i, line in enumerate(lines) if line.startswith("if not isfinite("))
-    return model._compile_scalar("_rk4", (*x, "h"), lines[start:stop], x)
+    return model._compile_scalar("_rk4", (*x, "h"), _setup(lines) + lines[start:stop], x)
+
+
+def _setup(lines: list) -> list:
+    """The run's setup in the stripped lines of a run text: the lines that
+    ``_run`` runs before its loop."""
+    start = next(i for i, line in enumerate(lines) if line.startswith("def _run(")) + 1
+    return lines[start:lines.index("try:")]
+
+
+def _pack_args(lines: list) -> list:
+    """The arguments after ``buf, 0`` of the ``pack`` call in the stripped
+    lines of a midpoint run text."""
+    pack = next(line for line in lines if line.startswith("pack(buf, 0, "))
+    return pack[len("pack(buf, 0, "):-1].split(", ")
 
 
 def _newton_kernel(system: SystemId):
-    """The Newton evaluation of the system's midpoint step text, the lines
-    that set ``out``, as a function ``(*x, *new, h) -> tuple``."""
+    """The Newton evaluation of the system's midpoint step text, the run's
+    setup lines then the lines of an iteration before its test of the
+    entries, as a function ``(*x, *new, h) -> tuple`` of the ``pack``
+    arguments: the residual, then the Newton matrix row by row."""
     lines = _run_lines(IntegratorId.IMPLICIT_MIDPOINT, system)
     start = lines.index("for _ in range(50):") + 1
-    body = lines[start:next(i for i, line in enumerate(lines) if line.startswith("out = (")) + 1]
+    body = lines[start:next(i for i in range(start, len(lines)) if lines[i].startswith("if not isfinite("))]
     new = [f"n{i}" for i in range(model.system_dim(system))]
     return model._compile_scalar("_newton", (*model.system_vars(system).names, *new, "h"),
-                                 body, ["*out"])
+                                 _setup(lines) + body, _pack_args(lines))
 
 
 def _newton_states(n: int) -> list:
