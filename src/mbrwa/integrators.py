@@ -8,21 +8,24 @@ is a Newton iteration with the analytic Jacobian, obtained by symbolic
 differentiation of the polynomial right-hand side and compiled to floats.
 
 Fixed step only: adaptive stepping would break the drift-scaling tests and
-nothing here needs it.  Every run is one generated loop over local floats,
-the text ``_RUN``, compiled on first use once per (method, system, emit).
-Step k, at ``t = t0 + h*k``, is the scheme's one step text inlined (RK4's
-stage lines, or ``_MIDPOINT_STEP``), then the state's finiteness test, then
-the emit slot: ``fold`` (``run_drift``: the invariant lines of
+nothing here needs it.  Every run is one generated function over local
+floats, the text ``_RUN``, compiled on first use once per (method, system,
+emit).  Step k, at ``t = t0 + h*k``, is the scheme's one step text inlined
+(RK4's stage lines, or ``_MIDPOINT_STEP``), then the state's finiteness
+test, then the emit slot: ``fold`` (``run_drift``: the invariant lines of
 ``model.invariants_compiled`` and a running maximum of ``abs(v - v0)``, in
 O(1) memory), ``rows`` (``run_rows``: ``(t, *state, *invariants)`` of every
-``every``-th row, packed in one ``array('d')``) or ``none`` (``step``).
-``_drive`` runs the full steps, then the partial step onto t_end, inside the
-run's one ``np.errstate``.  The loops run on Python floats, never numpy
-columns: an array's ``x**2`` is ``x*x``, a scalar's is libm ``pow``, and they
-differ in the last bit on about 0.09% of doubles.  The array steps on a field
-of numpy arrays (``rk4_step_field``, ``midpoint_step_field``) keep the
-generated steps' operation order, and numpy scalars call ``pow`` too, so the
-two give the same bits.
+``every``-th row and the last, packed in one ``array('d')``) or ``none``
+(``step``).  ``fold`` and ``rows`` apply one rule to the invariants of each
+row they make: the first that is not finite, by row then column, is kept as
+a BlowUpError and raised once the run ends, so a later non-finite state
+wins.  ``_drive`` runs the full steps, then the partial step onto t_end,
+inside the run's one ``np.errstate``.  The loops run on Python floats, never
+numpy columns: an array's ``x**2`` is ``x*x``, a scalar's is libm ``pow``,
+and they differ in the last bit on about 0.09% of doubles.  The array steps
+on a field of numpy arrays (``rk4_step_field``, ``midpoint_step_field``) keep
+the generated steps' operation order, and numpy scalars call ``pow`` too, so
+the two give the same bits.
 
 ``_MIDPOINT_STEP`` is the one midpoint step text: Euler predictor, Newton
 iterations, finiteness checks, solve, update, both stopping rules with
@@ -36,15 +39,16 @@ midpoint's ``c = 0.5 * h`` and each Newton-matrix entry whose derivative is
 a nonzero constant, as written (``0.0 - x`` is not ``-x`` for x = 0.0).  The
 linear solve calls numpy's ``solve1`` gufunc directly: the LAPACK gesv
 kernel ``np.linalg.solve`` runs for a 1-D right-hand side, without the
-argument handling, so states keep their bits.  Each loop owns two buffers:
-one ``struct`` ``pack_into`` writes the Newton operands, passed as the locals
-``o<k>``, literals and setup names, into the first (the residual and Newton
-matrix are views of it), ``solve1`` writes the update into the second, and
-one ``unpack_from`` reads it back into ``d0, d1, ...``: with their finiteness
-tests, 0.97 us and 1.61 us an iteration on 6x6, against 1.35 and 1.81 us for
-a tuple tested with ``sum()`` and splatted (timeit minima, 2-core x86-64).  A
-pure-Python elimination in place of gesv moved 3 of 60 012 states by up to
-8.7e-19 on 12 seeded 5000-step ham6 orbits.
+argument handling, so states keep their bits.  Each run call makes two
+buffers in its setup: one ``struct`` ``pack_into`` writes the Newton
+operands, passed as the locals ``o<k>``, literals and setup names, into the
+first (the residual and Newton matrix are views of it), ``solve1`` writes
+the update into the second, and one ``unpack_from`` reads it back into
+``d0, d1, ...``: with their finiteness tests, 0.97 us and 1.61 us an
+iteration on 6x6, against 1.35 and 1.81 us for a tuple tested with ``sum()``
+and splatted (timeit minima, 2-core x86-64).  A pure-Python elimination in
+place of gesv moved 3 of 60 012 states by up to 8.7e-19 on 12 seeded
+5000-step ham6 orbits.
 
 Every loop keeps one float contract.  A float ``**`` raises OverflowError
 where numpy returns inf; the loop turns it into a BlowUpError at the step's
@@ -55,9 +59,8 @@ predictor, so no loop enters one, and ``_drive`` enters one per run.  Floats
 ``a, b, ...`` are tested as ``not isfinite(a + b + ...) and not (isfinite(a)
 and ...)``, exact: a nan or infinite entry makes the sum nan or infinite, and
 a finite sum that overflows falls through to each entry.  Setup entries,
-finite for a finite h, are left out.  No loop calls ``sum()``; ``run_rows``'
-invariant-column test does, exact on Python 3.12's compensated ``sum`` too,
-which adds its compensation term only when that is finite.
+finite for a finite h, are left out.  Nothing calls ``sum()`` on floats, so
+no result rests on Python 3.12's compensated ``sum``.
 """
 from __future__ import annotations
 
@@ -134,7 +137,7 @@ class DriftReport:
 
 # ---------------------------------------------------------------------------
 # The two schemes: each array step, beside the text of its generated step.  A
-# scheme's text is two lists of lines: its buffers, made once per loop, and
+# scheme's text is two lists of lines: its setup, run once per run call, and
 # its step, which updates the state locals.
 # ---------------------------------------------------------------------------
 
@@ -147,7 +150,7 @@ def rk4_step_field(f: Callable, s: np.ndarray, t: float, h: float) -> np.ndarray
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4(system: SystemId) -> tuple[list, list, list]:
+def _rk4(system: SystemId) -> tuple[list, list]:
     """RK4 on ``system``: the rhs inlined four times in ``rk4_step_field``'s
     operation order, ``x + a*k`` with ``a = 0.5 * h``, then
     ``x = x + b*(k1 + 2.0*k2 + 2.0*k3 + k4)`` with ``b = h / 6.0``; a and b
@@ -162,7 +165,7 @@ def _rk4(system: SystemId) -> tuple[list, list, list]:
             step += [f"{s} = {xi} + {scale}*{kj}" for s, xi, kj in zip(stage, x, k[j])]
     step += [f"{xi} = {xi} + b*({k1} + 2.0*{k2} + 2.0*{k3} + {k4})"
              for xi, k1, k2, k3, k4 in zip(x, *k)]
-    return [], ["a = 0.5 * h", "b = h / 6.0"], step
+    return ["a = 0.5 * h", "b = h / 6.0"], step
 
 
 def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: float) -> np.ndarray:
@@ -178,10 +181,10 @@ def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: 
         mid = 0.5 * (x + new)
         return (*(new - x - h * f(mid)), *(eye - 0.5 * h * jac(mid)).ravel())
 
-    run = _field_midpoint(n)(lambda *x: f(np.array(x)), kernel)
     with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
         try:
-            return np.array(run(*s.tolist(), t, h, 1, 2))
+            return np.array(_field_midpoint(n)(*s.tolist(), t, h, 1, 2,
+                                               lambda *x: f(np.array(x)), kernel))
         except BlowUpError:
             return np.full(n, math.nan)
 
@@ -196,7 +199,8 @@ def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: 
 # has stopped shrinking within NEWTON_TOL * (1 + max|new|): at large |new|
 # rounding alone keeps the update above an absolute tolerance.  After
 # NEWTON_MAX_ITER iterations it raises NewtonError.  An exactly singular Newton
-# matrix solves to all nan, a blow-up.  Each loop makes its ``_MIDPOINT_BUFFERS``.
+# matrix solves to all nan, a blow-up.  ``_MIDPOINT_BUFFERS`` join the run's
+# setup, so each run call makes its own.
 _MIDPOINT_BUFFERS = """\
 buf, update = np.empty({size}), np.empty({n})  # Newton operands (residual, matrix); update
 residual, matrix = buf[:{n}], buf[{n}:].reshape({n}, {n})
@@ -229,9 +233,9 @@ def _blowup(names: Sequence[str]) -> str:
 
 
 def _midpoint(x: Sequence[str], setup: list, predictor: list, kernel: list,
-              entries: list) -> tuple[list, list, list]:
-    """``_MIDPOINT_STEP``'s buffers, the run's ``setup`` and the step on the
-    state locals ``x``, packing ``entries``; it tests their locals ``o<k>``."""
+              entries: list) -> tuple[list, list]:
+    """The run's ``setup`` then ``_MIDPOINT_STEP``'s buffers, and the step on
+    the state locals ``x``, packing ``entries``; it tests their locals ``o<k>``."""
     n, new, d = len(x), [f"n{i}" for i in range(len(x))], [f"d{i}" for i in range(len(x))]
 
     def max_abs(names):
@@ -245,7 +249,7 @@ def _midpoint(x: Sequence[str], setup: list, predictor: list, kernel: list,
         accept="\n        ".join(f"{xi} = {ni}" for xi, ni in zip(x, new)),
         d_norm=max_abs(d), new_norm=max_abs(new), tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
     )
-    return (_MIDPOINT_BUFFERS.format(**slots).split("\n"), setup,
+    return ([*setup, *_MIDPOINT_BUFFERS.format(**slots).split("\n")],
             _MIDPOINT_STEP.format(**slots).split("\n"))
 
 
@@ -257,7 +261,7 @@ def _powers_once(lines: list) -> list:
     return hoisted + re.sub(power, r"\1_\2", text).split("\n")
 
 
-def _system_midpoint(system: SystemId) -> tuple[list, list, list]:
+def _system_midpoint(system: SystemId) -> tuple[list, list]:
     """The midpoint scheme on ``system``: its rhs inlined in the predictor
     and in the Newton evaluation, in ``midpoint_step_field``'s operation
     order, with the Newton matrix row by row.  A Jacobian entry that is
@@ -285,72 +289,69 @@ def _system_midpoint(system: SystemId) -> tuple[list, list, list]:
 # The run loop, written once
 # ---------------------------------------------------------------------------
 
-# ``_make(f, kernel)`` makes the scheme's buffers and binds a field loop's
-# ``f`` and Newton ``kernel`` (None in a system's loop).  ``_run`` runs the
-# setups, takes steps start..stop-1 of size h and returns the state reached.
+# ``_run`` runs the scheme's setup, then the emit slot's, takes steps
+# start..stop-1 of size h and returns the state reached.
 _RUN = """
-def _make(f, kernel):
-    {buffers}
-    def _run({x}, t0, h, start, stop{emit_args}):
-        {setup}
-        try:
-            for k in range(start, stop):
-                t = t0 + h*k
-                {step}
-                if {x_blowup}:
-                    raise BlowUpError(t)
-                {emit}
-        except OverflowError:
-            raise BlowUpError(t) from None
-        {teardown}
-        return {x},
-    return _run
+def _run({x}, t0, h, start, stop{args}):
+    {setup}
+    try:
+        for k in range(start, stop):
+            t = t0 + h*k
+            {step}
+            if {x_blowup}:
+                raise BlowUpError(t)
+            {emit}
+    except OverflowError:
+        raise BlowUpError(t) from None
+    {teardown}
+    return {x},
 """
 
 
 def _emit(emit: str, system: SystemId) -> tuple[str, list, list, list]:
     """The emit slot ``emit`` on ``system``: (arguments, lines before the
-    loop, lines after each step, lines after the loop)."""
+    loop, lines after each step, lines after the loop).  ``rows`` and
+    ``fold`` carry their locals, the first BlowUpError of an invariant
+    ``bad`` last, in the list ``acc`` from one run call to the next."""
     if emit == "none":
         return "", [], [], []
     x, m = model.system_vars(system).names, len(system_invariants(system))
     v, lines = [f"v{j}" for j in range(m)], model.invariant_lines(system)
-    if emit == "rows":
-        return ", extend, every", [], [
-            "if k % every == 0:", *(f"    {line}" for line in lines),
-            f"    extend((t, {', '.join([*x, *v])}))"], []
-    # fold: i0, ... the invariants at row 0, w0, ... the largest deviations,
-    # v0, ... the last row's values, and the first BlowUpError of an invariant
-    i, w = [f"i{j}" for j in range(m)], [f"w{j}" for j in range(m)]
-    finite = [f"isfinite({vj})" for vj in v]
-    for ij, wj, vj in zip(i, w, v):
-        lines += [f"d = abs({vj} - {ij})", f"if d > {wj}:", f"    {wj} = d"]
-    lines += [f"if not isfinite({' + '.join(v)}) and bad is None and not ({' and '.join(finite)}):",
-              f"    bad = BlowUpError(t, invariants[({', '.join(finite)},).index(False)])"]
-    return (", acc", [f"{', '.join([*i, *w, *v])}, bad = acc"], lines,
-            [f"acc[{m}:] = {', '.join([*w, *v])}, bad"])
+    finite = ", ".join(f"isfinite({vj})" for vj in v)
+    rule = [f"if {_blowup(v)} and bad is None:",
+            f"    bad = BlowUpError(t, invariants[({finite},).index(False)])"]
+    if emit == "rows":  # every every-th row and row ``last``
+        carried, args = ["bad"], ", extend, every, last, acc"
+        lines = ["if k % every == 0 or k == last:", *(f"    {line}" for line in
+                 [*lines, f"extend((t, {', '.join([*x, *v])}))", *rule])]
+    else:  # fold: i0, ... row 0's invariants, w0, ... the largest deviations, v0, ... the last row's
+        i, w = [f"i{j}" for j in range(m)], [f"w{j}" for j in range(m)]
+        carried, args = [*i, *w, *v, "bad"], ", acc"
+        for ij, wj, vj in zip(i, w, v):
+            lines += [f"d = abs({vj} - {ij})", f"if d > {wj}:", f"    {wj} = d"]
+        lines += rule
+    return args, [f"{', '.join(carried)}, = acc"], lines, [f"acc[:] = {', '.join(carried)},"]
 
 
 def _compile_loop(x: Sequence[str], scheme: tuple, slot: tuple, **namespace) -> Callable:
-    """``_RUN``'s ``_make`` for the state locals ``x``, a scheme's
-    (buffers, setup, step) lines and an emit slot."""
-    (buffers, scheme_setup, step), (emit_args, emit_setup, emit, teardown) = scheme, slot
+    """``_RUN`` for the state locals ``x``, a scheme's (setup, step) lines
+    and an emit slot."""
+    (scheme_setup, step), (args, emit_setup, emit, teardown) = scheme, slot
     source = _RUN.format(
-        x=", ".join(x), emit_args=emit_args, buffers="\n    ".join(buffers),
-        setup="\n        ".join([*scheme_setup, *emit_setup]), step="\n                ".join(step),
-        emit="\n                ".join(emit), teardown="\n        ".join(teardown),
-        x_blowup=_blowup(x),
+        x=", ".join(x), args=args, setup="\n    ".join([*scheme_setup, *emit_setup]),
+        step="\n            ".join(step), emit="\n            ".join(emit),
+        teardown="\n    ".join(teardown), x_blowup=_blowup(x),
     )
     source = "\n".join(line for line in source.split("\n") if line.strip()) + "\n"
     from struct import Struct  # numpy has loaded it; imported here, at first compile
-    return model._compile(source, "_make", np=np, solve1=solve1, Struct=Struct,
+    return model._compile(source, "_run", np=np, solve1=solve1, Struct=Struct,
                           isfinite=math.isfinite, inf=math.inf, NewtonError=NewtonError,
                           BlowUpError=BlowUpError, **namespace)
 
 
 @lru_cache(maxsize=None)
 def _compile_run(method: IntegratorId, system: SystemId, emit: str) -> Callable:
-    """The ``_make`` of ``method``'s loop on ``system`` with the ``emit`` slot."""
+    """``_run`` of ``method``'s loop on ``system`` with the ``emit`` slot."""
     scheme = _rk4(system) if method is IntegratorId.RK4 else _system_midpoint(system)
     return _compile_loop(model.system_vars(system).names, scheme, _emit(emit, system),
                          invariants=system_invariants(system))
@@ -358,15 +359,16 @@ def _compile_run(method: IntegratorId, system: SystemId, emit: str) -> Callable:
 
 @lru_cache(maxsize=None)
 def _field_midpoint(n: int) -> Callable:
-    """The ``_make`` of the midpoint loop in n dimensions with no emit,
-    calling ``f(*x)`` for the predictor and ``kernel(*x, *new, h)`` for each
-    Newton evaluation, whose tuple it unpacks into ``o0, o1, ...``."""
+    """``_run`` of the midpoint loop in n dimensions with no emit, taking
+    ``f`` and ``kernel`` after its stop: it calls ``f(*x)`` for the
+    predictor and ``kernel(*x, *new, h)`` for each Newton evaluation, whose
+    tuple it unpacks into ``o0, o1, ...``."""
     x, v = [f"x{i}" for i in range(n)], [f"v{i}" for i in range(n)]
     o = [f"o{k}" for k in range(n + n * n)]
     predictor = [f"{', '.join(v)}, = f({', '.join(x)})",
                  *(f"n{i} = {xi} + h * {vi}" for i, (xi, vi) in enumerate(zip(x, v)))]
     kernel = [f"{', '.join(o)}, = kernel({', '.join(x + [f'n{i}' for i in range(n)])}, h)"]
-    return _compile_loop(x, _midpoint(x, [], predictor, kernel, o), _emit("none", None))
+    return _compile_loop(x, _midpoint(x, [], predictor, kernel, o), (", f, kernel", [], [], []))
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +413,20 @@ def _drive(method: IntegratorId, system: SystemId, emit: str, s: tuple, segments
            *args) -> tuple:
     """The state the (method, system, emit) loop reaches from ``s`` over the
     segments, inside one ``np.errstate``."""
-    run = _compile_run(method, system, emit)(None, None)
+    run = _compile_run(method, system, emit)
     with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
         for segment in segments:
             s = run(*s, *segment, *args)
     return s
+
+
+def _row0(system: SystemId, segments: list, s: tuple) -> tuple:
+    """Row 0 of the run from ``s``: its time, its invariants and the
+    BlowUpError of the first of them that is not finite, or None."""
+    t, dt, _, _ = segments[0]
+    t, values = t + dt*0, model.invariants_compiled(system)(*s)
+    return t, values, next((BlowUpError(t, inv) for inv, v in zip(system_invariants(system), values)
+                            if not math.isfinite(v)), None)
 
 
 def step(method: IntegratorId, system: SystemId, state, t: float, h: float):
@@ -434,46 +445,33 @@ def step(method: IntegratorId, system: SystemId, state, t: float, h: float):
 def run_rows(method: IntegratorId, system: SystemId, initial, t0: float, t_end: float,
              h: float, every: int = 1) -> array:
     """Rows ``(t, *state, *invariants)`` of the run, packed in one
-    ``array('d')``: row 0, every ``every``-th row and the last.  BlowUpError
-    at the first state that is not finite; else at the first row, then
-    column, whose invariant is not finite, raised once the run ends, so a
-    later non-finite state wins."""
+    ``array('d')``: row 0, every ``every``-th row and the last, each made
+    as the run goes.  BlowUpError at the first state that is not finite;
+    else at the first row, then column, whose invariant is not finite,
+    raised once the run ends, so a later non-finite state wins."""
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every!r}")
     segments, s = _segments(t0, t_end, h), _state(system, initial)
-    fn, rows = model.invariants_compiled(system), array("d")
-    t, dt, _, stop = segments[0]
-    rows.extend((t + dt*0, *s, *fn(*s)))
-    s = _drive(method, system, "rows", s, segments, rows.extend, every)
-    if len(segments) == 1 and (stop - 1) % every:  # the last row, a full step off the grid
-        rows.extend((t + dt*(stop - 1), *s, *fn(*s)))
-    invariants, n = system_invariants(system), 1 + len(s)
-    width = n + len(invariants)
-    # a column's sum is not finite if an entry is not, and may overflow if none is
-    bad = [k for j in range(n, width) if not math.isfinite(sum(rows[j::width]))
-           for k in range(j, len(rows), width) if not math.isfinite(rows[k])]
-    if bad:  # the lowest index is the first row, then column
-        k = min(bad)
-        raise BlowUpError(rows[k - k % width], invariants[k % width - n])
+    t, values, bad = _row0(system, segments, s)
+    rows, acc = array("d", (t, *s, *values)), [bad]
+    last = segments[0][3] - 1 if len(segments) == 1 else -1  # a partial step's row is its k = 0
+    _drive(method, system, "rows", s, segments, rows.extend, every, last, acc)
+    if acc[-1] is not None:
+        raise acc[-1]
     return rows
 
 
 def run_drift(method: IntegratorId, system: SystemId, initial, t0: float, t_end: float,
               h: float) -> DriftReport:
     """Deviation bookkeeping for each of ``system_invariants(system)``, folded
-    as the run goes, in O(1) memory.  BlowUpError at the first state that is
-    not finite; else at the first row, then column, whose invariant is not
-    finite, raised once the run ends, so a later non-finite state wins."""
+    as the run goes, in O(1) memory.  BlowUpError as ``run_rows`` raises it."""
     segments, s = _segments(t0, t_end, h), _state(system, initial)
-    invariants, (t, dt, _, _) = system_invariants(system), segments[0]
-    values = model.invariants_compiled(system)(*s)
-    bad = next((BlowUpError(t + dt*0, inv) for inv, v in zip(invariants, values)
-                if not math.isfinite(v)), None)
+    _, values, bad = _row0(system, segments, s)
     acc = [*values, *(0.0 for _ in values), *values, bad]
     _drive(method, system, "fold", s, segments, acc)
     if acc[-1] is not None:
         raise acc[-1]
-    m = len(invariants)
+    m, invariants = len(values), system_invariants(system)
     drifts = {inv: InvariantDrift(i, w, abs(v - i))
               for inv, i, w, v in zip(invariants, acc[:m], acc[m:2 * m], acc[2 * m:3 * m])}
     return DriftReport(system, sum(stop - start for _, _, start, stop in segments), drifts)

@@ -299,7 +299,7 @@ class Poly:
         """Evaluate at a point binding every variable.
 
         Exact (Fraction) for rational points, IEEE double if any binding
-        is a float.
+        is a float, a zero or constant polynomial included.
         """
         values = []
         for name in self.vars.names:
@@ -313,7 +313,7 @@ class Poly:
                 if k:
                     term = term * v**k
             total = total + term
-        return total
+        return float(total) if any(isinstance(v, float) for v in values) else total
 
     def rename(self, target: VarSet) -> "Poly":
         """Transport this polynomial to another VarSet by variable name.

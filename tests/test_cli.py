@@ -379,6 +379,16 @@ class TestNumericFailure:
             assert out == ""
             assert err == "numerical failure: invariant H is not finite at t = 9.9999999999999996e-82\n"
 
+    def test_simulate_checks_its_last_row_off_the_grid(self, capsys):
+        # one RK4 step of 1e-80 turns (y1, z) from y1 = z = 1.34078e154, where
+        # H is finite, out past sqrt(DBL_MAX): H overflows on the last row
+        # alone, which --every 2 emits though it is off the grid
+        argv = ("--system", "mb5", "--method", "rk4", "--init=0,1.34078e154,0,0,1.34078e154",
+                "--t-end", "1e-80", "--h", "1e-80")
+        simulate = run(capsys, "simulate", *argv, "--every", "2")
+        message = "numerical failure: invariant H is not finite at t = 9.9999999999999996e-81\n"
+        assert simulate == run(capsys, "invariants", *argv) == (EXIT_NUMERIC, "", message)
+
 
 # Tokens of the run flags, the valid ones drawn more often, so that about
 # half the runs integrate.  Every finite step count that a (--t-end, --h)

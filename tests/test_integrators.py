@@ -1,6 +1,7 @@
 """Fixed-step integrators: correctness, structure preservation, failure modes."""
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -150,10 +151,10 @@ class TestStepCores:
             calls.append(x_new_h)
             return out if len(calls) == 1 else (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
 
-        midpoint = integrators._field_midpoint(2)(lambda *s: (0.0, 0.0), kernel)
+        midpoint = integrators._field_midpoint(2)
         with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
             try:
-                return midpoint(0.0, 0.0, 0.0, 0.1, 1, 2), len(calls)
+                return midpoint(0.0, 0.0, 0.0, 0.1, 1, 2, lambda *s: (0.0, 0.0), kernel), len(calls)
             except BlowUpError as exc:
                 return exc, len(calls)
 
@@ -209,24 +210,22 @@ class TestStepCores:
 
     @pytest.mark.parametrize("system", list(SystemId))
     def test_each_midpoint_stepper_owns_its_buffers(self, system):
-        # two midpoint loops of one system, each made by its own _make and
-        # called a step at a time in alternation, give the bits each gives
-        # run alone: a step reads nothing that another loop leaves in a buffer
+        # two calls of one midpoint loop, alternated a step at a time, give
+        # the bits each gives alone: a call reads nothing that another call
+        # leaves in a buffer
         n = model.system_dim(system)
-        make = integrators._compile_run(IntegratorId.IMPLICIT_MIDPOINT, system, "none")
+        run = integrators._compile_run(IntegratorId.IMPLICIT_MIDPOINT, system, "none")
         starts = [INIT6[:n], (0.3, -0.5, 0.7, 0.1, -0.9, 2.0)[-n:]]
 
-        def run(advance, s):
-            return [s := advance(*s, 0.0, 0.05, 1, 2) for _ in range(40)]
+        def alone(s):
+            return [s := run(*s, 0.0, 0.05, 1, 2) for _ in range(40)]
 
-        alone = [run(make(None, None), s) for s in starts]
-        first, second = make(None, None), make(None, None)
         (a, b), alternated = starts, ([], [])
         for _ in range(40):
-            a, b = first(*a, 0.0, 0.05, 1, 2), second(*b, 0.0, 0.05, 1, 2)
+            a, b = run(*a, 0.0, 0.05, 1, 2), run(*b, 0.0, 0.05, 1, 2)
             alternated[0].append(a)
             alternated[1].append(b)
-        assert np.array(alternated).tobytes() == np.array(alone).tobytes()
+        assert np.array(alternated).tobytes() == np.array([alone(s) for s in starts]).tobytes()
 
 
 class TestIntegrate:
@@ -319,6 +318,130 @@ class TestOrbit:
             fused = integrators.run_drift(method, system, init, 0.0, 0.505, 0.01)
             assert fused == drift_report(traj, system_invariants(system))
             assert fused.steps == 51
+
+
+def _rows_by_steps(method, system, initial, t_end, h, every):
+    """What ``run_rows`` from t0 = 0 returns or raises, rebuilt from one-step
+    runs of the loop without an emit and from ``model.invariants_compiled``:
+    the rows ``(t, *state, *invariants)`` of row 0, every ``every``-th row
+    and the last; the BlowUpError of the first state that is not finite; or
+    else that of the first of those rows, then column, whose invariant is
+    not finite.  Outcomes as ``(time, invariant)`` or the rows' bytes."""
+    segments = integrators._segments(0.0, t_end, h)
+    s, (t0, dt, _, _) = integrators._state(system, initial), segments[0]
+    rows = [(t0 + dt * 0, s)]
+    try:
+        for t0, dt, start, stop in segments:
+            for k in range(start, stop):
+                s = integrators._drive(method, system, "none", s, [(t0, dt, k, k + 1)])
+                rows.append((t0 + dt * k, s))
+    except BlowUpError as exc:
+        return exc.time, exc.invariant
+    fn, table = model.invariants_compiled(system), []
+    for t, s in (row for i, row in enumerate(rows) if i % every == 0 or i == len(rows) - 1):
+        values = fn(*s)
+        for inv, v in zip(system_invariants(system), values):
+            if not math.isfinite(v):
+                return t, inv
+        table += [t, *s, *values]
+    return np.array(table).tobytes()
+
+
+def _outcome(run, *args):
+    """``(time, invariant)`` of the BlowUpError ``run(*args)`` raises, or the
+    bytes of what it returns."""
+    try:
+        out = run(*args)
+    except BlowUpError as exc:
+        return exc.time, exc.invariant
+    return out if isinstance(out, integrators.DriftReport) else bytes(out)
+
+
+# sqrt of the largest double, rounded down to six digits: H = (y1**2 + z**2) / 2 is finite
+# at y1 = z = EDGE, and RK4 and midpoint both turn (y1, z) out past the
+# largest y1 whose square is finite within a step of h = 1e-80
+EDGE = 1.34078e154
+
+# (system, initial state, t_end, h, time, invariant): runs whose states stay
+# finite while an invariant is not, first at that row and time
+INVARIANT_BLOW_UPS = [
+    # row 0, with a partial step: mb5 rests at z = 1e155; on ham6 and el6 p3
+    # and qd3 hold still while q3 runs
+    (SystemId.MB5, (0.0, 0.0, 0.0, 0.0, 1e155), 0.0035, 1e-3, 0.0, InvariantId.H),
+    (SystemId.HAM6, (0.0, 0.0, 0.0, 0.0, 0.0, 1e155), 0.0035, 1e-3, 0.0, InvariantId.HTILDE),
+    (SystemId.EL6, (0.0, 0.0, 0.0, 0.0, 0.0, 1e155), 0.0035, 1e-3, 0.0, InvariantId.L),
+    # the last row, after 1 step and after 5: H turns out past EDGE, and
+    # q1**4 in H~ overflows as q1 runs out at speed p1
+    (SystemId.MB5, (0.0, EDGE, 0.0, 0.0, EDGE), 1e-80, 1e-80, 1e-80, InvariantId.H),
+    (SystemId.MB5, (0.0, EDGE, 0.0, 0.0, EDGE), 5 * 2e-81, 2e-81, 5 * 2e-81, InvariantId.H),
+    (SystemId.HAM6, (0.0, 0.0, 0.0, 1.3e154, 0.0, 0.0), 5 * 2e-78, 2e-78, 5 * 2e-78,
+     InvariantId.HTILDE),
+]
+
+
+class TestBlowUpRule:
+    # run_rows and run_drift apply one non-finite-invariant rule, row 0
+    # included: the first row, then column, that is not finite, raised once
+    # the run ends, unless a state blows up first
+    @staticmethod
+    def _cases():
+        rng = random.Random(29)
+        cases = [case[:4] for case in INVARIANT_BLOW_UPS]
+        # H overflows at row 0, then the state blows up
+        cases.append((SystemId.MB5, (1e100, 1e100, 0.0, 0.0, 1e155), 0.05, 1e-3))
+        for _ in range(60):
+            system = rng.choice(list(SystemId))
+            scale = rng.choice([1.0, 1e3, 1e77, 1e150, 1e154])
+            init = tuple(rng.uniform(-1.5, 1.5) * rng.choice([1.0, scale])
+                         for _ in range(model.system_dim(system)))
+            h = rng.choice([1e-3, 0.1, 0.5])
+            t_end = h * rng.choice([1, 2, 4, 7]) + rng.choice([0.0, 0.5 * h])  # 0.5 * h: a partial step
+            cases.append((system, init, t_end, h))
+        return cases
+
+    @pytest.mark.parametrize("method", list(IntegratorId))
+    def test_rows_and_fold_raise_alike(self, method):
+        # run_rows gives the rebuilt outcome at each every, and run_drift
+        # raises as run_rows does at every = 1
+        seen = set()
+        for system, init, t_end, h in self._cases():
+            try:
+                want = {every: _rows_by_steps(method, system, init, t_end, h, every)
+                        for every in (1, 2, 3)}
+            except NewtonError:
+                continue
+            for every, outcome in want.items():
+                assert _outcome(integrators.run_rows, method, system, init, 0.0, t_end, h,
+                                every) == outcome
+            drift = _outcome(integrators.run_drift, method, system, init, 0.0, t_end, h)
+            if isinstance(drift, integrators.DriftReport):
+                assert isinstance(want[1], bytes)
+                seen.add("finite")
+            else:
+                assert drift == want[1]
+                seen.add(drift[1])
+        # states blow up, each system's invariants do, and runs stay finite
+        assert {None, "finite", InvariantId.H, InvariantId.HTILDE, InvariantId.L} <= seen
+
+    @pytest.mark.parametrize("method", list(IntegratorId))
+    @pytest.mark.parametrize("system, init, t_end, h, time, invariant", INVARIANT_BLOW_UPS)
+    def test_invariant_blow_up_at_row_0_and_off_the_grid(self, method, system, init, t_end, h,
+                                                         time, invariant):
+        # an invariant not finite at row 0, or first on a last row that no
+        # every-th row reaches: each every, and the fold, raise it at that row
+        got = {_outcome(integrators.run_rows, method, system, init, 0.0, t_end, h, every)
+               for every in (1, 2, 3, 4)}
+        got.add(_outcome(integrators.run_drift, method, system, init, 0.0, t_end, h))
+        assert got == {(time, invariant)}
+
+    @pytest.mark.parametrize("method", list(IntegratorId))
+    def test_state_blow_up_after_an_invariant_wins(self, method):
+        init = (1e100, 1e100, 0.0, 0.0, 1e155)  # H overflows at row 0
+        assert not math.isfinite(model.invariants_compiled(SystemId.MB5)(*init)[0])
+        got = {_outcome(integrators.run_rows, method, SystemId.MB5, init, 0.0, 0.05, 1e-3, every)
+               for every in (1, 3)}
+        got.add(_outcome(integrators.run_drift, method, SystemId.MB5, init, 0.0, 0.05, 1e-3))
+        assert got == {(1e-3, None)}
 
 
 class TestDriftReport:

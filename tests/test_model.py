@@ -53,6 +53,15 @@ class TestRhs:
         with pytest.raises(ValueError):
             model.rhs(SystemId.MB5, (1, 2, 3))
 
+    @pytest.mark.parametrize("x", [(0.3, -0.5, 0.7, 0.1, -0.9, 0.4), (0.0,) * 6])
+    def test_float_states_give_floats(self, x):
+        # a zero or constant component, such as ham6's p3 rate, is a float
+        # too, not an exact zero
+        values = [v for system in SystemId for v in model.rhs(system, x[:model.system_dim(system)])]
+        values += [*model.phi(State6(*x)), *model.legendre(TangentState6(*x)),
+                   *model.legendre_inv(State6(*x))]
+        assert [type(v) for v in values] == [float] * len(values)
+
 
 class TestRhsSymbolic:
     def test_mb5_last_component(self):
@@ -385,7 +394,7 @@ def test_generated_kernel_source_is_pinned():
                 start = next(i for i, line in enumerate(run)
                              if line.startswith(f"if not isfinite({' + '.join(x)}) and")) + 2
                 if emit == "rows":
-                    assert run[start] == "if k % every == 0:"
+                    assert run[start] == "if k % every == 0 or k == last:"
                     start += 1
                 if emit == "none":
                     assert run[start] == "except OverflowError:"
@@ -459,7 +468,7 @@ def _bits(values) -> bytes:
 @settings(max_examples=300)
 def test_rk4_kernel_is_the_array_step(case, h):
     system, x = case
-    got = integrators._compile_run(IntegratorId.RK4, system, "none")(None, None)(*x, 0.0, h, 1, 2)
+    got = integrators._compile_run(IntegratorId.RK4, system, "none")(*x, 0.0, h, 1, 2)
     want = integrators.rk4_step_field(model.rhs_compiled(system), np.array(x), 0.0, h)
     assert _bits(got) == want.tobytes()
 
@@ -486,7 +495,7 @@ def test_invariants_kernel_overflow_is_nan():
 def test_rk4_kernel_overflow_is_nan():
     # q1**3 overflows a float ** in the first stage: the run stops with a
     # blow-up at the step's time, and the step is all nan
-    run = integrators._compile_run(IntegratorId.RK4, SystemId.HAM6, "none")(None, None)
+    run = integrators._compile_run(IntegratorId.RK4, SystemId.HAM6, "none")
     with pytest.raises(BlowUpError) as exc:
         run(1e110, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-3, 1, 2)
     assert exc.value.time == 1e-3 and exc.value.invariant is None
@@ -500,8 +509,8 @@ def _run_lines(method: IntegratorId, system: SystemId) -> list:
 
 
 def _rk4_kernel(system: SystemId):
-    """The RK4 step of the system's run text, the run's setup lines then the
-    lines of one step, as a function ``(*x, h) -> tuple``."""
+    """The RK4 step of the system's run text, the setup that h fixes then
+    the lines of one step, as a function ``(*x, h) -> tuple``."""
     lines, x = _run_lines(IntegratorId.RK4, system), model.system_vars(system).names
     start = lines.index("t = t0 + h*k") + 1
     stop = next(i for i, line in enumerate(lines) if line.startswith("if not isfinite("))
@@ -509,10 +518,12 @@ def _rk4_kernel(system: SystemId):
 
 
 def _setup(lines: list) -> list:
-    """The run's setup in the stripped lines of a run text: the lines that
-    ``_run`` runs before its loop."""
+    """The setup that h fixes in the stripped lines of a run text: the
+    lines that ``_run`` runs before its loop, up to the midpoint buffers or
+    the emit slot's ``= acc``."""
     start = next(i for i, line in enumerate(lines) if line.startswith("def _run(")) + 1
-    return lines[start:lines.index("try:")]
+    return lines[start:next(i for i in range(start, len(lines)) if lines[i] == "try:"
+                            or lines[i].startswith("buf, update = ") or lines[i].endswith("= acc"))]
 
 
 def _pack_args(lines: list) -> list:
@@ -523,10 +534,10 @@ def _pack_args(lines: list) -> list:
 
 
 def _newton_kernel(system: SystemId):
-    """The Newton evaluation of the system's midpoint step text, the run's
-    setup lines then the lines of an iteration before its test of the
-    entries, as a function ``(*x, *new, h) -> tuple`` of the ``pack``
-    arguments: the residual, then the Newton matrix row by row."""
+    """The Newton evaluation of the system's midpoint step text, the setup
+    that h fixes (not the buffers) then the lines of an iteration before its
+    test of the entries, as a function ``(*x, *new, h) -> tuple`` of the
+    ``pack`` arguments: the residual, then the Newton matrix row by row."""
     lines = _run_lines(IntegratorId.IMPLICIT_MIDPOINT, system)
     start = lines.index("for _ in range(50):") + 1
     body = lines[start:next(i for i in range(start, len(lines)) if lines[i].startswith("if not isfinite("))]
@@ -549,7 +560,7 @@ def test_midpoint_kernel_is_the_array_step(system):
     # on them, against the numpy renditions of the rhs and its Jacobian
     n = model.system_dim(system)
     kernel = _newton_kernel(system)
-    run = integrators._compile_run(IntegratorId.IMPLICIT_MIDPOINT, system, "none")(None, None)
+    run = integrators._compile_run(IntegratorId.IMPLICIT_MIDPOINT, system, "none")
     f, jac = model.rhs_compiled(system), model.rhs_jacobian_compiled(system)
     rng = np.random.default_rng(6)
     for x in _newton_states(n):
@@ -641,9 +652,9 @@ def _newton_update(out: tuple, n: int) -> tuple:
     The next evaluation returns a zero residual and the identity matrix, so
     a finite update has converged by then and is not moved."""
     outs = iter([out, (*(0.0,) * n, *np.eye(n).ravel().tolist())])
-    midpoint = integrators._field_midpoint(n)(lambda *s: (0.0,) * n, lambda *x_new_h: next(outs))
     with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
-        return midpoint(*(0.0,) * n, 0.0, 0.05, 1, 2)
+        return integrators._field_midpoint(n)(*(0.0,) * n, 0.0, 0.05, 1, 2,
+                                              lambda *s: (0.0,) * n, lambda *x_new_h: next(outs))
 
 
 @pytest.mark.parametrize("system", list(SystemId))
