@@ -133,17 +133,30 @@ def _run_args(args, parser) -> tuple[IntegratorId, SystemId, list[float]]:
 
 def cmd_simulate(args, parser) -> int:
     method, system, init = _run_args(args, parser)
-    header = ("t", *model.system_vars(system).names,
-              *(inv.value for inv in model.system_invariants(system)))
+    names = model.system_vars(system).names
+    header = ("t", *names, *(inv.value for inv in model.system_invariants(system)))
     try:  # every --every-th row and the last, 8 bytes a value, held until the run ends
         packed = integrators.run_rows(method, system, init, 0.0, args.t_end, args.h, args.every)
     except MemoryError:
         parser.error("--t-end / --h: the trajectory does not fit in memory")
-    row_format, size = ",".join(["%.17g"] * len(header)) + "\n", CSV_BLOCK * len(header)
+    # an invariant column arrives as text, each distinct value formatted once;
+    # "%.24s" never cuts a "%.17g" text (24 characters at most) and is as long
+    # as "%.17g", so the text of a block grows as it did (see README)
+    width, first = len(header), 1 + len(names)
+    row_format = ",".join(["%.17g"] * first + ["%.24s"] * (width - first)) + "\n"
+    size, block_format = CSV_BLOCK * width, row_format * CSV_BLOCK
 
     def block(i: int) -> str:  # CSV lines of packed[i:i + size], formatted by one %
         chunk = packed[i:i + size].tolist()
-        return (row_format * (len(chunk) // len(header))) % tuple(chunk)
+        for j in range(first, width):
+            column = chunk[j::width]
+            if 0.0 in (distinct := set(column)):  # 0.0 and -0.0 are one element: value by value
+                chunk[j::width] = ["%.17g" % v for v in column]
+            else:
+                text = {v: "%.17g" % v for v in distinct}
+                chunk[j::width] = map(text.__getitem__, column)
+        rows = len(chunk) // width
+        return (block_format if rows == CSV_BLOCK else row_format * rows) % tuple(chunk)
 
     text = itertools.chain([",".join(header) + "\n"], map(block, range(0, len(packed), size)))
     if args.out:

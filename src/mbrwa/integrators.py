@@ -15,7 +15,8 @@ emit).  Step k, at ``t = t0 + h*k``, is the scheme's one step text inlined
 test, then the emit slot: ``fold`` (``run_drift``: the invariant lines of
 ``model.invariants_compiled`` and a running maximum of ``abs(v - v0)``, in
 O(1) memory), ``rows`` (``run_rows``: ``(t, *state, *invariants)`` of every
-``every``-th row and the last, packed in one ``array('d')``) or ``none``
+``every``-th row and the last, each written in place by one ``struct``
+``pack_into`` into an ``array('d')`` sized before the run) or ``none``
 (``step``).  ``fold`` and ``rows`` apply one rule to the invariants of each
 row they make: the first that is not finite, by row then column, is kept as
 a BlowUpError and raised once the run ends, so a later non-finite state
@@ -35,8 +36,9 @@ in the predictor and in the Newton evaluation (the residual and the Newton
 matrix together), each power ``v**k`` once as a local ``v_k``;
 ``midpoint_step_field``'s loop calls a field and a Newton kernel.  The run's
 setup sets what h fixes once per ``_run`` call: RK4's ``a`` and ``b``, and
-midpoint's ``c = 0.5 * h`` and each Newton-matrix entry whose derivative is
-a nonzero constant, as written (``0.0 - x`` is not ``-x`` for x = 0.0).  The
+midpoint's ``c = 0.5 * h``, ``h0 = h * 0.0`` where a component of the rhs
+is identically zero, and each Newton-matrix entry whose derivative is a
+nonzero constant, as written (``0.0 - x`` is not ``-x`` for x = 0.0).  The
 linear solve calls numpy's ``solve1`` gufunc directly: the LAPACK gesv
 kernel ``np.linalg.solve`` runs for a 1-D right-hand side, without the
 argument handling, so states keep their bits.  Each run call makes two
@@ -266,10 +268,15 @@ def _system_midpoint(system: SystemId) -> tuple[list, list]:
     and in the Newton evaluation, in ``midpoint_step_field``'s operation
     order, with the Newton matrix row by row.  A Jacobian entry that is
     identically zero is written as its value for a finite h, ``1.0`` on the
-    diagonal and ``0.0`` off it; a nonzero constant one is a setup name."""
+    diagonal and ``0.0`` off it; a nonzero constant one is a setup name, and
+    so is ``h0 = h * 0.0``, h times a component that is identically zero."""
     x, f, source = model.system_vars(system).names, model.rhs_symbolic(system), model._poly_source
     new, mid = [f"n{i}" for i in range(len(x))], [f"m{i}" for i in range(len(x))]
-    entries = [f"{ni} - {xi} - h*{source(p, mid)}" for ni, xi, p in zip(new, x, f)]
+
+    def h_times(p, at, times):  # h times component p at ``at``; h0 for a zero p
+        return "h0" if p.is_zero else f"h{times}{source(p, at)}"
+
+    entries = [f"{ni} - {xi} - {h_times(p, mid, '*')}" for ni, xi, p in zip(new, x, f)]
     fixed = {"1.0": "1.0", "0.0": "0.0"}  # an entry constant for a fixed h: its literal or j<k>
     for i, p in enumerate(f):
         for j, name in enumerate(x):
@@ -277,10 +284,12 @@ def _system_midpoint(system: SystemId) -> tuple[list, list]:
             entries.append(eye if d.is_zero else f"{eye} - c*{source(d, mid)}")
             if d.total_degree() == 0:
                 fixed.setdefault(entries[-1], f"j{len(fixed) - 2}")
-    setup = ["c = 0.5 * h", *(f"{name} = {e}" for e, name in fixed.items() if name != e)]
+    setup = ["c = 0.5 * h", *["h0 = h * 0.0"] * any(p.is_zero for p in f),
+             *(f"{name} = {e}" for e, name in fixed.items() if name != e)]
     kernel = [*(f"{m} = 0.5*({xi} + {ni})" for m, xi, ni in zip(mid, x, new)),
               *_powers_once([f"o{k} = {e}" for k, e in enumerate(entries) if e not in fixed])]
-    predictor = _powers_once([f"{ni} = {xi} + h * {source(p, x)}" for ni, xi, p in zip(new, x, f)])
+    predictor = _powers_once([f"{ni} = {xi} + {h_times(p, x, ' * ')}"
+                              for ni, xi, p in zip(new, x, f)])
     return _midpoint(x, setup, predictor, kernel,
                      [fixed.get(e, f"o{k}") for k, e in enumerate(entries)])
 
@@ -320,17 +329,20 @@ def _emit(emit: str, system: SystemId) -> tuple[str, list, list, list]:
     finite = ", ".join(f"isfinite({vj})" for vj in v)
     rule = [f"if {_blowup(v)} and bad is None:",
             f"    bad = BlowUpError(t, invariants[({finite},).index(False)])"]
-    if emit == "rows":  # every every-th row and row ``last``
-        carried, args = ["bad"], ", extend, every, last, acc"
+    setup = []
+    if emit == "rows":  # every every-th row and row ``last``, written at byte ``off`` of ``rows``
+        carried, args, row = ["off", "bad"], ", rows, every, last, acc", ["t", *x, *v]
+        setup = [f'put = Struct("{len(row)}d").pack_into']
         lines = ["if k % every == 0 or k == last:", *(f"    {line}" for line in
-                 [*lines, f"extend((t, {', '.join([*x, *v])}))", *rule])]
+                 [*lines, f"put(rows, off, {', '.join(row)})", f"off += {8 * len(row)}", *rule])]
     else:  # fold: i0, ... row 0's invariants, w0, ... the largest deviations, v0, ... the last row's
         i, w = [f"i{j}" for j in range(m)], [f"w{j}" for j in range(m)]
         carried, args = [*i, *w, *v, "bad"], ", acc"
         for ij, wj, vj in zip(i, w, v):
             lines += [f"d = abs({vj} - {ij})", f"if d > {wj}:", f"    {wj} = d"]
         lines += rule
-    return args, [f"{', '.join(carried)}, = acc"], lines, [f"acc[:] = {', '.join(carried)},"]
+    return (args, [f"{', '.join(carried)}, = acc", *setup], lines,
+            [f"acc[:] = {', '.join(carried)},"])
 
 
 def _compile_loop(x: Sequence[str], scheme: tuple, slot: tuple, **namespace) -> Callable:
@@ -390,15 +402,20 @@ def step_count(t0: float, t_end: float, h: float) -> int:
     return int(math.floor(n_steps + 1e-12))
 
 
+def _step_size(h) -> float:
+    """``h`` as a float; ValueError unless it is positive and finite."""
+    if not 0 < h < math.inf:  # also rejects nan
+        raise ValueError(f"step size must be positive and finite, got {h!r}")
+    return float(h)
+
+
 def _segments(t0: float, t_end: float, h: float) -> list[tuple[float, float, int, int]]:
     """The run from t0 to t_end as ``(t0, h, start, stop)`` loop arguments:
     ``step_count`` full steps, then a partial step landing on t_end unless the
     last full step is within rounding of it.  Row k is at t0 + h*k."""
     if t_end < t0:
         raise ValueError("t_end must be >= t0")
-    if not 0 < h < math.inf:  # also rejects nan
-        raise ValueError(f"step size must be positive and finite, got {h!r}")
-    t0, t_end, h = float(t0), float(t_end), float(h)
+    t0, t_end, h = float(t0), float(t_end), _step_size(h)
     n_full = step_count(t0, t_end, h)
     t_last = t0 + n_full * h
     partial = t_last < t_end - 1e-12 * abs(t_end - t0)  # rounding in n_full * h scales with the span
@@ -432,11 +449,9 @@ def _row0(system: SystemId, segments: list, s: tuple) -> tuple:
 def step(method: IntegratorId, system: SystemId, state, t: float, h: float):
     """One step of the named scheme; returns a state object of the system,
     all nan if the step blows up."""
-    if not 0 < h < math.inf:  # also rejects nan
-        raise ValueError(f"step size must be positive and finite, got {h!r}")
-    s = _state(system, state)
+    h, s = _step_size(h), _state(system, state)
     try:
-        s = _drive(method, system, "none", s, [(float(t), float(h), 1, 2)])
+        s = _drive(method, system, "none", s, [(float(t), h, 1, 2)])
     except BlowUpError:
         s = (math.nan,) * len(s)
     return model._STATE_TYPES[system](*s)
@@ -445,17 +460,26 @@ def step(method: IntegratorId, system: SystemId, state, t: float, h: float):
 def run_rows(method: IntegratorId, system: SystemId, initial, t0: float, t_end: float,
              h: float, every: int = 1) -> array:
     """Rows ``(t, *state, *invariants)`` of the run, packed in one
-    ``array('d')``: row 0, every ``every``-th row and the last, each made
-    as the run goes.  BlowUpError at the first state that is not finite;
-    else at the first row, then column, whose invariant is not finite,
-    raised once the run ends, so a later non-finite state wins."""
+    ``array('d')`` sized before the run: row 0, every ``every``-th row and
+    the last, each written in place as the run goes.  MemoryError when the
+    rows cannot be allocated.  BlowUpError at the first state that is not
+    finite; else at the first row, then column, whose invariant is not
+    finite, raised once the run ends, so a later non-finite state wins."""
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every!r}")
     segments, s = _segments(t0, t_end, h), _state(system, initial)
     t, values, bad = _row0(system, segments, s)
-    rows, acc = array("d", (t, *s, *values)), [bad]
-    last = segments[0][3] - 1 if len(segments) == 1 else -1  # a partial step's row is its k = 0
-    _drive(method, system, "rows", s, segments, rows.extend, every, last, acc)
+    width, n_full = 1 + len(s) + len(values), segments[0][3] - 1
+    last = n_full if len(segments) == 1 else -1  # a partial step's row is its k = 0
+    # row 0, every every-th full step, then an off-grid last full step or the partial step
+    count = 1 + n_full // every + (n_full % every != 0 if last >= 0 else 1)
+    try:
+        rows = array("d", [0.0]) * (count * width)
+    except OverflowError:  # more entries than an index can count
+        raise MemoryError(f"{count} rows of {width} doubles") from None
+    rows[:width] = array("d", (t, *s, *values))
+    acc = [8 * width, bad]
+    _drive(method, system, "rows", s, segments, rows, every, last, acc)
     if acc[-1] is not None:
         raise acc[-1]
     return rows

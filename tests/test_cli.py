@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -35,6 +36,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _csv(header: str, table: list) -> str:
+    """The CSV of a packed table, each value formatted by itself with %.17g."""
+    width = header.count(",") + 1
+    return "".join(f"{line}\n" for line in [header, *(
+        ",".join("%.17g" % v for v in table[i:i + width]) for i in range(0, len(table), width))])
 
 
 class TestSimulate:
@@ -79,6 +87,37 @@ class TestSimulate:
         for row, state in zip(rows, traj.states):
             # 17 significant digits reproduce the binary doubles exactly
             assert [float(v) for v in row[1:6]] == list(state)
+
+    def test_signed_zero_invariants_print_their_sign(self, capsys):
+        # with x2 = y2 = 0, J = x1*y2 - y1*x2 is -0.0 where x1 < 0 <= y1 and
+        # 0.0 elsewhere: equal as keys, but each prints as %.17g prints it
+        argv = list(self.ARGS)
+        argv[argv.index("--init") + 1] = "0.3,-0.2,0,0,-0.4"
+        argv[argv.index("--t-end") + 1] = "20"
+        argv[argv.index("--h") + 1] = "0.01"
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        rows = integrators.run_rows(IntegratorId.RK4, SystemId.MB5, (0.3, -0.2, 0, 0, -0.4),
+                                    0.0, 20.0, 0.01)
+        assert out == _csv("t,x1,y1,x2,y2,z,H,C,J", rows.tolist())
+        assert {line.rsplit(",", 1)[1] for line in out.split("\n")[1:-1]} == {"0", "-0"}
+
+    @settings(max_examples=30, deadline=None)
+    @given(pool=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                         max_size=6),
+           rows=st.integers(1, 2 * cli.CSV_BLOCK + 5), seed=st.integers(0, 2**32))
+    def test_block_formats_as_each_value_alone(self, pool, rows, seed):
+        # simulate's CSV for any packed table, repeated values, signed zeros,
+        # subnormals and 24-character values included, is each value's %.17g
+        rng = random.Random(seed)
+        pool += [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.0000000000000002]
+        table = [rng.choice(pool) if rng.random() < 0.9 else rng.uniform(-1, 1)
+                 for _ in range(rows * 9)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrators, "run_rows", lambda *args: array("d", table))
+            assert main(list(self.ARGS)) == EXIT_OK
+        assert out.getvalue() == _csv("t,x1,y1,x2,y2,z,H,C,J", table)
 
     def test_every_decimation_keeps_last_row(self, capsys):
         code, out, _ = run(capsys, *self.ARGS, "--every", "3")
@@ -206,11 +245,11 @@ class TestUsageErrors:
         )
 
     def test_trajectory_beyond_memory(self, capsys, monkeypatch):
-        # simulate packs its output rows into one growing array until the
-        # run ends; a refused allocation is a usage error, not a traceback,
-        # and writes no row
+        # simulate packs its output rows into one array sized before the
+        # run; a refused allocation is a usage error, not a traceback, and
+        # writes no row
         class Full(array):
-            def extend(self, values):
+            def __mul__(self, count):
                 raise MemoryError
 
         monkeypatch.setattr(integrators, "array", Full)
@@ -220,6 +259,21 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--t-end / --h: the trajectory does not fit in memory" in captured.err
+
+    def test_rows_beyond_an_index(self, capsys, monkeypatch):
+        # 9e18 steps is a step count, but 9e18 rows of 9 doubles are more
+        # entries than an array index can count: exit 2 before any step
+        def drive(*args):
+            raise AssertionError("integrated rows that cannot be stored")
+
+        monkeypatch.setattr(integrators, "_drive", drive)
+        with pytest.raises(SystemExit) as exc:
+            main([*TestSimulate.ARGS[:7], "--t-end", "9e18", "--h", "1"])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--t-end / --h: the trajectory does not fit in memory" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_out_unwritable(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"
@@ -515,6 +569,24 @@ sys.exit(cli.main(sys.argv[1:]))
         )
         assert proc.returncode == EXIT_OK, proc.stderr.decode()
         assert json.loads(proc.stdout)["steps"] == 250_000
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmSize")
+    def test_simulate_rows_beyond_memory_exit_before_the_run(self):
+        # 1e12 rows of 9 doubles (72 TB) are refused when they are
+        # allocated, before the first step, under the same cap
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        argv = ("simulate", "--system", "mb5", "--method", "rk4",
+                "--init=0.3,-0.5,0.7,0.1,-0.9", "--t-end", "1e12", "--h", "1")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv], capture_output=True, timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path},
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == b""
+        err = proc.stderr.decode()
+        assert "--t-end / --h: the trajectory does not fit in memory" in err
+        assert "Traceback" not in err
 
 
 class TestVerify:

@@ -320,6 +320,24 @@ class TestOrbit:
             assert fused.steps == 51
 
 
+class TestRowsSizedUpFront:
+    @pytest.mark.parametrize("every", range(1, 8))
+    def test_rows_fill_the_array_exactly(self, every):
+        # run_rows sizes its array before the run: the rows the loop makes,
+        # row 0, every every-th, an off-grid last full step or the partial
+        # step, fill it exactly, from no full step (one row) on
+        h, width = 0.125, 1 + 5 + 3
+        for n_full in range(16):
+            for partial in (0.0, 0.0625):
+                t_end = n_full * h + partial
+                made = len(range(0, n_full + 1, every)) + (partial > 0 or n_full % every > 0)
+                rows = integrators.run_rows(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, t_end,
+                                            h, every)
+                assert len(rows) == made * width
+                assert bytes(rows) == _rows_by_steps(IntegratorId.RK4, SystemId.MB5, INIT5,
+                                                     t_end, h, every)
+
+
 def _rows_by_steps(method, system, initial, t_end, h, every):
     """What ``run_rows`` from t0 = 0 returns or raises, rebuilt from one-step
     runs of the loop without an emit and from ``model.invariants_compiled``:

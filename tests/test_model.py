@@ -357,8 +357,10 @@ def test_generated_kernel_source_is_pinned():
     # step right after the step's time, RK4's a and b and midpoint's c in the
     # run's setup, the Newton evaluation first in each iteration and its
     # entries in the pack, the invariants right after the test of the state.
-    # A name the midpoint run hoists (a power v_k, a constant entry j<k>)
-    # reads back as the expression it is set to.
+    # A name the midpoint run hoists (a power v_k, a constant entry j<k>,
+    # h0 = h * 0.0) reads back as the expression it is set to, and the
+    # entries compare without spaces (the predictor writes ``h * f``, the
+    # residual ``h*f``).
     for system in SystemId:
         x, pinned = model.system_vars(system).names, golden[system.value]
         newton = pinned["midpoint_newton_source"]
@@ -376,7 +378,7 @@ def test_generated_kernel_source_is_pinned():
             assert setup[0] == newton["body"][0] == "c = 0.5 * h"
             for line in midpoint:
                 name, _, expr = line.partition(" = ")
-                if re.fullmatch(r"j\d+", name) and line in setup or re.fullmatch(r"\w+\*\*\d+", expr):
+                if re.fullmatch(r"j\d+|h0", name) and line in setup or re.fullmatch(r"\w+\*\*\d+", expr):
                     hoisted[name] = expr
 
             def read_back(text):
@@ -389,7 +391,8 @@ def test_generated_kernel_source_is_pinned():
             assert newton["body"][1:] == midpoint[start:start + len(x)]
             entries = dict(line.split(" = ", 1) for line in midpoint[start:]
                            if re.match(r"o\d+ = ", line))
-            assert [read_back(entries.get(a, a)) for a in _pack_args(midpoint)] == newton["returns"]
+            assert ([read_back(entries.get(a, a)).replace(" ", "") for a in _pack_args(midpoint)]
+                    == [entry.replace(" ", "") for entry in newton["returns"]])
             for run in (rk4, midpoint):
                 start = next(i for i, line in enumerate(run)
                              if line.startswith(f"if not isfinite({' + '.join(x)}) and")) + 2
