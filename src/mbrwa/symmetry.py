@@ -19,25 +19,17 @@ are its t and q_i components, and each parameter's component is zero.
 
 ``solve_determining`` assembles its matrix by linearity, since the
 prolongation is linear in the field.  Each unit field puts one monomial m of
-(t, q) in one slot; with D the total derivative along solutions (qdd
-replaced by the accelerations A_i, which do not depend on t), the residuals
-pr2(u)(qdd_i - A_i) of the unit fields are
-
-* xi = m:    R_i = -D^2(m) qd_i - 2 D(m) A_i + D(m) sum_j qd_j dA_i/dqd_j,
-* eta_k = m: R_i = delta_ik D^2(m) - m dA_i/dq_k - D(m) dA_i/dqd_k,
-
-and, as m does not depend on the velocities,
-
-* D(m)   = m_t + sum_k qd_k m_qk,
-* D^2(m) = m_tt + 2 sum_k qd_k m_tqk + sum_kl qd_k qd_l m_qkql + sum_k A_k m_qk.
-
-So every residual is a sum of partial derivatives of m of order <= 2, each
-times a fixed polynomial F that does not depend on m.  A derivative of a
-monomial is an integer times a lower monomial, and its product with F is F
-with shifted exponents: the columns are written straight into sparse rows
-from one table of F's terms, with no polynomial built per monomial.
-:func:`determining_residuals` stays the generated reference: it certifies
-the family and is the oracle the assembly is tested against.
+(t, q) in one slot, and its residuals are read off the one prolongation
+(Olver, *Applications of Lie Groups to Differential Equations*, section
+2.3): :func:`determining_residuals` of the field with a generic function m
+in the slot, whose partial derivatives m, m_t, ..., m_q3_q3 are symbols that
+the total derivative differentiates by the chain rule.  The second
+prolongation differentiates a coefficient at most twice, so the jet stops
+at order 2, and every residual is a sum of those 15 partial derivatives of
+m, each times a fixed polynomial F that does not depend on m.  A derivative
+of a monomial is an integer times a lower monomial, and its product with F
+is F with shifted exponents: the columns are written straight into sparse
+rows from one table of F's terms, with no polynomial built per monomial.
 
 The constants of motion are derived, not restated: :func:`noether_charge`
 applies Noether's formula to a t-free point field with ``model``'s L.  In the
@@ -150,11 +142,23 @@ def jet_vars(base: VarSet) -> VarSet:
 
 @lru_cache(maxsize=None)
 def _jet_shift(jv: VarSet) -> Mapping[str, Poly]:
-    """The field qd_i d/dq_i + qdd_i d/dqd_i of the total derivative."""
+    """The field qd_i d/dq_i + qdd_i d/dqd_i of the total derivative, plus
+    the chain rule D m_o = m_(o+t) + sum_k qd_k m_(o+q_k) for each symbol
+    m_o of :data:`_JET` of order < 2 that ``jv`` carries, so that those
+    symbols are the partial derivatives of a function m of (t, q).
+
+    Symbols of order 2 get no entry: the second prolongation differentiates
+    a coefficient at most twice, so it never differentiates them."""
     field = {}
     for i in (1, 2, 3):
         field[f"q{i}"] = Poly.var(jv, f"qd{i}")
         field[f"qd{i}"] = Poly.var(jv, f"qdd{i}")
+    for o, name in _JET.items():
+        if sum(o) < 2 and name in jv:
+            # m_(o+w) for w = t, q1, q2, q3
+            up = [Poly.var(jv, _JET[tuple(a + (v == w) for v, a in enumerate(o))])
+                  for w in range(4)]
+            field[name] = up[0] + sum(field[f"q{k}"] * up[k] for k in (1, 2, 3))
     return MappingProxyType(field)
 
 
@@ -162,7 +166,7 @@ def total_derivative(f: Poly) -> Poly:
     """Total time derivative on the second-order jet space.
 
     D_t f = df/dt + qd_i df/dq_i + qdd_i df/dqd_i; parameter variables are
-    constants.
+    constants, except the jet symbols that :func:`_jet_shift` chain-rules.
     """
     # d/dt is added directly: its coefficient is 1, and multiplying by it
     # would only cost time
@@ -288,6 +292,11 @@ def _order(*vs: int) -> tuple[int, ...]:
 _ORDERS = tuple(
     _order(*vs) for n in range(3) for vs in itertools.combinations_with_replacement(range(4), n)
 )
+# One jet symbol per order, named by the variables it differentiates by:
+# "m", "m_t", ..., "m_q3_q3".  :func:`_jet_shift` gives them the chain rule.
+_JET = MappingProxyType({
+    o: "_".join(["m", *(n for n, k in zip(BASE_NAMES, o) for _ in range(k))]) for o in _ORDERS
+})
 
 
 @lru_cache(maxsize=None)
@@ -295,47 +304,23 @@ def _unit_residual_pieces() -> tuple[tuple[Mapping[tuple[int, ...], Poly], ...],
     """The residual R_i of the unit field with monomial m in slot xi, eta1,
     eta2 or eta3, as ``pieces[slot][i] = {order: F}``: R_i is the sum of
     (d m) F over the partial derivatives d of m of the given orders (see the
-    module docstring).  No F depends on m."""
-    jv = jet_vars(BASE_VARS)
-    acc = [a.rename(jv) for a in model.rhs_symbolic(SystemId.EL6)[3:]]
-    qd = [Poly.var(jv, f"qd{k}") for k in (1, 2, 3)]
-    one = Poly.const(jv, 1)
-    # m, D m and D^2 m, each as {order of the derivative of m: its factor}
-    jet0 = {_order(): one}
-    jet1 = {_order(0): one, **{_order(k + 1): qd[k] for k in range(3)}}
-    jet2 = {_order(0, 0): one, **{_order(k + 1): acc[k] for k in range(3)}}
-    for k in range(3):
-        jet2[_order(0, k + 1)] = 2 * qd[k]
-        for l in range(k, 3):
-            jet2[_order(k + 1, l + 1)] = (1 if k == l else 2) * qd[k] * qd[l]
+    module docstring).  No F depends on m.
 
-    def combine(*terms) -> Mapping[tuple[int, ...], Poly]:
-        out: dict[tuple[int, ...], Poly] = {}
-        for factor, jet in terms:
-            for o, p in jet.items():
-                out[o] = out.get(o, 0) + factor * p
-        return MappingProxyType({o: p for o, p in out.items() if not p.is_zero})
-
-    d_qd = [[a.diff(f"qd{k}") for k in (1, 2, 3)] for a in acc]
-    xi = tuple(
-        combine(
-            (-qd[i], jet2),
-            (sum((v * dv for v, dv in zip(qd, d_qd[i])), -2 * acc[i]), jet1),
-        )
-        for i in range(3)
-    )
-    etas = tuple(
+    Each R_i is :func:`determining_residuals` of the field with the generic
+    m in the slot: over (t, q) plus the jet symbols of :data:`_JET` as
+    parameters, which the total derivative differentiates by the chain
+    rule.  R_i is linear in the symbols, so F is R_i's derivative by one."""
+    vs = VarSet(*BASE_NAMES, *_JET.values())
+    m, jv = Poly.var(vs, _JET[_order()]), jet_vars(BASE_VARS)
+    return tuple(
         tuple(
-            combine(
-                (int(i == k), jet2),
-                (-acc[i].diff(f"q{k + 1}"), jet0),
-                (-d_qd[i][k], jet1),
-            )
-            for i in range(3)
+            MappingProxyType({
+                o: f for o, name in _JET.items() if not (f := r.diff(name).rename(jv)).is_zero
+            })
+            for r in determining_residuals(VectorField.of(vs, {slot: m}))
         )
-        for k in range(3)
+        for slot in BASE_NAMES
     )
-    return (xi, *etas)
 
 
 def _determining_rows(monos: Sequence[tuple[int, int, int, int]]) -> list[dict[int, Coeff]]:

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -210,22 +212,34 @@ class TestStepCores:
 
     @pytest.mark.parametrize("system", list(SystemId))
     def test_each_midpoint_stepper_owns_its_buffers(self, system):
-        # two calls of one midpoint loop, alternated a step at a time, give
-        # the bits each gives alone: a call reads nothing that another call
-        # leaves in a buffer
+        # two threads run one compiled midpoint loop from different states
+        # and each gets the bits it gets alone.  Every Newton iteration
+        # writes its whole operand buffer, so only another call's write
+        # between `pack` and `solve1` can show a shared buffer; a switch
+        # interval far below one step lets the threads interleave there
         n = model.system_dim(system)
         run = integrators._compile_run(IntegratorId.IMPLICIT_MIDPOINT, system, "none")
         starts = [INIT6[:n], (0.3, -0.5, 0.7, 0.1, -0.9, 2.0)[-n:]]
+        args = (0.0, 0.01, 1, 2001)
+        alone = [run(*s, *args) for s in starts]
+        both, start = [None, None], threading.Barrier(2)
 
-        def alone(s):
-            return [s := run(*s, 0.0, 0.05, 1, 2) for _ in range(40)]
+        def worker(k):
+            start.wait(timeout=60)
+            both[k] = run(*starts[k], *args)
 
-        (a, b), alternated = starts, ([], [])
-        for _ in range(40):
-            a, b = run(*a, 0.0, 0.05, 1, 2), run(*b, 0.0, 0.05, 1, 2)
-            alternated[0].append(a)
-            alternated[1].append(b)
-        assert np.array(alternated).tobytes() == np.array([alone(s) for s in starts]).tobytes()
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert np.array(both).tobytes() == np.array(alone).tobytes()
 
 
 class TestIntegrate:

@@ -110,8 +110,7 @@ ALLOWED = {
                      "model.legendre_inv", "model._eval_vector"], PUBLIC),
     **dict.fromkeys(["polyring.Poly.__hash__", "polyring.Poly.__repr__",
                      "polyring.Poly.__rsub__", "polyring.Poly.coefficient",
-                     "polyring.Poly.eval", "polyring.VarSet.__contains__",
-                     "polyring.VarSet.__repr__"], PUBLIC),
+                     "polyring.Poly.eval", "polyring.VarSet.__repr__"], PUBLIC),
     "polyring.express": TESTS,
     # _field_midpoint is reached only through midpoint_step_field
     **dict.fromkeys(["integrators.Trajectory.__len__", "integrators._field_midpoint",

@@ -85,6 +85,52 @@ class TestProlong:
             assert pr[f"qdd{i+1}"] == expected
 
 
+def jet_symbols() -> VarSet:
+    """(t, q) plus the jet symbols m, m_t, ..., m_q3_q3 as parameters."""
+    return VarSet(*symmetry.BASE_NAMES, *symmetry._JET.values())
+
+
+class TestJetRule:
+    """The total derivative treats the jet symbols as the partial derivatives
+    of one function m of (t, q), so the solver's pieces can be read off the
+    prolongation of a field with m in one slot."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_symbols_differentiate_as_partial_derivatives(self, seed):
+        # D then "replace m_o by the o-th partial of m" equals "replace, then D"
+        rng = random.Random(seed)
+        monos = [e for e in itertools.product(range(5), repeat=4) if sum(e) <= 4]
+        m = Poly(BASE_VARS, {e: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                             for e in rng.sample(monos, 8)})
+        jv = jet_vars(jet_symbols())
+        partials = {}
+        for o, name in symmetry._JET.items():
+            p = m
+            for var, k in zip(symmetry.BASE_NAMES, o):
+                for _ in range(k):
+                    p = p.diff(var)
+            partials[name] = p.rename(jv)
+        for o, name in symmetry._JET.items():
+            if sum(o) <= 1:
+                got = total_derivative(Poly.var(jv, name)).substitute(partials)
+                assert got == total_derivative(partials[name]), name
+
+    def test_pieces_are_the_residuals_up_to_order_two(self):
+        # each residual of the generic field is linear in the symbols, every
+        # one of order <= 2, and its pieces are its coefficients
+        vs = jet_symbols()
+        pieces = symmetry._unit_residual_pieces()
+        for slot, slot_pieces in zip(symmetry.BASE_NAMES, pieces):
+            u = VectorField.of(vs, {slot: Poly.var(vs, "m")})
+            for r, piece in zip(determining_residuals(u), slot_pieces):
+                assert set(piece) <= set(symmetry._ORDERS)
+                assert all(f.vars == JV for f in piece.values())
+                terms = (Poly.var(r.vars, symmetry._JET[o]) * f.rename(r.vars)
+                         for o, f in piece.items())
+                assert r == sum(terms, Poly.zero(r.vars))
+        assert max(sum(o) for s in pieces for piece in s for o in piece) == 2
+
+
 class TestDeterminingResiduals:
     def test_scaling_member_is_a_symmetry(self):
         res = determining_residuals(family_field(alpha=Fraction(1)))
