@@ -41,17 +41,15 @@ def git(checkout: Path, *args: str) -> str:
 
 
 def host() -> dict:
-    cpu = next((line.split(":", 1)[1].strip() for line in _cpuinfo()
+    """The measuring machine: its CPU model, where Linux names it, cores and OS."""
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        cpuinfo = []
+    cpu = next((line.split(":", 1)[1].strip() for line in cpuinfo
                 if line.startswith("model name")), platform.processor())
     return {"node": platform.node(), "cpu": cpu, "nproc": os.cpu_count(),
             "platform": platform.platform()}
-
-
-def _cpuinfo() -> list[str]:
-    try:
-        return Path("/proc/cpuinfo").read_text().splitlines()
-    except OSError:
-        return []
 
 
 def record(checkout: Path, seed: int, seconds: float) -> dict:
