@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mbrwa import integrators, model, poisson, symmetry, verify
+from mbrwa import integrators, model, poisson, verify
 from mbrwa.integrators import BlowUpError, IntegratorId
 from mbrwa.model import (
     VARS5,
@@ -27,6 +27,7 @@ from mbrwa.model import (
     TangentState6,
 )
 from mbrwa.polyring import Poly, lie_derivative
+from patching import patched
 
 
 def rand_fractions(n, rng):
@@ -245,37 +246,29 @@ class TestGeneratingFunctionMutants:
     it: each mutant below passed every check while ham6 and el6 were
     written out apart from H~ and L."""
 
-    def run(self, monkeypatch, inv, delta, system):
+    def run(self, inv, delta, system):
         """The mutant's derived field of ``system`` and verify's pass/fail
         by check name."""
         original = model.invariant_symbolic
-        caches = (original, model.rhs_symbolic, model.legendre_symbolic,
-                  symmetry._unit_residual_pieces)
-        monkeypatch.setattr(model, "invariant_symbolic",
-                            lambda i: original(i) + delta if i is inv else original(i))
-        for cached in caches:
-            cached.cache_clear()
-        try:
+        with patched(model, "invariant_symbolic",
+                     lambda i: original(i) + delta if i is inv else original(i)):
             return (model.rhs_symbolic(system),
                     {r.check: r.passed for r in verify.run_suite("all")})
-        finally:
-            for cached in caches:
-                cached.cache_clear()
 
-    def test_htilde_plus_q1_p3(self, monkeypatch):
+    def test_htilde_plus_q1_p3(self):
         # ham6's q3 equation gains q1, which Phi cannot see
         q1, p3 = Poly.var(VARS6, "q1"), Poly.var(VARS6, "p3")
         dq3 = model.rhs_symbolic(SystemId.HAM6)[2]
-        ham6, passed = self.run(monkeypatch, InvariantId.HTILDE, q1 * p3, SystemId.HAM6)
+        ham6, passed = self.run(InvariantId.HTILDE, q1 * p3, SystemId.HAM6)
         assert ham6[2] == dq3 + q1
         assert not passed["realization-invariants"]
 
-    def test_l_plus_a_gyroscopic_term(self, monkeypatch):
+    def test_l_plus_a_gyroscopic_term(self):
         # el6's third acceleration gains (q1*qd2 - q2*qd1)/2, and the first
         # two gyroscopic terms
         q1, q2, q3, qd1, qd2, qd3 = Poly.variables(VARST6)
         gyro, acc3 = q1 * qd2 - q2 * qd1, model.rhs_symbolic(SystemId.EL6)[5]
-        el6, passed = self.run(monkeypatch, InvariantId.L, HALF * q3 * gyro, SystemId.EL6)
+        el6, passed = self.run(InvariantId.L, HALF * q3 * gyro, SystemId.EL6)
         assert el6[5] == acc3 + HALF * gyro
         assert not passed["legendre-energy"]
         assert not passed["determining-family"]

@@ -1,32 +1,36 @@
-"""Seeded mutation sweep: every single-term change of a written-out statement
-fails verify.
+"""Seeded mutation sweep: single-term changes of the written-out statements
+fail verify.
 
 ``model`` writes out seven invariants, mb5's field, Phi, Phi's section and
 the inverse Legendre map; everything else is derived from them.  A mutant
 adds one term (1, a variable, or a degree-2 monomial of the statement's own
-variables) to one component of one statement.  There are 693 of them, and
-each must fail at least one check of ``verify.run_suite("all")``, so that
-a change that drops a residual or merges two checks cannot lose
-sensitivity while every golden stays green.  No mutant is equivalent, so none is left
-out.  Hypothesis draws about 40 per run, derandomized; the 28 on the
-inverse Legendre map's q3 row, which only ``legendre-inverse`` reads, are
-pinned by name.
+variables) to one component of one statement.  There are 693 of them.  Each
+that is checked must fail at least one check of ``verify.run_suite("all")``,
+so that a change that drops a residual or merges two checks cannot lose
+sensitivity while every golden stays green.  Hypothesis checks a fixed
+sample of 40 per run (derandomized); the 28 on the inverse Legendre map's q3
+row, which only ``legendre-inverse`` reads, are pinned by name.  Run this
+file as a script to check all 693:
+
+    PYTHONPATH=src python tests/test_mutation_sweep.py
+
+It prints each mutant that passes verify and exits 1 if there is one.  All
+693 failed when it was last run, so no mutant is equivalent and none is
+left out.
 """
 
-import contextlib
-import importlib
 import itertools
-import pkgutil
+import sys
 from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mbrwa
 from mbrwa import model, symmetry, verify
 from mbrwa.model import VARS5, VARS6, InvariantId, SystemId
 from mbrwa.polyring import Poly
+from patching import CACHES, patched
 
 # (model function, its argument or None, the statement's variables)
 STATEMENTS = [
@@ -70,19 +74,6 @@ MUTANTS = {
     for term in terms(vars)
 }
 
-# every lru_cache in mbrwa, found before any patch hides one
-CACHES = {
-    fn
-    for info in pkgutil.iter_modules(mbrwa.__path__)
-    for fn in vars(importlib.import_module(f"mbrwa.{info.name}")).values()
-    if hasattr(fn, "cache_clear")
-}
-
-
-def clear_caches():
-    for fn in CACHES:
-        fn.cache_clear()
-
 
 def mutated(value, key, term):
     if key is None:
@@ -92,23 +83,16 @@ def mutated(value, key, term):
     return tuple(c + term if i == key else c for i, c in enumerate(value))
 
 
-@contextlib.contextmanager
 def applied(name):
     """``model`` with the named mutant in place, on empty caches."""
     attr, arg, key, term = MUTANTS[name]
     original = getattr(model, attr)
 
-    def patched(*args):
+    def mutant(*args):
         value = original(*args)
         return mutated(value, key, term) if args == (() if arg is None else (arg,)) else value
 
-    clear_caches()
-    setattr(model, attr, patched)
-    try:
-        yield
-    finally:
-        setattr(model, attr, original)
-        clear_caches()
+    return patched(model, attr, mutant)
 
 
 def failed_checks(name) -> set[str]:
@@ -138,3 +122,11 @@ LEGENDRE_INVERSE_Q3 = [
 @pytest.mark.parametrize("name", LEGENDRE_INVERSE_Q3)
 def test_legendre_inverse_q3_mutants_fail_only_their_check(name):
     assert failed_checks(name) == {"legendre-inverse"}
+
+
+if __name__ == "__main__":
+    survivors = [name for name in MUTANTS if not failed_checks(name)]
+    for name in survivors:
+        print(name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants fail verify")
+    sys.exit(1 if survivors else 0)

@@ -7,6 +7,7 @@ import pytest
 from mbrwa import model, poisson, verify
 from mbrwa.model import VARS5, InvariantId, SystemId
 from mbrwa.polyring import Poly, matrix_rank
+from patching import patched
 
 X1, Y1, X2, Y2, Z = Poly.variables(VARS5)
 PI = poisson.mb_poisson_tensor()
@@ -248,22 +249,15 @@ class TestMutationSensitivity:
         dyn_bad = field != model.rhs_symbolic(SystemId.MB5)
         assert jac_bad or dyn_bad
 
-    def test_negated_e5_reaches_the_tensor(self, monkeypatch):
+    def test_negated_e5_reaches_the_tensor(self):
         # the tensor's linear part is read off E_BASIS's brackets, and Phi is
         # sum_k v_k E_k, so a wrong basis matrix must show in the
         # certificates built on the tensor and in the isomorphism check
         e5 = tuple(tuple(-c for c in row) for row in poisson.E_BASIS[4])
-        caches = (poisson._e_bracket_constants, poisson.mb_poisson_tensor)
-        monkeypatch.setattr(poisson, "E_BASIS", poisson.E_BASIS[:4] + (e5,))
-        for cached in caches:
-            cached.cache_clear()
-        try:
+        with patched(poisson, "E_BASIS", poisson.E_BASIS[:4] + (e5,)):
             assert poisson.mb_poisson_tensor()[1][4] == -X1
             reports = {r.check: r.passed for r in verify.run_suite("poisson")}
             algebra = {r.check: r.passed for r in verify.run_suite("algebra")}
-        finally:
-            for cached in caches:
-                cached.cache_clear()
         for check in ("pi-assembly", "casimir", "hamiltonian-field", "involution"):
             assert not reports[check], check
         for check in ("E-commutator-table", "iso-Phi"):

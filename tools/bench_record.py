@@ -4,16 +4,17 @@ Run from the repository root:
 
     python3 tools/bench_record.py --number 31 --seed 9101 --seconds 10
     python3 tools/bench_record.py --number 30 --seed 9101 --seconds 10 \\
-        --checkout ../parent-clone --after-the-fact
+        --checkout ../parent-clone
 
 It runs perfbench's three workloads untraced, one after another, at one seed
 and length, in a git checkout: this repository, or ``--checkout DIR``, a
 clone at another commit, which is measured by its own ``perfbench/``.  It
 then merges the ``perfbench/out/result-*.json`` files that those runs wrote
 into ``BENCH_<n>.json`` at the root of this repository, adding the measured
-commit, the host and whether the commit was measured after later commits
-existed.  Each workload keeps its result file as written, except the
-per-request timings: the medians and the set-up runs stay.
+commit, the host and whether the commit was measured after the fact, that
+is, whether it is not this repository's HEAD.  Each workload keeps its
+result file as written, except the per-request timings: the medians and the
+set-up runs stay.
 
 Only perfbench's output files are read, so the measuring code is the
 checkout's own.  Numbers from different sessions or hosts compare only
@@ -75,8 +76,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--seconds", required=True, type=float, help="per workload")
     parser.add_argument("--checkout", type=Path, default=ROOT)
-    parser.add_argument("--after-the-fact", action="store_true",
-                        help="the commit is measured after later commits were made")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     # the commit names what ran only if the measured files are the committed ones
@@ -84,10 +83,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bench_record: {checkout} has uncommitted changes under src/ or perfbench/",
               file=sys.stderr)
         return 2
+    commit = git(checkout, "rev-parse", "HEAD")
     bench = {
         "number": args.number,
-        "commit": git(checkout, "rev-parse", "HEAD"),
-        "measured_after_the_fact": args.after_the_fact,
+        "commit": commit,
+        "measured_after_the_fact": commit != git(ROOT, "rev-parse", "HEAD"),
         "host": host(),
         "seed": args.seed,
         "seconds": args.seconds,
