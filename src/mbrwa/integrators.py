@@ -69,7 +69,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import re
 import sys
 from array import array
 from dataclasses import dataclass
@@ -161,7 +160,8 @@ def _rk4(system: SystemId) -> tuple[list, list]:
     k = [[f"k{j}_{i}" for i in range(len(x))] for j in range(4)]
     step, stage = [], x
     for j, scale in enumerate(("a", "a", "h", None)):
-        step += [f"{kj} = {model._poly_source(p, stage)}" for kj, p in zip(k[j], f)]
+        step += model._powers_once([f"{kj} = {model._poly_source(p, stage)}"
+                                    for kj, p in zip(k[j], f)])
         if scale:
             stage = [f"s{j}_{i}" for i in range(len(x))]
             step += [f"{s} = {xi} + {scale}*{kj}" for s, xi, kj in zip(stage, x, k[j])]
@@ -255,14 +255,6 @@ def _midpoint(x: Sequence[str], setup: list, predictor: list, kernel: list,
             _MIDPOINT_STEP.format(**slots).split("\n"))
 
 
-def _powers_once(lines: list) -> list:
-    """``lines`` after ``v_k = v**k`` for each distinct ``v**k`` in them, read
-    there as ``v_k``: ``**`` binds tighter than ``*`` and unary minus."""
-    power, text = r"\b([A-Za-z_]\w*)\*\*(\d+)", "\n".join(lines)
-    hoisted = [f"{v}_{k} = {v}**{k}" for v, k in dict.fromkeys(re.findall(power, text))]
-    return hoisted + re.sub(power, r"\1_\2", text).split("\n")
-
-
 def _system_midpoint(system: SystemId) -> tuple[list, list]:
     """The midpoint scheme on ``system``: its rhs inlined in the predictor
     and in the Newton evaluation, in ``midpoint_step_field``'s operation
@@ -287,9 +279,10 @@ def _system_midpoint(system: SystemId) -> tuple[list, list]:
     setup = ["c = 0.5 * h", *["h0 = h * 0.0"] * any(p.is_zero for p in f),
              *(f"{name} = {e}" for e, name in fixed.items() if name != e)]
     kernel = [*(f"{m} = 0.5*({xi} + {ni})" for m, xi, ni in zip(mid, x, new)),
-              *_powers_once([f"o{k} = {e}" for k, e in enumerate(entries) if e not in fixed])]
-    predictor = _powers_once([f"{ni} = {xi} + {h_times(p, x, ' * ')}"
-                              for ni, xi, p in zip(new, x, f)])
+              *model._powers_once([f"o{k} = {e}" for k, e in enumerate(entries)
+                                   if e not in fixed])]
+    predictor = model._powers_once([f"{ni} = {xi} + {h_times(p, x, ' * ')}"
+                                    for ni, xi, p in zip(new, x, f)])
     return _midpoint(x, setup, predictor, kernel,
                      [fixed.get(e, f"o{k}") for k, e in enumerate(entries)])
 

@@ -30,7 +30,8 @@ any sequence of the right length is accepted wherever a state is.
 from __future__ import annotations
 
 import enum
-from collections import namedtuple
+import re
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -226,7 +227,8 @@ def compile_poly_vector(
     The source is generated from the canonical polynomial terms, so the
     compiled function agrees with :meth:`Poly.eval` up to IEEE rounding.
     """
-    inner = _compile_scalar("_f", vars.names, [], [_poly_source(p, vars.names) for p in polys])
+    *body, returns = _powers_once([", ".join(_poly_source(p, vars.names) for p in polys)])
+    inner = _compile_scalar("_f", vars.names, body, [returns])
     return lambda state: np.array(inner(*state), dtype=float)
 
 
@@ -263,6 +265,17 @@ def _poly_source(p: Poly, names: Sequence[str]) -> str:
     return f"({text})"
 
 
+def _powers_once(lines: list) -> list:
+    """``lines`` after ``v_k = v**k`` for each ``v**k`` that occurs more than
+    once in them, read there as ``v_k``: ``**`` binds tighter than ``*`` and
+    unary minus.  The one power rule of every generated text."""
+    power, text = r"\b([A-Za-z_]\w*)\*\*(\d+)", "\n".join(lines)
+    repeated = [p for p, n in Counter(re.findall(power, text)).items() if n > 1]
+    hoisted = [f"{v}_{k} = {v}**{k}" for v, k in repeated]
+    return hoisted + re.sub(power, lambda m: f"{m[1]}_{m[2]}" if m.groups() in repeated
+                            else m[0], text).split("\n")
+
+
 @lru_cache(maxsize=None)
 def rhs_compiled(system: SystemId) -> Callable[[np.ndarray], np.ndarray]:
     return compile_poly_vector(rhs_symbolic(system), system_vars(system))
@@ -291,11 +304,13 @@ def invariant_compiled(inv: InvariantId) -> Callable[[np.ndarray], float]:
 
 def invariant_lines(system: SystemId) -> list[str]:
     """Source lines that set v0, v1, ... to ``system_invariants(system)`` at
-    the state components, each nan if its ``**`` overflows."""
+    the state components, each nan if its ``**`` overflows: the powers an
+    invariant repeats are hoisted inside its own ``try``."""
     x, body = system_vars(system).names, []
     for i, inv in enumerate(system_invariants(system)):
-        src = _poly_source(invariant_symbolic(inv), x)
-        body += ["try:", f"    v{i} = {src}", "except OverflowError:", f"    v{i} = float('nan')"]
+        value = _powers_once([f"v{i} = {_poly_source(invariant_symbolic(inv), x)}"])
+        body += ["try:", *(f"    {line}" for line in value), "except OverflowError:",
+                 f"    v{i} = float('nan')"]
     return body
 
 

@@ -11,8 +11,10 @@ isomorphisms) is stated and computed here in exact polynomial arithmetic, as
 residuals that vanish iff it holds; ``verify`` certifies it, naming and
 reporting each check.
 
-Brackets are computed through the tensor and exact gradients; the pairwise
-coordinate relations are test assertions, not definitions.
+Brackets are computed through the tensor and exact gradients; the Jacobi
+check builds each coordinate field X_k = pi grad(u_k) once per tensor and
+reads {f, u_k} as f differentiated along X_k.  The pairwise coordinate
+relations are test assertions, not definitions.
 """
 
 from __future__ import annotations
@@ -136,26 +138,23 @@ def poisson_bracket(f: Poly, g: Poly, pi: Matrix) -> Poly:
     return lie_derivative(dict(zip(VARS5.names, ham_vector_field(pi, g))), f)
 
 
-def jacobi_residual(i: int, j: int, k: int, pi: Matrix) -> Poly:
-    """Cyclic Jacobi sum for coordinate functions u_i, u_j, u_k (1-based)."""
-    if not (1 <= i < j < k <= DIM):
-        raise ValueError(f"need 1 <= i < j < k <= {DIM}, got ({i},{j},{k})")
-    coords = Poly.variables(VARS5)
-    ui, uj, uk = coords[i - 1], coords[j - 1], coords[k - 1]
-    return (
-        poisson_bracket(poisson_bracket(ui, uj, pi), uk, pi)
-        + poisson_bracket(poisson_bracket(uj, uk, pi), ui, pi)
-        + poisson_bracket(poisson_bracket(uk, ui, pi), uj, pi)
-    )
-
-
 def all_jacobi_residuals(pi: Matrix | None = None) -> dict[tuple[int, int, int], Poly]:
+    """The cyclic Jacobi sum {{u_i, u_j}, u_k} + {{u_j, u_k}, u_i} +
+    {{u_k, u_i}, u_j} of each coordinate triple i < j < k (1-based).  The
+    bracket {f, u_k} is f differentiated along the coordinate field
+    X_k = pi grad(u_k), and each of the five fields is built once."""
     pi = pi or mb_poisson_tensor()
+    coords = Poly.variables(VARS5)
+    fields = [dict(zip(VARS5.names, ham_vector_field(pi, u))) for u in coords]
+
+    def bracket(f: Poly, k: int) -> Poly:  # {f, u_k}, 0-based k
+        return lie_derivative(fields[k], f)
+
     return {
-        (i, j, k): jacobi_residual(i, j, k, pi)
-        for i in range(1, DIM + 1)
-        for j in range(i + 1, DIM + 1)
-        for k in range(j + 1, DIM + 1)
+        (i + 1, j + 1, k + 1): bracket(bracket(coords[i], j), k)
+        + bracket(bracket(coords[j], k), i)
+        + bracket(bracket(coords[k], i), j)
+        for i, j, k in itertools.combinations(range(DIM), 3)
     }
 
 

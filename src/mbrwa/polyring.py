@@ -14,10 +14,12 @@ dense tuples of the same length as the variable list.  The polynomials in
 this project are tiny (at most 14 variables, a few hundred terms), so
 :class:`Poly` attempts no sparse cleverness.
 
-Arithmetic only combines polynomials over one VarSet.  Two primitives build
-everything else: :meth:`Poly.substitute`, the one composition, which may move
-a polynomial onto another VarSet (unbound variables carry over by name), and
-:func:`lie_derivative`, the derivative along a vector field.
+Arithmetic only combines polynomials over one VarSet.  One product on term
+dicts, ``_mul_into``, serves ``*``, ``**``, :meth:`Poly.substitute` (the one
+composition, which may move a polynomial onto another VarSet; unbound
+variables carry over by name) and :func:`lie_derivative`, the derivative
+along a vector field; each keeps the terms, in the dict order that
+``Poly.eval`` sums floats in, of a Poly made per product.
 
 The exact linear algebra has one way in, :func:`kernel`: the vanishing
 combinations of images (tuples of Polys or exact scalars), over one sparse
@@ -33,6 +35,8 @@ Entries and results follow the coefficient rule above.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
+from operator import add
 from typing import Mapping, Sequence, Union
 
 # An exact coefficient: an int when integral, a Fraction (denominator not 1)
@@ -92,6 +96,29 @@ def _coeff(c: Coeff) -> Coeff:
     if isinstance(c, int):
         return int(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def _mul_into(total: dict, t1: Mapping, t2: Mapping) -> dict:
+    """Add the product of the term dicts ``t1`` and ``t2`` to ``total`` in
+    place and return it, as if the product were a :class:`Poly` whose terms
+    were added in order: a monomial the product brings in and cancels
+    within itself is dropped again.  ``Poly._made`` makes values canonical."""
+    start, get = len(total), total.get
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(map(add, e1, e2))
+            total[e] = get(e, 0) + c1 * c2
+    new = len(total) - start
+    if not all(islice(reversed(total.values()), new)):  # a new monomial cancelled
+        for e in [e for e in islice(reversed(total), new) if not total[e]]:
+            del total[e]
+    return total
+
+
+def _diff_terms(terms: Mapping, i: int) -> dict:
+    """The term dict of the partial derivative along variable ``i``: each
+    term keeps its place, and none cancels, as no two share an image."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in terms.items() if e[i]}
 
 
 class Poly:
@@ -171,7 +198,7 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise VarSetMismatch(f"cannot mix {self.vars} and {other.vars}")
 
     def _coerce(self, other: Union["Poly", Coeff]) -> "Poly":
@@ -199,23 +226,17 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other: Union["Poly", Coeff]) -> "Poly":
-        other = self._coerce(other)
-        terms: dict[tuple[int, ...], Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return Poly._made(self.vars, terms)
+        return Poly._made(self.vars, _mul_into({}, self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Poly.const(self.vars, 1)
+        terms = {(0,) * len(self.vars): 1}
         for _ in range(n):
-            result = result * self
-        return result
+            terms = _mul_into({}, terms, self.terms)
+        return Poly._made(self.vars, terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -234,15 +255,7 @@ class Poly:
 
     def diff(self, name: str) -> "Poly":
         """Exact partial derivative with respect to ``name``."""
-        i = self.vars.index(name)
-        terms: dict[tuple[int, ...], Coeff] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            e2 = e[:i] + (k - 1,) + e[i + 1 :]
-            terms[e2] = terms.get(e2, 0) + c * k
-        return Poly._made(self.vars, terms)
+        return Poly._made(self.vars, _diff_terms(self.terms, self.vars.index(name)))
 
     def substitute(self, bindings: Mapping[str, Union["Poly", Coeff]]) -> "Poly":
         """Simultaneous substitution of polynomials for variables.
@@ -274,8 +287,9 @@ class Poly:
             for i, name in enumerate(self.vars.names)
             if i not in repl and name in occurring
         }
-        powers: dict[tuple[int, int], Poly] = {}
+        powers: dict[tuple[int, int], dict] = {}
         total: dict[tuple[int, ...], Coeff] = {}
+        one = {(0,) * len(target): 1}
         for e, c in self.terms.items():
             mono = [0] * len(target)
             factors = []
@@ -284,15 +298,15 @@ class Poly:
                     continue
                 if i in repl:
                     if (i, k) not in powers:
-                        powers[(i, k)] = repl[i] ** k
+                        powers[(i, k)] = (repl[i] ** k).terms
                     factors.append(powers[(i, k)])
                 else:
                     mono[carry[i]] += k
-            term = Poly._made(target, {tuple(mono): c})
+            term = {tuple(mono): c}
+            *factors, last = factors or [one]
             for f in factors:
-                term = term * f
-            for m, v in term.terms.items():
-                total[m] = total.get(m, 0) + v
+                term = _mul_into({}, term, f)
+            _mul_into(total, term, last)
         return Poly._made(target, total)
 
     def eval(self, point: Mapping[str, Union[Coeff, float]]):
@@ -368,18 +382,16 @@ class Poly:
 def lie_derivative(field: Mapping[str, Poly], f: Poly) -> Poly:
     """The derivative of ``f`` along the vector field sum_v field[v] d/dv.
 
-    Components and ``f`` must share one VarSet; variables the field does not
-    name have a zero component.
+    Every nonzero component must share ``f``'s VarSet; variables the field
+    does not name have a zero component.
     """
     total: dict[tuple[int, ...], Coeff] = {}
     for name, comp in field.items():
         if comp.is_zero:
             continue
-        df = f.diff(name)
-        if df.is_zero:
-            continue
-        for e, c in (comp * df).terms.items():
-            total[e] = total.get(e, 0) + c
+        f._check(comp)
+        if df := _diff_terms(f.terms, f.vars.index(name)):
+            _mul_into(total, comp.terms, df)
     return Poly._made(f.vars, total)
 
 

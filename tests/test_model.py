@@ -350,10 +350,11 @@ def test_generated_kernel_source_is_pinned():
     # step right after the step's time, RK4's a and b and midpoint's c in the
     # run's setup, the Newton evaluation first in each iteration and its
     # entries in the pack, the invariants right after the test of the state.
-    # A name the midpoint run hoists (a power v_k, a constant entry j<k>,
+    # A name a run hoists (a power v_k, a midpoint constant entry j<k>,
     # h0 = h * 0.0) reads back as the expression it is set to, and the
     # entries compare without spaces (the predictor writes ``h * f``, the
-    # residual ``h*f``).
+    # residual ``h*f``).  An invariant's powers are hoisted inside its own
+    # ``try``, so one overflow turns only that invariant into nan.
     for system in SystemId:
         x, pinned = model.system_vars(system).names, golden[system.value]
         newton = pinned["midpoint_newton_source"]
@@ -365,21 +366,23 @@ def test_generated_kernel_source_is_pinned():
             rk4 = [line.strip() for line in compiled[system.value][f"rk4_{emit}"]]
             midpoint = [line.strip() for line in compiled[system.value][f"midpoint_{emit}"]]
             assert _setup(rk4)[:2] == ["a = 0.5 * h", "b = h / 6.0"]
-            start = rk4.index("t = t0 + h*k") + 1
-            assert stage == rk4[start:start + len(x)]
             setup, hoisted = _setup(midpoint), {}
             assert setup[0] == newton["body"][0] == "c = 0.5 * h"
-            for line in midpoint:
+            for line in rk4 + midpoint:
                 name, _, expr = line.partition(" = ")
                 if re.fullmatch(r"j\d+|h0", name) and line in setup or re.fullmatch(r"\w+\*\*\d+", expr):
-                    hoisted[name] = expr
+                    assert hoisted.setdefault(name, expr) == expr
 
             def read_back(text):
                 return re.sub(r"\b\w+\b", lambda m: hoisted.get(m.group(), m.group()), text)
 
+            def unhoisted(lines):
+                return [read_back(line) for line in lines if line.partition(" = ")[0] not in hoisted]
+
+            start = rk4.index("t = t0 + h*k") + 1
+            assert stage == unhoisted(rk4[start:])[:len(x)]
             start, stop = midpoint.index("t = t0 + h*k") + 1, midpoint.index("update_norm = inf")
-            assert predictor == [read_back(line) for line in midpoint[start:stop]
-                                 if line.partition(" = ")[0] not in hoisted]
+            assert predictor == unhoisted(midpoint[start:stop])
             start = midpoint.index("for _ in range(50):") + 1
             assert newton["body"][1:] == midpoint[start:start + len(x)]
             entries = dict(line.split(" = ", 1) for line in midpoint[start:]
@@ -394,8 +397,13 @@ def test_generated_kernel_source_is_pinned():
                     start += 1
                 if emit == "none":
                     assert run[start] == "except OverflowError:"
-                else:
-                    assert run[start + 1:start + 4 * len(values):4] == values
+                    continue
+                ends = [i for i in range(start, len(run)) if run[i] == "except OverflowError:"]
+                block = run[start:ends[len(values) - 1] + 2]
+                assert unhoisted(block)[1::4] == values
+                for i, line in enumerate(block):
+                    if line.partition(" = ")[0] in hoisted:
+                        assert block[i - 1] == "try:" or block[i - 1].partition(" = ")[0] in hoisted
     invariants = {
         inv.value: model._poly_source(
             model.invariant_symbolic(inv), model.system_vars(model.invariant_system(inv)).names
@@ -425,6 +433,20 @@ def test_midpoint_iteration_repeats_no_work(system, emit):
     predictor = "\n".join(lines[lines.index("t = t0 + h*k") + 1:lines.index("update_norm = inf")])
     for text in (predictor, iteration):
         powers = re.findall(r"\b\w+\*\*\d+", text)
+        assert len(powers) == len(set(powers))
+
+
+@pytest.mark.parametrize("system", list(SystemId))
+def test_rk4_stages_and_invariants_evaluate_each_power_once(system):
+    # each stage hoists the powers its rhs repeats, each invariant those it
+    # repeats; the stages' powers are of different locals
+    lines = [line.strip() for line in
+             integrators._compile_run(IntegratorId.RK4, system, "none").source.split("\n")]
+    step = "\n".join(lines[lines.index("t = t0 + h*k") + 1:])
+    powers = re.findall(r"\b\w+\*\*\d+", step)
+    assert len(powers) == len(set(powers))
+    for block in "\n".join(model.invariant_lines(system)).split("try:"):
+        powers = re.findall(r"\b\w+\*\*\d+", block)
         assert len(powers) == len(set(powers))
 
 
@@ -486,6 +508,10 @@ def test_invariants_kernel_overflow_is_nan():
     h, c, j = model.invariants_compiled(SystemId.MB5)(0.0, 0.0, 0.0, 0.0, 1e155)
     assert math.isnan(h)
     assert (c, j) == (1e155, 0.0)
+    # H~ evaluates q1**2 once, inside its own try: its overflow leaves C~ and J~
+    h, c, j = model.invariants_compiled(SystemId.HAM6)(1e155, 0.0, 0.0, 0.0, 0.0, 0.5)
+    assert math.isnan(h)
+    assert (c, j) == (0.5, 0.0)
 
 
 def test_rk4_kernel_overflow_is_nan():

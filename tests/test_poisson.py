@@ -1,5 +1,6 @@
 """Poisson tensor, cocycle, and matrix algebra certificates."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from mbrwa import model, poisson, verify
 from mbrwa.model import VARS5, InvariantId, SystemId
 from mbrwa.polyring import Poly, matrix_rank
+import oracles
 from patching import patched
 
 X1, Y1, X2, Y2, Z = Poly.variables(VARS5)
@@ -67,18 +69,33 @@ class TestIndependence:
 class TestJacobi:
     @pytest.mark.parametrize("triple", [(1, 2, 5), (2, 4, 5)])
     def test_selected_triples(self, triple):
-        assert poisson.jacobi_residual(*triple, PI).is_zero
+        assert poisson.all_jacobi_residuals(PI)[triple].is_zero
+        assert oracles.jacobi_residual(*triple, PI).is_zero
 
     def test_all_ten_triples(self):
         residuals = poisson.all_jacobi_residuals()
         assert len(residuals) == 10
         assert all(r.is_zero for r in residuals.values())
 
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            poisson.jacobi_residual(2, 1, 3, PI)
-        with pytest.raises(ValueError):
-            poisson.jacobi_residual(1, 2, 6, PI)
+    # the tensors of verify's --mutate-pi mutants that the certify benchmark
+    # runs, whose Jacobi sums vanish, and an antisymmetric quadratic
+    # perturbation of PI, whose sums do not
+    @pytest.mark.parametrize("mutant", ["1,2,both", "3,4,both", "2,5,both", "4,5,both", "2,5",
+                                        "quadratic"])
+    def test_fields_built_once_give_the_per_bracket_sums(self, mutant):
+        # term for term and in dict order, which Poly.eval's float sum follows
+        if mutant == "quadratic":
+            u = Poly.variables(VARS5)
+            pi = tuple(tuple(PI[i][j] + (i - j) * (u[i] * u[j] + u[(i + j) % 5]**2 + u[i * j % 5])
+                             for j in range(5)) for i in range(5))
+        else:
+            i, j, *both = mutant.split(",")
+            pi = poisson.flip_entry_sign(PI, int(i), int(j), antisymmetric=bool(both))
+        residuals = poisson.all_jacobi_residuals(pi)
+        assert list(residuals) == list(itertools.combinations(range(1, 6), 3))
+        for triple, r in residuals.items():
+            assert list(r.terms.items()) == list(oracles.jacobi_residual(*triple, pi).terms.items())
+        assert all(r.is_zero for r in residuals.values()) == (mutant != "quadratic")
 
 
 class TestCasimir:

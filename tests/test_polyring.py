@@ -1,5 +1,6 @@
 """Exact polynomial ring: examples, properties, and the linear solver."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from mbrwa.polyring import (
     matrix_rank,
     solve_nullspace,
 )
+import oracles
 
 XY = VarSet("x", "y")
 X = Poly.var(XY, "x")
@@ -110,6 +112,14 @@ class TestLieDerivative:
     def test_unnamed_variables_have_zero_component(self):
         assert lie_derivative({"y": X}, X**2 * Y) == X**3
         assert lie_derivative({}, X).is_zero
+
+    def test_every_nonzero_component_shares_the_varset(self):
+        # checked whether or not f depends on the component's variable
+        u = Poly.var(VarSet("u"), "u")
+        for name in ("x", "y"):
+            with pytest.raises(VarSetMismatch):
+                lie_derivative({name: u}, X)
+        assert lie_derivative({"y": Poly.zero(VarSet("u"))}, X).is_zero
 
 
 class TestOccurring:
@@ -464,6 +474,61 @@ def test_results_have_canonical_coefficients(p, q, r, n, i):
     for result, reference in cases:
         assert all(canonical(c) for c in result.terms.values()), result.terms
         assert result.terms == reference
+
+
+# ---------------------------------------------------------------------------
+# The one product against the products it replaced (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+OTHER3 = VarSet("a", "b", "d")
+
+
+def _cancelling_polys():
+    """Polys of a few small terms, int and Fraction coefficients, mostly over
+    VARS3: products of them often cancel, and some mix VarSets."""
+    coeff = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])
+    exps = st.tuples(*[st.integers(0, 1)] * len(VARS3))
+    return st.builds(Poly, st.sampled_from([VARS3] * 3 + [OTHER3]),
+                     st.dictionaries(exps, coeff, max_size=4))
+
+
+def _outcome(fn, *args):
+    """The VarSet and the terms of ``fn(*args)``, in dict order and with each
+    coefficient's type, or the type and message of what it raises."""
+    try:
+        p = fn(*args)
+    except (ValueError, KeyError) as exc:  # VarSetMismatch is a ValueError
+        return type(exc), str(exc)
+    return p.vars, [(e, type(c), c) for e, c in p.terms.items()]
+
+
+A3, B3, C3 = Poly.variables(VARS3)
+HALF_A2 = Fraction(1, 2) * A3**2 - A3 * B3
+
+
+@given(_cancelling_polys(), _cancelling_polys(), _cancelling_polys(), st.integers(-1, 3),
+       st.sampled_from([0, -1, 3, Fraction(2, 3)]))
+@example(HALF_A2, A3 + B3, B3, 2, 0)
+@example(A3 * B3 + 2 * B3**2, A3 + B3, A3 - B3, 2, 0)
+@settings(max_examples=300, deadline=None)
+def test_one_product_is_the_products_it_replaced(p, q, r, n, c):
+    assert _outcome(operator.mul, p, q) == _outcome(oracles.mul, p, q)
+    assert _outcome(operator.mul, p, c) == _outcome(oracles.mul, p, c)
+    assert _outcome(operator.pow, p, n) == _outcome(oracles.power, p, n)
+    for bindings in ({"a": q}, {"a": q, "b": r}, {"c": r, "a": c}, {"b": c}):
+        assert _outcome(p.substitute, bindings) == _outcome(oracles.substitute, p, bindings)
+    for field in ({"a": q, "b": r}, {"c": r}, {"b": r, "a": q, "c": p}):
+        assert _outcome(lie_derivative, field, p) == _outcome(oracles.lie_derivative, field, p)
+
+
+def test_a_monomial_a_product_cancels_keeps_its_later_place():
+    # ab cancels inside (a + b)(a - b) and comes back from the next
+    # product, so it follows a^2 and b^2 in the result, as it did when each
+    # product was a Poly before it was added
+    sub = (A3 * B3 + 2 * B3**2).substitute({"a": A3 + B3, "b": A3 - B3})
+    lie = lie_derivative({"a": A3 + B3, "b": B3}, HALF_A2)
+    for p in (sub, lie):
+        assert list(p.terms) == [(2, 0, 0), (0, 2, 0), (1, 1, 0)]
 
 
 # ---------------------------------------------------------------------------
