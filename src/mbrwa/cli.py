@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 
 from . import __version__, integrators, model, poisson, symmetry, verify
 from .integrators import BlowUpError, IntegratorId, NewtonError
@@ -42,6 +43,7 @@ def _print_json(payload) -> None:
     sys.stdout.write("\n")
 
 
+@cache  # built once per process: a parse reads the parser and never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbrwa",

@@ -20,13 +20,13 @@ O(1) memory), ``rows`` (``run_rows``: ``(t, *state, *invariants)`` of every
 (``step``).  ``fold`` and ``rows`` apply one rule to the invariants of each
 row they make: the first that is not finite, by row then column, is kept as
 a BlowUpError and raised once the run ends, so a later non-finite state
-wins.  ``_drive`` runs the full steps, then the partial step onto t_end,
-inside the run's one ``np.errstate``.  The loops run on Python floats, never
-numpy columns: an array's ``x**2`` is ``x*x``, a scalar's is libm ``pow``,
-and they differ in the last bit on about 0.09% of doubles.  The array steps
-on a field of numpy arrays (``rk4_step_field``, ``midpoint_step_field``) keep
-the generated steps' operation order, and numpy scalars call ``pow`` too, so
-the two give the same bits.
+wins.  ``_drive`` runs the full steps, then the partial step onto t_end, a
+midpoint run inside its one ``np.errstate``.  The loops run on Python
+floats, never numpy columns: an array's ``x**2`` is ``x*x``, a scalar's is
+libm ``pow``, and they differ in the last bit on about 0.09% of doubles.
+The array steps on a field of numpy arrays (``rk4_step_field``,
+``midpoint_step_field``) keep the generated steps' operation order, and
+numpy scalars call ``pow`` too, so the two give the same bits.
 
 ``_MIDPOINT_STEP`` is the one midpoint step text: Euler predictor, Newton
 iterations, finiteness checks, solve, update, both stopping rules with
@@ -41,8 +41,11 @@ is identically zero, and each Newton-matrix entry whose derivative is a
 nonzero constant, as written (``0.0 - x`` is not ``-x`` for x = 0.0).  The
 linear solve calls numpy's ``solve1`` gufunc directly: the LAPACK gesv
 kernel ``np.linalg.solve`` runs for a 1-D right-hand side, without the
-argument handling, so states keep their bits.  Each run call makes two
-buffers in its setup: one ``struct`` ``pack_into`` writes the Newton
+argument handling, so states keep their bits.  Only a midpoint loop needs
+numpy: ``_compile_loop`` imports it and ``solve1`` when it compiles one, and
+an RK4 loop names neither, so an RK4 run, like the exact side, loads no
+numpy; the array renditions import it in their bodies.  Each run call makes
+two buffers in its setup: one ``struct`` ``pack_into`` writes the Newton
 operands, passed as the locals ``o<k>``, literals and setup names, into the
 first (the residual and Newton matrix are views of it), ``solve1`` writes
 the update into the second, and one ``unpack_from`` reads it back into
@@ -57,12 +60,13 @@ where numpy returns inf; the loop turns it into a BlowUpError at the step's
 time, as it does a Newton iterate, residual or update, or a state, that is
 not finite.  An exactly singular Newton matrix makes ``solve1`` warn unless
 an ``np.errstate`` ignores "invalid"; entering one costs about as much as a
-predictor, so no loop enters one, and ``_drive`` enters one per run.  Floats
-``a, b, ...`` are tested as ``not isfinite(a + b + ...) and not (isfinite(a)
-and ...)``, exact: a nan or infinite entry makes the sum nan or infinite, and
-a finite sum that overflows falls through to each entry.  Setup entries,
-finite for a finite h, are left out.  Nothing calls ``sum()`` on floats, so
-no result rests on Python 3.12's compensated ``sum``.
+predictor, so no loop enters one, and ``_drive`` enters one per midpoint
+run.  Floats ``a, b, ...`` are tested as ``not isfinite(a + b + ...) and
+not (isfinite(a) and ...)``, exact: a nan or infinite entry makes the sum
+nan or infinite, and a finite sum that overflows falls through to each
+entry.  Setup entries, finite for a finite h, are left out.  Nothing calls
+``sum()`` on floats, so no result rests on Python 3.12's compensated
+``sum``.
 """
 from __future__ import annotations
 
@@ -71,12 +75,11 @@ import itertools
 import math
 import sys
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from struct import Struct
 from typing import Callable, Sequence
-
-import numpy as np
-from numpy.linalg._umath_linalg import solve1  # the gesv gufunc behind np.linalg.solve
 
 from . import model
 from .model import InvariantId, SystemId, system_invariants  # noqa: F401  (re-exported)
@@ -176,6 +179,8 @@ def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: 
     ``f`` for the predictor and a Newton evaluation built from ``f`` and
     ``jac``.  All nan if the step blows up; no numpy floating-point warning
     escapes the step."""
+    import numpy as np
+
     n, eye = len(s), np.eye(len(s))
 
     def kernel(*x_new_h):
@@ -348,10 +353,12 @@ def _compile_loop(x: Sequence[str], scheme: tuple, slot: tuple, **namespace) -> 
         teardown="\n    ".join(teardown), x_blowup=_blowup(x),
     )
     source = "\n".join(line for line in source.split("\n") if line.strip()) + "\n"
-    from struct import Struct  # numpy has loaded it; imported here, at first compile
-    return model._compile(source, "_run", np=np, solve1=solve1, Struct=Struct,
-                          isfinite=math.isfinite, inf=math.inf, NewtonError=NewtonError,
-                          BlowUpError=BlowUpError, **namespace)
+    if "solve1(" in source:  # a midpoint loop: numpy's gesv, imported at its first compile
+        import numpy as np
+        from numpy.linalg._umath_linalg import solve1  # the gufunc behind np.linalg.solve
+        namespace.update(np=np, solve1=solve1)
+    return model._compile(source, "_run", Struct=Struct, isfinite=math.isfinite, inf=math.inf,
+                          NewtonError=NewtonError, BlowUpError=BlowUpError, **namespace)
 
 
 @lru_cache(maxsize=None)
@@ -422,9 +429,14 @@ def _state(system: SystemId, state) -> tuple[float, ...]:
 def _drive(method: IntegratorId, system: SystemId, emit: str, s: tuple, segments: list,
            *args) -> tuple:
     """The state the (method, system, emit) loop reaches from ``s`` over the
-    segments, inside one ``np.errstate``."""
+    segments, a midpoint run inside one ``np.errstate``."""
     run = _compile_run(method, system, emit)
-    with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
+    if method is IntegratorId.RK4:  # no numpy call, so no numpy error state
+        errstate = nullcontext()
+    else:  # a singular Newton matrix sets "invalid"
+        import numpy as np
+        errstate = np.errstate(all="ignore")
+    with errstate:
         for segment in segments:
             s = run(*s, *segment, *args)
     return s
@@ -499,6 +511,8 @@ def integrate(method: IntegratorId, system: SystemId, initial, t0: float, t_end:
     """The run from t0 to t_end, every state collected into arrays:
     ``run_rows``'s table without its invariant columns.  BlowUpError as
     ``run_rows`` raises it, for a state or an invariant that is not finite."""
+    import numpy as np
+
     n = model.system_dim(system)
     rows = run_rows(method, system, initial, t0, t_end, h)
     table = np.frombuffer(rows).reshape(-1, 1 + n + len(system_invariants(system)))
@@ -509,6 +523,8 @@ def drift_report(traj: Trajectory, invariants: Sequence[InvariantId]) -> DriftRe
     """Deviation bookkeeping for each invariant along a trajectory, by numpy
     over the scalar invariant kernel at every state.  BlowUpError at the
     first row, then column, not finite; ValueError when there are no rows."""
+    import numpy as np
+
     for inv in invariants:
         if (home := model.invariant_system(inv)) is not traj.system:
             raise ValueError(f"invariant {inv.value} is defined on {home.value}, "

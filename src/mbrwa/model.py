@@ -37,8 +37,6 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .polyring import Poly, VarSet, lie_derivative
 
 VARS5 = VarSet("x1", "y1", "x2", "y2", "z")
@@ -227,6 +225,8 @@ def compile_poly_vector(
     The source is generated from the canonical polynomial terms, so the
     compiled function agrees with :meth:`Poly.eval` up to IEEE rounding.
     """
+    import numpy as np
+
     *body, returns = _powers_once([", ".join(_poly_source(p, vars.names) for p in polys)])
     inner = _compile_scalar("_f", vars.names, body, [returns])
     return lambda state: np.array(inner(*state), dtype=float)

@@ -11,10 +11,12 @@ isomorphisms) is stated and computed here in exact polynomial arithmetic, as
 residuals that vanish iff it holds; ``verify`` certifies it, naming and
 reporting each check.
 
-Brackets are computed through the tensor and exact gradients; the Jacobi
-check builds each coordinate field X_k = pi grad(u_k) once per tensor and
-reads {f, u_k} as f differentiated along X_k.  The pairwise coordinate
-relations are test assertions, not definitions.
+A bracket {f, g} is f differentiated along the Hamiltonian field
+X_g = pi grad(g) (``ham_vector_field``), and each field is built once where
+it is read more than once: the Jacobi check builds each coordinate field
+X_k = pi grad(u_k) once per tensor, and verify's poisson suite X_H, X_C and
+X_J once per request.  The pairwise coordinate relations are test
+assertions, not definitions.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import itertools
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from . import model
-from .model import VARS5, InvariantId
+from .model import VARS5
 from .polyring import Coeff, Poly, VarSet, kernel, lie_derivative
 
 Matrix = tuple[tuple[Coeff, ...], ...]
@@ -130,14 +131,6 @@ def flip_entry_sign(pi: Matrix, i: int, j: int, antisymmetric: bool = False) -> 
 # ---------------------------------------------------------------------------
 
 
-def poisson_bracket(f: Poly, g: Poly, pi: Matrix) -> Poly:
-    """{f, g} = (grad f)^T pi (grad g): f differentiated along the
-    Hamiltonian field of g, exactly."""
-    if f.vars != VARS5 or g.vars != VARS5:
-        raise ValueError("poisson_bracket arguments must live over the 5D phase space")
-    return lie_derivative(dict(zip(VARS5.names, ham_vector_field(pi, g))), f)
-
-
 def all_jacobi_residuals(pi: Matrix | None = None) -> dict[tuple[int, int, int], Poly]:
     """The cyclic Jacobi sum {{u_i, u_j}, u_k} + {{u_j, u_k}, u_i} +
     {{u_k, u_i}, u_j} of each coordinate triple i < j < k (1-based).  The
@@ -162,11 +155,6 @@ def ham_vector_field(pi: Matrix, h: Poly) -> tuple[Poly, ...]:
     """The vector field pi * grad(h), componentwise: row i of pi, read as a
     field, differentiates h."""
     return tuple(lie_derivative(dict(zip(VARS5.names, row)), h) for row in pi)
-
-
-def casimir_residual(pi: Matrix) -> tuple[Poly, ...]:
-    """pi * grad(C) for the distinguished function C; zero iff C is a Casimir."""
-    return ham_vector_field(pi, model.invariant_symbolic(InvariantId.C))
 
 
 def antisymmetry_residuals(pi: Matrix) -> list[Poly]:

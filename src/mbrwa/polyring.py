@@ -415,9 +415,11 @@ def _rref(rows: list[dict[int, Coeff]], ncols: int) -> list[int]:
     to the lower row index), and eliminates only the rows its index lists.
     A matrix has exactly one RREF, so the pivot rule changes only the cost.
 
-    Entries stay canonical: a pivot of 1 needs no scaling, any other is
-    inverted as ``Fraction(1) / p`` (``1 / p`` would make an int pivot a
-    float), and an entry that comes out integral is stored as an int."""
+    Entries stay canonical: a pivot of 1 needs no scaling, one that divides
+    every entry of its row (an int pivot, almost always) divides them with
+    ``//``, which gives ints, any other is inverted as ``Fraction(1) / p``
+    (``1 / p`` would make an int pivot a float), and an entry that comes out
+    integral is stored as an int.  Either way the scaled row is the same."""
     where: list[set[int]] = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for k in row:
@@ -433,8 +435,11 @@ def _rref(rows: list[dict[int, Coeff]], ncols: int) -> list[int]:
         pivot = rows[r]
         p = pivot[c]
         if p != 1:
-            inv = Fraction(1) / p
-            pivot = rows[r] = {k: _coeff(v * inv) for k, v in pivot.items()}
+            if all(not v % p for v in pivot.values()):  # each quotient an int
+                pivot = rows[r] = {k: v // p for k, v in pivot.items()}
+            else:
+                inv = Fraction(1) / p
+                pivot = rows[r] = {k: _coeff(v * inv) for k, v in pivot.items()}
         for i in where[c] - {r}:
             row = rows[i]
             f = row[c]

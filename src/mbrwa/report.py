@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .polyring import Poly
@@ -29,7 +29,9 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, shallow: the residual list and witness dict
+        are the report's own, already plain JSON values."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class Outcome(NamedTuple):
@@ -51,7 +53,7 @@ def run_check(
     """
     started = time.perf_counter()
     result = body()
-    # a residual tuple (as from casimir_residual) is not an Outcome
+    # a residual tuple (as from ham_vector_field) is not an Outcome
     outcome = result if isinstance(result, Outcome) else Outcome(result, {})
     failures = [str(r) for r in outcome.residuals if isinstance(r, str) or not r.is_zero]
     return VerificationReport(

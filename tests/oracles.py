@@ -1,16 +1,18 @@
 """What only tests use: numeric estimates over the integrators' run loops,
-and the exact core's products and Jacobi sums as they were computed before
-they shared one product and one set of coordinate fields, to compare the
-new ones against term for term, in dict order."""
+and the exact core's products, Jacobi sums and elimination as they were
+computed before they shared one product and one set of coordinate fields,
+and before integer pivots, to compare the new ones against term for term,
+in dict order."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from mbrwa import poisson
+from mbrwa import poisson, polyring
 from mbrwa.integrators import IntegratorId, _drive, _state, integrate
 from mbrwa.model import VARS5, SystemId
-from mbrwa.polyring import Poly, VarSetMismatch
+from mbrwa.polyring import Poly, VarSetMismatch, _coeff
 
 
 def midpoint_roundtrip_error(system: SystemId, state, h: float) -> float:
@@ -111,11 +113,59 @@ def lie_derivative(field, f: Poly) -> Poly:
     return Poly._made(f.vars, total)
 
 
+def poisson_bracket(f: Poly, g: Poly, pi) -> Poly:
+    """{f, g} = (grad f)^T pi (grad g) by its definition: f differentiated
+    along the Hamiltonian field of g, built for this one bracket."""
+    if f.vars != VARS5 or g.vars != VARS5:
+        raise ValueError("poisson_bracket arguments must live over the 5D phase space")
+    return polyring.lie_derivative(dict(zip(VARS5.names, poisson.ham_vector_field(pi, g))), f)
+
+
 def jacobi_residual(i: int, j: int, k: int, pi) -> Poly:
     """The cyclic Jacobi sum of u_i, u_j, u_k (1-based) bracket by bracket:
     each ``poisson_bracket`` builds the Hamiltonian field of its second
     argument again."""
     ui, uj, uk = (Poly.variables(VARS5)[n - 1] for n in (i, j, k))
-    bracket = poisson.poisson_bracket
+    bracket = poisson_bracket
     return (bracket(bracket(ui, uj, pi), uk, pi) + bracket(bracket(uj, uk, pi), ui, pi)
             + bracket(bracket(uk, ui, pi), uj, pi))
+
+
+def rref(rows: list, ncols: int) -> list:
+    """``polyring._rref`` as it scaled every pivot other than 1 by
+    ``Fraction(1) / p``: Markowitz pivots, rows in place, pivot columns
+    returned."""
+    where = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for k in row:
+            where[k].add(i)
+    is_pivot = [False] * len(rows)
+    pivots, order = [], []
+    for c in range(ncols):
+        free = [(len(rows[i]), i) for i in where[c] if not is_pivot[i]]
+        if not free:
+            continue
+        r = min(free)[1]
+        pivot = rows[r]
+        p = pivot[c]
+        if p != 1:
+            inv = Fraction(1) / p
+            pivot = rows[r] = {k: _coeff(v * inv) for k, v in pivot.items()}
+        for i in where[c] - {r}:
+            row = rows[i]
+            f = row[c]
+            for k, v in pivot.items():
+                old = row.get(k, 0)
+                x = old - f * v
+                if x:
+                    row[k] = _coeff(x)
+                    if not old:
+                        where[k].add(i)
+                else:
+                    del row[k]
+                    where[k].remove(i)
+        is_pivot[r] = True
+        pivots.append(c)
+        order.append(r)
+    rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if not is_pivot[i]]
+    return pivots

@@ -799,6 +799,69 @@ class TestGoldenOutput:
         assert code == EXIT_OK
         assert out.encode() == self.golden("bracket_table.json")
 
+    def test_one_parser_serves_every_request(self, capsys):
+        # the parser is built once per process, and a usage error, a passing
+        # verify and a solve that follow it give the exit codes and bytes of
+        # fresh calls: no parse leaves anything behind in it
+        cli.build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--mutate-pi", "9,9"])
+        assert exc.value.code == EXIT_USAGE
+        assert "indices must be in 1..5" in capsys.readouterr().err
+        parser = cli.build_parser()
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == EXIT_OK
+        assert self.masked(out) == self.masked(self.golden("verify_all.json"))
+        code, out, _ = run(capsys, "solve-symmetries", "--max-degree", "3")
+        assert code == EXIT_OK
+        assert out.encode() == self.golden("solve_symmetries_max_degree_3.json")
+        assert cli.build_parser() is parser
+
+    # a child that imports the CLI, then runs each request with numpy made
+    # unimportable, printing [exit code, stdout] or the exception's name
+    NUMPY_FREE_CHILD = """
+import contextlib, io, json, sys
+import mbrwa.cli
+loaded = "numpy" in sys.modules
+sys.modules["numpy"] = None
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            results.append([mbrwa.cli.main(argv), out.getvalue()])
+    except ImportError as exc:
+        results.append(type(exc).__name__)
+print(json.dumps({"loaded": loaded, "results": results}))
+"""
+
+    def test_rk4_and_exact_requests_run_without_numpy(self):
+        # only the midpoint Newton solve needs numpy (LAPACK's gesv): the
+        # CLI starts without it, and every exact and RK4 golden holds with
+        # numpy unimportable, while a midpoint request cannot run
+        rk4 = [(name, argv) for name, argv in self.NUMERIC if "rk4" in argv]
+        exact = [("verify_all.json", ("verify", "--suite", "all")),
+                 ("solve_symmetries_max_degree_2.json", ("solve-symmetries", "--max-degree", "2")),
+                 ("bracket_table.json", ("bracket-table",))]
+        midpoint = ("invariants", *self.HAM6_MIDPOINT)
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        argvs = json.dumps([list(argv) for _, argv in [*exact, *rk4]] + [list(midpoint)])
+        proc = subprocess.run([sys.executable, "-c", self.NUMPY_FREE_CHILD, argvs],
+                              capture_output=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr.decode()
+        child = json.loads(proc.stdout)
+        assert child["loaded"] is False
+        *results, last = child["results"]
+        assert len(rk4) == 6 and last == "ModuleNotFoundError"
+        for (name, _), (code, out) in zip([*exact, *rk4], results, strict=True):
+            assert code == EXIT_OK, name
+            if name == "verify_all.json":
+                assert self.masked(out) == self.masked(self.golden(name))
+            else:
+                assert out.encode() == self.golden(name), name
+
 
 @lru_cache(maxsize=None)
 def array_built_trajectory(system, method, init, t_end, h) -> tuple:

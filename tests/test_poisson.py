@@ -15,21 +15,27 @@ X1, Y1, X2, Y2, Z = Poly.variables(VARS5)
 PI = poisson.mb_poisson_tensor()
 
 
+U = (X1, Y1, X2, Y2, Z)
+# an antisymmetric quadratic perturbation of PI, whose Jacobi sums do not vanish
+QUADRATIC = tuple(tuple(PI[i][j] + (i - j) * (U[i] * U[j] + U[(i + j) % 5]**2 + U[i * j % 5])
+                        for j in range(5)) for i in range(5))
+
+
 class TestBracket:
     def test_canonical_pairs(self):
-        assert poisson.poisson_bracket(X1, Y1, PI) == 1
-        assert poisson.poisson_bracket(X2, Y2, PI) == 1
+        assert oracles.poisson_bracket(X1, Y1, PI) == 1
+        assert oracles.poisson_bracket(X2, Y2, PI) == 1
 
     def test_linear_pairs(self):
-        assert poisson.poisson_bracket(Y1, Z, PI) == X1
-        assert poisson.poisson_bracket(Y2, Z, PI) == X2
+        assert oracles.poisson_bracket(Y1, Z, PI) == X1
+        assert oracles.poisson_bracket(Y2, Z, PI) == X2
 
     def test_vanishing_pairs(self):
         coords = Poly.variables(VARS5)
         nonzero = {(0, 1), (1, 4), (2, 3), (3, 4)}
         for i in range(5):
             for j in range(i + 1, 5):
-                b = poisson.poisson_bracket(coords[i], coords[j], PI)
+                b = oracles.poisson_bracket(coords[i], coords[j], PI)
                 if (i, j) in nonzero:
                     assert not b.is_zero
                 else:
@@ -42,9 +48,9 @@ class TestBracket:
         h = model.invariant_symbolic(InvariantId.H)
         c = model.invariant_symbolic(InvariantId.C)
         j = model.invariant_symbolic(InvariantId.J)
-        assert poisson.poisson_bracket(h, c, PI).is_zero
-        assert poisson.poisson_bracket(h, j, PI).is_zero
-        assert poisson.poisson_bracket(c, j, PI).is_zero
+        assert oracles.poisson_bracket(h, c, PI).is_zero
+        assert oracles.poisson_bracket(h, j, PI).is_zero
+        assert oracles.poisson_bracket(c, j, PI).is_zero
 
 
 class TestIndependence:
@@ -85,9 +91,7 @@ class TestJacobi:
     def test_fields_built_once_give_the_per_bracket_sums(self, mutant):
         # term for term and in dict order, which Poly.eval's float sum follows
         if mutant == "quadratic":
-            u = Poly.variables(VARS5)
-            pi = tuple(tuple(PI[i][j] + (i - j) * (u[i] * u[j] + u[(i + j) % 5]**2 + u[i * j % 5])
-                             for j in range(5)) for i in range(5))
+            pi = QUADRATIC
         else:
             i, j, *both = mutant.split(",")
             pi = poisson.flip_entry_sign(PI, int(i), int(j), antisymmetric=bool(both))
@@ -97,10 +101,21 @@ class TestJacobi:
             assert list(r.terms.items()) == list(oracles.jacobi_residual(*triple, pi).terms.items())
         assert all(r.is_zero for r in residuals.values()) == (mutant != "quadratic")
 
+    def test_verify_fails_the_quadratic_perturbation(self):
+        # no --mutate-pi tensor breaks the Jacobi identity, so this is the
+        # input that shows verify's jacobi-identity check can fail
+        report, = (r for r in verify.run_suite("poisson", pi=QUADRATIC)
+                   if r.check == "jacobi-identity")
+        assert report.status == "fail"
+        assert report.residuals == [str(r) for r in poisson.all_jacobi_residuals(QUADRATIC).values()
+                                    if not r.is_zero] != []
+        assert report.witnesses == {"triples": 10}
+
 
 class TestCasimir:
     def test_all_components_zero(self):
-        assert all(r.is_zero for r in poisson.casimir_residual(PI))
+        field = poisson.ham_vector_field(PI, model.invariant_symbolic(InvariantId.C))
+        assert all(r.is_zero for r in field)
 
     def test_h_is_not_a_casimir(self):
         field = poisson.ham_vector_field(PI, model.invariant_symbolic(InvariantId.H))
@@ -250,6 +265,16 @@ class TestCocycleWitnessFailures:
             "[E1,E2] != 0: coordinates 0, 0, 1, 0, 0",
         ]
         assert witnesses == {"commutator_E1_E2": "nonzero", "theta_E1_E2": "1"}
+
+
+def test_poisson_suite_builds_each_hamiltonian_field_once(monkeypatch):
+    # the five coordinate fields of the Jacobi sums, then X_C, X_H and X_J in
+    # check order: casimir and involution share X_C, involution's brackets X_J
+    built, ham = [], poisson.ham_vector_field
+    monkeypatch.setattr(poisson, "ham_vector_field", lambda pi, h: built.append(h) or ham(pi, h))
+    assert all(r.passed for r in verify.suite_poisson(PI))
+    h, c, j = (model.invariant_symbolic(i) for i in (InvariantId.H, InvariantId.C, InvariantId.J))
+    assert built == [*Poly.variables(VARS5), c, h, j]
 
 
 class TestMutationSensitivity:

@@ -13,6 +13,7 @@ from mbrwa.polyring import (
     Poly,
     VarSet,
     VarSetMismatch,
+    _coeff,
     _rref,
     express,
     kernel,
@@ -316,6 +317,38 @@ def test_row_order_does_not_change_the_results(system):
     assert _solve_or_inconsistent(shuffled, [rhs[i] for i in order]) == _solve_or_inconsistent(
         rows, rhs
     )
+
+
+@st.composite
+def sparse_rows(draw):
+    """Sparse rows of canonical ints and Fractions, each row an int multiple
+    of drawn entries: pivots of either sign, integral or not, that divide
+    their row or do not."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.sampled_from([1, -1]), st.integers(-6, 6),
+                      st.fractions(-3, 3, max_denominator=4)).map(_coeff).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        scale = draw(st.sampled_from([1, -1, 2, -2, 3, -6]))
+        row = draw(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=4))
+        rows.append({k: _coeff(scale * v) for k, v in row.items()})
+    return rows, ncols
+
+
+@given(sparse_rows())
+@example(([{0: -2, 1: 4, 2: -6}, {1: 3, 2: 3}], 3))  # pivots -2 and 3 divide their rows
+@example(([{0: 2, 1: 3}, {0: 4, 1: 1}], 2))  # pivot 2 does not divide 3
+@example(([{0: Fraction(3, 2), 1: 3}, {0: -6, 1: Fraction(1, 2)}], 2))  # a Fraction pivot
+@settings(max_examples=300)
+def test_integer_pivots_give_the_fraction_only_rref(system):
+    # same pivots, same rows in the same order and dict order, and each
+    # entry of the same type: an int when integral
+    rows, ncols = system
+    new, old = [dict(r) for r in rows], [dict(r) for r in rows]
+    assert _rref(new, ncols) == oracles.rref(old, ncols)
+    assert [list(r.items()) for r in new] == [list(r.items()) for r in old]
+    assert [[type(c) for c in r.values()] for r in new] == [[type(c) for c in r.values()]
+                                                           for r in old]
 
 
 def test_rref_shape_on_the_degree_3_determining_rows():
