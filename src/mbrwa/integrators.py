@@ -45,15 +45,15 @@ argument handling, so states keep their bits.  Only a midpoint loop needs
 numpy: ``_compile_loop`` imports it and ``solve1`` when it compiles one, and
 an RK4 loop names neither, so an RK4 run, like the exact side, loads no
 numpy; the array renditions import it in their bodies.  Each run call makes
-two buffers in its setup: one ``struct`` ``pack_into`` writes the Newton
-operands, passed as the locals ``o<k>``, literals and setup names, into the
-first (the residual and Newton matrix are views of it), ``solve1`` writes
-the update into the second, and one ``unpack_from`` reads it back into
-``d0, d1, ...``: with their finiteness tests, 0.97 us and 1.61 us an
-iteration on 6x6, against 1.35 and 1.81 us for a tuple tested with ``sum()``
-and splatted (timeit minima, 2-core x86-64).  A pure-Python elimination in
-place of gesv moved 3 of 60 012 states by up to 8.7e-19 on 12 seeded
-5000-step ham6 orbits.
+two buffers and writes the Newton operands a fixed h fixes into the first,
+whose views are the residual and Newton matrix; each iteration packs only
+the spans holding its locals ``o<k>``, by ``struct`` ``pack_into`` calls of
+at most 28 values (``_spans``): a call of more than 30 arguments compiles to
+a list and ``CALL_FUNCTION_EX``.  ``solve1`` fills the second, unpacked into
+``d0, ...``.  With the finiteness tests, on ham6: packs 0.61 us an iteration
+(one 42-value call 1.39), solve 1.39 us (timeit minima, 2-core x86-64).  A
+pure-Python elimination in place of gesv moved 3 of 60 012 states by up to
+8.7e-19 on 12 seeded 5000-step ham6 orbits.
 
 Every loop keeps one float contract.  A float ``**`` raises OverflowError
 where numpy returns inf; the loop turns it into a BlowUpError at the step's
@@ -200,18 +200,18 @@ def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: 
 # locals, the Euler predictor (lines that set n0, n1, ...), one Newton
 # evaluation (lines that set ``o<k>`` for each entry k that varies with the
 # state: the residual ``new - x - h*f(mid)``, then the n*n Newton matrix
-# ``eye - (0.5*h)*jac(mid)``, at ``mid = 0.5*(x + new)``) and, for ``pack``,
-# every entry in that order: its local, literal or setup name.  Newton stops
-# when the max-norm of its update drops below NEWTON_TOL, or when the update
-# has stopped shrinking within NEWTON_TOL * (1 + max|new|): at large |new|
-# rounding alone keeps the update above an absolute tolerance.  After
-# NEWTON_MAX_ITER iterations it raises NewtonError.  An exactly singular Newton
-# matrix solves to all nan, a blow-up.  ``_MIDPOINT_BUFFERS`` join the run's
-# setup, so each run call makes its own.
+# ``eye - (0.5*h)*jac(mid)``, at ``mid = 0.5*(x + new)``) and every entry in
+# that order, its local, literal or setup name, for the buffers and packs.
+# Newton stops when the max-norm of its update drops below NEWTON_TOL, or when
+# the update has stopped shrinking within NEWTON_TOL * (1 + max|new|): at
+# large |new| rounding alone keeps the update above an absolute tolerance.
+# After NEWTON_MAX_ITER iterations it raises NewtonError.  An exactly singular
+# Newton matrix solves to all nan, a blow-up.  ``_MIDPOINT_BUFFERS`` join the
+# run's setup, so each run call makes its own.
 _MIDPOINT_BUFFERS = """\
-buf, update = np.empty({size}), np.empty({n})  # Newton operands (residual, matrix); update
+buf, update = np.array([{constants}]), np.empty({n})  # Newton operands (residual, matrix); update
 residual, matrix = buf[:{n}], buf[{n}:].reshape({n}, {n})
-pack, unpack = Struct("{size}d").pack_into, Struct("{n}d").unpack_from"""
+{packs}, unpack = {structs}, Struct("{n}d").unpack_from"""
 
 _MIDPOINT_STEP = """\
 {predictor}
@@ -220,7 +220,7 @@ for _ in range({max_iter}):
     {kernel}
     if {o_blowup}:
         raise BlowUpError(t)
-    pack(buf, 0, {entries})
+    {pack}
     {d}, = unpack(solve1(matrix, residual, update))
     if {d_blowup}:
         raise BlowUpError(t)
@@ -239,18 +239,32 @@ def _blowup(names: Sequence[str]) -> str:
     return f"not isfinite({' + '.join(names)}) and not ({each})"
 
 
+@lru_cache(maxsize=None)
+def _spans(at: tuple, cap: int = 28) -> tuple:
+    """The fewest runs ``(first, last)`` of at most ``cap`` positions that
+    cover the sorted positions ``at``, of those the fewest positions."""
+    return min((((at[0], at[j]), *_spans(at[j + 1:])) for j in reversed(range(len(at)))
+                if at[j] - at[0] < cap), key=lambda s: (len(s), sum(b - a for a, b in s)), default=())
+
+
 def _midpoint(x: Sequence[str], setup: list, predictor: list, kernel: list,
               entries: list) -> tuple[list, list]:
     """The run's ``setup`` then ``_MIDPOINT_STEP``'s buffers, and the step on
-    the state locals ``x``, packing ``entries``; it tests their locals ``o<k>``."""
+    the state locals ``x``, packing the spans of ``entries`` with their locals
+    ``o<k>``, which it tests."""
     n, new, d = len(x), [f"n{i}" for i in range(len(x))], [f"d{i}" for i in range(len(x))]
+    spans = _spans(tuple(k for k, e in enumerate(entries) if e.startswith("o")))
 
     def max_abs(names):
         return f"max({', '.join(f'abs({v})' for v in names)})" if n > 1 else f"abs({names[0]})"
 
     slots = dict(
-        n=n, size=n + n * n, d=", ".join(d), predictor="\n".join(predictor),
-        kernel="\n    ".join(kernel), entries=", ".join(entries),
+        n=n, d=", ".join(d), predictor="\n".join(predictor), kernel="\n    ".join(kernel),
+        constants=", ".join("0.0" if e.startswith("o") else e for e in entries),
+        packs=", ".join(f"pack{i}" for i in range(len(spans))),
+        structs=", ".join(f'Struct("{b - a + 1}d").pack_into' for a, b in spans),
+        pack="\n    ".join(f"pack{i}(buf, {8 * a}, {', '.join(entries[a:b + 1])})"
+                             for i, (a, b) in enumerate(spans)),
         o_blowup=_blowup([e for e in entries if e.startswith("o")]), d_blowup=_blowup(d),
         update="\n    ".join(f"{ni} = {ni} - {di}" for ni, di in zip(new, d)),
         accept="\n        ".join(f"{xi} = {ni}" for xi, ni in zip(x, new)),
@@ -283,7 +297,8 @@ def _system_midpoint(system: SystemId) -> tuple[list, list]:
                 fixed.setdefault(entries[-1], f"j{len(fixed) - 2}")
     setup = ["c = 0.5 * h", *["h0 = h * 0.0"] * any(p.is_zero for p in f),
              *(f"{name} = {e}" for e, name in fixed.items() if name != e)]
-    kernel = [*(f"{m} = 0.5*({xi} + {ni})" for m, xi, ni in zip(mid, x, new)),
+    read = set().union(*(p.occurring() for p in f))  # the midpoints some entry reads
+    kernel = [*(f"{m} = 0.5*({xi} + {ni})" for m, xi, ni in zip(mid, x, new) if xi in read),
               *model._powers_once([f"o{k} = {e}" for k, e in enumerate(entries)
                                    if e not in fixed])]
     predictor = model._powers_once([f"{ni} = {xi} + {h_times(p, x, ' * ')}"

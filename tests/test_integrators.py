@@ -214,9 +214,11 @@ class TestStepCores:
     def test_each_midpoint_stepper_owns_its_buffers(self, system):
         # two threads run one compiled midpoint loop from different states
         # and each gets the bits it gets alone.  Every Newton iteration
-        # writes its whole operand buffer, so only another call's write
-        # between `pack` and `solve1` can show a shared buffer; a switch
-        # interval far below one step lets the threads interleave there
+        # writes the operands that vary, and the call's setup the rest, so
+        # only another call's write between the packs and `solve1` can show
+        # a shared buffer; a switch interval far below one step lets the
+        # threads interleave there.  With one h both calls write the same
+        # constants: the next test changes h between calls
         n = model.system_dim(system)
         run = integrators._compile_run(IntegratorId.IMPLICIT_MIDPOINT, system, "none")
         starts = [INIT6[:n], (0.3, -0.5, 0.7, 0.1, -0.9, 2.0)[-n:]]
@@ -240,6 +242,25 @@ class TestStepCores:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert np.array(both).tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("system", list(SystemId))
+    def test_each_midpoint_call_sets_its_own_constants(self, system):
+        # the Newton matrix entries that h fixes (0.0 - c*d for a constant
+        # d) are written into the buffer once per call: a full segment at
+        # one h, then one-step calls as a partial step makes, at other h,
+        # each match the array step.  Newton can reach the same bits with
+        # the constants of a larger h, so the later h are the larger
+        n = model.system_dim(system)
+        f, jac = model.rhs_compiled(system), model.rhs_jacobian_compiled(system)
+        run = integrators._compile_run(IntegratorId.IMPLICIT_MIDPOINT, system, "none")
+        s = run(*INIT6[:n], 0.0, 0.01, 1, 21)
+        want = np.array(INIT6[:n])
+        for k in range(1, 21):
+            want = midpoint_step_field(f, jac, want, 0.01 * k, 0.01)
+        assert np.array(s).tobytes() == want.tobytes()
+        for h in (0.1, 0.2, 0.3):
+            got = run(*s, 0.2 + h, h, 0, 1)
+            assert np.array(got).tobytes() == midpoint_step_field(f, jac, want, 0.2 + h, h).tobytes()
 
 
 class TestIntegrate:
