@@ -407,13 +407,15 @@ def step_count(t0: float, t_end: float, h: float) -> int:
     """The number of full steps of size ``h`` from t0 to t_end.
 
     Raises ValueError unless (t_end - t0) / h is a finite step count of at
-    most ``sys.maxsize``, the most entries a trajectory list can hold.
+    most ``sys.maxsize``, the most entries a trajectory list can hold, and not negative.
     """
     n_steps = (t_end - t0) / h
     if not n_steps <= sys.maxsize:  # also rejects inf and nan
         raise ValueError(
             f"(t_end - t0) / h = {n_steps:g} is not a finite step count <= sys.maxsize"
         )
+    if n_steps + 1e-12 < 0:  # also rejects -inf
+        raise ValueError(f"(t_end - t0) / h = {n_steps:g} is a negative step count")
     return int(math.floor(n_steps + 1e-12))
 
 

@@ -37,7 +37,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .polyring import Poly, VarSet, lie_derivative
+from .polyring import Poly, VarSet, _terms_text, lie_derivative
 
 VARS5 = VarSet("x1", "y1", "x2", "y2", "z")
 VARS6 = VarSet("q1", "q2", "q3", "p1", "p2", "p3")
@@ -248,21 +248,12 @@ def _compile_scalar(name: str, args: Sequence[str], body: list, returns: list) -
 
 
 def _poly_source(p: Poly, names: Sequence[str]) -> str:
-    """Source of ``p`` with its variables written as ``names``.  A coefficient
-    of +-1 is dropped before a factor and a negative term is subtracted, as in
-    ``(-x*y - 0.5*z**2)``: exact in IEEE 754, signed zeros and infinities
-    included, since ``1.0*x`` is ``x``, ``-1.0*x`` is ``-x`` and ``a + -b`` is
-    ``a - b`` (a nan stays a nan; the standard leaves the sign of one open)."""
-    if p.is_zero:
-        return "0.0"
-    text = ""
-    for e, c in p.sorted_terms():
-        factors = [name if k == 1 else f"{name}**{k}" for name, k in zip(names, e) if k]
-        if abs(c) != 1 or not factors:
-            factors.insert(0, repr(float(abs(c))))
-        text += (" - " if c < 0 else " + ") if text else ("-" if c < 0 else "")
-        text += "*".join(factors)
-    return f"({text})"
+    """Source of ``p`` over ``names``: ``_terms_text`` with ``**`` and float
+    literals, as in ``(-x*y - 0.5*z**2)``; exact in IEEE 754, signed zeros and
+    infinities included, since ``1.0*x`` is ``x``, ``-1.0*x`` is ``-x`` and
+    ``a + -b`` is ``a - b`` (a nan stays a nan; the standard leaves its sign open)."""
+    text = _terms_text(p, names, "**", lambda c: repr(float(c)))
+    return f"({text})" if text else "0.0"
 
 
 def _powers_once(lines: list) -> list:

@@ -11,7 +11,7 @@ the mixed storage leaves equality, hashing and ``str`` unchanged.
 
 Polynomials live over a fixed, ordered :class:`VarSet`; exponent vectors are
 dense tuples of the same length as the variable list.  The polynomials in
-this project are tiny (at most 14 variables, a few hundred terms), so
+this project are tiny (at most 19 variables, a few hundred terms), so
 :class:`Poly` attempts no sparse cleverness.
 
 Arithmetic only combines polynomials over one VarSet.  One product on term
@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from operator import add
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 # An exact coefficient: an int when integral, a Fraction (denominator not 1)
 # otherwise.  Inputs may be any int or Fraction; stored values are canonical.
@@ -351,32 +351,25 @@ class Poly:
         return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for name, k in zip(self.vars.names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            mono = "*".join(factors)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        s = parts[0]
-        for p in parts[1:]:
-            s += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return s
+        return _terms_text(self, self.vars.names, "^", str) or "0"
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _terms_text(p: Poly, names: Sequence[str], power: str, coeff: Callable) -> str:
+    """The one term loop of ``str`` and the generated sources: ``p``'s terms,
+    sorted, with variables ``names``, powers ``name{power}k`` and
+    coefficients ``coeff(abs(c))``; a coefficient of +-1 is dropped before a
+    factor and a negative term is subtracted.  ``""`` for the zero Poly."""
+    text = ""
+    for e, c in p.sorted_terms():
+        factors = [name if k == 1 else f"{name}{power}{k}" for name, k in zip(names, e) if k]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, coeff(abs(c)))
+        text += (" - " if c < 0 else " + ") if text else ("-" if c < 0 else "")
+        text += "*".join(factors)
+    return text
 
 
 def lie_derivative(field: Mapping[str, Poly], f: Poly) -> Poly:

@@ -1,4 +1,4 @@
-"""Machine-readable outcomes of symbolic and numeric checks."""
+"""Machine-readable outcomes of the exact, symbolic checks."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from .polyring import Poly
 class VerificationReport:
     """Outcome of a single named check.
 
-    ``status`` is "pass" iff every residual is the zero polynomial (symbolic
-    checks) or within its stated tolerance (numeric checks).  Residuals are
-    kept as canonical strings so a failure is diagnosable without re-running.
+    ``status`` is "pass" iff every residual is the zero polynomial; no check
+    has a tolerance.  Residuals are kept as canonical strings (or a string
+    that describes a failure) so a failure is diagnosable without re-running.
     """
 
     check: str

@@ -2,7 +2,8 @@
 and the exact core's products, Jacobi sums and elimination as they were
 computed before they shared one product and one set of coordinate fields,
 and before integer pivots, to compare the new ones against term for term,
-in dict order."""
+in dict order; and the two term renderers, ``str`` and the generated
+source, as each wrote its terms before they shared one loop."""
 
 import math
 from fractions import Fraction
@@ -169,3 +170,46 @@ def rref(rows: list, ncols: int) -> list:
         order.append(r)
     rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if not is_pivot[i]]
     return pivots
+
+
+def poly_str(p: Poly) -> str:
+    """``str(p)`` as ``Poly.__str__`` wrote it before it shared one term
+    loop with the generated sources."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for e, c in p.sorted_terms():
+        factors = []
+        for name, k in zip(p.vars.names, e):
+            if k == 1:
+                factors.append(name)
+            elif k > 1:
+                factors.append(f"{name}^{k}")
+        mono = "*".join(factors)
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    s = parts[0]
+    for q in parts[1:]:
+        s += f" - {q[1:]}" if q.startswith("-") else f" + {q}"
+    return s
+
+
+def poly_source(p: Poly, names) -> str:
+    """``model._poly_source(p, names)`` as it wrote the terms itself, before
+    it shared one term loop with ``Poly.__str__``."""
+    if p.is_zero:
+        return "0.0"
+    text = ""
+    for e, c in p.sorted_terms():
+        factors = [name if k == 1 else f"{name}**{k}" for name, k in zip(names, e) if k]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, repr(float(abs(c))))
+        text += (" - " if c < 0 else " + ") if text else ("-" if c < 0 else "")
+        text += "*".join(factors)
+    return f"({text})"

@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 import sys
 import threading
 import warnings
@@ -295,6 +296,12 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="step count"):
             integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 1.0, 1e-300)
 
+    def test_negative_step_count_rejected(self):
+        # a reversed span, or a negative step, is no number of full steps
+        for span in ((0.0, -1.0, 0.5), (0.0, 1.0, -0.5), (0.0, -1e308, 1e-10)):
+            with pytest.raises(ValueError, match="negative step count"):
+                integrators.step_count(*span)
+
     def test_deterministic_repeat(self):
         a = integrate(IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6, INIT6, 0.0, 2.0, 0.01)
         b = integrate(IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6, INIT6, 0.0, 2.0, 0.01)
@@ -353,6 +360,46 @@ class TestOrbit:
             fused = integrators.run_drift(method, system, init, 0.0, 0.505, 0.01)
             assert fused == drift_report(traj, system_invariants(system))
             assert fused.steps == 51
+
+
+# el6 is mb5 plus the quadrature q3' = qd3: pi(q, qd) = (q1, qd1, q2, qd2, qd3)
+# carries el6's field onto mb5's, and RK4 and Gauss methods are affine
+# equivariant (McLachlan, Modin, Munthe-Kaas & Verdier, Numer. Math. 133,
+# 2016), so el6's rows through pi are mb5's rows from pi of the state, bit for
+# bit: a generated-text change that breaks one system's operation order shows
+PI_COLUMNS = (0, 1, 4, 2, 5, 6)  # el6's row columns t, q1, qd1, q2, qd2, qd3
+GOLDEN_STATE = (0.3, -0.5, 0.7, 0.1, -0.9, 0.4)  # the el6 and ham6 goldens' --init
+RUNS = [(10.005, 0.01, 1002), (200.0, 0.1, 2001)]  # (t_end, h, rows): a partial last step
+
+
+def _projection_cases():
+    for label, init in (("golden", GOLDEN_STATE), ("init6", tuple(INIT6))):
+        for method in IntegratorId:
+            for t_end, h, rows in RUNS:
+                marks = ()
+                if label == "init6" and method is IntegratorId.IMPLICIT_MIDPOINT and h == 0.1:
+                    # row 486 (t = 48.6): el6's Newton residual and matrix
+                    # are mb5's bit for bit, but gesv solves the 6x6 system
+                    # with the q3 row to another last bit of qd3's update
+                    # than the 5x5 system; solving el6's 5x5 block instead
+                    # would move el6's midpoint golden bytes
+                    marks = pytest.mark.xfail(strict=True, reason="gesv rounds 6x6 and 5x5 apart")
+                yield pytest.param(init, method, t_end, h, rows, marks=marks,
+                                   id=f"{label}-{method.value}-{h}")
+
+
+class TestEl6ReducesToMb5:
+    @pytest.mark.parametrize("init, method, t_end, h, rows", _projection_cases())
+    def test_rows_project_onto_mb5_rows(self, init, method, t_end, h, rows):
+        el6 = integrators.run_rows(method, SystemId.EL6, init, 0.0, t_end, h)
+        mb5 = integrators.run_rows(method, SystemId.MB5, [init[i] for i in (0, 3, 1, 4, 5)],
+                                   0.0, t_end, h)
+        w6, w5 = (1 + model.system_dim(s) + len(system_invariants(s))
+                  for s in (SystemId.EL6, SystemId.MB5))
+        assert len(el6) // w6 == len(mb5) // w5 == rows
+        projected = array("d", (el6[r + c] for r in range(0, len(el6), w6) for c in PI_COLUMNS))
+        state5 = array("d", (mb5[r + c] for r in range(0, len(mb5), w5) for c in range(6)))
+        assert projected.tobytes() == state5.tobytes()
 
 
 class TestRowsSizedUpFront:

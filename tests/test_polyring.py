@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbrwa import symmetry
+from mbrwa.model import _poly_source
 from mbrwa.polyring import (
     InconsistentSystem,
     Poly,
@@ -562,6 +563,29 @@ def test_a_monomial_a_product_cancels_keeps_its_later_place():
     lie = lie_derivative({"a": A3 + B3, "b": B3}, HALF_A2)
     for p in (sub, lie):
         assert list(p.terms) == [(2, 0, 0), (0, 2, 0), (1, 1, 0)]
+
+
+def _rendered_polys():
+    """Polys over VARS3 of up to five terms of degree <= 3 each: int and
+    Fraction coefficients, +-1 before a factor and as a constant, negative
+    leading terms, constants, and the zero polynomial (no terms)."""
+    coeff = st.one_of(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-7, 3)]),
+                      st.integers(-10**20, 10**20),
+                      st.fractions(max_denominator=10**6).filter(lambda f: f != 0))
+    exps = st.tuples(*[st.integers(0, 3)] * len(VARS3))
+    return st.builds(Poly, st.just(VARS3), st.dictionaries(exps, coeff, max_size=5))
+
+
+@given(_rendered_polys())
+@example(Poly.zero(VARS3))
+@example(Poly.const(VARS3, -1))
+@example(-A3 * B3 + Fraction(-1, 2) * C3**2 - 1)
+@example(Fraction(1, 3) * A3**3 - B3 + C3)
+@settings(max_examples=300, deadline=None)
+def test_one_term_renderer_is_the_renderers_it_replaced(p):
+    assert str(p) == oracles.poly_str(p)
+    for names in (VARS3.names, ("x1", "qd2", "z")):
+        assert _poly_source(p, names) == oracles.poly_source(p, names)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from mbrwa.symmetry import (
     total_derivative,
     variational_residual,
 )
+from patching import patched
 
 T, Q1, Q2, Q3 = Poly.variables(BASE_VARS)
 ZERO = Poly.zero(BASE_VARS)
@@ -463,18 +464,16 @@ class TestPushforward:
             pushforward(u)
 
     def test_q3_dependent_component_does_not_project(self):
-        # Phi forgets q3, so q3 d/dq1 (x1 component q3) has no image on the
-        # 5D space; pushforward's membership check stops such fields
-        # earlier, so the guard is reached through _push directly
-        vars = VarSet("t", *model.VARS6.names)
-        v = VectorField.of(vars, {"q1": Poly.var(vars, "q3")})
-        with pytest.raises(NotInSymmetryFamily, match="q3 survives transport"):
-            symmetry._push(
-                v,
-                dict(zip(model.VARS5.names, model.phi_symbolic())),
-                model.phi_section_symbolic(),
-                VarSet(*symmetry.X5_NAMES),
-            )
+        # Phi forgets q3, so a family field whose image reads q3 has no
+        # image on the 5D space.  The family's membership check cannot see
+        # that: a changed model statement (here Phi's x1 gains q3, one of the
+        # 73 sweep mutants that reach this guard) brings q3 in, and _push's
+        # guard reports it where the substitution would raise KeyError
+        phi = model.phi_symbolic()
+        q3 = Poly.var(phi[0].vars, "q3")
+        with patched(model, "phi_symbolic", lambda: (phi[0] + q3, *phi[1:])):
+            with pytest.raises(NotInSymmetryFamily, match="q3 survives transport"):
+                pushforward(symbolic_family_field())
 
 
 class TestFirstOrderSymmetry:
