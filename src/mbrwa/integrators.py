@@ -24,36 +24,44 @@ wins.  ``_drive`` runs the full steps, then the partial step onto t_end, a
 midpoint run inside its one ``np.errstate``.  The loops run on Python
 floats, never numpy columns: an array's ``x**2`` is ``x*x``, a scalar's is
 libm ``pow``, and they differ in the last bit on about 0.09% of doubles.
-The array steps on a field of numpy arrays (``rk4_step_field``,
-``midpoint_step_field``) keep the generated steps' operation order, and
-numpy scalars call ``pow`` too, so the two give the same bits.
+The array steps on a field of numpy arrays (``rk4_step_field``, and
+``midpoint_step_field`` over a system's Newton unknowns) keep the generated
+steps' operation order, and numpy scalars call ``pow`` too, so the two give
+the same bits.
 
 ``_MIDPOINT_STEP`` is the one midpoint step text: Euler predictor, Newton
 iterations, finiteness checks, solve, update, both stopping rules with
 ``NEWTON_TOL`` and ``NEWTON_MAX_ITER`` written in as constants, and a
-``for ... else`` that raises ``NewtonError``.  A system's loop inlines its rhs
-in the predictor and in the Newton evaluation (the residual and the Newton
-matrix together), each power ``v**k`` once as a local ``v_k``;
-``midpoint_step_field``'s loop calls a field and a Newton kernel.  The run's
-setup sets what h fixes once per ``_run`` call: RK4's ``a`` and ``b``, and
-midpoint's ``c = 0.5 * h``, ``h0 = h * 0.0`` where a component of the rhs
-is identically zero, and each Newton-matrix entry whose derivative is a
+``for ... else`` that raises ``NewtonError``.  A system's loop solves Newton
+for the variables that some component reads and whose own is not zero, in
+its order, each followed by the variable that its component is, if any:
+mb5's order, (q1, p1, q2, p2) on ham6 and pi's (q1, qd1, q2, qd2, qd3) on
+el6, whose states are then mb5's through pi, since gesv pivots in that
+order.  A zero-rate variable (ham6's p3) keeps its predictor, and one that
+no component reads (q3, the cyclic coordinate) gets the quadrature
+``x + h*f(m)`` at the accepted midpoints.  The stopping rules read the
+unknowns.  The loop inlines its rhs in the predictor and in the Newton
+evaluation (the residual and the Newton matrix together), each power
+``v**k`` once as a local ``v_k``; ``midpoint_step_field``'s loop solves the
+full system, calling a field and a Newton kernel.  The run's setup sets
+what h fixes once per ``_run`` call: RK4's ``a`` and ``b``, and midpoint's
+``c = 0.5 * h``, ``h0 = h * 0.0`` where a component of the rhs is
+identically zero, and each Newton-matrix entry whose derivative is a
 nonzero constant, as written (``0.0 - x`` is not ``-x`` for x = 0.0).  The
 linear solve calls numpy's ``solve1`` gufunc directly: the LAPACK gesv
 kernel ``np.linalg.solve`` runs for a 1-D right-hand side, without the
 argument handling, so states keep their bits.  Only a midpoint loop needs
-numpy: ``_compile_loop`` imports it and ``solve1`` when it compiles one, and
-an RK4 loop names neither, so an RK4 run, like the exact side, loads no
+numpy: ``_compile_loop`` imports it and ``solve1`` when it compiles one,
+and an RK4 loop names neither, so an RK4 run, like the exact side, loads no
 numpy; the array renditions import it in their bodies.  Each run call makes
 two buffers and writes the Newton operands a fixed h fixes into the first,
 whose views are the residual and Newton matrix; each iteration packs only
 the spans holding its locals ``o<k>``, by ``struct`` ``pack_into`` calls of
 at most 28 values (``_spans``): a call of more than 30 arguments compiles to
 a list and ``CALL_FUNCTION_EX``.  ``solve1`` fills the second, unpacked into
-``d0, ...``.  With the finiteness tests, on ham6: packs 0.61 us an iteration
-(one 42-value call 1.39), solve 1.39 us (timeit minima, 2-core x86-64).  A
-pure-Python elimination in place of gesv moved 3 of 60 012 states by up to
-8.7e-19 on 12 seeded 5000-step ham6 orbits.
+``d0, ...``.  With the finiteness tests, on ham6's 4x4 system: packs 0.28 us
+an iteration, solve 1.2 us (6x6: 0.6, 1.45; timeit minima, 2-core x86-64).
+A pure-Python elimination moved 3 of 60 012 6x6 states, by <= 8.7e-19.
 
 Every loop keeps one float contract.  A float ``**`` raises OverflowError
 where numpy returns inf; the loop turns it into a BlowUpError at the step's
@@ -247,12 +255,12 @@ def _spans(at: tuple, cap: int = 28) -> tuple:
                 if at[j] - at[0] < cap), key=lambda s: (len(s), sum(b - a for a, b in s)), default=())
 
 
-def _midpoint(x: Sequence[str], setup: list, predictor: list, kernel: list,
-              entries: list) -> tuple[list, list]:
-    """The run's ``setup`` then ``_MIDPOINT_STEP``'s buffers, and the step on
-    the state locals ``x``, packing the spans of ``entries`` with their locals
-    ``o<k>``, which it tests."""
-    n, new, d = len(x), [f"n{i}" for i in range(len(x))], [f"d{i}" for i in range(len(x))]
+def _midpoint(new: Sequence[str], setup: list, predictor: list, kernel: list,
+              entries: list, accept: list) -> tuple[list, list]:
+    """The run's ``setup`` then ``_MIDPOINT_STEP``'s buffers, and the step:
+    Newton on the locals ``new``, packing the spans of ``entries`` with their
+    locals ``o<k>``, which it tests, then the lines ``accept``."""
+    n, d = len(new), [f"d{i}" for i in range(len(new))]
     spans = _spans(tuple(k for k, e in enumerate(entries) if e.startswith("o")))
 
     def max_abs(names):
@@ -267,7 +275,7 @@ def _midpoint(x: Sequence[str], setup: list, predictor: list, kernel: list,
                              for i, (a, b) in enumerate(spans)),
         o_blowup=_blowup([e for e in entries if e.startswith("o")]), d_blowup=_blowup(d),
         update="\n    ".join(f"{ni} = {ni} - {di}" for ni, di in zip(new, d)),
-        accept="\n        ".join(f"{xi} = {ni}" for xi, ni in zip(x, new)),
+        accept="\n        ".join(accept),
         d_norm=max_abs(d), new_norm=max_abs(new), tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
     )
     return ([*setup, *_MIDPOINT_BUFFERS.format(**slots).split("\n")],
@@ -275,36 +283,46 @@ def _midpoint(x: Sequence[str], setup: list, predictor: list, kernel: list,
 
 
 def _system_midpoint(system: SystemId) -> tuple[list, list]:
-    """The midpoint scheme on ``system``: its rhs inlined in the predictor
-    and in the Newton evaluation, in ``midpoint_step_field``'s operation
-    order, with the Newton matrix row by row.  A Jacobian entry that is
-    identically zero is written as its value for a finite h, ``1.0`` on the
-    diagonal and ``0.0`` off it; a nonzero constant one is a setup name, and
-    so is ``h0 = h * 0.0``, h times a component that is identically zero."""
+    """The midpoint scheme on ``system``, Newton on its unknowns: its rhs
+    inlined in the predictor and in the Newton evaluation, in the operation
+    order of ``midpoint_step_field`` over them, the Newton matrix row by row.
+    A Jacobian entry identically zero is written as its value for a finite
+    h, ``1.0`` on the diagonal and ``0.0`` off it; a nonzero constant one is
+    a setup name, as is ``h0 = h * 0.0``, h times a zero component."""
     x, f, source = model.system_vars(system).names, model.rhs_symbolic(system), model._poly_source
     new, mid = [f"n{i}" for i in range(len(x))], [f"m{i}" for i in range(len(x))]
 
     def h_times(p, at, times):  # h times component p at ``at``; h0 for a zero p
         return "h0" if p.is_zero else f"h{times}{source(p, at)}"
 
-    entries = [f"{ni} - {xi} - {h_times(p, mid, '*')}" for ni, xi, p in zip(new, x, f)]
+    def midpoints(rows):  # the midpoints that the components ``rows`` read
+        read = set().union(*(f[i].occurring() for i in rows))
+        return [f"{mid[i]} = 0.5*({x[i]} + {new[i]})" for i, v in enumerate(x) if v in read]
+
+    read = set().union(*(p.occurring() for p in f))
+    order = dict.fromkeys(w for v, p in zip(x, f)  # v, then the variable that f_v is
+                          for w in (v, *(w for w in x if p == model.Poly.var(p.vars, w))))
+    solved = [i for i in map(x.index, order) if x[i] in read and not f[i].is_zero]
+    quadrature = [i for i, v in enumerate(x) if v not in read and not f[i].is_zero]
+    entries = [f"{new[i]} - {x[i]} - {h_times(f[i], mid, '*')}" for i in solved]
     fixed = {"1.0": "1.0", "0.0": "0.0"}  # an entry constant for a fixed h: its literal or j<k>
-    for i, p in enumerate(f):
-        for j, name in enumerate(x):
-            d, eye = p.diff(name), "1.0" if i == j else "0.0"
+    for i in solved:
+        for j in solved:
+            d, eye = f[i].diff(x[j]), "1.0" if i == j else "0.0"
             entries.append(eye if d.is_zero else f"{eye} - c*{source(d, mid)}")
             if d.total_degree() == 0:
                 fixed.setdefault(entries[-1], f"j{len(fixed) - 2}")
     setup = ["c = 0.5 * h", *["h0 = h * 0.0"] * any(p.is_zero for p in f),
              *(f"{name} = {e}" for e, name in fixed.items() if name != e)]
-    read = set().union(*(p.occurring() for p in f))  # the midpoints some entry reads
-    kernel = [*(f"{m} = 0.5*({xi} + {ni})" for m, xi, ni in zip(mid, x, new) if xi in read),
-              *model._powers_once([f"o{k} = {e}" for k, e in enumerate(entries)
-                                   if e not in fixed])]
-    predictor = model._powers_once([f"{ni} = {xi} + {h_times(p, x, ' * ')}"
-                                    for ni, xi, p in zip(new, x, f)])
-    return _midpoint(x, setup, predictor, kernel,
-                     [fixed.get(e, f"o{k}") for k, e in enumerate(entries)])
+    kernel = [*midpoints(solved), *model._powers_once([f"o{k} = {e}" for k, e in enumerate(entries)
+                                                       if e not in fixed])]
+    predictor = model._powers_once([f"{new[i]} = {x[i]} + {h_times(p, x, ' * ')}"
+                                    for i, p in enumerate(f) if i not in quadrature])
+    accept = [*midpoints(quadrature), *model._powers_once(
+        [f"{v} = {v} + {h_times(f[i], mid, '*')}" if i in quadrature else f"{v} = {new[i]}"
+         for i, v in enumerate(x)])]
+    return _midpoint([new[i] for i in solved], setup, predictor, kernel,
+                     [fixed.get(e, f"o{k}") for k, e in enumerate(entries)], accept)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +413,9 @@ def _field_midpoint(n: int) -> Callable:
     predictor = [f"{', '.join(v)}, = f({', '.join(x)})",
                  *(f"n{i} = {xi} + h * {vi}" for i, (xi, vi) in enumerate(zip(x, v)))]
     kernel = [f"{', '.join(o)}, = kernel({', '.join(x + [f'n{i}' for i in range(n)])}, h)"]
-    return _compile_loop(x, _midpoint(x, [], predictor, kernel, o), (", f, kernel", [], [], []))
+    accept = [f"{xi} = n{i}" for i, xi in enumerate(x)]
+    return _compile_loop(x, _midpoint([f"n{i}" for i in range(n)], [], predictor, kernel, o,
+                                      accept), (", f, kernel", [], [], []))
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,66 @@
 """What only tests use: numeric estimates over the integrators' run loops,
-and the exact core's products, Jacobi sums and elimination as they were
-computed before they shared one product and one set of coordinate fields,
-and before integer pivots, to compare the new ones against term for term,
-in dict order; and the two term renderers, ``str`` and the generated
-source, as each wrote its terms before they shared one loop."""
+and the midpoint step those loops take, as an array step; the exact core's
+products, Jacobi sums and elimination as they were computed before they
+shared one product and one set of coordinate fields, and before integer
+pivots, to compare the new ones against term for term, in dict order; and
+the two term renderers, ``str`` and the generated source, as each wrote its
+terms before they shared one loop."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from mbrwa import poisson, polyring
-from mbrwa.integrators import IntegratorId, _drive, _state, integrate
+from mbrwa import model, poisson, polyring
+from mbrwa.integrators import IntegratorId, _drive, _state, integrate, midpoint_step_field
 from mbrwa.model import VARS5, SystemId
 from mbrwa.polyring import Poly, VarSetMismatch, _coeff
+
+
+# The unknowns of each system's midpoint Newton solve, in the order of the
+# solve: the variables that some rate reads and whose own rate is not zero,
+# each followed by the variable that its rate is, when it is one.  ham6 leaves
+# out p3, whose rate is zero, and q3, which no rate reads; el6 leaves out q3,
+# and its order is pi's, the order of mb5's
+NEWTON_UNKNOWNS = {SystemId.MB5: ("x1", "y1", "x2", "y2", "z"),
+                   SystemId.HAM6: ("q1", "p1", "q2", "p2"),
+                   SystemId.EL6: ("q1", "qd1", "q2", "qd2", "qd3")}
+
+
+def newton_field(system: SystemId, mid) -> tuple:
+    """The compiled rhs and Jacobian of ``system`` over ``NEWTON_UNKNOWNS``:
+    functions of the unknowns' values, with every other variable at its
+    entry of the array ``mid``."""
+    names = model.system_vars(system).names
+    u = [names.index(v) for v in NEWTON_UNKNOWNS[system]]
+    f, jac = model.rhs_compiled(system), model.rhs_jacobian_compiled(system)
+
+    def at(y):
+        full = np.array(mid, dtype=float)
+        full[u] = y
+        return full
+
+    return lambda y: f(at(y))[u], lambda y: jac(at(y))[np.ix_(u, u)]
+
+
+def midpoint_step(system: SystemId, s, t: float, h: float) -> np.ndarray:
+    """One step of ``system``'s midpoint run loop as an array step:
+    ``midpoint_step_field`` over ``NEWTON_UNKNOWNS``, with each variable of
+    zero rate at its predictor ``s + h*0.0`` and each other variable given
+    the quadrature ``s + h*f(m)`` at the accepted midpoint m.  The predictor
+    reads a zero-rate variable at its midpoint, which is its value for a
+    finite nonzero one.  All nan if the step blows up."""
+    names, f = model.system_vars(system).names, model.rhs_compiled(system)
+    u = [names.index(v) for v in NEWTON_UNKNOWNS[system]]
+    zero = [i for i, p in enumerate(model.rhs_symbolic(system)) if p.is_zero]
+    rest = [i for i in range(len(names)) if i not in u and i not in zero]
+    s = np.array(s, dtype=float)
+    new = s.copy()
+    new[zero] = s[zero] + h * 0.0
+    with np.errstate(all="ignore"):
+        new[u] = midpoint_step_field(*newton_field(system, 0.5 * (s + new)), s[u], t, h)
+        new[rest] = s[rest] + h * f(0.5 * (s + new))[rest]
+    return new if np.isfinite(new).all() else np.full(len(s), math.nan)
 
 
 def midpoint_roundtrip_error(system: SystemId, state, h: float) -> float:

@@ -30,6 +30,7 @@ from mbrwa.cli import (
 )
 from mbrwa.integrators import IntegratorId
 from mbrwa.model import SystemId
+from oracles import midpoint_step
 
 
 def run(capsys, *argv):
@@ -866,10 +867,11 @@ print(json.dumps({"loaded": loaded, "results": results}))
 @lru_cache(maxsize=None)
 def array_built_trajectory(system, method, init, t_end, h) -> tuple:
     """(times, states) of the run built apart from the generated run loop:
-    one numpy array step (``rk4_step_field``, or ``midpoint_step_field``)
-    per row on the compiled rhs and Jacobian, ``step_count`` full steps at
-    t = k*h, then a partial step landing on t_end."""
-    f, jac = model.rhs_compiled(SystemId(system)), model.rhs_jacobian_compiled(SystemId(system))
+    one numpy array step (``rk4_step_field``, or the midpoint step of
+    tests/oracles.py) per row on the compiled rhs and Jacobian,
+    ``step_count`` full steps at t = k*h, then a partial step landing on
+    t_end."""
+    f = model.rhs_compiled(SystemId(system))
     n_full = integrators.step_count(0.0, t_end, h)
     grid = [(h * k, h) for k in range(1, n_full + 1)]
     if n_full * h < t_end - 1e-12 * t_end:
@@ -879,7 +881,7 @@ def array_built_trajectory(system, method, init, t_end, h) -> tuple:
         if method == "rk4":
             s = integrators.rk4_step_field(f, s, t, dt)
         else:
-            s = integrators.midpoint_step_field(f, jac, s, t, dt)
+            s = midpoint_step(SystemId(system), s, t, dt)
         times.append(t)
         states.append(s)
     return np.array(times), np.array(states)

@@ -29,6 +29,7 @@ from mbrwa.model import (
     TangentState6,
 )
 from mbrwa.polyring import Poly, lie_derivative
+from oracles import NEWTON_UNKNOWNS, midpoint_step, newton_field
 from patching import patched
 
 
@@ -344,9 +345,21 @@ def test_generated_kernel_source_is_pinned():
     # ``try``, so one overflow turns only that invariant into nan.
     for system in SystemId:
         x, pinned = model.system_vars(system).names, golden[system.value]
-        newton = pinned["midpoint_newton_source"]
-        stage = [f"k0_{i} = {f}" for i, f in enumerate(pinned["rhs_source"])]
-        predictor = [f"n{i} = {xi} + h * {f}" for i, (xi, f) in enumerate(zip(x, pinned["rhs_source"]))]
+        newton, rhs = pinned["midpoint_newton_source"], pinned["rhs_source"]
+        stage = [f"k0_{i} = {f}" for i, f in enumerate(rhs)]
+        mids = [line for line in newton["body"][1:]  # those an entry reads: ham6 and el6 skip q3's
+                if re.search(rf"\b{line.partition(' = ')[0]}\b", " ".join(newton["returns"]))]
+        # the predictor sets each n<i> the Newton evaluation reads; each other
+        # variable gets the quadrature x + h*f(m) once Newton has converged
+        read = " ".join(mids + newton["returns"])
+        predictor = [f"n{i} = {xi} + h * {f}" for i, (xi, f) in enumerate(zip(x, rhs))
+                     if re.search(rf"\bn{i}\b", read)]
+        at_mid = [re.sub(r"\b\w+\b", lambda m: f"m{x.index(m[0])}" if m[0] in x else m[0], f)
+                  for f in rhs]
+        accept = [f"{xi} = n{i}" if re.search(rf"\bn{i}\b", read) else f"{xi} = {xi} + h*{at_mid[i]}"
+                  for i, xi in enumerate(x)]
+        accept = [line for line in newton["body"][1:]
+                  if re.search(rf"\b{line.partition(' = ')[0]}\b", " ".join(accept))] + accept
         values = [f"v{i} = {golden['invariants'][inv.value]}"
                   for i, inv in enumerate(model.system_invariants(system))]
         for emit in EMITS:
@@ -371,9 +384,9 @@ def test_generated_kernel_source_is_pinned():
             start, stop = midpoint.index("t = t0 + h*k") + 1, midpoint.index("update_norm = inf")
             assert predictor == unhoisted(midpoint[start:stop])
             start = midpoint.index("for _ in range(50):") + 1
-            mids = [line for line in newton["body"][1:]  # those an entry reads: ham6 and el6 skip q3's
-                    if re.search(rf"\b{line.partition(' = ')[0]}\b", " ".join(newton["returns"]))]
             assert mids == midpoint[start:start + len(mids)]
+            stop = next(i for i, line in enumerate(midpoint) if line.startswith("if update_norm <= "))
+            assert unhoisted(midpoint[stop + 1:midpoint.index("break")]) == accept
             entries = dict(line.split(" = ", 1) for line in midpoint[start:]
                            if re.match(r"o\d+ = ", line))
             assert ([read_back(entries.get(a, a)).replace(" ", "") for a in _pack_args(midpoint)]
@@ -568,8 +581,9 @@ def _newton_kernel(system: SystemId):
     """The Newton evaluation of the system's midpoint step text, the setup
     that h fixes (not the buffers) then the lines of an iteration before its
     test of the entries, as a function ``(*x, *new, h) -> tuple`` of the
-    operands ``_pack_args`` reads: the residual, then the Newton matrix row
-    by row."""
+    operands ``_pack_args`` reads: the residual over the Newton unknowns,
+    then the Newton matrix row by row, in their order.  ``new`` has an entry
+    for every variable; the unknowns' and the zero-rate variables' are read."""
     lines = _run_lines(IntegratorId.IMPLICIT_MIDPOINT, system)
     start = lines.index("for _ in range(50):") + 1
     body = lines[start:next(i for i in range(start, len(lines)) if lines[i].startswith("if not isfinite("))]
@@ -588,21 +602,24 @@ def _newton_states(n: int) -> list:
 
 @pytest.mark.parametrize("system", list(SystemId))
 def test_midpoint_kernel_is_the_array_step(system):
-    # the generated residual and Newton matrix, and the system stepper built
-    # on them, against the numpy renditions of the rhs and its Jacobian
-    n = model.system_dim(system)
+    # the generated residual and Newton matrix over the Newton unknowns, and
+    # the system stepper built on them, against the numpy renditions of the
+    # rhs and its Jacobian over the same unknowns (tests/oracles.py)
+    n, u = model.system_dim(system), [model.system_vars(system).index(v)
+                                      for v in NEWTON_UNKNOWNS[system]]
     kernel = _newton_kernel(system)
     run = integrators._compile_run(IntegratorId.IMPLICIT_MIDPOINT, system, "none")
-    f, jac = model.rhs_compiled(system), model.rhs_jacobian_compiled(system)
     rng = np.random.default_rng(6)
     for x in _newton_states(n):
         for h in (0.05, -0.05):
             new = np.array(x) + rng.uniform(-0.1, 0.1, n)
             mid = 0.5 * (np.array(x) + new)
-            want = [*(new - x - h * f(mid)), *(np.eye(n) - 0.5 * h * jac(mid)).ravel()]
+            f, jac = newton_field(system, mid)
+            want = [*(new[u] - np.array(x)[u] - h * f(mid[u])),
+                    *(np.eye(len(u)) - 0.5 * h * jac(mid[u])).ravel()]
             assert _bits(kernel(*x, *new.tolist(), h)) == _bits(want)
             got = run(*x, 0.0, h, 1, 2)
-            assert _bits(got) == integrators.midpoint_step_field(f, jac, np.array(x), 0.0, h).tobytes()
+            assert _bits(got) == midpoint_step(system, x, 0.0, h).tobytes()
 
 
 def _unfolded_source(p: Poly, names) -> str:
@@ -638,15 +655,15 @@ FOLD_STATES = st.lists(st.sampled_from(FOLD_VALUES) | st.floats(-2.0, 2.0), min_
 
 @lru_cache(maxsize=None)
 def _unfolded_kernels(system: SystemId) -> tuple:
-    """The Newton evaluation, the invariants and the rhs of ``system``,
-    compiled by ``model._compile_scalar`` from ``_unfolded_source`` texts."""
+    """The Newton evaluation over ``NEWTON_UNKNOWNS``, the invariants and
+    the rhs of ``system``, compiled by ``model._compile_scalar`` from
+    ``_unfolded_source`` texts."""
     names, f = model.system_vars(system).names, model.rhs_symbolic(system)
-    mid = [f"m{i}" for i in range(len(names))]
-    out = [f"n{i} - {xi} - h*{_unfolded_source(p, mid)}"
-           for i, (xi, p) in enumerate(zip(names, f))]
-    for i, p in enumerate(f):
-        for j, v in enumerate(names):
-            d, eye = p.diff(v), "1.0" if i == j else "0.0"
+    mid, u = [f"m{i}" for i in range(len(names))], [names.index(v) for v in NEWTON_UNKNOWNS[system]]
+    out = [f"n{i} - {names[i]} - h*{_unfolded_source(f[i], mid)}" for i in u]
+    for i in u:
+        for j in u:
+            d, eye = f[i].diff(names[j]), "1.0" if i == j else "0.0"
             out.append(eye if d.is_zero else f"{eye} - c*{_unfolded_source(d, mid)}")
     new = [f"n{i}" for i in range(len(names))]
     body = ["c = 0.5 * h", *(f"{m} = 0.5*({xi} + {ni})" for m, xi, ni in zip(mid, names, new))]
@@ -692,16 +709,17 @@ def _newton_update(out: tuple, n: int) -> tuple:
 @pytest.mark.parametrize("system", list(SystemId))
 def test_newton_solve_is_numpy_solve_bit_for_bit(system):
     # the buffered LAPACK kernel against np.linalg.solve, on the generated
-    # Newton systems and on ill-conditioned matrices (0.0 - d is exact, up
-    # to the sign of a zero)
-    n = model.system_dim(system)
+    # Newton systems over the unknowns and on ill-conditioned matrices of
+    # their size (0.0 - d is exact, up to the sign of a zero)
+    dim, n = model.system_dim(system), len(NEWTON_UNKNOWNS[system])
     kernel = _newton_kernel(system)
     rng = np.random.default_rng(9)
     outs = []
-    for x in _newton_states(n):
+    for x in _newton_states(dim):
         for h in (0.05, -0.05):
-            new = np.array(x) + rng.uniform(-0.1, 0.1, n)
+            new = np.array(x) + rng.uniform(-0.1, 0.1, dim)
             outs.append(kernel(*x, *new.tolist(), h))
+    assert {len(out) for out in outs} == {n + n * n}
     hilbert = 1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0)
     nearly_singular = np.eye(n)
     nearly_singular[-1] = nearly_singular[0] + 1e-15 * rng.uniform(0.5, 1.0, n)
