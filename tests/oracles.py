@@ -53,13 +53,13 @@ def midpoint_step(system: SystemId, s, t: float, h: float) -> np.ndarray:
     names, f = model.system_vars(system).names, model.rhs_compiled(system)
     u = [names.index(v) for v in NEWTON_UNKNOWNS[system]]
     zero = [i for i, p in enumerate(model.rhs_symbolic(system)) if p.is_zero]
-    rest = [i for i in range(len(names)) if i not in u and i not in zero]
+    quadrature = [i for i in range(len(names)) if i not in u and i not in zero]
     s = np.array(s, dtype=float)
     new = s.copy()
     new[zero] = s[zero] + h * 0.0
     with np.errstate(all="ignore"):
         new[u] = midpoint_step_field(*newton_field(system, 0.5 * (s + new)), s[u], t, h)
-        new[rest] = s[rest] + h * f(0.5 * (s + new))[rest]
+        new[quadrature] = s[quadrature] + h * f(0.5 * (s + new))[quadrature]
     return new if np.isfinite(new).all() else np.full(len(s), math.nan)
 
 
