@@ -29,39 +29,40 @@ The array steps on a field of numpy arrays (``rk4_step_field``, and
 steps' operation order, and numpy scalars call ``pow`` too, so the two give
 the same bits.
 
-``_MIDPOINT_STEP`` is the one midpoint step text: Euler predictor, Newton
-iterations, finiteness checks, solve, update, both stopping rules with
-``NEWTON_TOL`` and ``NEWTON_MAX_ITER`` written in as constants, and a
-``for ... else`` that raises ``NewtonError``.  A system's loop solves Newton
-for the variables that some component reads and whose own is not zero, in
-its order, each followed by the variable that its component is, if any:
-mb5's order, (q1, p1, q2, p2) on ham6 and pi's (q1, qd1, q2, qd2, qd3) on
-el6, whose states are then mb5's through pi, since gesv pivots in that
-order.  A zero-rate variable (ham6's p3) keeps its predictor, and one that
-no component reads (q3, the cyclic coordinate) gets the quadrature
-``x + h*f(m)`` at the accepted midpoints.  The stopping rules read the
-unknowns.  The loop inlines its rhs in the predictor and in the Newton
-evaluation (the residual and the Newton matrix together), each power
-``v**k`` once as a local ``v_k``; ``midpoint_step_field``'s loop solves the
-full system, calling a field and a Newton kernel.  The run's setup sets
-what h fixes once per ``_run`` call: RK4's ``a`` and ``b``, and midpoint's
-``c = 0.5 * h``, ``h0 = h * 0.0`` where a component of the rhs is
-identically zero, and each Newton-matrix entry whose derivative is a
-nonzero constant, as written (``0.0 - x`` is not ``-x`` for x = 0.0).  The
-linear solve calls numpy's ``solve1`` gufunc directly: the LAPACK gesv
-kernel ``np.linalg.solve`` runs for a 1-D right-hand side, without the
-argument handling, so states keep their bits.  Only a midpoint loop needs
-numpy: ``_compile_loop`` imports it and ``solve1`` when it compiles one,
-and an RK4 loop names neither, so an RK4 run, like the exact side, loads no
-numpy; the array renditions import it in their bodies.  Each run call makes
-two buffers and writes the Newton operands a fixed h fixes into the first,
-whose views are the residual and Newton matrix; each iteration packs only
-the spans holding its locals ``o<k>``, by ``struct`` ``pack_into`` calls of
-at most 28 values (``_spans``): a call of more than 30 arguments compiles to
-a list and ``CALL_FUNCTION_EX``.  ``solve1`` fills the second, unpacked into
-``d0, ...``.  With the finiteness tests, on ham6's 4x4 system: packs 0.28 us
-an iteration, solve 1.2 us (6x6: 0.6, 1.45; timeit minima, 2-core x86-64).
-A pure-Python elimination moved 3 of 60 012 6x6 states, by <= 8.7e-19.
+``_MIDPOINT_STEP`` is the one midpoint step text: the explicit midpoint
+predictor (``e = x + c*f(x)``, then ``n = x + h*f(e)``), Newton iterations,
+finiteness checks, solve, update, both stopping rules with ``NEWTON_TOL``
+and ``NEWTON_MAX_ITER`` written in as constants, and a ``for ... else``
+that raises ``NewtonError``.  A system's loop solves Newton for the
+variables that some component reads and whose own is not zero, in its
+order, each followed by the variable that its component is, if any: mb5's
+order, (q1, p1, q2, p2) on ham6 and pi's (q1, qd1, q2, qd2, qd3) on el6,
+whose states are then mb5's through pi, since gesv pivots in that order.  A
+zero-rate variable (ham6's p3) keeps its predictor, its midpoint set once a
+step, and one that no component reads (q3, the cyclic coordinate) gets the
+quadrature ``x + h*f(m)`` at the accepted midpoints.  The stopping rules
+read the unknowns.  The loop inlines its rhs in both predictor stages and
+in the Newton evaluation (the residual and the Newton matrix together),
+each power ``v**k`` once as a local ``v_k``; ``midpoint_step_field``'s loop
+solves the full system, calling a field and a Newton kernel.  The run's
+setup sets what h fixes once per ``_run`` call: RK4's ``a`` and ``b``, and
+midpoint's ``c = 0.5 * h``, ``h0 = h * 0.0`` where a component of the rhs is
+identically zero, and each Newton-matrix entry whose derivative is a nonzero
+constant, as written (``0.0 - x`` is not ``-x`` for x = 0.0).  The linear
+solve calls numpy's ``solve1`` gufunc directly: the LAPACK gesv kernel
+``np.linalg.solve`` runs for a 1-D right-hand side, without the argument
+handling, so states keep their bits.  Only a midpoint loop needs numpy:
+``_compile_loop`` imports it and ``solve1`` when it compiles one, and an RK4
+loop names neither, so an RK4 run, like the exact side, loads no numpy; the
+array renditions import it in their bodies.  Each run call makes two buffers
+and writes the Newton operands a fixed h fixes into the first, whose views
+are the residual and Newton matrix; each iteration packs only the spans
+holding its locals ``o<k>``, by ``struct`` ``pack_into`` calls of at most 28
+values (``_spans``): a call of more than 30 arguments compiles to a list and
+``CALL_FUNCTION_EX``.  ``solve1`` fills the second, unpacked as ``d0, ...``.
+With the finiteness tests, on ham6's 4x4 system: packs 0.28 us an iteration,
+solve 1.2 us (6x6: 0.6, 1.45; timeit minima, 2-core x86-64).  A pure-Python
+elimination moved 3 of 60 012 6x6 states, by <= 8.7e-19.
 
 Every loop keeps one float contract.  A float ``**`` raises OverflowError
 where numpy returns inf; the loop turns it into a BlowUpError at the step's
@@ -184,9 +185,9 @@ def _rk4(system: SystemId) -> tuple[list, list]:
 def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: float) -> np.ndarray:
     """One implicit midpoint step s' = s + h f((s + s')/2) by Newton, on a
     field ``f`` and its Jacobian ``jac`` of arrays: ``_MIDPOINT_STEP`` with
-    ``f`` for the predictor and a Newton evaluation built from ``f`` and
-    ``jac``.  All nan if the step blows up; no numpy floating-point warning
-    escapes the step."""
+    the explicit midpoint predictor ``f(s)``, then ``f(s + (h/2)*f(s))``, and
+    a Newton evaluation built from ``f`` and ``jac``.  All nan if the step
+    blows up; no numpy floating-point warning escapes the step."""
     import numpy as np
 
     n, eye = len(s), np.eye(len(s))
@@ -205,11 +206,12 @@ def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: 
 
 
 # The implicit midpoint step, written once.  ``_midpoint`` fills in the state
-# locals, the Euler predictor (lines that set n0, n1, ...), one Newton
-# evaluation (lines that set ``o<k>`` for each entry k that varies with the
-# state: the residual ``new - x - h*f(mid)``, then the n*n Newton matrix
-# ``eye - (0.5*h)*jac(mid)``, at ``mid = 0.5*(x + new)``) and every entry in
-# that order, its local, literal or setup name, for the buffers and packs.
+# locals, the explicit midpoint predictor (lines that set e0, e1, ... to
+# x + c*f(x), then n0, n1, ... to x + h*f(e)), one Newton evaluation (lines
+# that set ``o<k>`` for each entry k that varies with the state: the residual
+# ``new - x - h*f(mid)``, then the Newton matrix ``eye - (0.5*h)*jac(mid)``,
+# at ``mid = 0.5*(x + new)``) and every entry in that order, its local,
+# literal or setup name, for the buffers and packs.
 # Newton stops when the max-norm of its update drops below NEWTON_TOL, or when
 # the update has stopped shrinking within NEWTON_TOL * (1 + max|new|): at
 # large |new| rounding alone keeps the update above an absolute tolerance.
@@ -284,27 +286,30 @@ def _midpoint(new: Sequence[str], setup: list, predictor: list, kernel: list,
 
 def _system_midpoint(system: SystemId) -> tuple[list, list]:
     """The midpoint scheme on ``system``, Newton on its unknowns: its rhs
-    inlined in the predictor and in the Newton evaluation, in the operation
-    order of ``midpoint_step_field`` over them, the Newton matrix row by row.
-    A Jacobian entry identically zero is written as its value for a finite
-    h, ``1.0`` on the diagonal and ``0.0`` off it; a nonzero constant one is
-    a setup name, as is ``h0 = h * 0.0``, h times a zero component."""
+    inlined in both predictor stages and in the Newton evaluation, in the
+    operation order of ``midpoint_step_field`` over them, the Newton matrix
+    row by row.  A Jacobian entry identically zero is written as its value
+    for a finite h, ``1.0`` on the diagonal and ``0.0`` off it; a nonzero
+    constant one is a setup name, as is ``h0 = h * 0.0``, h times a zero p."""
     x, f, source = model.system_vars(system).names, model.rhs_symbolic(system), model._poly_source
-    new, mid = [f"n{i}" for i in range(len(x))], [f"m{i}" for i in range(len(x))]
+    new, mid, early = ([f"{c}{i}" for i in range(len(x))] for c in "nme")
 
-    def h_times(p, at, times):  # h times component p at ``at``; h0 for a zero p
-        return "h0" if p.is_zero else f"h{times}{source(p, at)}"
+    def times(scale, p, at):  # scale times component p at ``at``; h0 for a zero p
+        return "h0" if p.is_zero else f"{scale}{source(p, at)}"
 
-    def midpoints(rows):  # the midpoints that the components ``rows`` read
+    def read_by(rows):  # the variables, by index, that the components ``rows`` read
         read = set().union(*(f[i].occurring() for i in rows))
-        return [f"{mid[i]} = 0.5*({x[i]} + {new[i]})" for i, v in enumerate(x) if v in read]
+        return [i for i, v in enumerate(x) if v in read]
 
-    read = set().union(*(p.occurring() for p in f))
+    def midpoints(rows, fixed=False):  # those Newton moves, or if fixed the zero-rate ones
+        return [f"{mid[i]} = 0.5*({x[i]} + {new[i]})" for i in read_by(rows) if f[i].is_zero == fixed]
+
+    read = read_by(range(len(x)))
     order = dict.fromkeys(w for v, p in zip(x, f)  # v, then the variable that f_v is
                           for w in (v, *(w for w in x if p == model.Poly.var(p.vars, w))))
-    solved = [i for i in map(x.index, order) if x[i] in read and not f[i].is_zero]
-    quadrature = [i for i, v in enumerate(x) if v not in read and not f[i].is_zero]
-    entries = [f"{new[i]} - {x[i]} - {h_times(f[i], mid, '*')}" for i in solved]
+    solved = [i for i in map(x.index, order) if i in read and not f[i].is_zero]
+    quadrature = [i for i in range(len(x)) if i not in read and not f[i].is_zero]
+    entries = [f"{new[i]} - {x[i]} - {times('h*', f[i], mid)}" for i in solved]
     fixed = {"1.0": "1.0", "0.0": "0.0"}  # an entry constant for a fixed h: its literal or j<k>
     for i in solved:
         for j in solved:
@@ -316,10 +321,13 @@ def _system_midpoint(system: SystemId) -> tuple[list, list]:
              *(f"{name} = {e}" for e, name in fixed.items() if name != e)]
     kernel = [*midpoints(solved), *model._powers_once([f"o{k} = {e}" for k, e in enumerate(entries)
                                                        if e not in fixed])]
-    predictor = model._powers_once([f"{new[i]} = {x[i]} + {h_times(p, x, ' * ')}"
-                                    for i, p in enumerate(f) if i not in quadrature])
+    stage = [i for i in range(len(x)) if i not in quadrature]  # explicit midpoint: e, then n
+    predictor = [*model._powers_once([f"{early[i]} = {x[i]} + {times('c * ', f[i], x)}"
+                                      for i in read_by(stage)]),
+                 *model._powers_once([f"{new[i]} = {x[i]} + {times('h * ', f[i], early)}"
+                                      for i in stage]), *midpoints(range(len(x)), fixed=True)]
     accept = [*midpoints(quadrature), *model._powers_once(
-        [f"{v} = {v} + {h_times(f[i], mid, '*')}" if i in quadrature else f"{v} = {new[i]}"
+        [f"{v} = {v} + {times('h*', f[i], mid)}" if i in quadrature else f"{v} = {new[i]}"
          for i, v in enumerate(x)])]
     return _midpoint([new[i] for i in solved], setup, predictor, kernel,
                      [fixed.get(e, f"o{k}") for k, e in enumerate(entries)], accept)
@@ -405,17 +413,17 @@ def _compile_run(method: IntegratorId, system: SystemId, emit: str) -> Callable:
 @lru_cache(maxsize=None)
 def _field_midpoint(n: int) -> Callable:
     """``_run`` of the midpoint loop in n dimensions with no emit, taking
-    ``f`` and ``kernel`` after its stop: it calls ``f(*x)`` for the
-    predictor and ``kernel(*x, *new, h)`` for each Newton evaluation, whose
-    tuple it unpacks into ``o0, o1, ...``."""
-    x, v = [f"x{i}" for i in range(n)], [f"v{i}" for i in range(n)]
+    ``f`` and ``kernel`` after its stop: it calls ``f(*x)``, then ``f(*e)``,
+    for the predictor and ``kernel(*x, *new, h)`` for each Newton evaluation,
+    whose tuple it unpacks into ``o0, o1, ...``."""
+    x, v, e, new = ([f"{c}{i}" for i in range(n)] for c in "xven")
     o = [f"o{k}" for k in range(n + n * n)]
-    predictor = [f"{', '.join(v)}, = f({', '.join(x)})",
-                 *(f"n{i} = {xi} + h * {vi}" for i, (xi, vi) in enumerate(zip(x, v)))]
-    kernel = [f"{', '.join(o)}, = kernel({', '.join(x + [f'n{i}' for i in range(n)])}, h)"]
-    accept = [f"{xi} = n{i}" for i, xi in enumerate(x)]
-    return _compile_loop(x, _midpoint([f"n{i}" for i in range(n)], [], predictor, kernel, o,
-                                      accept), (", f, kernel", [], [], []))
+    predictor = [f"{', '.join(v)}, = f({', '.join(x)})", *map("{} = {} + c * {}".format, e, x, v),
+                 f"{', '.join(v)}, = f({', '.join(e)})", *map("{} = {} + h * {}".format, new, x, v)]
+    kernel = [f"{', '.join(o)}, = kernel({', '.join(x + new)}, h)"]
+    accept = [f"{xi} = {ni}" for xi, ni in zip(x, new)]
+    return _compile_loop(x, _midpoint(new, ["c = 0.5 * h"], predictor, kernel, o, accept),
+                         (", f, kernel", [], [], []))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ the two term renderers, ``str`` and the generated source, as each wrote its
 terms before they shared one loop."""
 
 import math
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from mbrwa import model, poisson, polyring
+from mbrwa import integrators, model, poisson, polyring
 from mbrwa.integrators import IntegratorId, _drive, _state, integrate, midpoint_step_field
 from mbrwa.model import VARS5, SystemId
 from mbrwa.polyring import Poly, VarSetMismatch, _coeff
@@ -45,11 +47,12 @@ def newton_field(system: SystemId, mid) -> tuple:
 
 def midpoint_step(system: SystemId, s, t: float, h: float) -> np.ndarray:
     """One step of ``system``'s midpoint run loop as an array step:
-    ``midpoint_step_field`` over ``NEWTON_UNKNOWNS``, with each variable of
-    zero rate at its predictor ``s + h*0.0`` and each other variable given
-    the quadrature ``s + h*f(m)`` at the accepted midpoint m.  The predictor
-    reads a zero-rate variable at its midpoint, which is its value for a
-    finite nonzero one.  All nan if the step blows up."""
+    ``midpoint_step_field`` over ``NEWTON_UNKNOWNS``, from its explicit
+    midpoint predictor, with each variable of zero rate at ``s + h*0.0``
+    and each other variable given the quadrature ``s + h*f(m)`` at the
+    accepted midpoint m.  Both predictor stages read a zero-rate variable at
+    its midpoint, which is its value for a finite nonzero one.  All nan if
+    the step blows up."""
     names, f = model.system_vars(system).names, model.rhs_compiled(system)
     u = [names.index(v) for v in NEWTON_UNKNOWNS[system]]
     zero = [i for i, p in enumerate(model.rhs_symbolic(system)) if p.is_zero]
@@ -61,6 +64,22 @@ def midpoint_step(system: SystemId, s, t: float, h: float) -> np.ndarray:
         new[u] = midpoint_step_field(*newton_field(system, 0.5 * (s + new)), s[u], t, h)
         new[quadrature] = s[quadrature] + h * f(0.5 * (s + new))[quadrature]
     return new if np.isfinite(new).all() else np.full(len(s), math.nan)
+
+
+def newton_iterations(system: SystemId, init, t_end: float, h: float) -> tuple:
+    """The state that ``system``'s midpoint run loop reaches from ``init``
+    over [0, t_end], and a Counter of the Newton iterations of its steps: the
+    loop's text with one increment at acceptance, compiled in its namespace."""
+    run = integrators._compile_run(IntegratorId.IMPLICIT_MIDPOINT, system, "none")
+    text, iterations = run.source, Counter()
+    accept = re.search(r"^( *)if update_norm <= .*\n", text, re.M)
+    counted = f"{text[:accept.end()]}{accept[1]}    iterations[_ + 1] += 1\n{text[accept.end():]}"
+    counting = model._compile(counted, "_run", **run.__globals__, iterations=iterations)
+    s = _state(system, init)
+    with np.errstate(all="ignore"):
+        for segment in integrators._segments(0.0, t_end, h):
+            s = counting(*s, *segment)
+    return s, iterations
 
 
 def midpoint_roundtrip_error(system: SystemId, state, h: float) -> float:

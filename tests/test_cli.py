@@ -379,7 +379,7 @@ class TestNumericFailure:
         assert [str(w.message) for w in caught] == []
 
     def test_singular_newton_matrix(self, capsys):
-        # mb5 at (0, 0, 0, 0, 16) with h = 0.5: the Euler predictor stays put
+        # mb5 at (0, 0, 0, 0, 16) with h = 0.5: an equilibrium, the predictor stays put
         # and the Newton matrix eye - 0.25*J(mid) holds the block
         # [[1, -0.25], [-4, 1]], exactly singular: a blow-up, not a LinAlgError
         for command in ("invariants", "simulate"):

@@ -33,6 +33,7 @@ from oracles import (
     convergence_order,
     midpoint_roundtrip_error,
     midpoint_step,
+    newton_iterations,
     poly_source,
 )
 
@@ -133,14 +134,14 @@ class TestStepCores:
         assert exc.value.residual == 2.0
 
     def test_midpoint_stops_at_a_non_finite_iterate(self):
-        # the predictor is inf: one Newton evaluation, then a nan state
+        # the predictor's two stages are inf: one Newton evaluation, then a nan state
         calls = []
         f = lambda s: (calls.append("f"), np.full_like(s, math.inf))[1]
         jac = lambda s: (calls.append("jac"), np.eye(len(s)))[1]
         with np.errstate(invalid="ignore"):  # inf - inf in the array residual
             out = midpoint_step_field(f, jac, np.array([1.0, 2.0]), 0.0, 0.1)
         assert np.isnan(out).all()
-        assert calls == ["f", "f", "jac"]
+        assert calls == ["f", "f", "f", "jac"]
 
     def test_midpoint_singular_newton_matrix_is_a_blow_up(self):
         # eye - (h/2) * 4 eye = 0 at h = 0.5: a nan state and no numpy warning
@@ -446,6 +447,47 @@ class TestMidpointReduction:
         want = array("d", (s[q3] + dt * f_q3(*(0.5 * (a + b) for a, b in zip(s, s1)))
                            for s, s1, dt in zip(states, states[1:], steps)))
         assert array("d", (s[q3] for s in states[1:])).tobytes() == want.tobytes()
+
+
+# the midpoint goldens' runs, at h = 1e-2 (tests/test_cli.py::TestGoldenOutput)
+GOLDEN_RUNS = [(SystemId.MB5, GOLDEN_STATE[:5], 20.0), (SystemId.HAM6, GOLDEN_STATE, 20.0),
+               (SystemId.EL6, GOLDEN_STATE, 10.005)]
+
+
+class TestMidpointNewton:
+    """Newton starts from the explicit midpoint predictor, e = x + (h/2)*f(x)
+    then x + h*f(e), whose error is O(h**3); wherever it starts, each step it
+    accepts solves the midpoint equation to rounding."""
+
+    @pytest.mark.parametrize("system, init, t_end", GOLDEN_RUNS, ids=["mb5", "ham6", "el6"])
+    def test_every_golden_step_takes_two_iterations(self, system, init, t_end):
+        # the second update is below NEWTON_TOL on every step, el6's partial
+        # last one included; from x + h*f(x), 36-70% of these steps took a
+        # third.  The counting build reaches the run's state bit for bit
+        segments = integrators._segments(0.0, t_end, 1e-2)
+        s, iterations = newton_iterations(system, init, t_end, 1e-2)
+        assert iterations == {2: sum(stop - start for _, _, start, stop in segments)}
+        s0 = integrators._state(system, init)
+        assert s == integrators._drive(IntegratorId.IMPLICIT_MIDPOINT, system, "none", s0, segments)
+
+    @pytest.mark.parametrize("system", list(SystemId))
+    def test_each_accepted_step_solves_the_midpoint_equation(self, system):
+        # x' - x - h*f((x + x')/2) over the Newton unknowns is at most
+        # 2**-52 * max(1, |x'|) on every row pair, by the array rhs, a test
+        # that does not read the predictor
+        n, f = model.system_dim(system), model.rhs_compiled(system)
+        u = [model.system_vars(system).index(v) for v in NEWTON_UNKNOWNS[system]]
+        width = 1 + n + len(system_invariants(system))
+        h = np.array([dt for _, dt, start, stop in integrators._segments(0.0, 20.0, 1e-2)
+                      for _ in range(start, stop)])
+        for init in (GOLDEN_STATE, *DRAWN_STATES[:3]):
+            rows = integrators.run_rows(IntegratorId.IMPLICIT_MIDPOINT, system, init[:n],
+                                        0.0, 20.0, 1e-2)
+            states = np.frombuffer(rows).reshape(-1, width)[:, 1:1 + n]
+            x, x1 = states[:-1], states[1:]
+            rates = np.array([f(m) for m in 0.5 * (x + x1)])
+            residual = np.abs(x1 - x - h[:, None] * rates)[:, u].max(axis=1)
+            assert (residual <= 2.0**-52 * np.maximum(1.0, np.abs(x1).max(axis=1))).all()
 
 
 # The paper's discrete symmetries.  Each system is invariant under reflecting
