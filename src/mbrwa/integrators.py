@@ -31,38 +31,37 @@ the same bits.
 
 ``_MIDPOINT_STEP`` is the one midpoint step text: the explicit midpoint
 predictor (``e = x + c*f(x)``, then ``n = x + h*f(e)``), Newton iterations,
-finiteness checks, solve, update, both stopping rules with ``NEWTON_TOL``
-and ``NEWTON_MAX_ITER`` written in as constants, and a ``for ... else``
-that raises ``NewtonError``.  A system's loop solves Newton for the
-variables that some component reads and whose own is not zero, in its
-order, each followed by the variable that its component is, if any: mb5's
-order, (q1, p1, q2, p2) on ham6 and pi's (q1, qd1, q2, qd2, qd3) on el6,
-whose states are then mb5's through pi, since gesv pivots in that order.  A
-zero-rate variable (ham6's p3) keeps its predictor, its midpoint set once a
+finiteness checks, solve, update, both stopping rules with ``NEWTON_TOL`` and
+``NEWTON_MAX_ITER`` written in as constants, a restart from ``n = x`` half
+way, and a ``for ... else`` that raises ``NewtonError``.  A system's loop
+solves Newton for the variables that some component reads and whose own is not
+zero, in its order, each followed by the variable that its component is, if
+any: mb5's order, (q1, p1, q2, p2) on ham6 and pi's (q1, qd1, q2, qd2, qd3) on
+el6, whose states are then mb5's through pi, since gesv pivots in that order.
+A zero-rate variable (ham6's p3) keeps its predictor, its midpoint set once a
 step, and one that no component reads (q3, the cyclic coordinate) gets the
-quadrature ``x + h*f(m)`` at the accepted midpoints.  The stopping rules
-read the unknowns.  The loop inlines its rhs in both predictor stages and
-in the Newton evaluation (the residual and the Newton matrix together),
-each power ``v**k`` once as a local ``v_k``; ``midpoint_step_field``'s loop
-solves the full system, calling a field and a Newton kernel.  The run's
-setup sets what h fixes once per ``_run`` call: RK4's ``a`` and ``b``, and
-midpoint's ``c = 0.5 * h``, ``h0 = h * 0.0`` where a component of the rhs is
-identically zero, and each Newton-matrix entry whose derivative is a nonzero
-constant, as written (``0.0 - x`` is not ``-x`` for x = 0.0).  The linear
-solve calls numpy's ``solve1`` gufunc directly: the LAPACK gesv kernel
-``np.linalg.solve`` runs for a 1-D right-hand side, without the argument
-handling, so states keep their bits.  Only a midpoint loop needs numpy:
-``_compile_loop`` imports it and ``solve1`` when it compiles one, and an RK4
-loop names neither, so an RK4 run, like the exact side, loads no numpy; the
-array renditions import it in their bodies.  Each run call makes two buffers
-and writes the Newton operands a fixed h fixes into the first, whose views
-are the residual and Newton matrix; each iteration packs only the spans
-holding its locals ``o<k>``, by ``struct`` ``pack_into`` calls of at most 28
-values (``_spans``): a call of more than 30 arguments compiles to a list and
-``CALL_FUNCTION_EX``.  ``solve1`` fills the second, unpacked as ``d0, ...``.
-With the finiteness tests, on ham6's 4x4 system: packs 0.28 us an iteration,
-solve 1.2 us (6x6: 0.6, 1.45; timeit minima, 2-core x86-64).  A pure-Python
-elimination moved 3 of 60 012 6x6 states, by <= 8.7e-19.
+quadrature ``x + h*f(m)`` at the accepted midpoints.  The stopping rules read
+the unknowns.  The loop inlines its rhs in both predictor stages and in the
+Newton evaluation (the residual and the Newton matrix together), each power
+``v**k`` once as a local ``v_k``; ``midpoint_step_field``'s loop solves the
+full system, calling a field and a Newton kernel.  The run's setup sets what h
+fixes once per ``_run`` call: RK4's ``a`` and ``b``, and midpoint's ``c = 0.5
+* h``, ``h0 = h * 0.0`` where a component of the rhs is identically zero, and
+each Newton-matrix entry whose derivative is a nonzero constant, as written
+(``0.0 - x`` is not ``-x`` for x = 0.0).  The linear solve calls numpy's
+``solve1`` gufunc directly: the LAPACK gesv kernel ``np.linalg.solve`` runs
+for a 1-D right-hand side, without the argument handling, so states keep their
+bits.  Only a midpoint loop needs numpy, imported with ``solve1`` when
+``_compile_loop`` first compiles one, so an RK4 run, like the exact side,
+loads none.  Each run call makes two buffers and writes the Newton operands a
+fixed h fixes into the first, whose views are the residual and Newton matrix;
+each iteration packs only the spans holding its locals ``o<k>``, by ``struct``
+``pack_into`` calls of at most 28 values (``_spans``): a call of more than 30
+arguments compiles to a list and ``CALL_FUNCTION_EX``.  ``solve1`` fills the
+second, unpacked as ``d0, ...``. With the finiteness tests, on ham6's 4x4
+system: packs 0.28 us an iteration, solve 1.2 us (6x6: 0.6, 1.45; timeit
+minima, 2-core x86-64).  A pure-Python elimination moved 3 of 60 012 6x6
+states, by <= 8.7e-19.
 
 Every loop keeps one float contract.  A float ``**`` raises OverflowError
 where numpy returns inf; the loop turns it into a BlowUpError at the step's
@@ -183,11 +182,10 @@ def _rk4(system: SystemId) -> tuple[list, list]:
 
 
 def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: float) -> np.ndarray:
-    """One implicit midpoint step s' = s + h f((s + s')/2) by Newton, on a
-    field ``f`` and its Jacobian ``jac`` of arrays: ``_MIDPOINT_STEP`` with
-    the explicit midpoint predictor ``f(s)``, then ``f(s + (h/2)*f(s))``, and
-    a Newton evaluation built from ``f`` and ``jac``.  All nan if the step
-    blows up; no numpy floating-point warning escapes the step."""
+    """One implicit midpoint step s' = s + h f((s + s')/2) on a field ``f``
+    and its Jacobian ``jac`` of arrays: ``_MIDPOINT_STEP`` from the explicit
+    midpoint predictor ``s + h*f(s + (h/2)*f(s))``, Newton built from ``f``
+    and ``jac``.  All nan if the step blows up; no numpy warning escapes it."""
     import numpy as np
 
     n, eye = len(s), np.eye(len(s))
@@ -215,9 +213,10 @@ def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: 
 # Newton stops when the max-norm of its update drops below NEWTON_TOL, or when
 # the update has stopped shrinking within NEWTON_TOL * (1 + max|new|): at
 # large |new| rounding alone keeps the update above an absolute tolerance.
-# After NEWTON_MAX_ITER iterations it raises NewtonError.  An exactly singular
-# Newton matrix solves to all nan, a blow-up.  ``_MIDPOINT_BUFFERS`` join the
-# run's setup, so each run call makes its own.
+# Half way it starts again from the state: the predictor's error grows like
+# (h*|df/dx|)**2, and Newton wanders from it on ham6 at p3 = 1e8, h = 0.05.
+# After NEWTON_MAX_ITER it raises NewtonError.  An exactly singular Newton
+# matrix solves to all nan, a blow-up.  Each run call makes its own buffers.
 _MIDPOINT_BUFFERS = """\
 buf, update = np.array([{constants}]), np.empty({n})  # Newton operands (residual, matrix); update
 residual, matrix = buf[:{n}], buf[{n}:].reshape({n}, {n})
@@ -239,6 +238,8 @@ for _ in range({max_iter}):
     if update_norm <= {tol!r} or previous <= update_norm <= {tol!r} * (1.0 + {new_norm}):
         {accept}
         break
+    if _ == {restart}:  # not converged from the predictor: start again from the state
+        {new}, update_norm = {start}, inf
 else:
     raise NewtonError({max_iter}, update_norm)"""
 
@@ -257,11 +258,11 @@ def _spans(at: tuple, cap: int = 28) -> tuple:
                 if at[j] - at[0] < cap), key=lambda s: (len(s), sum(b - a for a, b in s)), default=())
 
 
-def _midpoint(new: Sequence[str], setup: list, predictor: list, kernel: list,
-              entries: list, accept: list) -> tuple[list, list]:
+def _midpoint(new: Sequence[str], start: Sequence[str], setup: list, predictor: list,
+              kernel: list, entries: list, accept: list) -> tuple[list, list]:
     """The run's ``setup`` then ``_MIDPOINT_STEP``'s buffers, and the step:
-    Newton on the locals ``new``, packing the spans of ``entries`` with their
-    locals ``o<k>``, which it tests, then the lines ``accept``."""
+    Newton on the locals ``new``, restarting from ``start``, packing the spans
+    of ``entries`` with their locals ``o<k>``, which it tests, then ``accept``."""
     n, d = len(new), [f"d{i}" for i in range(len(new))]
     spans = _spans(tuple(k for k, e in enumerate(entries) if e.startswith("o")))
 
@@ -271,13 +272,13 @@ def _midpoint(new: Sequence[str], setup: list, predictor: list, kernel: list,
     slots = dict(
         n=n, d=", ".join(d), predictor="\n".join(predictor), kernel="\n    ".join(kernel),
         constants=", ".join("0.0" if e.startswith("o") else e for e in entries),
-        packs=", ".join(f"pack{i}" for i in range(len(spans))),
+        packs=", ".join(f"pack{i}" for i in range(len(spans))), restart=NEWTON_MAX_ITER // 2 - 1,
         structs=", ".join(f'Struct("{b - a + 1}d").pack_into' for a, b in spans),
         pack="\n    ".join(f"pack{i}(buf, {8 * a}, {', '.join(entries[a:b + 1])})"
                              for i, (a, b) in enumerate(spans)),
         o_blowup=_blowup([e for e in entries if e.startswith("o")]), d_blowup=_blowup(d),
         update="\n    ".join(f"{ni} = {ni} - {di}" for ni, di in zip(new, d)),
-        accept="\n        ".join(accept),
+        new=", ".join(new), start=", ".join(start), accept="\n        ".join(accept),
         d_norm=max_abs(d), new_norm=max_abs(new), tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
     )
     return ([*setup, *_MIDPOINT_BUFFERS.format(**slots).split("\n")],
@@ -290,7 +291,7 @@ def _system_midpoint(system: SystemId) -> tuple[list, list]:
     operation order of ``midpoint_step_field`` over them, the Newton matrix
     row by row.  A Jacobian entry identically zero is written as its value
     for a finite h, ``1.0`` on the diagonal and ``0.0`` off it; a nonzero
-    constant one is a setup name, as is ``h0 = h * 0.0``, h times a zero p."""
+    constant one is a setup name, as is ``h0 = h * 0.0``, h times a zero component."""
     x, f, source = model.system_vars(system).names, model.rhs_symbolic(system), model._poly_source
     new, mid, early = ([f"{c}{i}" for i in range(len(x))] for c in "nme")
 
@@ -329,7 +330,7 @@ def _system_midpoint(system: SystemId) -> tuple[list, list]:
     accept = [*midpoints(quadrature), *model._powers_once(
         [f"{v} = {v} + {times('h*', f[i], mid)}" if i in quadrature else f"{v} = {new[i]}"
          for i, v in enumerate(x)])]
-    return _midpoint([new[i] for i in solved], setup, predictor, kernel,
+    return _midpoint([new[i] for i in solved], [x[i] for i in solved], setup, predictor, kernel,
                      [fixed.get(e, f"o{k}") for k, e in enumerate(entries)], accept)
 
 
@@ -413,16 +414,15 @@ def _compile_run(method: IntegratorId, system: SystemId, emit: str) -> Callable:
 @lru_cache(maxsize=None)
 def _field_midpoint(n: int) -> Callable:
     """``_run`` of the midpoint loop in n dimensions with no emit, taking
-    ``f`` and ``kernel`` after its stop: it calls ``f(*x)``, then ``f(*e)``,
-    for the predictor and ``kernel(*x, *new, h)`` for each Newton evaluation,
-    whose tuple it unpacks into ``o0, o1, ...``."""
+    ``f`` and ``kernel`` after its stop: ``f(*x)``, then ``f(*e)``, for the
+    predictor, ``kernel(*x, *new, h)`` unpacked into ``o0, o1, ...``."""
     x, v, e, new = ([f"{c}{i}" for i in range(n)] for c in "xven")
     o = [f"o{k}" for k in range(n + n * n)]
     predictor = [f"{', '.join(v)}, = f({', '.join(x)})", *map("{} = {} + c * {}".format, e, x, v),
                  f"{', '.join(v)}, = f({', '.join(e)})", *map("{} = {} + h * {}".format, new, x, v)]
     kernel = [f"{', '.join(o)}, = kernel({', '.join(x + new)}, h)"]
     accept = [f"{xi} = {ni}" for xi, ni in zip(x, new)]
-    return _compile_loop(x, _midpoint(new, ["c = 0.5 * h"], predictor, kernel, o, accept),
+    return _compile_loop(x, _midpoint(new, x, ["c = 0.5 * h"], predictor, kernel, o, accept),
                          (", f, kernel", [], [], []))
 
 

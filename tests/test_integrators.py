@@ -456,7 +456,8 @@ GOLDEN_RUNS = [(SystemId.MB5, GOLDEN_STATE[:5], 20.0), (SystemId.HAM6, GOLDEN_ST
 
 class TestMidpointNewton:
     """Newton starts from the explicit midpoint predictor, e = x + (h/2)*f(x)
-    then x + h*f(e), whose error is O(h**3); wherever it starts, each step it
+    then x + h*f(e), whose error is O(h**3), and again from x where that has
+    not converged in half its iterations; wherever it starts, each step it
     accepts solves the midpoint equation to rounding."""
 
     @pytest.mark.parametrize("system, init, t_end", GOLDEN_RUNS, ids=["mb5", "ham6", "el6"])
@@ -469,6 +470,17 @@ class TestMidpointNewton:
         assert iterations == {2: sum(stop - start for _, _, start, stop in segments)}
         s0 = integrators._state(system, init)
         assert s == integrators._drive(IntegratorId.IMPLICIT_MIDPOINT, system, "none", s0, segments)
+
+    def test_a_stiff_step_restarts_from_the_state(self):
+        # ham6 at p3 = 1e8 and h = 0.05, h*sqrt(p3) = 500: the predictor,
+        # quadratic in h times the rhs Jacobian, starts Newton 1e6 away, where
+        # it wanders; after half its iterations Newton starts again from the
+        # state and converges in 3 more, as it did from x + h*f(x)
+        x = (0.1, 0.2, 0.3, 0.1, 0.2, 1e8)
+        s, iterations = newton_iterations(SystemId.HAM6, x, 0.05, 0.05)
+        assert iterations == {integrators.NEWTON_MAX_ITER // 2 + 3: 1}
+        residual = np.subtract(s, x) - 0.05 * model.rhs_compiled(SystemId.HAM6)(0.5 * np.add(s, x))
+        assert np.abs(residual).max() <= 2.0**-52 * np.abs(s).max()
 
     @pytest.mark.parametrize("system", list(SystemId))
     def test_each_accepted_step_solves_the_midpoint_equation(self, system):

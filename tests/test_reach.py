@@ -61,7 +61,7 @@ SWEEP = [
     # (NewtonError; it stays so under 1e-9 relative changes of the state)
     (3, ["invariants", *MB5, "--init=0,0,0,0,1e155", "--t-end", "0.002", "--h", "1e-3"]),
     (3, ["invariants", "--system", "mb5", "--method", "midpoint",
-         "--init=-0.52,2.88,-1.89,-2.86,1.02", "--t-end", "13.12", "--h", "13.12"]),
+         "--init=2.87,-1.69,-1.31,0.55,-2.77", "--t-end", "2.49", "--h", "2.49"]),
 ]
 # exit 141: each runs with a stdout whose reader has gone
 CLOSED_PIPE = [["version"]]
