@@ -251,11 +251,11 @@ def _blowup(names: Sequence[str]) -> str:
 
 
 @lru_cache(maxsize=None)
-def _spans(at: tuple, cap: int = 28) -> tuple:
-    """The fewest runs ``(first, last)`` of at most ``cap`` positions that
-    cover the sorted positions ``at``, of those the fewest positions."""
+def _spans(at: tuple) -> tuple:
+    """The fewest runs ``(first, last)`` of at most 28 positions that cover
+    the sorted positions ``at``, of those the fewest positions."""
     return min((((at[0], at[j]), *_spans(at[j + 1:])) for j in reversed(range(len(at)))
-                if at[j] - at[0] < cap), key=lambda s: (len(s), sum(b - a for a, b in s)), default=())
+                if at[j] - at[0] < 28), key=lambda s: (len(s), sum(b - a for a, b in s)), default=())
 
 
 def _midpoint(new: Sequence[str], start: Sequence[str], setup: list, predictor: list,
@@ -434,10 +434,10 @@ def _field_midpoint(n: int) -> Callable:
 def step_count(t0: float, t_end: float, h: float) -> int:
     """The number of full steps of size ``h`` from t0 to t_end.
 
-    Raises ValueError unless (t_end - t0) / h is a finite step count of at
-    most ``sys.maxsize``, the most entries a trajectory list can hold, and not negative.
+    Raises ValueError unless ``h`` is positive and finite and (t_end - t0) / h is a step
+    count: finite, at most ``sys.maxsize`` (the most a trajectory list can hold), not negative.
     """
-    n_steps = (t_end - t0) / h
+    n_steps = (t_end - t0) / _step_size(h)
     if not n_steps <= sys.maxsize:  # also rejects inf and nan
         raise ValueError(
             f"(t_end - t0) / h = {n_steps:g} is not a finite step count <= sys.maxsize"

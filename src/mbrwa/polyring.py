@@ -24,9 +24,9 @@ along a vector field; each keeps the terms, in the dict order that
 The exact linear algebra has one way in, :func:`kernel`: the vanishing
 combinations of images (tuples of Polys or exact scalars), over one sparse
 row per (position, monomial) that occurs, with no degree cap.
-:func:`express`, :func:`solve_nullspace` and :func:`matrix_rank` derive
-from it (a row list's images are its columns); only the symmetry solver
-writes its packed rows straight into :func:`_nullspace`.  Rows are
+:func:`solve_nullspace` and :func:`matrix_rank` derive from it (a row
+list's images are its columns); only the symmetry solver writes its packed
+rows straight into :func:`_nullspace`.  Rows are
 eliminated sparse, indexed by column and pivoting on the sparsest row
 (Markowitz's rule): the determining equations are about 1% nonzero.
 Entries and results follow the coefficient rule above.
@@ -393,10 +393,6 @@ def lie_derivative(field: Mapping[str, Poly], f: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-class InconsistentSystem(ValueError):
-    """Raised when an inhomogeneous linear system has no solution."""
-
-
 def _rref(rows: list[dict[int, Coeff]], ncols: int) -> list[int]:
     """Bring sparse rows to reduced row echelon form in place; returns the
     pivot columns, with pivot ``r`` in ``rows[r]`` and the emptied rows after.
@@ -503,13 +499,3 @@ def kernel(images: Sequence[Sequence[Union[Poly, Coeff]]]) -> list[list[Coeff]]:
             elif c := _coeff(x):
                 rows.setdefault((pos,), {})[j] = c
     return _nullspace(list(rows.values()), len(images))
-
-
-def express(target: Sequence, images: Sequence[Sequence]) -> list[Coeff]:
-    """The ``x``, zero on free images, with ``sum_j x[j] * images[j] ==
-    target``, or :class:`InconsistentSystem`.  The target's column is free,
-    its kernel vector the last, exactly when the target is in the span."""
-    basis = kernel([*images, target])
-    if not (basis and basis[-1][-1]):
-        raise InconsistentSystem("no exact solution exists")
-    return [-c for c in basis[-1][:-1]]

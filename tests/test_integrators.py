@@ -307,10 +307,17 @@ class TestIntegrate:
             integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, 1.0, 1e-300)
 
     def test_negative_step_count_rejected(self):
-        # a reversed span, or a negative step, is no number of full steps
-        for span in ((0.0, -1.0, 0.5), (0.0, 1.0, -0.5), (0.0, -1e308, 1e-10)):
+        # a reversed span is no number of full steps
+        for span in ((0.0, -1.0, 0.5), (0.0, -1e308, 1e-10)):
             with pytest.raises(ValueError, match="negative step count"):
                 integrators.step_count(*span)
+
+    @pytest.mark.parametrize("h", [-0.5, 0.0, -0.0, math.inf, math.nan])
+    def test_step_count_rejects_the_step_size(self, h):
+        # the one step-size rule of every run: 1 / 0.0 would raise
+        # ZeroDivisionError, and 1 / inf would be 0 steps
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            integrators.step_count(0.0, 1.0, h)
 
     def test_deterministic_repeat(self):
         a = integrate(IntegratorId.IMPLICIT_MIDPOINT, SystemId.HAM6, INIT6, 0.0, 2.0, 0.01)

@@ -7,17 +7,14 @@ file.
 
 from fractions import Fraction
 
-import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_polyring import VARS3, matrices, polys
 
 from mbrwa.polyring import (
-    InconsistentSystem,
     Poly,
     VarSet,
-    express,
     lie_derivative,
     matrix_rank,
     solve_nullspace,
@@ -97,26 +94,6 @@ def sparse_matrices(draw):
     ]
 
 
-@st.composite
-def systems(draw):
-    m = draw(matrices())
-    b = [Fraction(draw(st.integers(-4, 4))) for _ in m]
-    return m, b
-
-
-@st.composite
-def sparse_systems(draw):
-    """A sparse matrix with b = A x for a drawn x, and b perturbed in one
-    entry about half the time, so consistent and inconsistent systems both
-    occur."""
-    m = draw(sparse_matrices())
-    x = [draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)) for _ in m[0]]
-    b = [sum((a * xj for a, xj in zip(row, x)), Fraction(0)) for row in m]
-    if draw(st.booleans()):
-        b[draw(st.integers(0, len(b) - 1))] += 1
-    return m, b
-
-
 def assert_rank_matches(m):
     assert matrix_rank(m) == sympy.Matrix(m).rank()
 
@@ -126,19 +103,6 @@ def assert_nullspace_matches(m):
     # entry for entry, not only as spans
     want = [[Fraction(int(x.p), int(x.q)) for x in v] for v in sympy.Matrix(m).nullspace()]
     assert solve_nullspace(m) == want
-
-
-def assert_express_matches(m, b):
-    # A x = b as express: the columns of A are the images, b the target
-    a = sympy.Matrix(m)
-    columns = list(zip(*m))
-    inconsistent = a.row_join(sympy.Matrix(b)).rank() > a.rank()
-    if inconsistent:
-        with pytest.raises(InconsistentSystem):
-            express(b, columns)
-    else:
-        x = express(b, columns)
-        assert [sum(aij * xj for aij, xj in zip(row, x)) for row in m] == b
 
 
 @given(matrices())
@@ -151,15 +115,8 @@ def test_nullspace_matches_sympy(m):
     assert_nullspace_matches(m)
 
 
-@given(systems())
-def test_express_matches_sympy(system):
-    assert_express_matches(*system)
-
-
-@given(sparse_systems())
+@given(sparse_matrices())
 @settings(deadline=None)
-def test_sparse_matches_sympy(system):
-    m, b = system
+def test_sparse_matches_sympy(m):
     assert_rank_matches(m)
     assert_nullspace_matches(m)
-    assert_express_matches(m, b)

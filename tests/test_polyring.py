@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from mbrwa import symmetry
 from mbrwa.model import _poly_source
 from mbrwa.polyring import (
-    InconsistentSystem,
     Poly,
     VarSet,
     VarSetMismatch,
     _coeff,
     _rref,
-    express,
     kernel,
     lie_derivative,
     matrix_rank,
@@ -255,28 +253,13 @@ class TestLinearSolver:
         eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert solve_nullspace(eye) == []
 
-    # A x = b as express: the columns of A are the images, b the target
-
-    def test_express_exact(self):
-        x = express((1, 1), [(2, 0), (0, 3)])
-        assert x == [Fraction(1, 2), Fraction(1, 3)]
-
-    def test_express_inconsistent(self):
-        with pytest.raises(InconsistentSystem):
-            express((1, 2), [(1, 1), (0, 0)])
-
-    def test_target_length_mismatch(self):
-        with pytest.raises(ValueError):
-            express((1,), [(1, 0), (0, 1)])
-
     @pytest.mark.parametrize(
         "matrix", [[[1, 2], [1]], [[1], [1, 2]]], ids=["second-row-short", "first-row-short"]
     )
     @pytest.mark.parametrize(
         "solver",
-        # as images, the rows of a ragged matrix have different lengths
-        [matrix_rank, solve_nullspace, lambda m: express(m[0], m)],
-        ids=["matrix_rank", "solve_nullspace", "express"],
+        [matrix_rank, solve_nullspace],
+        ids=["matrix_rank", "solve_nullspace"],
     )
     def test_ragged_rejected(self, solver, matrix):
         with pytest.raises(ValueError, match="ragged"):
@@ -295,29 +278,18 @@ def shuffled_systems(draw):
     for _ in range(draw(st.integers(0, 3))):
         weights = [draw(st.integers(-2, 2)) for _ in rows]
         rows.append([sum(w * row[j] for w, row in zip(weights, rows)) for j in range(ncols)])
-    rhs = [draw(st.integers(-2, 2)) for _ in rows]
     order = draw(st.permutations(range(len(rows))))
-    return rows, rhs, order
-
-
-def _solve_or_inconsistent(matrix, rhs):
-    try:
-        return express(rhs, list(zip(*matrix)))
-    except InconsistentSystem:
-        return "inconsistent"
+    return rows, order
 
 
 @given(shuffled_systems())
 def test_row_order_does_not_change_the_results(system):
     # a matrix has one RREF whatever row each column pivots on, so the
     # results read off it cannot depend on the order of the rows
-    rows, rhs, order = system
+    rows, order = system
     shuffled = [rows[i] for i in order]
     assert matrix_rank(shuffled) == matrix_rank(rows)
     assert solve_nullspace(shuffled) == solve_nullspace(rows)
-    assert _solve_or_inconsistent(shuffled, [rhs[i] for i in order]) == _solve_or_inconsistent(
-        rows, rhs
-    )
 
 
 @st.composite
@@ -400,14 +372,6 @@ class TestCanonicalCoefficients:
     def test_float_rejected_by_the_solvers(self):
         with pytest.raises(TypeError):
             solve_nullspace([[1.0, 2]])
-        with pytest.raises(TypeError):
-            express((0.5, 1), [(1, 0), (0, 1)])
-
-    def test_express_with_int_pivots_stays_exact(self):
-        # an int pivot inverted as 1 / p would be a float
-        x = express((1, 1), [(2, 0), (0, 3)])
-        assert x == [Fraction(1, 2), Fraction(1, 3)]
-        assert all(type(c) is Fraction for c in x)
 
     def test_nullspace_with_non_unit_pivots(self):
         m = [[2, 3, 0], [0, 4, 2]]
@@ -589,7 +553,7 @@ def test_one_term_renderer_is_the_renderers_it_replaced(p):
 
 
 # ---------------------------------------------------------------------------
-# kernel and express over polynomial images
+# kernel over polynomial images
 # ---------------------------------------------------------------------------
 
 
@@ -623,13 +587,13 @@ class TestKernelInputRule:
 @st.composite
 def poly_images(draw):
     """One to four images of one to three Polys, then up to two
-    combinations of them, and weights for one more combination."""
+    combinations of them."""
     width = draw(st.integers(1, 3))
     count = draw(st.integers(1, 4))
     images = [tuple(draw(mixed_polys()) for _ in range(width)) for _ in range(count)]
     for _ in range(draw(st.integers(0, 2))):
         images.append(_combine([draw(st.integers(-2, 2)) for _ in images], images))
-    return images, [draw(st.integers(-3, 3)) for _ in images]
+    return images
 
 
 def _combine(weights, images):
@@ -641,8 +605,7 @@ def _combine(weights, images):
 
 @given(poly_images())
 @settings(max_examples=60)
-def test_kernel_and_express_on_poly_images(drawn):
-    images, weights = drawn
+def test_kernel_on_poly_images(images):
     basis = kernel(images)
     for vec in basis:
         assert all(p.is_zero for p in _combine(vec, images))
@@ -650,9 +613,3 @@ def test_kernel_and_express_on_poly_images(drawn):
     keys = sorted({(p, e) for x in images for p, q in enumerate(x) for e in q.terms})
     rank = matrix_rank([[x[p].coefficient(e) for x in images] for p, e in keys])
     assert len(basis) + rank == len(images)
-    target = _combine(weights, images)
-    assert _combine(express(target, images), images) == target
-    # mixed_polys keeps every exponent below 3: a^3 is in no image
-    outside = (target[0] + Poly.var(VARS3, "a") ** 3, *target[1:])
-    with pytest.raises(InconsistentSystem):
-        express(outside, images)

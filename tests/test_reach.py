@@ -101,8 +101,7 @@ print(json.dumps({"codes": codes, "reached": sorted(
 """
 
 PUBLIC = "public API: mbrwa/__init__ exports it"
-TESTS = "only tests call it: ROADMAP item 6 moves it out of src"
-BENCH = "only tests and perfbench call it: ROADMAP item 2 cuts perfbench's use, item 6 moves it"
+BENCH = "only tests and perfbench call it: ROADMAP item 22 cuts perfbench's use, then moves it"
 
 # name -> why the sweep leaves it unreached
 ALLOWED = {
@@ -111,7 +110,6 @@ ALLOWED = {
     **dict.fromkeys(["polyring.Poly.__hash__", "polyring.Poly.__repr__",
                      "polyring.Poly.__rsub__", "polyring.Poly.coefficient",
                      "polyring.Poly.eval", "polyring.VarSet.__repr__"], PUBLIC),
-    "polyring.express": TESTS,
     # _field_midpoint is reached only through midpoint_step_field
     **dict.fromkeys(["integrators.Trajectory.__len__", "integrators._field_midpoint",
                      "integrators.drift_report", "integrators.integrate",
