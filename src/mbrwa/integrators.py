@@ -20,10 +20,10 @@ O(1) memory), ``rows`` (``run_rows``: ``(t, *state, *invariants)`` of every
 (``step``).  ``fold`` and ``rows`` apply one rule to the invariants of each
 row they make: the first that is not finite, by row then column, is kept as
 a BlowUpError and raised once the run ends, so a later non-finite state
-wins.  ``_drive`` runs the full steps, then the partial step onto t_end, a
-midpoint run inside its one ``np.errstate``.  The loops run on Python
-floats, never numpy columns: an array's ``x**2`` is ``x*x``, a scalar's is
-libm ``pow``, and they differ in the last bit on about 0.09% of doubles.
+wins.  ``_drive`` runs the full steps, then the partial step onto t_end,
+one loop call each.  The loops run on Python floats, never numpy columns:
+an array's ``x**2`` is ``x*x``, a scalar's is libm ``pow``, and they differ
+in the last bit on about 0.09% of doubles.
 The array steps on a field of numpy arrays (``rk4_step_field``, and
 ``midpoint_step_field`` over a system's Newton unknowns) keep the generated
 steps' operation order, and numpy scalars call ``pow`` too, so the two give
@@ -68,13 +68,13 @@ where numpy returns inf; the loop turns it into a BlowUpError at the step's
 time, as it does a Newton iterate, residual or update, or a state, that is
 not finite.  An exactly singular Newton matrix makes ``solve1`` warn unless
 an ``np.errstate`` ignores "invalid"; entering one costs about as much as a
-predictor, so no loop enters one, and ``_drive`` enters one per midpoint
-run.  Floats ``a, b, ...`` are tested as ``not isfinite(a + b + ...) and
-not (isfinite(a) and ...)``, exact: a nan or infinite entry makes the sum
-nan or infinite, and a finite sum that overflows falls through to each
-entry.  Setup entries, finite for a finite h, are left out.  Nothing calls
-``sum()`` on floats, so no result rests on Python 3.12's compensated
-``sum``.
+predictor, so no Newton iteration enters one: ``_compile_loop`` sets it once
+per call of each loop that calls ``solve1``.  Floats ``a, b, ...`` are
+tested as ``not isfinite(a + b + ...) and not (isfinite(a) and ...)``,
+exact: a nan or infinite entry makes the sum nan or infinite, and a finite
+sum that overflows falls through to each entry.  Setup entries, finite for
+a finite h, are left out.  Nothing calls ``sum()`` on floats, so no result
+rests on Python 3.12's compensated ``sum``.
 """
 from __future__ import annotations
 
@@ -83,7 +83,6 @@ import itertools
 import math
 import sys
 from array import array
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from struct import Struct
@@ -127,7 +126,6 @@ class Trajectory:
     system: SystemId
     times: np.ndarray  # shape (n,)
     states: np.ndarray  # shape (n, dim)
-    h: float
 
     def __len__(self) -> int:
         return len(self.times)
@@ -142,7 +140,6 @@ class InvariantDrift:
 
 @dataclass(frozen=True)
 class DriftReport:
-    system: SystemId
     steps: int
     drifts: dict[InvariantId, InvariantDrift]
 
@@ -195,12 +192,11 @@ def midpoint_step_field(f: Callable, jac: Callable, s: np.ndarray, t: float, h: 
         mid = 0.5 * (x + new)
         return (*(new - x - h * f(mid)), *(eye - 0.5 * h * jac(mid)).ravel())
 
-    with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
-        try:
-            return np.array(_field_midpoint(n)(*s.tolist(), t, h, 1, 2,
-                                               lambda *x: f(np.array(x)), kernel))
-        except BlowUpError:
-            return np.full(n, math.nan)
+    try:
+        return np.array(_field_midpoint(n)(*s.tolist(), t, h, 1, 2,
+                                           lambda *x: f(np.array(x)), kernel))
+    except BlowUpError:
+        return np.full(n, math.nan)
 
 
 # The implicit midpoint step, written once.  ``_midpoint`` fills in the state
@@ -387,7 +383,7 @@ def _emit(emit: str, system: SystemId) -> tuple[str, list, list, list]:
 
 def _compile_loop(x: Sequence[str], scheme: tuple, slot: tuple, **namespace) -> Callable:
     """``_RUN`` for the state locals ``x``, a scheme's (setup, step) lines
-    and an emit slot."""
+    and an emit slot; a loop calling ``solve1`` runs each call in one ``np.errstate``."""
     (scheme_setup, step), (args, emit_setup, emit, teardown) = scheme, slot
     source = _RUN.format(
         x=", ".join(x), args=args, setup="\n    ".join([*scheme_setup, *emit_setup]),
@@ -395,12 +391,14 @@ def _compile_loop(x: Sequence[str], scheme: tuple, slot: tuple, **namespace) -> 
         teardown="\n    ".join(teardown), x_blowup=_blowup(x),
     )
     source = "\n".join(line for line in source.split("\n") if line.strip()) + "\n"
-    if "solve1(" in source:  # a midpoint loop: numpy's gesv, imported at its first compile
-        import numpy as np
-        from numpy.linalg._umath_linalg import solve1  # the gufunc behind np.linalg.solve
-        namespace.update(np=np, solve1=solve1)
-    return model._compile(source, "_run", Struct=Struct, isfinite=math.isfinite, inf=math.inf,
-                          NewtonError=NewtonError, BlowUpError=BlowUpError, **namespace)
+    namespace.update(Struct=Struct, isfinite=math.isfinite, inf=math.inf,
+                     NewtonError=NewtonError, BlowUpError=BlowUpError)
+    if "solve1(" not in source:  # an RK4 loop: no numpy call, so no numpy error state
+        return model._compile(source, "_run", **namespace)
+    import numpy as np  # a midpoint loop: numpy's gesv, imported at its first compile
+    from numpy.linalg._umath_linalg import solve1  # the gufunc behind np.linalg.solve
+    run = model._compile(source, "_run", np=np, solve1=solve1, **namespace)
+    return np.errstate(all="ignore")(run)  # a singular Newton matrix sets "invalid"
 
 
 @lru_cache(maxsize=None)
@@ -435,7 +433,7 @@ def step_count(t0: float, t_end: float, h: float) -> int:
     """The number of full steps of size ``h`` from t0 to t_end.
 
     Raises ValueError unless ``h`` is positive and finite and (t_end - t0) / h is a step
-    count: finite, at most ``sys.maxsize`` (the most a trajectory list can hold), not negative.
+    count: finite, at most ``sys.maxsize`` (the largest index), not negative (within 1e-12).
     """
     n_steps = (t_end - t0) / _step_size(h)
     if not n_steps <= sys.maxsize:  # also rejects inf and nan
@@ -458,10 +456,8 @@ def _segments(t0: float, t_end: float, h: float) -> list[tuple[float, float, int
     """The run from t0 to t_end as ``(t0, h, start, stop)`` loop arguments:
     ``step_count`` full steps, then a partial step landing on t_end unless the
     last full step is within rounding of it.  Row k is at t0 + h*k."""
-    if t_end < t0:
-        raise ValueError("t_end must be >= t0")
-    t0, t_end, h = float(t0), float(t_end), _step_size(h)
-    n_full = step_count(t0, t_end, h)
+    t0, t_end, h = float(t0), float(t_end), float(h)
+    n_full = step_count(t0, t_end, h)  # ValueError for a reversed span or a bad step
     t_last = t0 + n_full * h
     partial = t_last < t_end - 1e-12 * abs(t_end - t0)  # rounding in n_full * h scales with the span
     return [(t0, h, 1, n_full + 1)] + [(t_end, t_end - t_last, 0, 1)] * partial
@@ -474,16 +470,10 @@ def _state(system: SystemId, state) -> tuple[float, ...]:
 def _drive(method: IntegratorId, system: SystemId, emit: str, s: tuple, segments: list,
            *args) -> tuple:
     """The state the (method, system, emit) loop reaches from ``s`` over the
-    segments, a midpoint run inside one ``np.errstate``."""
+    segments, one loop call each (a midpoint loop sets numpy's error state per call)."""
     run = _compile_run(method, system, emit)
-    if method is IntegratorId.RK4:  # no numpy call, so no numpy error state
-        errstate = nullcontext()
-    else:  # a singular Newton matrix sets "invalid"
-        import numpy as np
-        errstate = np.errstate(all="ignore")
-    with errstate:
-        for segment in segments:
-            s = run(*s, *segment, *args)
+    for segment in segments:
+        s = run(*s, *segment, *args)
     return s
 
 
@@ -548,7 +538,7 @@ def run_drift(method: IntegratorId, system: SystemId, initial, t0: float, t_end:
     m, invariants = len(values), system_invariants(system)
     drifts = {inv: InvariantDrift(i, w, abs(v - i))
               for inv, i, w, v in zip(invariants, acc[:m], acc[m:2 * m], acc[2 * m:3 * m])}
-    return DriftReport(system, sum(stop - start for _, _, start, stop in segments), drifts)
+    return DriftReport(sum(stop - start for _, _, start, stop in segments), drifts)
 
 
 def integrate(method: IntegratorId, system: SystemId, initial, t0: float, t_end: float,
@@ -561,7 +551,7 @@ def integrate(method: IntegratorId, system: SystemId, initial, t0: float, t_end:
     n = model.system_dim(system)
     rows = run_rows(method, system, initial, t0, t_end, h)
     table = np.frombuffer(rows).reshape(-1, 1 + n + len(system_invariants(system)))
-    return Trajectory(system, table[:, 0].copy(), table[:, 1:1 + n].copy(), h)
+    return Trajectory(system, table[:, 0].copy(), table[:, 1:1 + n].copy())
 
 
 def drift_report(traj: Trajectory, invariants: Sequence[InvariantId]) -> DriftReport:
@@ -583,5 +573,4 @@ def drift_report(traj: Trajectory, invariants: Sequence[InvariantId]) -> DriftRe
         raise BlowUpError(float(traj.times[bad[0, 0]]), invariants[bad[0, 1]])
     dev = np.abs(values - values[0])
     drifts = zip(invariants, values[0], dev.max(axis=0), dev[-1])
-    return DriftReport(traj.system, len(traj) - 1,
-                       {inv: InvariantDrift(*map(float, v)) for inv, *v in drifts})
+    return DriftReport(len(traj) - 1, {inv: InvariantDrift(*map(float, v)) for inv, *v in drifts})

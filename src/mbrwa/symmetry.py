@@ -112,9 +112,8 @@ class VectorField(Mapping):
 
 
 def lie_bracket_fields(u: VectorField, v: VectorField) -> VectorField:
-    """[u, v]_k = u(v_k) - v(u_k), exactly, over a shared VarSet."""
-    if u.vars != v.vars:
-        raise ValueError("lie bracket requires a shared VarSet")
+    """[u, v]_k = u(v_k) - v(u_k), exactly; VarSetMismatch unless u and v
+    share a VarSet (``lie_derivative`` and the subtraction check it)."""
     return VectorField(
         vars=u.vars,
         components=tuple(lie_derivative(u, v[n]) - lie_derivative(v, u[n]) for n in u),

@@ -74,7 +74,7 @@ def newton_iterations(system: SystemId, init, t_end: float, h: float) -> tuple:
     text, iterations = run.source, Counter()
     accept = re.search(r"^( *)if update_norm <= .*\n", text, re.M)
     counted = f"{text[:accept.end()]}{accept[1]}    iterations[_ + 1] += 1\n{text[accept.end():]}"
-    counting = model._compile(counted, "_run", **run.__globals__, iterations=iterations)
+    counting = model._compile(counted, "_run", **run.__wrapped__.__globals__, iterations=iterations)
     s = _state(system, init)
     with np.errstate(all="ignore"):
         for segment in integrators._segments(0.0, t_end, h):

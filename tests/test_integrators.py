@@ -164,12 +164,11 @@ class TestStepCores:
             calls.append(x_new_h)
             return out if len(calls) == 1 else (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
 
-        midpoint = integrators._field_midpoint(2)
-        with np.errstate(all="ignore"):  # a singular Newton matrix sets "invalid"
-            try:
-                return midpoint(0.0, 0.0, 0.0, 0.1, 1, 2, lambda *s: (0.0, 0.0), kernel), len(calls)
-            except BlowUpError as exc:
-                return exc, len(calls)
+        midpoint = integrators._field_midpoint(2)  # its own numpy error state: no warning escapes
+        try:
+            return midpoint(0.0, 0.0, 0.0, 0.1, 1, 2, lambda *s: (0.0, 0.0), kernel), len(calls)
+        except BlowUpError as exc:
+            return exc, len(calls)
 
     def test_newton_stops_at_a_zero_matrix(self):
         # the residual stays finite, so only the solve can end the step
@@ -293,8 +292,15 @@ class TestIntegrate:
         assert traj.times[0] == 2.0
 
     def test_reversed_interval_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative step count"):
             integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 1.0, 0.0, 0.1)
+
+    def test_interval_reversed_within_rounding_has_no_step(self):
+        # step_count's rounding rule: -1e-13 of a step is no step at all
+        rep = integrators.run_drift(IntegratorId.RK4, SystemId.MB5, INIT5, 0.0, -1e-13, 1.0)
+        assert rep.steps == 0
+        assert {d.max_abs_deviation for d in rep.drifts.values()} == {0.0}
+        assert {d.final_deviation for d in rep.drifts.values()} == {0.0}
 
     def test_infinite_step_count_rejected(self):
         # 1e308 / 1e-10 overflows to inf
@@ -756,7 +762,7 @@ class TestDriftReport:
         assert rep == drift_report(integrate(IntegratorId.RK4, SystemId.MB5, INIT5, 1.0, 1.0, 0.1),
                                    invariants)
         assert {d.max_abs_deviation for d in rep.drifts.values()} == {0.0}
-        empty = integrators.Trajectory(SystemId.MB5, np.empty(0), np.empty((0, 5)), 0.1)
+        empty = integrators.Trajectory(SystemId.MB5, np.empty(0), np.empty((0, 5)))
         with pytest.raises(ValueError, match="no rows to fold"):
             drift_report(empty, invariants)
 

@@ -11,7 +11,7 @@ import pytest
 
 from mbrwa import model, symmetry, verify
 from mbrwa.model import InvariantId
-from mbrwa.polyring import Poly, VarSet, kernel, lie_derivative
+from mbrwa.polyring import Poly, VarSet, VarSetMismatch, kernel, lie_derivative
 from mbrwa.symmetry import (
     BASE_VARS,
     JetVectorField,
@@ -271,6 +271,16 @@ class TestAlgebra:
         assert lie_bracket_fields(u1, u3).components == tuple(-c for c in u3.components)
         for a, b in ((u1, u4), (u2, u3), (u2, u4), (u3, u4)):
             assert lie_bracket_fields(a, b).is_zero
+
+    def test_bracket_of_mixed_varsets_rejected(self):
+        # over BASE_VARS and BASE_VARS_P, either way round, zero fields included
+        with_params = symmetry.BASE_VARS_P
+        u = VectorField.of(BASE_VARS, {"q1": Q2})
+        v = VectorField.of(with_params, {"q1": Poly.variables(with_params)[2]})
+        zero_u, zero_v = VectorField.of(BASE_VARS, {}), VectorField.of(with_params, {})
+        for a, b in ((u, v), (v, u), (zero_u, zero_v), (zero_v, u), (u, zero_v)):
+            with pytest.raises(VarSetMismatch):
+                lie_bracket_fields(a, b)
 
     def test_jacobi_identity_on_basis(self):
         basis = symmetry_basis()
