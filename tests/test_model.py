@@ -359,99 +359,6 @@ def test_generated_kernel_source_is_pinned():
         for system in SystemId
     }
     assert compiled == golden["compiled_sources"]
-    # the rhs, Newton evaluation and invariants pinned as fragments, before
-    # the runs were pinned whole, are where each run executes them: the
-    # step right after the step's time, RK4's a and b and midpoint's c in the
-    # run's setup, the Newton evaluation first in each iteration and its
-    # entries in the buffer's setup and packs, the invariants right after
-    # the test of the state.
-    # A name a run hoists (a power v_k, a midpoint constant entry j<k>,
-    # h0 = h * 0.0) reads back as the expression it is set to, and the
-    # entries compare without spaces (the predictor writes ``h * f``, the
-    # residual ``h*f``).  An invariant's powers are hoisted inside its own
-    # ``try``, so one overflow turns only that invariant into nan.
-    for system in SystemId:
-        x, pinned = model.system_vars(system).names, golden[system.value]
-        newton, rhs = pinned["midpoint_newton_source"], pinned["rhs_source"]
-        stage = [f"k0_{i} = {f}" for i, f in enumerate(rhs)]
-        mids = [line for line in newton["body"][1:]  # those an entry reads: ham6 and el6 skip q3's
-                if re.search(rf"\b{line.partition(' = ')[0]}\b", " ".join(newton["returns"]))]
-        # a zero-rate variable's midpoint (ham6's p3) is fixed for the step:
-        # set once after the predictor, not in each Newton iteration
-        fixed = [line for line in mids if rhs[int(line[1:line.index(" ")])] == "0.0"]
-        mids = [line for line in mids if line not in fixed]
-
-        def at(prefix):  # the rhs with each variable read as the local prefix<i>
-            return [re.sub(r"\b\w+\b", lambda m: f"{prefix}{x.index(m[0])}" if m[0] in x else m[0], f)
-                    for f in rhs]
-
-        # the explicit midpoint predictor sets each e<i> = x + (h/2)*f(x) that
-        # an n<i> = x + h*f(e) reads, and each n<i> the Newton evaluation
-        # reads; each other variable gets the quadrature x + h*f(m) once
-        # Newton has converged.  A zero rate gives x + h*0.0 in both stages
-        read = " ".join(mids + fixed + newton["returns"])
-        second = [f"n{i} = {xi} + h * {f}" for i, (xi, f) in enumerate(zip(x, at("e")))
-                  if re.search(rf"\bn{i}\b", read)]
-        first = [f"e{i} = {xi} + {'h * 0.0' if f == '0.0' else f'c * {f}'}"
-                 for i, (xi, f) in enumerate(zip(x, rhs)) if re.search(rf"\be{i}\b", str(second))]
-        predictor = [*first, *second, *fixed]
-        accept = [f"{xi} = n{i}" if re.search(rf"\bn{i}\b", read) else f"{xi} = {xi} + h*{at('m')[i]}"
-                  for i, xi in enumerate(x)]
-        accept = [line for line in newton["body"][1:] if line not in fixed
-                  and re.search(rf"\b{line.partition(' = ')[0]}\b", " ".join(accept))] + accept
-        values = [f"v{i} = {golden['invariants'][inv.value]}"
-                  for i, inv in enumerate(model.system_invariants(system))]
-        for emit in EMITS:
-            rk4 = [line.strip() for line in compiled[system.value][f"rk4_{emit}"]]
-            midpoint = [line.strip() for line in compiled[system.value][f"midpoint_{emit}"]]
-            assert _setup(rk4)[:2] == ["a = 0.5 * h", "b = h / 6.0"]
-            setup, hoisted = _setup(midpoint), {}
-            assert setup[0] == newton["body"][0] == "c = 0.5 * h"
-            for line in rk4 + midpoint:
-                name, _, expr = line.partition(" = ")
-                if re.fullmatch(r"j\d+|h0", name) and line in setup or re.fullmatch(r"\w+\*\*\d+", expr):
-                    assert hoisted.setdefault(name, expr) == expr
-
-            def read_back(text):
-                return re.sub(r"\b\w+\b", lambda m: hoisted.get(m.group(), m.group()), text)
-
-            def unhoisted(lines):
-                return [read_back(line) for line in lines if line.partition(" = ")[0] not in hoisted]
-
-            start = rk4.index("t = t0 + h*k") + 1
-            assert stage == unhoisted(rk4[start:])[:len(x)]
-            start, stop = midpoint.index("t = t0 + h*k") + 1, midpoint.index("update_norm = inf")
-            assert predictor == unhoisted(midpoint[start:stop])
-            start = midpoint.index("for _ in range(50):") + 1
-            assert mids == midpoint[start:start + len(mids)]
-            stop = next(i for i, line in enumerate(midpoint) if line.startswith("if update_norm <= "))
-            assert unhoisted(midpoint[stop + 1:midpoint.index("break")]) == accept
-            entries = dict(line.split(" = ", 1) for line in midpoint[start:]
-                           if re.match(r"o\d+ = ", line))
-            assert ([read_back(entries.get(a, a)).replace(" ", "") for a in _pack_args(midpoint)]
-                    == [entry.replace(" ", "") for entry in newton["returns"]])
-            for run in (rk4, midpoint):
-                start = next(i for i, line in enumerate(run)
-                             if line.startswith(f"if not isfinite({' + '.join(x)}) and")) + 2
-                if emit == "rows":
-                    assert run[start] == "if k % every == 0 or k == last:"
-                    start += 1
-                if emit == "none":
-                    assert run[start] == "except OverflowError:"
-                    continue
-                ends = [i for i in range(start, len(run)) if run[i] == "except OverflowError:"]
-                block = run[start:ends[len(values) - 1] + 2]
-                assert unhoisted(block)[1::4] == values
-                for i, line in enumerate(block):
-                    if line.partition(" = ")[0] in hoisted:
-                        assert block[i - 1] == "try:" or block[i - 1].partition(" = ")[0] in hoisted
-    invariants = {
-        inv.value: model._poly_source(
-            model.invariant_symbolic(inv), model.system_vars(model.invariant_system(inv)).names
-        )
-        for inv in InvariantId
-    }
-    assert invariants == golden["invariants"]
 
 
 @pytest.mark.parametrize("emit", EMITS)
@@ -504,6 +411,10 @@ def test_rk4_stages_and_invariants_evaluate_each_power_once(system):
     for block in "\n".join(model.invariant_lines(system)).split("try:"):
         powers = re.findall(r"\b\w+\*\*\d+", block)
         assert len(powers) == len(set(powers))
+    # the stage weights, fixed by h, are set once per run, before its loop, in every emit
+    for emit in EMITS:
+        run = integrators._compile_run(IntegratorId.RK4, system, emit).source.split("\n")
+        assert _setup([line.strip() for line in run])[:2] == ["a = 0.5 * h", "b = h / 6.0"]
 
 
 def test_compiled_rhs_matches_symbolic():

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from mbrwa import model, poisson, verify
+from mbrwa import model, poisson, symmetry, verify
 from mbrwa.model import VARS5, InvariantId, SystemId
 from mbrwa.polyring import Poly, matrix_rank
+from mbrwa.symmetry import BASE_VARS, VectorField
 import oracles
 from patching import patched
 
@@ -323,8 +324,8 @@ class TestAlgebraSuiteFailures:
             "[B1,B3] expands to (0, 0, 1, 0), expected (0, 0, -1, 0)",
         ]
         assert reports["symmetry-algebra-isomorphism"].residuals == [
-            "structure constants differ at (1, 2): fields (0, 1, 0, 0), matrices (0, -1, 0, 0)",
-            "structure constants differ at (1, 3): fields (0, 0, -1, 0), matrices (0, 0, 1, 0)",
+            "[B1,B2] expands to (0, 1, 0, 0), expected (0, -1, 0, 0)",
+            "[B1,B3] expands to (0, 0, -1, 0), expected (0, 0, 1, 0)",
         ]
         for check in ("A-commutator-table", "symmetry-algebra-isomorphism"):
             assert reports[check].status == "fail"
@@ -338,7 +339,7 @@ class TestAlgebraSuiteFailures:
             "[B1,B3] expands to (0, 0, -1/2, 0), expected (0, 0, -1, 0)",
         ]
         assert reports["symmetry-algebra-isomorphism"].residuals[0] == (
-            "structure constants differ at (1, 2): fields (0, 1, 0, 0), matrices (0, 1/2, 0, 0)"
+            "[B1,B2] expands to (0, 1, 0, 0), expected (0, 1/2, 0, 0)"
         )
 
     def test_a_table_computed_once_per_run(self, monkeypatch):
@@ -355,13 +356,27 @@ class TestAlgebraSuiteFailures:
         assert computed.count(poisson.E_BASIS) == 1
 
     def test_outside_span_basis(self, monkeypatch):
-        # [B1, B2] = E_13 leaves the span: the isomorphism check cannot
-        # compare tables and raises, as it always has
+        # [B1, B2] = E_13 leaves the span: the matrix table has no
+        # expansion, and both checks that read it fail on that bracket
         a = poisson._mat([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
         b = poisson._mat([[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-        with pytest.raises(poisson.CommutatorOutsideSpan) as exc:
-            self.reports(monkeypatch, (a, b))
-        assert str(exc.value) == (
-            "[B1,B2] is outside the span of the basis: "
-            "((0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))"
-        )
+        reports = self.reports(monkeypatch, (a, b))
+        for check in ("A-commutator-table", "symmetry-algebra-isomorphism"):
+            assert reports[check].status == "fail"
+            assert reports[check].residuals == [
+                "[B1,B2] is outside the span of the basis: "
+                "((0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))"
+            ]
+
+    def test_point_basis_outside_span(self):
+        # [d/dq1, q1 d/dq2] = d/dq2 leaves the span of the two fields: the
+        # point table has no expansion, and the isomorphism check fails on it
+        d_q1 = VectorField.of(BASE_VARS, {"q1": Poly.const(BASE_VARS, 1)})
+        q1_d_q2 = VectorField.of(BASE_VARS, {"q2": Poly.var(BASE_VARS, "q1")})
+        with patched(symmetry, "symmetry_basis", lambda: (d_q1, q1_d_q2)):
+            reports = {r.check: r for r in verify.suite_algebra()}
+        iso = reports.pop("symmetry-algebra-isomorphism")
+        d_q2 = VectorField.of(BASE_VARS, {"q2": Poly.const(BASE_VARS, 1)})
+        assert iso.status == "fail"
+        assert iso.residuals == [f"[B1,B2] is outside the span of the basis: {d_q2}"]
+        assert all(r.passed for r in reports.values())
